@@ -29,12 +29,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
-from ucv.rootcheck import DEFAULT_TOL, UnitPolynomial, nonvanishing_in_open_disk
+from ucv.rootcheck import DEFAULT_TOL, RationalIn, UnitPolynomial, as_rational, nonvanishing_in_open_disk
 from ucv.series import TruncatedSeries, series_from_polynomial
-
-RationalIn = Union[Fraction, int, float, str]
 
 VALIDATION_REASONS = (
     "lambda out of range",
@@ -51,11 +49,6 @@ class NonMember(ValueError):
         assert reason in VALIDATION_REASONS
         self.reason = reason
         super().__init__(reason if not detail else f"{reason}: {detail}")
-
-
-def _rational(value: RationalIn) -> Fraction:
-    # floats widen to their exact binary value; use str for decimal intent
-    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -99,10 +92,10 @@ def validate(
     Raises NonMember with reason one of: "lambda out of range",
     "negative coefficient", "lemma-sum exceeded", "zero in disk".
     """
-    lam_q = _rational(lam)
+    lam_q = as_rational(lam)
     if not 0 < lam_q <= 1:
         raise NonMember("lambda out of range", f"lambda={lam_q}")
-    bs = [_rational(x) for x in b]
+    bs = [as_rational(x) for x in b]
     if not bs:
         raise ValueError("b must contain at least one coefficient")
     for n, bn in enumerate(bs, start=1):
@@ -260,7 +253,7 @@ def extremal_catalog(name: str, lam: RationalIn) -> ClassMember:
     Bz4over3, H2UpperMix, HalfZ3, H3LowerMix, LambdaZ3.  Raises KeyError
     for unknown names, NonMember if lambda is out of range.
     """
-    lam_q = _rational(lam)
+    lam_q = as_rational(lam)
     if not 0 < lam_q <= 1:
         raise NonMember("lambda out of range", f"lambda={lam_q}")
     if name not in CATALOG_NAMES:

@@ -34,15 +34,19 @@ _NEAR_UNIT_BAND = 1e-3
 # the band errs generous at the price of an occasional exact re-check
 _CLUSTER_SEP = 1e-2
 
-CoefficientIn = Union[Fraction, int, float, str]
+RationalIn = Union[Fraction, int, float, str]
 
 
-def _widen(value: CoefficientIn) -> Fraction:
-    # Fraction(float) is the exact binary value of the double; no decimal
-    # reinterpretation happens here.
+def as_rational(value: RationalIn) -> Fraction:
+    """The one input coercion of the package: Fractions pass, ints and
+    strings ("1/3", "0.25") convert exactly, and a float is read by its
+    decimal text, so 0.1 means 1/10 as it does on the command line (not
+    the double's binary value 3602879701896397/36028797018963968)."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, float, str)):
+    if isinstance(value, float):
+        return Fraction(str(value))
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot widen {type(value).__name__} to an exact rational")
 
@@ -55,7 +59,7 @@ class UnitPolynomial:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        cs = [_widen(c) for c in self.coeffs]
+        cs = [as_rational(c) for c in self.coeffs]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         if not cs or cs[0] != 1:
@@ -63,7 +67,7 @@ class UnitPolynomial:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
-    def from_coeffs(cls, values: Iterable[CoefficientIn]) -> "UnitPolynomial":
+    def from_coeffs(cls, values: Iterable[RationalIn]) -> "UnitPolynomial":
         return cls(tuple(values))
 
     @property
@@ -71,7 +75,7 @@ class UnitPolynomial:
         return len(self.coeffs) - 1
 
 
-def _as_unit(p: Union[UnitPolynomial, Sequence[CoefficientIn]]) -> UnitPolynomial:
+def _as_unit(p: Union[UnitPolynomial, Sequence[RationalIn]]) -> UnitPolynomial:
     if isinstance(p, UnitPolynomial):
         return p
     return UnitPolynomial.from_coeffs(p)
@@ -229,7 +233,7 @@ def _exact_min_modulus(cs: list[Fraction]) -> float:
     return min(best, float(_numpy_moduli(work).min()))
 
 
-def min_root_modulus(p: Union[UnitPolynomial, Sequence[CoefficientIn]]) -> float:
+def min_root_modulus(p: Union[UnitPolynomial, Sequence[RationalIn]]) -> float:
     """Smallest |root| of p, +inf for degree 0.
 
     Accurate to ~1e-12 relative even at multiple roots, thanks to the
@@ -249,7 +253,7 @@ def min_root_modulus(p: Union[UnitPolynomial, Sequence[CoefficientIn]]) -> float
 
 
 def nonvanishing_in_open_disk(
-    p: Union[UnitPolynomial, Sequence[CoefficientIn]],
+    p: Union[UnitPolynomial, Sequence[RationalIn]],
     tol: float = DEFAULT_TOL,
 ) -> bool:
     """True when p has no zero in the open unit disk, up to the one-sided

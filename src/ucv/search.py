@@ -26,9 +26,15 @@ from typing import Callable, Iterator, Sequence, Union
 import numpy as np
 
 from ucv.model import decimal_str
-from ucv.rootcheck import DEFAULT_TOL, UnitPolynomial, nonvanishing_in_open_disk
-
-RationalIn = Union[Fraction, int, float, str]
+from ucv.rootcheck import (
+    _CLUSTER_SEP,
+    _NEAR_UNIT_BAND,
+    DEFAULT_TOL,
+    RationalIn,
+    UnitPolynomial,
+    as_rational,
+    nonvanishing_in_open_disk,
+)
 
 # floating slack separating a genuine bound violation from root-gate and
 # rounding noise, vs the much looser grid-sharpness warning threshold
@@ -37,14 +43,6 @@ WARN_GAP = 5e-3
 
 _REFINE_WINDOW = 12
 _REFINE_PASSES = 6
-
-
-def _rational(value: RationalIn) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
 
 
 # -- functionals ----------------------------------------------------------
@@ -136,7 +134,7 @@ def bound_info(name: str, lam: RationalIn) -> dict:
     attaining the value exactly (None when attainment is off-catalog or
     not established).
     """
-    lam = _rational(lam)
+    lam = as_rational(lam)
     zero = Fraction(0)
     none = (None, False, None)
     lo = "Bz4over3"  # b1=b2=b3=0 member, kills every A/Gamma functional
@@ -207,7 +205,7 @@ class SearchConfig:
 
     def __post_init__(self):
         if not isinstance(self.grid_step, Fraction):
-            object.__setattr__(self, "grid_step", _rational(self.grid_step))
+            object.__setattr__(self, "grid_step", as_rational(self.grid_step))
         if self.grid_step <= 0:
             raise ValueError("grid_step must be positive")
         if self.dims < 1:
@@ -215,7 +213,7 @@ class SearchConfig:
         if self.refine_rounds < 0:
             raise ValueError("refine_rounds must be >= 0")
         if self.b1_max is not None and not isinstance(self.b1_max, Fraction):
-            object.__setattr__(self, "b1_max", _rational(self.b1_max))
+            object.__setattr__(self, "b1_max", as_rational(self.b1_max))
 
     def b1_cap(self, lam: Fraction) -> Fraction:
         return 1 + lam if self.b1_max is None else self.b1_max
@@ -261,7 +259,7 @@ def enumerate_feasible(lam: RationalIn, cfg: SearchConfig | None = None) -> Iter
     through the disk root gate.  Yields tuples padded to >= 4 entries.
     """
     cfg = cfg or SearchConfig()
-    lam = _rational(lam)
+    lam = as_rational(lam)
     step = cfg.grid_step
     width = _width(cfg)
     weights = tuple(range(1, cfg.dims))  # weights of b2..b_dims
@@ -356,34 +354,100 @@ def _better(value: float, arg: tuple, cur_value: float, cur_arg, sign: int) -> b
     return value == cur_value and arg < cur_arg
 
 
-def _root_gate_mask(tails: np.ndarray, tail_deg: np.ndarray, undecided: np.ndarray,
-                    b1f: float, lut: np.ndarray, width: int, tol: float) -> np.ndarray:
-    """Batched disk check for the lattice points no exact pretest settled.
+def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of each row of `coeffs` (ascending float coefficients, one
+    degree d >= 1 for all rows, nonzero leading term) as the eigenvalues
+    of stacked companion matrices, in one eigvals call."""
+    n, d = coeffs.shape[0], coeffs.shape[1] - 1
+    comp = np.zeros((n, d, d))
+    comp[:, range(1, d), range(d - 1)] = 1.0
+    comp[:, 0, :] = -coeffs[:, d - 1::-1] / coeffs[:, d:]
+    return np.linalg.eigvals(comp)
 
-    Degree <= 3 survivors are feasible outright: with b >= 0 and
-    b2 + 2 b3 <= lambda <= 1, every real root is negative, an inside pair
-    of real roots would force b2 > 1 through its reciprocal product, and
-    an inside complex pair of a cubic gives
-    b2 + 2 b3 = 1/mu^2 + (2/(mu r))(1/mu - cos t) > 1.  Degree >= 4 goes
-    through stacked companion eigenvalues.
+
+def _deflate_minus_one(coeffs: np.ndarray) -> np.ndarray:
+    """Divide each row of ascending int64 coefficients by (1 + z) for as
+    long as it vanishes at -1 (descending synthetic division, exact);
+    quotients come back zero padded to the input width."""
+    q = coeffs.copy()
+    alt = np.array([(-1) ** j for j in range(q.shape[1])], dtype=np.int64)
+    rows = np.flatnonzero(q @ alt == 0)
+    while rows.size:
+        sub = q[rows]
+        out = np.zeros_like(sub)
+        acc = np.zeros(rows.size, dtype=np.int64)
+        for k in range(sub.shape[1] - 1, 0, -1):
+            acc = sub[:, k] - acc
+            out[:, k - 1] = acc
+        q[rows] = out
+        rows = rows[out @ alt == 0]
+    return q
+
+
+def _facet_gate(coeffs: np.ndarray, tol: float) -> np.ndarray:
+    """Disk decision for integer polynomials with p(-1) = 0 and p(0) > 0.
+
+    A k-fold root at -1 smears into a ring of eigenvalues of radius about
+    eps^(1/k), so the factor (1 + z)^m is divided out exactly first.  The
+    quotients go through the companion eigenvalues by degree (degree 0 is
+    (1 + z)^m alone, accepted).  A quotient with a root modulus within
+    _NEAR_UNIT_BAND of 1, or two roots closer than _CLUSTER_SEP, is
+    doubtful in floating point, and its polynomial goes to the scalar
+    exact gate instead.
     """
-    accept = undecided & (tail_deg <= 3)
-    hard = np.flatnonzero(undecided & (tail_deg >= 4))
-    for d in range(4, width + 1):
-        rows = hard[tail_deg[hard] == d]
+    q = _deflate_minus_one(coeffs)
+    width = q.shape[1]
+    deg = width - 1 - np.argmax(q[:, ::-1] != 0, axis=1)
+    accept = deg == 0
+    for d in range(1, width):
+        rows = np.flatnonzero(deg == d)
         if not rows.size:
             continue
-        sub = tails[rows]
-        lead = lut[sub[:, d - 2]]
-        comp = np.zeros((rows.size, d, d))
-        comp[:, range(1, d), range(d - 1)] = 1.0
-        for col in range(1, d - 1):
-            comp[:, 0, col - 1] = -lut[sub[:, d - 2 - col]] / lead
-        comp[:, 0, d - 2] = -b1f / lead
-        comp[:, 0, d - 1] = -1.0 / lead
-        moduli = np.abs(np.linalg.eigvals(comp)).min(axis=1)
-        ok = rows[moduli >= 1.0 - tol]
-        accept[ok] = True
+        roots = _companion_roots(q[rows, : d + 1].astype(float))
+        moduli = np.abs(roots)
+        gaps = np.abs(roots[:, :, None] - roots[:, None, :])
+        gaps[:, range(d), range(d)] = np.inf
+        doubtful = (np.abs(moduli - 1.0) <= _NEAR_UNIT_BAND).any(axis=1)
+        doubtful |= gaps.min(axis=(1, 2)) < _CLUSTER_SEP
+        accept[rows] = moduli.min(axis=1) >= 1.0 - tol
+        for i in rows[doubtful]:
+            c0 = int(coeffs[i, 0])
+            accept[i] = nonvanishing_in_open_disk([Fraction(int(c), c0) for c in coeffs[i]], tol)
+    return accept
+
+
+def _root_gate_mask(k1: int, tails: np.ndarray, tail_deg: np.ndarray, undecided: np.ndarray,
+                    facet: np.ndarray, units: int, lut: np.ndarray, width: int,
+                    tol: float) -> np.ndarray:
+    """Batched disk check for the lattice points no exact pretest settled.
+
+    Degree <= 3 survivors are feasible outright: with b >= 0, p(-1) >= 0
+    and b2 + 2 b3 <= lambda <= 1, every real root is negative, an inside
+    pair of real roots would force b2 > 1 through its reciprocal product,
+    and an inside complex pair of a cubic gives
+    b2 + 2 b3 = 1/mu^2 + (2/(mu r))(1/mu - cos t) > 1.  Degree >= 4 goes
+    through stacked companion eigenvalues, one call per degree, except
+    for `facet` rows (p(-1) = 0 exactly): their polynomial times
+    units = 1/step is the integer polynomial units + k1 z + t2 z^2 + ...,
+    which _facet_gate deflates exactly before its own eigenvalue calls.
+    """
+    accept = undecided & (tail_deg <= 3)
+    hard = undecided & (tail_deg >= 4)
+    rows = np.flatnonzero(hard & facet)
+    if rows.size:
+        head = np.tile(np.array([units, k1], dtype=np.int64), (rows.size, 1))
+        accept[rows] = _facet_gate(np.hstack((head, tails[rows])), tol)
+    plain = np.flatnonzero(hard & ~facet)
+    for d in range(4, width + 1):
+        rows = plain[tail_deg[plain] == d]
+        if not rows.size:
+            continue
+        coeffs = np.empty((rows.size, d + 1))
+        coeffs[:, 0] = 1.0
+        coeffs[:, 1] = lut[k1]
+        coeffs[:, 2:] = lut[tails[rows, : d - 1]]
+        moduli = np.abs(_companion_roots(coeffs)).min(axis=1)
+        accept[rows[moduli >= 1.0 - tol]] = True
     return accept
 
 
@@ -418,16 +482,9 @@ def _sweep_chunk(args) -> list:
         # p(0) = 1 > 0, so p(-1) < 0 forces a real root in (-1, 0): reject
         alive = (k1 - talt) <= u1
         undecided = alive & ~accept
-        if facet_possible:
-            # points with p(-1) = 0 exactly may carry repeated roots at -1;
-            # those wash out in floating point, so recheck them exactly
-            facet = undecided & ((k1 - talt) == u1)
-            undecided &= ~facet
-            for i in np.flatnonzero(facet):
-                b = _pad((k1 * step,) + tuple(int(t) * step for t in tails[i]), width)
-                if _feasible(lam, b, cfg.root_tol):
-                    accept[i] = True
-        accept |= _root_gate_mask(tails, tail_deg, undecided, lut[k1], lut, width, cfg.root_tol)
+        # p(-1) = 0 exactly needs 1/step to be an integer
+        facet = (k1 - talt) == u1 if facet_possible else np.zeros(m, dtype=bool)
+        accept |= _root_gate_mask(k1, tails, tail_deg, undecided, facet, u1, lut, width, cfg.root_tol)
         sel = np.flatnonzero(accept)
         if not sel.size:
             continue
@@ -602,7 +659,7 @@ def _optimize_detail(fn: Union[Functional, str], lam: RationalIn, direction: str
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
     fn = functional_by_name(fn) if isinstance(fn, str) else fn
-    lam = _rational(lam)
+    lam = as_rational(lam)
     if not 0 < lam <= 1:
         raise ValueError(f"lambda must be in (0, 1], got {lam}")
     cfg = cfg or SearchConfig()
@@ -629,7 +686,7 @@ def verify_bounds(lambda_grid: Sequence[RationalIn], cfg: SearchConfig | None = 
     cfg = cfg or SearchConfig()
     certs: list[BoundCertificate] = []
     for raw in lambda_grid:
-        lam = _rational(raw)
+        lam = as_rational(raw)
         if not 0 < lam <= 1:
             raise ValueError(f"lambda must be in (0, 1], got {lam}")
         incumbents = _sweep(lam, cfg, FUNCTIONAL_NAMES)

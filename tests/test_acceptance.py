@@ -23,11 +23,13 @@ README.md for the mathematics.
 from __future__ import annotations
 
 import math
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -47,9 +49,10 @@ from ucv.model import (
     zalcman_values,
 )
 from ucv.rootcheck import nonvanishing_in_open_disk
-from ucv.search import conjecture_scan, verify_bounds
+from ucv.search import CSV_HEADER, conjecture_scan, verify_bounds
 
 F = Fraction
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _line(n: int, ok: bool, detail: str = "") -> str:
@@ -312,16 +315,21 @@ def test_criterion_6_root_gate_oracle():
 
 def test_criterion_7_csv_determinism():
     cmd = [sys.executable, "-m", "ucv.cli", "verify", "--grid", "0.25,1.0", "--format", "csv"]
+    # the subprocesses must import this checkout's ucv whether or not it is
+    # installed; otherwise both fail alike and compare equal
+    pythonpath = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     outs = []
     codes = []
     for workers in ("1", "8"):
-        proc = subprocess.run(
-            cmd, capture_output=True, env={"UCV_THREADS": workers, "PATH": "/usr/bin:/bin"},
-        )
+        env = {**os.environ, "UCV_THREADS": workers, "PYTHONPATH": pythonpath}
+        proc = subprocess.run(cmd, capture_output=True, env=env)
         outs.append(proc.stdout)
         codes.append(proc.returncode)
-    same = outs[0] == outs[1] and codes[0] == codes[1]
     # exit code 2 is expected here: the lambda=1 grid contains the H2F row
-    # whose tabled value the search legitimately beats
-    line = _line(7, same, f"{len(outs[0])} bytes, exit {codes[0]}")
-    assert same, line
+    # whose tabled value the search legitimately beats; 2 lambdas x 16
+    # functionals x 2 directions rows under the header
+    lines = outs[0].decode().splitlines()
+    ran = codes == [2, 2] and len(lines) == 65 and lines[0] == CSV_HEADER
+    same = outs[0] == outs[1]
+    line = _line(7, ran and same, f"{len(outs[0])} bytes, {len(lines)} lines, exits {codes}")
+    assert ran and same, line

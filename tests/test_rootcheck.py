@@ -21,7 +21,7 @@ def test_unit_polynomial_normalization():
     p = UnitPolynomial.from_coeffs((1, F(1, 2), 0, 0))
     assert p.coeffs == (F(1), F(1, 2))
     assert p.degree == 1
-    # floats widen to their exact binary value
+    # floats widen by their decimal text
     assert UnitPolynomial.from_coeffs((1, 0.5)).coeffs == (F(1), F(1, 2))
     with pytest.raises(ValueError):
         UnitPolynomial.from_coeffs((2, 1))

@@ -7,10 +7,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import random
 
+import ucv.search
 from oracles import random_member
 from ucv.model import (
     a_closed,
@@ -21,15 +23,18 @@ from ucv.model import (
     validate,
     zalcman_values,
 )
+from ucv.rootcheck import UnitPolynomial, nonvanishing_in_open_disk
 from ucv.search import (
     BoundCertificate,
     CSV_HEADER,
     FUNCTIONAL_NAMES,
     SearchConfig,
     _better,
+    _facet_gate,
     _move_directions,
     _optimize_detail,
     _sweep,
+    _tail_units,
     an_functional,
     bound_info,
     certificate_csv_row,
@@ -94,6 +99,96 @@ def test_sweep_parallel_merge_identical(monkeypatch):
     monkeypatch.setenv("UCV_THREADS", "3")
     parallel = _sweep(lam, cfg, FUNCTIONAL_NAMES)
     assert serial == parallel
+
+
+# -- batched facet gate -------------------------------------------------------
+
+
+def facet_lattice_rows(lam, units, dims):
+    """Every lattice point with p(-1) = 0 as the integer polynomial
+    units * p = units + k1 z + t2 z^2 + ..., units = 1/step."""
+    tails = list(_tail_units(int(lam * units), tuple(range(1, dims))))
+    rows = [
+        (units, k1) + t
+        for k1 in range(int((1 + lam) * units) + 1)
+        for t in tails
+        if units - k1 + sum((-1) ** j * x for j, x in enumerate(t)) == 0
+    ]
+    return np.array(rows, dtype=np.int64)
+
+
+def _unit(row):
+    return UnitPolynomial.from_coeffs([F(int(c), int(row[0])) for c in row])
+
+
+def scalar_decisions(rows):
+    return [nonvanishing_in_open_disk(_unit(r)) for r in rows]
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return nonvanishing_in_open_disk(*args, **kwargs)
+
+    monkeypatch.setattr(ucv.search, "nonvanishing_in_open_disk", counted)
+    return calls
+
+
+@pytest.mark.parametrize("lam", [F(1, 10), F(1, 4), F(1, 2), F(3, 4), F(1)], ids=str)
+def test_facet_gate_matches_scalar_gate_on_lattice(lam):
+    rows = facet_lattice_rows(lam, 50, 4)
+    assert len(rows) == {F(1, 10): 16, F(1, 4): 102, F(1, 2): 640, F(3, 4): 1841, F(1): 4248}[lam]
+    want = scalar_decisions(rows)
+    assert list(_facet_gate(rows, 1e-9)) == want
+    # the sweep accepts degree <= 3 rows by its lemma before this gate
+    assert all(w for r, w in zip(rows, want) if not r[4:].any())
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# (q ascending, accepted, doubtful): (1 + z)^m q has a zero in the open
+# disk iff q does; doubtful quotients have a root within 1e-3 of the circle
+# or two roots within 1e-2 of each other, and only they take the scalar gate
+FACET_QUOTIENTS = [
+    ([1], True, False),                 # (1 + z)^m alone
+    ([2, 1], True, False),              # root -2
+    ([1, 3, 1], False, False),          # real root -0.38
+    ([1, 1, 4], False, False),          # complex pair of modulus 1/2
+    ([1, 0, 1], True, True),            # +-i, on the circle
+    ([1, -1, 1], True, True),           # primitive sixth roots, on the circle
+    ([1, 0, 0, 0, 1], True, True),      # four zeros on the circle
+    (_poly_mul([1000, 999], [1000, 1001]), False, True),  # -1.001 and -0.999
+    (_poly_mul([20, 19], [21, 20]), True, True),          # cluster near -1.05
+]
+
+
+def test_facet_gate_hand_built_cases(fallback_calls):
+    polys, want, doubtful = [], [], []
+    for q, accepted, unsure in FACET_QUOTIENTS:
+        p = q
+        for _ in range(4):
+            p = _poly_mul(p, [1, 1])
+            polys.append(p)
+            want.append(accepted)
+            doubtful.append(unsure)
+    # one batch of mixed degrees, zero padded to a common width
+    width = max(len(p) for p in polys)
+    rows = np.array([p + [0] * (width - len(p)) for p in polys], dtype=np.int64)
+    got = list(_facet_gate(rows, 1e-9))
+    assert got == want
+    assert got == scalar_decisions(rows)
+    routed = {UnitPolynomial.from_coeffs(p) for p in fallback_calls}
+    assert [_unit(p) in routed for p in rows] == doubtful
+    assert len(fallback_calls) == sum(doubtful)
 
 
 # -- feasible enumeration ----------------------------------------------------
@@ -212,6 +307,14 @@ def test_search_config_validation():
     assert cfg.grid_step == F(1, 50)  # decimal, not binary-float, intent
     assert cfg.b1_cap(F(1, 2)) == F(3, 2)
     assert SearchConfig(b1_max=0.5).b1_cap(F(1)) == F(1, 2)
+
+
+def test_float_inputs_mean_their_decimal_text():
+    cfg = SearchConfig(grid_step=F(1, 10), refine_rounds=0)
+    assert validate(0.1, (0,)).lam == optimize("A2", 0.1, "max", cfg).lam == F(1, 10)
+    assert validate(1, (0.1,)).b[0] == F(1, 10)
+    assert UnitPolynomial.from_coeffs((1, 0.1)).coeffs == (F(1), F(1, 10))
+    assert bound_info("A2", 0.1) == bound_info("A2", "0.1")
 
 
 def test_optimize_input_validation():
