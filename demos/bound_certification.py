@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
-from ucv.model import validate
-from ucv.search import SearchConfig, functional_by_name, optimize, verify_bounds
+from ucv.model import functional_by_name, validate
+from ucv.search import SearchConfig, optimize, verify_bounds
 
 
 def main() -> None:

@@ -9,7 +9,7 @@ a constrained extremal search are implemented in the submodules:
 
 series     exact truncated power series over Fraction
 rootcheck  unit-disk nonvanishing test for real polynomials
-model      members, closed-form functionals, extremal catalog
+model      members, the functional registry, extremal catalog
 search     grid search, bound certificates, conjecture scan
 cli        command line front end
 """

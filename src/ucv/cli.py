@@ -24,8 +24,8 @@ from ucv.model import (
     decimal_str,
     extremal_catalog,
     f_series,
+    functional_by_name,
     inverse_series,
-    rational_str,
     report_to_dict,
     validate,
 )
@@ -35,7 +35,6 @@ from ucv.search import (
     certificate_to_dict,
     certificates_to_csv,
     conjecture_scan,
-    functional_by_name,
     optimize,
     verify_bounds,
 )
@@ -193,11 +192,11 @@ def _run_report(args) -> int:
         row = [data["lambda"], ";".join(data["b"])] + [data[k] for k in REPORT_FIELDS]
         print(",".join(row))
     else:
-        print(f"lambda = {rational_str(report.lam)}")
+        print(f"lambda = {report.lam}")
         print(f"b      = ({', '.join(decimal_str(x) for x in report.b)})")
         for field in REPORT_FIELDS:
             q = report.value(field)
-            print(f"{field:<6} = {rational_str(q):>10}   ({decimal_str(q)})")
+            print(f"{field:<6} = {str(q):>10}   ({decimal_str(q)})")
     return EXIT_OK
 
 
@@ -225,7 +224,7 @@ def _run_expand(args) -> int:
     if args.format == "json":
         payload = {
             "name": args.name,
-            "lambda": rational_str(lam),
+            "lambda": str(lam),
             "order": args.order,
         }
         if not args.inverse:

@@ -14,7 +14,7 @@ Only finitely many b_n are stored (default window b1..b4); that window
 carries every functional treated here, and all known extremal
 denominators have degree <= 4.
 
-Functionals, all exact in the rationals:
+Functionals (the FUNCTIONALS registry), all exact in the rationals:
 
   a2..a5        Taylor coefficients of f
   A2..A4        Taylor coefficients of the compositional inverse
@@ -26,10 +26,10 @@ Functionals, all exact in the rationals:
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence, Union
 
 from ucv.rootcheck import DEFAULT_TOL, RationalIn, UnitPolynomial, as_rational, nonvanishing_in_open_disk
 from ucv.series import TruncatedSeries, series_from_polynomial
@@ -154,59 +154,108 @@ def u_residual(member: ClassMember, order: int) -> TruncatedSeries:
     return u * u * fp - TruncatedSeries.one(order)
 
 
-# -- closed forms --------------------------------------------------------
+# -- functional registry -------------------------------------------------
+
+BoundValue = Union[Fraction, float, None]
+_ZERO = Fraction(0)
 
 
-def a_closed(member: ClassMember) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(a2, a3, a4, a5) of f in closed form."""
-    b1, b2, b3, b4 = member.b[:4]
-    return (
-        -b1,
-        b1 * b1 - b2,
-        -b3 + 2 * b1 * b2 - b1**3,
-        -b4 + b2 * b2 + 2 * b1 * b3 - 3 * b1 * b1 * b2 + b1**4,
-    )
+@dataclass(frozen=True)
+class Functional:
+    """One coefficient functional of f as a polynomial in (b1, b2, ...).
 
-
-def inverse_closed(member: ClassMember) -> tuple[Fraction, Fraction, Fraction]:
-    """(A2, A3, A4) of the compositional inverse in closed form."""
-    b1, b2, b3 = member.b[:3]
-    return (b1, b2 + b1 * b1, b3 + 3 * b1 * b2 + b1**3)
-
-
-def gamma_closed(member: ClassMember) -> tuple[Fraction, Fraction, Fraction]:
-    """(gamma1, gamma2, gamma3) of the inverse's logarithmic expansion."""
-    b1, b2, b3 = member.b[:3]
-    return (
-        b1 / 2,
-        (b2 + b1 * b1 / 2) / 2,
-        (b3 + 2 * b1 * b2 + b1**3 / 3) / 2,
-    )
-
-
-def hankel_values(member: ClassMember) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(h2f, h3f, h2inv, h3inv): Hankel determinants of f and f^-1.
-
-    h2f  = a2 a4 - a3^2                                  = b1 b3 - b2^2
-    h3f  = a3(a2 a4 - a3^2) - a4(a4 - a2 a3) + a5(a3 - a2^2)
-                                                         = b2 b4 - b3^2
-    h2inv = A2 A4 - A3^2                                 = b1 b3 + b1^2 b2 - b2^2
-    h3inv = h3f - (a3 - a2^2)^3                          = b2 b4 - b3^2 + b2^3
+    `evaluate` is ring generic: the same expression gives the exact report
+    value on Fraction coordinates and the search objective on floats and
+    numpy arrays.  It avoids `**`, so equal rationals give bit-equal
+    floats on the scalar and the vectorised route.  `name` is the search
+    and CSV name, `field` the CoefficientReport field (None for AN(n)),
+    and `bounds(lam)` the class's closed-form (max, min), None in a
+    direction with no known closed form.
     """
-    b1, b2, b3, b4 = member.b[:4]
-    h3f = b2 * b4 - b3 * b3
-    return (
-        b1 * b3 - b2 * b2,
-        h3f,
-        b1 * b3 + b1 * b1 * b2 - b2 * b2,
-        h3f + b2**3,
-    )
+
+    name: str
+    field: str | None
+    evaluate: Callable[[Sequence], object]
+    bounds: Callable[[Fraction], tuple[BoundValue, BoundValue]]
 
 
-def zalcman_values(member: ClassMember) -> tuple[Fraction, Fraction]:
-    """(z23, z24) = (a2 a3 - a4, a2 a4 - a5) in closed form."""
-    b1, b2, b3, b4 = member.b[:4]
-    return (b3 - b1 * b2, b1 * b1 * b2 - b1 * b3 - b2 * b2 + b4)
+FUNCTIONALS = (
+    Functional("A2", "A2", lambda b: b[0],
+               lambda lam: (1 + lam, _ZERO)),
+    Functional("A3", "A3", lambda b: b[1] + b[0] * b[0],
+               lambda lam: (1 + 3 * lam + lam**2, _ZERO)),
+    Functional("A4", "A4", lambda b: b[2] + 3 * b[0] * b[1] + b[0] * b[0] * b[0],
+               lambda lam: ((1 + lam) * (1 + 5 * lam + lam**2), _ZERO)),
+    Functional("G1", "gamma1", lambda b: b[0] / 2,
+               lambda lam: ((1 + lam) / 2, _ZERO)),
+    Functional("G2", "gamma2", lambda b: (b[1] + b[0] * b[0] / 2) / 2,
+               lambda lam: ((1 + 4 * lam + lam**2) / 4, _ZERO)),
+    Functional("G3", "gamma3", lambda b: (b[2] + 2 * b[0] * b[1] + b[0] * b[0] * b[0] / 3) / 2,
+               lambda lam: ((1 + lam) * (1 + 8 * lam + lam**2) / 6, _ZERO)),
+    # Hankel determinants h2f = a2 a4 - a3^2 and
+    # h3f = a3(a2 a4 - a3^2) - a4(a4 - a2 a3) + a5(a3 - a2^2) of f, and the
+    # same in A2..A5 for f^-1; h3inv = h3f - (a3 - a2^2)^3
+    Functional("H2F", "h2f", lambda b: b[0] * b[2] - b[1] * b[1],
+               lambda lam: ((1 - lam / 2) * (lam / 2), -(lam**2))),
+    Functional("H3F", "h3f", lambda b: b[1] * b[3] - b[2] * b[2],
+               lambda lam: (lam**2 / 12, -(lam**2) / 4)),
+    Functional("H2INV", "h2inv", lambda b: b[0] * b[2] + b[0] * b[0] * b[1] - b[1] * b[1],
+               lambda lam: (lam * (1 + lam + lam**2), -(lam**2))),
+    Functional("H3INV", "h3inv", lambda b: b[1] * b[3] - b[2] * b[2] + b[1] * b[1] * b[1],
+               lambda lam: (lam**3, -(lam**2) / 4)),
+    # Zalcman expressions a2 a3 - a4 and a2 a4 - a5; only
+    # |a2 a4 - a5| <= lam + lam^2 + lam^3 is known, attained on the
+    # positive side, so z24 has no separate lower closed form
+    Functional("Z23", "z23", lambda b: b[2] - b[0] * b[1],
+               lambda lam: (lam / 2, -(1 + lam) * lam)),
+    Functional("Z24", "z24", lambda b: b[0] * b[0] * b[1] - b[0] * b[2] - b[1] * b[1] + b[3],
+               lambda lam: (lam + lam**2 + lam**3, None)),
+    Functional("A2C", "a2", lambda b: -b[0],
+               lambda lam: (_ZERO, -(1 + lam))),
+    Functional("A3C", "a3", lambda b: b[0] * b[0] - b[1],
+               lambda lam: (1 + lam + lam**2, -lam)),
+    # |a4| <= 1 + lam + lam^2 + lam^3 is attained only on the minus side;
+    # the sharp maximum (4/3)sqrt(2/3) is known at lam = 1 only
+    Functional("A4C", "a4", lambda b: -b[2] + 2 * b[0] * b[1] - b[0] * b[0] * b[0],
+               lambda lam: (4 * math.sqrt(6) / 9 if lam == 1 else None,
+                            -(1 + lam + lam**2 + lam**3))),
+    Functional("A5C", "a5", lambda b: -b[3] + b[1] * b[1] + 2 * b[0] * b[2] - 3 * b[0] * b[0] * b[1]
+               + b[0] * b[0] * b[0] * b[0],
+               lambda lam: (Fraction(5), Fraction(-9, 4)) if lam == 1 else (None, None)),
+)
+FUNCTIONAL_NAMES = tuple(fn.name for fn in FUNCTIONALS)
+_BY_NAME = {fn.name: fn for fn in FUNCTIONALS}
+
+AN_MIN, AN_MAX = 2, 8
+
+
+def _an_coefficient(b: Sequence, n: int):
+    # coefficient of z^(n-1) in 1/(1 + sum b_j z^j), i.e. a_n of f;
+    # written without branching so it also evaluates elementwise on arrays
+    c = [b[0] * 0 + 1]
+    for k in range(1, n):
+        s = c[0] * 0
+        for j in range(1, min(k, len(b)) + 1):
+            s = s + b[j - 1] * c[k - j]
+        c.append(-s)
+    return c[n - 1]
+
+
+def an_functional(n: int) -> Functional:
+    """|a_n| of f, bounded above by 1 + lambda + ... + lambda^(n-1);
+    defined for 2 <= n <= 8."""
+    if not AN_MIN <= n <= AN_MAX:
+        raise ValueError(f"n must be in [{AN_MIN}, {AN_MAX}], got {n}")
+    return Functional(f"AN({n})", None, lambda b: abs(_an_coefficient(b, n)),
+                      lambda lam: (sum((lam**k for k in range(n)), _ZERO), None))
+
+
+def functional_by_name(name: str) -> Functional:
+    if name in _BY_NAME:
+        return _BY_NAME[name]
+    if name.startswith("AN(") and name.endswith(")"):
+        return an_functional(int(name[3:-1]))
+    raise KeyError(name)
 
 
 # -- extremal catalog ----------------------------------------------------
@@ -218,7 +267,6 @@ CATALOG_NAMES = (
     "H2UpperMix",
     "HalfZ3",
     "H3LowerMix",
-    "LambdaZ3",
 )
 
 
@@ -227,6 +275,9 @@ def _catalog_b(name: str, lam: Fraction) -> tuple[Fraction, ...]:
     if name == "FLambda":
         return (1 + lam, lam, zero, zero)
     if name == "Bz2":
+        # also attains the h3inv maximum lambda^3, which is often displayed
+        # with denominator 1 + lambda z^3; that polynomial breaks the
+        # weighted budget (2 lambda > lambda) and yields h3inv = -lambda^2
         return (zero, lam, zero, zero)
     if name == "Bz4over3":
         return (zero, zero, zero, lam / 3)
@@ -236,13 +287,6 @@ def _catalog_b(name: str, lam: Fraction) -> tuple[Fraction, ...]:
         return (zero, zero, lam / 2, zero)
     if name == "H3LowerMix":
         return (zero, lam / 2, zero, lam / 6)
-    if name == "LambdaZ3":
-        # The h3inv maximum lambda^3 is often displayed with denominator
-        # 1 + lambda z^3, but that polynomial breaks the weighted budget
-        # (2 lambda > lambda) and yields h3inv = -lambda^2, not lambda^3.
-        # The attaining denominator is 1 + lambda z^2, kept under this
-        # historical name.
-        return (zero, lam, zero, zero)
     raise KeyError(name)
 
 
@@ -250,7 +294,7 @@ def extremal_catalog(name: str, lam: RationalIn) -> ClassMember:
     """Named sharp-bound member at the given lambda.
 
     Names: FLambda (the two-factor denominator (1+z)(1+lambda z)), Bz2,
-    Bz4over3, H2UpperMix, HalfZ3, H3LowerMix, LambdaZ3.  Raises KeyError
+    Bz4over3, H2UpperMix, HalfZ3, H3LowerMix.  Raises KeyError
     for unknown names, NonMember if lambda is out of range.
     """
     lam_q = as_rational(lam)
@@ -274,47 +318,18 @@ REPORT_FIELDS = (
 
 @dataclass(frozen=True)
 class CoefficientReport:
-    """All sixteen functional values of one member, exact."""
+    """All sixteen functional values of one member, exact, by report field."""
 
     lam: Fraction
     b: tuple[Fraction, ...]
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
-    a5: Fraction
-    A2: Fraction
-    A3: Fraction
-    A4: Fraction
-    gamma1: Fraction
-    gamma2: Fraction
-    gamma3: Fraction
-    h2f: Fraction
-    h3f: Fraction
-    h2inv: Fraction
-    h3inv: Fraction
-    z23: Fraction
-    z24: Fraction
+    values: dict[str, Fraction]
 
     @classmethod
     def from_member(cls, member: ClassMember) -> "CoefficientReport":
-        a2, a3, a4, a5 = a_closed(member)
-        A2, A3, A4 = inverse_closed(member)
-        g1, g2, g3 = gamma_closed(member)
-        h2f, h3f, h2inv, h3inv = hankel_values(member)
-        z23, z24 = zalcman_values(member)
-        return cls(
-            member.lam, member.b,
-            a2, a3, a4, a5, A2, A3, A4,
-            g1, g2, g3, h2f, h3f, h2inv, h3inv, z23, z24,
-        )
+        return cls(member.lam, member.b, {fn.field: fn.evaluate(member.b) for fn in FUNCTIONALS})
 
     def value(self, field: str) -> Fraction:
-        return getattr(self, field)
-
-
-def rational_str(q: Fraction) -> str:
-    """Canonical rational rendering: "p/q", or "p" for integers."""
-    return str(q)
+        return self.values[field]
 
 
 def decimal_str(q: Fraction) -> str:
@@ -342,20 +357,9 @@ def decimal_str(q: Fraction) -> str:
 def report_to_dict(report: CoefficientReport) -> dict:
     """Stable JSON shape; every rational renders as a p/q string."""
     out: dict = {
-        "lambda": rational_str(report.lam),
-        "b": [rational_str(x) for x in report.b],
+        "lambda": str(report.lam),
+        "b": [str(x) for x in report.b],
     }
     for field in REPORT_FIELDS:
-        out[field] = rational_str(report.value(field))
+        out[field] = str(report.value(field))
     return out
-
-
-def report_from_dict(data: dict) -> CoefficientReport:
-    lam = Fraction(data["lambda"])
-    b = tuple(Fraction(x) for x in data["b"])
-    values = {field: Fraction(data[field]) for field in REPORT_FIELDS}
-    return CoefficientReport(lam, b, **values)
-
-
-def report_json(report: CoefficientReport) -> str:
-    return json.dumps(report_to_dict(report), separators=(", ", ": "))

@@ -21,11 +21,19 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from ucv.model import decimal_str
+from ucv.model import (
+    FUNCTIONAL_NAMES,
+    FUNCTIONALS,
+    BoundValue,
+    Functional,
+    an_functional,
+    decimal_str,
+    functional_by_name,
+)
 from ucv.rootcheck import (
     _CLUSTER_SEP,
     _NEAR_UNIT_BAND,
@@ -45,154 +53,19 @@ _REFINE_WINDOW = 12
 _REFINE_PASSES = 6
 
 
-# -- functionals ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Functional:
-    """Named polynomial objective in the b-coordinates."""
-
-    name: str
-    arity: int
-    evaluate: Callable[[Sequence], object]
-
-
-def _an_coefficient(b: Sequence, n: int):
-    # coefficient of z^(n-1) in 1/(1 + sum b_j z^j), i.e. a_n of f;
-    # written without branching so it also evaluates elementwise on arrays
-    c = [b[0] * 0 + 1]
-    for k in range(1, n):
-        s = c[0] * 0
-        for j in range(1, min(k, len(b)) + 1):
-            s = s + b[j - 1] * c[k - j]
-        c.append(-s)
-    return c[n - 1]
-
-
-def _base_functionals() -> tuple[Functional, ...]:
-    return (
-        Functional("A2", 1, lambda b: b[0]),
-        Functional("A3", 2, lambda b: b[1] + b[0] * b[0]),
-        Functional("A4", 3, lambda b: b[2] + 3 * b[0] * b[1] + b[0] * b[0] * b[0]),
-        Functional("G1", 1, lambda b: b[0] / 2),
-        Functional("G2", 2, lambda b: (b[1] + b[0] * b[0] / 2) / 2),
-        Functional("G3", 3, lambda b: (b[2] + 2 * b[0] * b[1] + b[0] * b[0] * b[0] / 3) / 2),
-        Functional("H2F", 3, lambda b: b[0] * b[2] - b[1] * b[1]),
-        Functional("H3F", 4, lambda b: b[1] * b[3] - b[2] * b[2]),
-        Functional("H2INV", 3, lambda b: b[0] * b[2] + b[0] * b[0] * b[1] - b[1] * b[1]),
-        Functional("H3INV", 4, lambda b: b[1] * b[3] - b[2] * b[2] + b[1] * b[1] * b[1]),
-        Functional("Z23", 3, lambda b: b[2] - b[0] * b[1]),
-        Functional("Z24", 4, lambda b: b[0] * b[0] * b[1] - b[0] * b[2] - b[1] * b[1] + b[3]),
-        Functional("A2C", 1, lambda b: -b[0]),
-        Functional("A3C", 2, lambda b: b[0] * b[0] - b[1]),
-        Functional("A4C", 3, lambda b: -b[2] + 2 * b[0] * b[1] - b[0] * b[0] * b[0]),
-        Functional(
-            "A5C",
-            4,
-            lambda b: -b[3] + b[1] * b[1] + 2 * b[0] * b[2] - 3 * b[0] * b[0] * b[1]
-            + b[0] * b[0] * b[0] * b[0],
-        ),
-    )
-
-
-BASE_FUNCTIONALS = _base_functionals()
-FUNCTIONAL_NAMES = tuple(f.name for f in BASE_FUNCTIONALS)
-_BY_NAME = {f.name: f for f in BASE_FUNCTIONALS}
-
-AN_MIN, AN_MAX = 2, 8
-
-
-def an_functional(n: int) -> Functional:
-    """|a_n| of f as an objective; defined for 2 <= n <= 8."""
-    if not AN_MIN <= n <= AN_MAX:
-        raise ValueError(f"n must be in [{AN_MIN}, {AN_MAX}], got {n}")
-
-    def ev(b, n=n):
-        return abs(_an_coefficient(b, n))
-
-    return Functional(f"AN({n})", n - 1, ev)
-
-
-def functional_by_name(name: str) -> Functional:
-    if name in _BY_NAME:
-        return _BY_NAME[name]
-    if name.startswith("AN(") and name.endswith(")"):
-        return an_functional(int(name[3:-1]))
-    raise KeyError(name)
-
-
 # -- closed-form bounds ----------------------------------------------------
-
-BoundValue = Union[Fraction, float, None]
-
-
-def bound_info(name: str, lam: RationalIn) -> dict:
-    """Both-direction bound table for one functional at one lambda.
-
-    Each entry is (value, sharp, witness): value None when the class has
-    no known closed form in that direction, witness the catalog name
-    attaining the value exactly (None when attainment is off-catalog or
-    not established).
-    """
-    lam = as_rational(lam)
-    zero = Fraction(0)
-    none = (None, False, None)
-    lo = "Bz4over3"  # b1=b2=b3=0 member, kills every A/Gamma functional
-    if name == "A2":
-        return {"max": (1 + lam, True, "FLambda"), "min": (zero, True, lo)}
-    if name == "A3":
-        return {"max": (1 + 3 * lam + lam**2, True, "FLambda"), "min": (zero, True, lo)}
-    if name == "A4":
-        return {"max": ((1 + lam) * (1 + 5 * lam + lam**2), True, "FLambda"), "min": (zero, True, lo)}
-    if name == "G1":
-        return {"max": ((1 + lam) / 2, True, "FLambda"), "min": (zero, True, lo)}
-    if name == "G2":
-        return {"max": ((1 + 4 * lam + lam**2) / 4, True, "FLambda"), "min": (zero, True, lo)}
-    if name == "G3":
-        return {"max": ((1 + lam) * (1 + 8 * lam + lam**2) / 6, True, "FLambda"), "min": (zero, True, lo)}
-    if name == "H2F":
-        return {"max": ((1 - lam / 2) * (lam / 2), True, "H2UpperMix"), "min": (-(lam**2), True, "Bz2")}
-    if name == "H3F":
-        return {"max": (lam**2 / 12, True, "H3LowerMix"), "min": (-(lam**2) / 4, True, "HalfZ3")}
-    if name == "H2INV":
-        return {"max": (lam * (1 + lam + lam**2), True, "FLambda"), "min": (-(lam**2), True, "Bz2")}
-    if name == "H3INV":
-        return {"max": (lam**3, True, "FLambda"), "min": (-(lam**2) / 4, True, "HalfZ3")}
-    if name == "Z23":
-        return {"max": (lam / 2, True, "HalfZ3"), "min": (-(1 + lam) * lam, True, "FLambda")}
-    if name == "Z24":
-        # only |a2 a4 - a5| <= lam + lam^2 + lam^3 is known, attained on
-        # the positive side; no separate lower closed form
-        return {"max": (lam + lam**2 + lam**3, True, "FLambda"), "min": none}
-    if name == "A2C":
-        return {"max": (zero, True, lo), "min": (-(1 + lam), True, "FLambda")}
-    if name == "A3C":
-        return {"max": (1 + lam + lam**2, True, "FLambda"), "min": (-lam, True, "Bz2")}
-    if name == "A4C":
-        # |a4| <= 1 + lam + lam^2 + lam^3 is attained only on the minus
-        # side; the sharp maximum (4/3)sqrt(2/3) is known at lam=1 only
-        mx = (4 * math.sqrt(6) / 9, True, None) if lam == 1 else none
-        return {"max": mx, "min": (-(1 + lam + lam**2 + lam**3), True, "FLambda")}
-    if name == "A5C":
-        if lam == 1:
-            return {"max": (Fraction(5), True, "FLambda"), "min": (Fraction(-9, 4), True, None)}
-        return {"max": none, "min": none}
-    if name.startswith("AN(") and name.endswith(")"):
-        n = int(name[3:-1])
-        total = sum((lam**k for k in range(n)), Fraction(0))
-        return {"max": (total, True, "FLambda"), "min": none}
-    raise KeyError(name)
 
 
 def closed_form_bound(fn: Union[Functional, str], lam: RationalIn, direction: str) -> BoundValue:
     """Closed-form class bound, or None where no closed form exists."""
-    name = fn.name if isinstance(fn, Functional) else fn
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
-    return bound_info(name, lam)[direction][0]
+    fn = functional_by_name(fn) if isinstance(fn, str) else fn
+    upper, lower = fn.bounds(as_rational(lam))
+    return upper if direction == "max" else lower
 
 
-# -- search configuration and enumeration ---------------------------------
+# -- search configuration --------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -201,7 +74,6 @@ class SearchConfig:
     grid_step: Fraction = Fraction(1, 50)
     refine_rounds: int = 3
     root_tol: float = DEFAULT_TOL
-    b1_max: Fraction | None = None  # None means 1 + lambda
 
     def __post_init__(self):
         if not isinstance(self.grid_step, Fraction):
@@ -212,11 +84,10 @@ class SearchConfig:
             raise ValueError("dims must be >= 1")
         if self.refine_rounds < 0:
             raise ValueError("refine_rounds must be >= 0")
-        if self.b1_max is not None and not isinstance(self.b1_max, Fraction):
-            object.__setattr__(self, "b1_max", as_rational(self.b1_max))
 
     def b1_cap(self, lam: Fraction) -> Fraction:
-        return 1 + lam if self.b1_max is None else self.b1_max
+        # every member has b1 <= 1 + lambda (a consequence of the gates)
+        return 1 + lam
 
 
 def _width(cfg: SearchConfig) -> int:
@@ -246,33 +117,6 @@ def _tail_units(units_left: int, weights: tuple[int, ...]) -> Iterator[tuple[int
             yield (k,) + rest
 
 
-def _tails(units_left: int, weights: tuple[int, ...], step: Fraction) -> Iterator[tuple[Fraction, ...]]:
-    for units in _tail_units(units_left, weights):
-        yield tuple(k * step for k in units)
-
-
-def enumerate_feasible(lam: RationalIn, cfg: SearchConfig | None = None) -> Iterator[tuple[Fraction, ...]]:
-    """Feasible lattice points in deterministic lexicographic order.
-
-    b1 runs over [0, b1_cap] in grid_step increments; b2..b_dims over the
-    weighted simplex sum (n-1) b_n <= lambda; every point is filtered
-    through the disk root gate.  Yields tuples padded to >= 4 entries.
-    """
-    cfg = cfg or SearchConfig()
-    lam = as_rational(lam)
-    step = cfg.grid_step
-    width = _width(cfg)
-    weights = tuple(range(1, cfg.dims))  # weights of b2..b_dims
-    budget_units = int(lam / step)
-    k1_max = int(cfg.b1_cap(lam) / step)
-    for k1 in range(k1_max + 1):
-        b1 = k1 * step
-        for tail in _tails(budget_units, weights, step):
-            b = _pad((b1,) + tail, width)
-            if _feasible(lam, b, cfg.root_tol):
-                yield b
-
-
 # -- certificates ----------------------------------------------------------
 
 
@@ -289,11 +133,11 @@ class BoundCertificate:
     warn: bool
 
 
-def _certificate(name: str, lam: Fraction, direction: str, value: float,
+def _certificate(fn: Functional, lam: Fraction, direction: str, value: float,
                  arg: tuple[Fraction, ...]) -> BoundCertificate:
-    bound = bound_info(name, lam)[direction][0]
+    bound = closed_form_bound(fn, lam, direction)
     if bound is None:
-        return BoundCertificate(lam, name, direction, value, arg, None, None, "NO_CLOSED_FORM", False)
+        return BoundCertificate(lam, fn.name, direction, value, arg, None, None, "NO_CLOSED_FORM", False)
     closed = float(bound)
     gap = closed - value
     if direction == "max":
@@ -301,7 +145,7 @@ def _certificate(name: str, lam: Fraction, direction: str, value: float,
     else:
         beats, shortfall = value < closed - FAIL_SLACK, -gap
     status = "FAIL" if beats else "PASS"
-    return BoundCertificate(lam, name, direction, value, arg, closed, gap, status, shortfall > WARN_GAP)
+    return BoundCertificate(lam, fn.name, direction, value, arg, closed, gap, status, shortfall > WARN_GAP)
 
 
 def certificate_to_dict(cert: BoundCertificate) -> dict:
@@ -665,7 +509,7 @@ def _optimize_detail(fn: Union[Functional, str], lam: RationalIn, direction: str
     cfg = cfg or SearchConfig()
     coarse = _sweep(lam, cfg, [fn.name])[(fn.name, direction)]
     arg, value, history = _refine(lam, cfg, fn, direction, coarse[1], coarse[0])
-    cert = _certificate(fn.name, lam, direction, value, arg)
+    cert = _certificate(fn, lam, direction, value, arg)
     return OptimizeDetail(cert, coarse[0], tuple(history))
 
 
@@ -690,12 +534,11 @@ def verify_bounds(lambda_grid: Sequence[RationalIn], cfg: SearchConfig | None = 
         if not 0 < lam <= 1:
             raise ValueError(f"lambda must be in (0, 1], got {lam}")
         incumbents = _sweep(lam, cfg, FUNCTIONAL_NAMES)
-        for name in FUNCTIONAL_NAMES:
-            fn = _BY_NAME[name]
+        for fn in FUNCTIONALS:
             for direction in ("max", "min"):
-                value, arg = incumbents[(name, direction)]
+                value, arg = incumbents[(fn.name, direction)]
                 arg2, value2, _ = _refine(lam, cfg, fn, direction, arg, value)
-                certs.append(_certificate(name, lam, direction, value2, arg2))
+                certs.append(_certificate(fn, lam, direction, value2, arg2))
     return certs
 
 
@@ -707,8 +550,7 @@ def conjecture_scan(n: int, lam: RationalIn, cfg: SearchConfig | None = None) ->
     Search dimensionality grows to n-1 so the coefficient recursion sees
     every coordinate it reads.
     """
-    if not AN_MIN <= n <= AN_MAX:
-        raise ValueError(f"n must be in [{AN_MIN}, {AN_MAX}], got {n}")
+    fn = an_functional(n)
     cfg = cfg or SearchConfig()
     cfg = replace(cfg, dims=max(cfg.dims, n - 1))
-    return optimize(an_functional(n), lam, "max", cfg)
+    return optimize(fn, lam, "max", cfg)

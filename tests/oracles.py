@@ -12,18 +12,23 @@ not a tautology:
   inside_unit_count         exact zero count in the open unit disk by the
                             Schur-Cohn reduction over Fractions
   random_member             seeded rejection sampler over the feasible set
+  enumerate_feasible        every lattice point the sweep visits, one by
+                            one through validate(), for the sweep tests
 
 All arithmetic is exact rational; nothing here imports the modules whose
-answers it is checking beyond the shared series container.
+answers it is checking beyond the shared series container, the member
+gate validate() and the search's configuration record.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ucv.model import ClassMember, NonMember, validate
+from ucv.search import SearchConfig
 from ucv.series import TruncatedSeries
 
 
@@ -169,3 +174,38 @@ def random_member(rng: random.Random, lam: Fraction | None = None) -> ClassMembe
             return validate(lam, (b1,) + tail)
         except NonMember:
             continue
+
+
+# -- brute-force lattice enumeration ----------------------------------------
+
+
+def _tails(units_left: int, weights: tuple[int, ...], step: Fraction) -> Iterator[tuple[Fraction, ...]]:
+    """(k_2 step, ..., k_dims step) with sum w_j k_j <= units_left, in
+    lexicographic order of the k's."""
+    for ks in itertools.product(*(range(units_left // w + 1) for w in weights)):
+        if sum(w * k for w, k in zip(weights, ks)) <= units_left:
+            yield tuple(k * step for k in ks)
+
+
+def enumerate_feasible(lam, cfg: SearchConfig | None = None) -> Iterator[tuple[Fraction, ...]]:
+    """Feasible lattice points in lexicographic order, one at a time.
+
+    b1 runs over [0, 1 + lambda] in grid_step increments; b2..b_dims over
+    the weighted simplex sum (n-1) b_n <= lambda; a point is kept when
+    validate() accepts it.  Yields tuples padded to >= 4 entries.
+    """
+    cfg = cfg or SearchConfig()
+    lam = Fraction(lam)
+    step = cfg.grid_step
+    width = max(4, cfg.dims)
+    weights = tuple(range(1, cfg.dims))  # weights of b2..b_dims
+    budget_units = int(lam / step)
+    for k1 in range(int((1 + lam) / step) + 1):
+        for tail in _tails(budget_units, weights, step):
+            b = (k1 * step,) + tail
+            b += (Fraction(0),) * (width - len(b))
+            try:
+                validate(lam, b, cfg.root_tol)
+            except NonMember:
+                continue
+            yield b

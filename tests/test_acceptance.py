@@ -37,16 +37,11 @@ from oracles import hankel2_from, hankel3_from, inside_unit_count, random_member
 from ucv.model import (
     CATALOG_NAMES,
     CoefficientReport,
-    a_closed,
     extremal_catalog,
     f_series,
-    gamma_closed,
-    hankel_values,
-    inverse_closed,
     inverse_series,
     log_inverse_halved,
     u_residual,
-    zalcman_values,
 )
 from ucv.rootcheck import nonvanishing_in_open_disk
 from ucv.search import CSV_HEADER, conjecture_scan, verify_bounds
@@ -67,6 +62,10 @@ def _rows(certs):
     return {(c.functional, c.direction): c for c in certs}
 
 
+def _fields(report, *names):
+    return tuple(report.value(name) for name in names)
+
+
 # -- criterion 1: exact identity suite ---------------------------------------
 
 
@@ -75,19 +74,20 @@ def test_criterion_1_exact_identities():
     t0 = time.perf_counter()
     for _ in range(10_000):
         m = random_member(rng)
+        rep = CoefficientReport.from_member(m)
         fs = f_series(m, 5).coeffs[1:]
-        assert a_closed(m) == tuple(fs[1:])
+        assert _fields(rep, "a2", "a3", "a4", "a5") == tuple(fs[1:])
         inv = inverse_series(m, 5).coeffs[1:]
-        assert inverse_closed(m) == tuple(inv[1:4])
-        assert gamma_closed(m) == log_inverse_halved(m, 3)
-        h2f, h3f, h2inv, h3inv = hankel_values(m)
+        assert _fields(rep, "A2", "A3", "A4") == tuple(inv[1:4])
+        assert _fields(rep, "gamma1", "gamma2", "gamma3") == log_inverse_halved(m, 3)
+        h2f, h3f, h2inv, h3inv = _fields(rep, "h2f", "h3f", "h2inv", "h3inv")
         assert h2f == hankel2_from(fs)
         assert h3f == hankel3_from(fs)
         assert h2inv == hankel2_from(inv)
         assert h3inv == hankel3_from(inv)
         assert h3inv == h3f - (fs[2] - fs[1] ** 2) ** 3
-        a2, a3, a4, a5 = a_closed(m)
-        assert zalcman_values(m) == (a2 * a3 - a4, a2 * a4 - a5)
+        a2, a3, a4, a5 = _fields(rep, "a2", "a3", "a4", "a5")
+        assert _fields(rep, "z23", "z24") == (a2 * a3 - a4, a2 * a4 - a5)
         res = u_residual(m, 5).coeffs
         padded = m.b + (F(0), F(0))
         assert all(res[n] == -(n - 1) * padded[n - 1] for n in range(1, 6))
@@ -238,7 +238,7 @@ def test_criterion_4_catalog_attainment():
             ("HalfZ3", "h3inv", -(lam * lam) / 4),
             ("H3LowerMix", "h3f", lam * lam / 12),
             ("H2UpperMix", "h2f", (1 - lam / 2) * (lam / 2)),
-            ("LambdaZ3", "h3inv", lam**3),
+            ("Bz2", "h3inv", lam**3),
             ("Bz4over3", "A2", F(0)),
             ("Bz4over3", "A4", F(0)),
             ("Bz4over3", "gamma3", F(0)),

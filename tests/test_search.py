@@ -13,21 +13,12 @@ import pytest
 import random
 
 import ucv.search
-from oracles import random_member
-from ucv.model import (
-    a_closed,
-    f_series,
-    gamma_closed,
-    hankel_values,
-    inverse_closed,
-    validate,
-    zalcman_values,
-)
+from oracles import enumerate_feasible, random_member
+from ucv.model import FUNCTIONAL_NAMES, an_functional, f_series, functional_by_name, validate
 from ucv.rootcheck import UnitPolynomial, nonvanishing_in_open_disk
 from ucv.search import (
     BoundCertificate,
     CSV_HEADER,
-    FUNCTIONAL_NAMES,
     SearchConfig,
     _better,
     _facet_gate,
@@ -35,15 +26,11 @@ from ucv.search import (
     _optimize_detail,
     _sweep,
     _tail_units,
-    an_functional,
-    bound_info,
     certificate_csv_row,
     certificate_to_dict,
     certificates_to_csv,
     closed_form_bound,
     conjecture_scan,
-    enumerate_feasible,
-    functional_by_name,
     optimize,
     verify_bounds,
 )
@@ -208,7 +195,8 @@ def test_enumerate_unit_step_dims2_reaches_corner():
 
 
 def test_enumerate_zero_cap_large_step():
-    cfg = SearchConfig(grid_step=F(2), b1_max=F(0))
+    # at step 2 the cap 1 + lambda = 3/2 leaves b1 = 0 only
+    cfg = SearchConfig(grid_step=F(2))
     assert list(enumerate_feasible(F(1, 2), cfg)) == [(F(0),) * 4]
 
 
@@ -249,13 +237,13 @@ def test_max_bounds_nondecreasing_in_lambda():
     # every max-side closed form is monotone on a step-0.05 lambda grid
     grid = [F(k, 20) for k in range(1, 21)]
     for name in list(FUNCTIONAL_NAMES) + [f"AN({n})" for n in range(2, 7)]:
-        values = [bound_info(name, lam)["max"][0] for lam in grid]
+        values = [closed_form_bound(name, lam, "max") for lam in grid]
         known = [float(v) for v in values if v is not None]
         assert known == sorted(known), name
 
 
 def test_functional_lookup():
-    assert functional_by_name("H3INV").arity == 4
+    assert functional_by_name("H3INV").field == "h3inv"
     assert functional_by_name("AN(4)").name == "AN(4)"
     with pytest.raises(KeyError):
         functional_by_name("B7")
@@ -266,31 +254,14 @@ def test_functional_lookup():
     assert len(FUNCTIONAL_NAMES) == 16
 
 
-def test_functionals_agree_with_model_closed_forms():
-    # the search-side evaluators and the model closed forms are separate
-    # code; they must agree exactly on members
+def test_an_functional_matches_f_series():
+    # the coefficient recursion against the series reciprocal, exactly
     rng = random.Random(23)
     for _ in range(30):
         m = random_member(rng)
-        b = m.b
-        a2, a3, a4, a5 = a_closed(m)
-        A2, A3, A4 = inverse_closed(m)
-        g1, g2, g3 = gamma_closed(m)
-        h2f, h3f, h2inv, h3inv = hankel_values(m)
-        z23, z24 = zalcman_values(m)
-        expected = {
-            "A2": A2, "A3": A3, "A4": A4,
-            "G1": g1, "G2": g2, "G3": g3,
-            "H2F": h2f, "H3F": h3f, "H2INV": h2inv, "H3INV": h3inv,
-            "Z23": z23, "Z24": z24,
-            "A2C": a2, "A3C": a3, "A4C": a4, "A5C": a5,
-        }
-        for name, want in expected.items():
-            assert functional_by_name(name).evaluate(b) == want, name
-        for n, want in ((2, a2), (3, a3), (4, a4), (5, a5)):
-            assert an_functional(n).evaluate(b) == abs(want)
-        a7 = f_series(m, 7).coefficient(7)
-        assert an_functional(7).evaluate(b) == abs(a7)
+        fs = f_series(m, 7).coeffs
+        for n in range(2, 8):
+            assert an_functional(n).evaluate(m.b) == abs(fs[n]), n
 
 
 # -- configuration -----------------------------------------------------------
@@ -306,7 +277,6 @@ def test_search_config_validation():
     cfg = SearchConfig(grid_step=0.02)
     assert cfg.grid_step == F(1, 50)  # decimal, not binary-float, intent
     assert cfg.b1_cap(F(1, 2)) == F(3, 2)
-    assert SearchConfig(b1_max=0.5).b1_cap(F(1)) == F(1, 2)
 
 
 def test_float_inputs_mean_their_decimal_text():
@@ -314,7 +284,7 @@ def test_float_inputs_mean_their_decimal_text():
     assert validate(0.1, (0,)).lam == optimize("A2", 0.1, "max", cfg).lam == F(1, 10)
     assert validate(1, (0.1,)).b[0] == F(1, 10)
     assert UnitPolynomial.from_coeffs((1, 0.1)).coeffs == (F(1), F(1, 10))
-    assert bound_info("A2", 0.1) == bound_info("A2", "0.1")
+    assert [closed_form_bound("A2", x, "max") for x in (0.1, "0.1")] == [F(11, 10)] * 2
 
 
 def test_optimize_input_validation():
