@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from ucv.rootcheck import DEFAULT_TOL, RationalIn, UnitPolynomial, as_rational, nonvanishing_in_open_disk
+from ucv.rootcheck import RationalIn, UnitPolynomial, as_rational, nonvanishing_in_open_disk
 from ucv.series import TruncatedSeries, series_from_polynomial
 
 VALIDATION_REASONS = (
@@ -82,11 +82,7 @@ class ClassMember:
         return self.b[3]
 
 
-def validate(
-    lam: RationalIn,
-    b: Sequence[RationalIn],
-    tol: float = DEFAULT_TOL,
-) -> ClassMember:
+def validate(lam: RationalIn, b: Sequence[RationalIn]) -> ClassMember:
     """Run the three membership gates and return the member.
 
     Raises NonMember with reason one of: "lambda out of range",
@@ -107,7 +103,7 @@ def validate(
     if total > lam_q:
         raise NonMember("lemma-sum exceeded", f"sum={total} > lambda={lam_q}")
     poly = UnitPolynomial.from_coeffs((Fraction(1),) + tuple(bs))
-    if not nonvanishing_in_open_disk(poly, tol=tol):
+    if not nonvanishing_in_open_disk(poly):
         raise NonMember("zero in disk")
     member = ClassMember(lam_q, tuple(bs))
     # consequence of the gates, never an independent constraint
@@ -260,34 +256,18 @@ def functional_by_name(name: str) -> Functional:
 
 # -- extremal catalog ----------------------------------------------------
 
-CATALOG_NAMES = (
-    "FLambda",
-    "Bz2",
-    "Bz4over3",
-    "H2UpperMix",
-    "HalfZ3",
-    "H3LowerMix",
-)
-
-
-def _catalog_b(name: str, lam: Fraction) -> tuple[Fraction, ...]:
-    zero = Fraction(0)
-    if name == "FLambda":
-        return (1 + lam, lam, zero, zero)
-    if name == "Bz2":
-        # also attains the h3inv maximum lambda^3, which is often displayed
-        # with denominator 1 + lambda z^3; that polynomial breaks the
-        # weighted budget (2 lambda > lambda) and yields h3inv = -lambda^2
-        return (zero, lam, zero, zero)
-    if name == "Bz4over3":
-        return (zero, zero, zero, lam / 3)
-    if name == "H2UpperMix":
-        return (1 - lam / 2, zero, lam / 2, zero)
-    if name == "HalfZ3":
-        return (zero, zero, lam / 2, zero)
-    if name == "H3LowerMix":
-        return (zero, lam / 2, zero, lam / 6)
-    raise KeyError(name)
+_CATALOG: dict[str, Callable[[Fraction], tuple[Fraction, ...]]] = {
+    "FLambda": lambda lam: (1 + lam, lam, _ZERO, _ZERO),
+    # also attains the h3inv maximum lambda^3, which is often displayed
+    # with denominator 1 + lambda z^3; that polynomial breaks the
+    # weighted budget (2 lambda > lambda) and yields h3inv = -lambda^2
+    "Bz2": lambda lam: (_ZERO, lam, _ZERO, _ZERO),
+    "Bz4over3": lambda lam: (_ZERO, _ZERO, _ZERO, lam / 3),
+    "H2UpperMix": lambda lam: (1 - lam / 2, _ZERO, lam / 2, _ZERO),
+    "HalfZ3": lambda lam: (_ZERO, _ZERO, lam / 2, _ZERO),
+    "H3LowerMix": lambda lam: (_ZERO, lam / 2, _ZERO, lam / 6),
+}
+CATALOG_NAMES = tuple(_CATALOG)
 
 
 def extremal_catalog(name: str, lam: RationalIn) -> ClassMember:
@@ -300,9 +280,7 @@ def extremal_catalog(name: str, lam: RationalIn) -> ClassMember:
     lam_q = as_rational(lam)
     if not 0 < lam_q <= 1:
         raise NonMember("lambda out of range", f"lambda={lam_q}")
-    if name not in CATALOG_NAMES:
-        raise KeyError(name)
-    return validate(lam_q, _catalog_b(name, lam_q))
+    return validate(lam_q, _CATALOG[name](lam_q))
 
 
 # -- report and serialization --------------------------------------------

@@ -3,7 +3,7 @@
 The primary question: does 1 + p_1 z + ... + p_d z^d have a zero inside
 the open unit disk?  Membership checks admit zeros ON the circle (the
 sharp extremal denominators all have one), so the decision is
-min |root| >= 1 - tol with a small one-sided tolerance.
+min |root| >= 1 - 1e-9 with a small one-sided tolerance.
 
 Method: companion-matrix eigenvalues (numpy.roots) as the generic path.
 Eigenvalues lose accuracy on multiple or clustered roots (a k-fold root
@@ -14,6 +14,10 @@ deflated symbolically, the square-free part is extracted by exact gcd,
 and only genuinely close simple roots fall through to high-precision
 iteration (mpmath).  Degrees 1 and 2 are always resolved by closed
 formulas with the discriminant sign computed exactly.
+
+Batches of integer polynomials (the search's lattice points times their
+common denominator) go through nonvanishing_rows, which sends only rows
+with a root modulus near 1 to the scalar gate.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
+# one-sided tolerance of the scalar decision: min |root| >= 1 - _TOL
+_TOL = 1e-9
 
 # |min modulus - 1| below this triggers the exact re-examination
 _NEAR_UNIT_BAND = 1e-3
@@ -33,6 +38,8 @@ _NEAR_UNIT_BAND = 1e-3
 # smears eigenvalues by ~eps^(1/k) (already 1e-4 at k=4, 2e-3 at k=6), so
 # the band errs generous at the price of an occasional exact re-check
 _CLUSTER_SEP = 1e-2
+# an eigenvalue modulus this close to 1 sends a row to the scalar gate
+_ROW_BAND = 1e-2
 
 RationalIn = Union[Fraction, int, float, str]
 
@@ -185,19 +192,9 @@ def _small_degree_modulus(cs: list[Fraction]) -> float:
     return min(abs(q / c2f), abs(float(c0) / q))
 
 
-def _numpy_moduli(cs: Sequence[Fraction]) -> np.ndarray:
-    desc = [float(c) for c in reversed(cs)]
-    return np.abs(np.roots(desc))
-
-
-def _has_cluster(cs: Sequence[Fraction]) -> bool:
-    desc = [float(c) for c in reversed(cs)]
-    roots = np.roots(desc)
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if abs(roots[i] - roots[j]) < _CLUSTER_SEP:
-                return True
-    return False
+def _has_cluster(roots: np.ndarray) -> bool:
+    gaps = np.abs(roots[:, None] - roots[None, :])
+    return bool((gaps[np.triu_indices(len(roots), 1)] < _CLUSTER_SEP).any())
 
 
 def _mp_min_modulus(cs: list[Fraction]) -> float:
@@ -228,9 +225,10 @@ def _exact_min_modulus(cs: list[Fraction]) -> float:
     work = _squarefree_part(work)
     if len(work) <= 3:
         return min(best, _small_degree_modulus(work))
-    if _has_cluster(work):
+    roots = np.roots([float(c) for c in reversed(work)])
+    if _has_cluster(roots):
         return min(best, _mp_min_modulus(work))
-    return min(best, float(_numpy_moduli(work).min()))
+    return min(best, float(np.abs(roots).min()))
 
 
 def min_root_modulus(p: Union[UnitPolynomial, Sequence[RationalIn]]) -> float:
@@ -245,19 +243,16 @@ def min_root_modulus(p: Union[UnitPolynomial, Sequence[RationalIn]]) -> float:
         return math.inf
     if up.degree <= 2:
         return _small_degree_modulus(cs)
-    moduli = _numpy_moduli(cs)
-    m = float(moduli.min())
-    if abs(m - 1.0) <= _NEAR_UNIT_BAND or _has_cluster(cs):
+    roots = np.roots([float(c) for c in reversed(cs)])
+    m = float(np.abs(roots).min())
+    if abs(m - 1.0) <= _NEAR_UNIT_BAND or _has_cluster(roots):
         return _exact_min_modulus(cs)
     return m
 
 
-def nonvanishing_in_open_disk(
-    p: Union[UnitPolynomial, Sequence[RationalIn]],
-    tol: float = DEFAULT_TOL,
-) -> bool:
+def nonvanishing_in_open_disk(p: Union[UnitPolynomial, Sequence[RationalIn]]) -> bool:
     """True when p has no zero in the open unit disk, up to the one-sided
-    tolerance: min |root| >= 1 - tol.  Zeros on the circle pass.
+    tolerance: min |root| >= 1 - 1e-9.  Zeros on the circle pass.
 
     Fast exact sufficient condition first: if all coefficients are
     nonnegative and their sum past the constant is <= 1, then
@@ -271,4 +266,67 @@ def nonvanishing_in_open_disk(
     cs = list(up.coeffs)
     if _eval_at(cs, 1) < 0 or _eval_at(cs, -1) < 0:
         return False
-    return min_root_modulus(up) >= 1.0 - tol
+    return min_root_modulus(up) >= 1.0 - _TOL
+
+
+# -- batched gate on integer rows ----------------------------------------
+
+
+def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of each row of `coeffs` (ascending float coefficients, one
+    degree d >= 1 for all rows, nonzero leading term) as the eigenvalues
+    of stacked companion matrices, in one eigvals call."""
+    n, d = coeffs.shape[0], coeffs.shape[1] - 1
+    comp = np.zeros((n, d, d))
+    comp[:, range(1, d), range(d - 1)] = 1.0
+    comp[:, 0, :] = -coeffs[:, d - 1::-1] / coeffs[:, d:]
+    return np.linalg.eigvals(comp)
+
+
+def _deflate_minus_one(coeffs: np.ndarray) -> np.ndarray:
+    """Divide each row of ascending int64 coefficients by (1 + z) for as
+    long as it vanishes at -1 (descending synthetic division, exact);
+    quotients come back zero padded to the input width."""
+    q = coeffs.copy()
+    alt = np.array([(-1) ** j for j in range(q.shape[1])], dtype=np.int64)
+    rows = np.flatnonzero(q @ alt == 0)
+    while rows.size:
+        sub = q[rows]
+        out = np.zeros_like(sub)
+        acc = np.zeros(rows.size, dtype=np.int64)
+        for k in range(sub.shape[1] - 1, 0, -1):
+            acc = sub[:, k] - acc
+            out[:, k - 1] = acc
+        q[rows] = out
+        rows = rows[out @ alt == 0]
+    return q
+
+
+def nonvanishing_rows(coeffs: np.ndarray) -> np.ndarray:
+    """nonvanishing_in_open_disk of each row of ascending int64
+    coefficients with a positive constant term, as a boolean array.
+
+    (1 + z)^m is divided out exactly and the quotients' roots come from
+    the companion eigenvalues, one call per degree (degree 0 accepted).
+    A row with an eigenvalue modulus within _ROW_BAND of 1 takes the
+    scalar gate; any other row is accepted iff its smallest modulus
+    exceeds 1.  No tolerance is needed there: simple roots are located to
+    about 1e-15 and a k-fold cluster smears by about eps^(1/k), under
+    1e-2 for k <= 7, while the root -1 of any multiplicity is gone, so an
+    eigenvalue that far from the circle cannot stand for a root on its
+    other side.  This one band replaces an all-pairs cluster test.
+    """
+    q = _deflate_minus_one(coeffs)
+    width = q.shape[1]
+    deg = width - 1 - np.argmax(q[:, ::-1] != 0, axis=1)
+    accept = deg == 0
+    for d in range(1, width):
+        rows = np.flatnonzero(deg == d)
+        if not rows.size:
+            continue
+        moduli = np.abs(_companion_roots(q[rows, : d + 1].astype(float)))
+        accept[rows] = moduli.min(axis=1) > 1.0
+        for i in rows[(np.abs(moduli - 1.0) <= _ROW_BAND).any(axis=1)]:
+            c0 = int(coeffs[i, 0])
+            accept[i] = nonvanishing_in_open_disk([Fraction(int(c), c0) for c in coeffs[i]])
+    return accept

@@ -35,13 +35,11 @@ from ucv.model import (
     functional_by_name,
 )
 from ucv.rootcheck import (
-    _CLUSTER_SEP,
-    _NEAR_UNIT_BAND,
-    DEFAULT_TOL,
     RationalIn,
     UnitPolynomial,
     as_rational,
     nonvanishing_in_open_disk,
+    nonvanishing_rows,
 )
 
 # floating slack separating a genuine bound violation from root-gate and
@@ -73,7 +71,6 @@ class SearchConfig:
     dims: int = 4
     grid_step: Fraction = Fraction(1, 50)
     refine_rounds: int = 3
-    root_tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if not isinstance(self.grid_step, Fraction):
@@ -98,13 +95,13 @@ def _pad(b: tuple[Fraction, ...], width: int) -> tuple[Fraction, ...]:
     return b + (Fraction(0),) * (width - len(b))
 
 
-def _feasible(lam: Fraction, b: tuple[Fraction, ...], tol: float) -> bool:
+def _feasible(lam: Fraction, b: tuple[Fraction, ...]) -> bool:
     if any(x < 0 for x in b):
         return False
     if sum(((n - 1) * x for n, x in enumerate(b, start=1)), Fraction(0)) > lam:
         return False
     poly = UnitPolynomial.from_coeffs((Fraction(1),) + b)
-    return nonvanishing_in_open_disk(poly, tol=tol)
+    return nonvanishing_in_open_disk(poly)
 
 
 def _tail_units(units_left: int, weights: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -198,71 +195,8 @@ def _better(value: float, arg: tuple, cur_value: float, cur_arg, sign: int) -> b
     return value == cur_value and arg < cur_arg
 
 
-def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of each row of `coeffs` (ascending float coefficients, one
-    degree d >= 1 for all rows, nonzero leading term) as the eigenvalues
-    of stacked companion matrices, in one eigvals call."""
-    n, d = coeffs.shape[0], coeffs.shape[1] - 1
-    comp = np.zeros((n, d, d))
-    comp[:, range(1, d), range(d - 1)] = 1.0
-    comp[:, 0, :] = -coeffs[:, d - 1::-1] / coeffs[:, d:]
-    return np.linalg.eigvals(comp)
-
-
-def _deflate_minus_one(coeffs: np.ndarray) -> np.ndarray:
-    """Divide each row of ascending int64 coefficients by (1 + z) for as
-    long as it vanishes at -1 (descending synthetic division, exact);
-    quotients come back zero padded to the input width."""
-    q = coeffs.copy()
-    alt = np.array([(-1) ** j for j in range(q.shape[1])], dtype=np.int64)
-    rows = np.flatnonzero(q @ alt == 0)
-    while rows.size:
-        sub = q[rows]
-        out = np.zeros_like(sub)
-        acc = np.zeros(rows.size, dtype=np.int64)
-        for k in range(sub.shape[1] - 1, 0, -1):
-            acc = sub[:, k] - acc
-            out[:, k - 1] = acc
-        q[rows] = out
-        rows = rows[out @ alt == 0]
-    return q
-
-
-def _facet_gate(coeffs: np.ndarray, tol: float) -> np.ndarray:
-    """Disk decision for integer polynomials with p(-1) = 0 and p(0) > 0.
-
-    A k-fold root at -1 smears into a ring of eigenvalues of radius about
-    eps^(1/k), so the factor (1 + z)^m is divided out exactly first.  The
-    quotients go through the companion eigenvalues by degree (degree 0 is
-    (1 + z)^m alone, accepted).  A quotient with a root modulus within
-    _NEAR_UNIT_BAND of 1, or two roots closer than _CLUSTER_SEP, is
-    doubtful in floating point, and its polynomial goes to the scalar
-    exact gate instead.
-    """
-    q = _deflate_minus_one(coeffs)
-    width = q.shape[1]
-    deg = width - 1 - np.argmax(q[:, ::-1] != 0, axis=1)
-    accept = deg == 0
-    for d in range(1, width):
-        rows = np.flatnonzero(deg == d)
-        if not rows.size:
-            continue
-        roots = _companion_roots(q[rows, : d + 1].astype(float))
-        moduli = np.abs(roots)
-        gaps = np.abs(roots[:, :, None] - roots[:, None, :])
-        gaps[:, range(d), range(d)] = np.inf
-        doubtful = (np.abs(moduli - 1.0) <= _NEAR_UNIT_BAND).any(axis=1)
-        doubtful |= gaps.min(axis=(1, 2)) < _CLUSTER_SEP
-        accept[rows] = moduli.min(axis=1) >= 1.0 - tol
-        for i in rows[doubtful]:
-            c0 = int(coeffs[i, 0])
-            accept[i] = nonvanishing_in_open_disk([Fraction(int(c), c0) for c in coeffs[i]], tol)
-    return accept
-
-
 def _root_gate_mask(k1: int, tails: np.ndarray, tail_deg: np.ndarray, undecided: np.ndarray,
-                    facet: np.ndarray, units: int, lut: np.ndarray, width: int,
-                    tol: float) -> np.ndarray:
+                    step: Fraction) -> np.ndarray:
     """Batched disk check for the lattice points no exact pretest settled.
 
     Degree <= 3 survivors are feasible outright: with b >= 0, p(-1) >= 0
@@ -270,28 +204,16 @@ def _root_gate_mask(k1: int, tails: np.ndarray, tail_deg: np.ndarray, undecided:
     pair of real roots would force b2 > 1 through its reciprocal product,
     and an inside complex pair of a cubic gives
     b2 + 2 b3 = 1/mu^2 + (2/(mu r))(1/mu - cos t) > 1.  Degree >= 4 goes
-    through stacked companion eigenvalues, one call per degree, except
-    for `facet` rows (p(-1) = 0 exactly): their polynomial times
-    units = 1/step is the integer polynomial units + k1 z + t2 z^2 + ...,
-    which _facet_gate deflates exactly before its own eigenvalue calls.
+    to nonvanishing_rows in one call: for step = num/den the point's
+    polynomial times den is the integer polynomial
+    den + num k1 z + num t2 z^2 + ...
     """
     accept = undecided & (tail_deg <= 3)
-    hard = undecided & (tail_deg >= 4)
-    rows = np.flatnonzero(hard & facet)
+    rows = np.flatnonzero(undecided & (tail_deg >= 4))
     if rows.size:
-        head = np.tile(np.array([units, k1], dtype=np.int64), (rows.size, 1))
-        accept[rows] = _facet_gate(np.hstack((head, tails[rows])), tol)
-    plain = np.flatnonzero(hard & ~facet)
-    for d in range(4, width + 1):
-        rows = plain[tail_deg[plain] == d]
-        if not rows.size:
-            continue
-        coeffs = np.empty((rows.size, d + 1))
-        coeffs[:, 0] = 1.0
-        coeffs[:, 1] = lut[k1]
-        coeffs[:, 2:] = lut[tails[rows, : d - 1]]
-        moduli = np.abs(_companion_roots(coeffs)).min(axis=1)
-        accept[rows[moduli >= 1.0 - tol]] = True
+        num, den = step.numerator, step.denominator
+        head = np.tile(np.array([den, num * k1], dtype=np.int64), (rows.size, 1))
+        accept[rows] = nonvanishing_rows(np.hstack((head, num * tails[rows])))
     return accept
 
 
@@ -309,9 +231,7 @@ def _sweep_chunk(args) -> list:
     # p(-1) = 1 - b1 + b2 - b3 + ...: alternating tail sum, in step units
     signs = np.array([(-1) ** j for j in range(ncols)], dtype=np.int64)
     talt = tails @ signs
-    one_units = Fraction(1) / step
-    u1 = int(one_units)  # floor(1/step); all comparisons below are exact
-    facet_possible = one_units == u1
+    u1 = int(1 / step)  # floor(1/step); all comparisons below are exact
     tail_deg = np.zeros(m, dtype=np.int64)
     for j in range(ncols):
         tail_deg[tails[:, j] > 0] = j + 2
@@ -326,9 +246,7 @@ def _sweep_chunk(args) -> list:
         # p(0) = 1 > 0, so p(-1) < 0 forces a real root in (-1, 0): reject
         alive = (k1 - talt) <= u1
         undecided = alive & ~accept
-        # p(-1) = 0 exactly needs 1/step to be an integer
-        facet = (k1 - talt) == u1 if facet_possible else np.zeros(m, dtype=bool)
-        accept |= _root_gate_mask(k1, tails, tail_deg, undecided, facet, u1, lut, width, cfg.root_tol)
+        accept |= _root_gate_mask(k1, tails, tail_deg, undecided, step)
         sel = np.flatnonzero(accept)
         if not sel.size:
             continue
@@ -362,6 +280,12 @@ def _thread_count() -> int:
     return max(1, n)
 
 
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _sweep(lam: Fraction, cfg: SearchConfig, names: Sequence[str]) -> dict:
     """Coarse lattice sweep; returns {(name, direction): (value, arg)}.
 
@@ -381,7 +305,10 @@ def _sweep(lam: Fraction, cfg: SearchConfig, names: Sequence[str]) -> dict:
             for lo, hi in zip(edges, edges[1:])
             if hi > lo
         ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # fork starts every worker up front, so never more than there
+        # are jobs or CPUs this process may run on
+        workers = min(threads, len(jobs), _cpu_count())
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_sweep_chunk, jobs))
     merged = [[-math.inf, None, math.inf, None] for _ in names]
     for chunk in chunks:
@@ -468,7 +395,7 @@ def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
         v = fn.evaluate(tuple(float(x) for x in cand)) + 0.0
         if not _better(v, cand, best[0], best[1], sign):
             return False
-        if not _feasible(lam, cand, cfg.root_tol):
+        if not _feasible(lam, cand):
             return False
         best[0], best[1] = v, cand
         return True

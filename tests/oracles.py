@@ -205,7 +205,7 @@ def enumerate_feasible(lam, cfg: SearchConfig | None = None) -> Iterator[tuple[F
             b = (k1 * step,) + tail
             b += (Fraction(0),) * (width - len(b))
             try:
-                validate(lam, b, cfg.root_tol)
+                validate(lam, b)
             except NonMember:
                 continue
             yield b
