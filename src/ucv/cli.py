@@ -85,7 +85,10 @@ def _config(args) -> SearchConfig:
         kwargs["refine_rounds"] = args.refine
     if args.dims is not None:
         kwargs["dims"] = args.dims
-    return SearchConfig(**kwargs)
+    try:
+        return SearchConfig(**kwargs)
+    except ValueError as exc:
+        raise _CliError(str(exc), EXIT_USAGE)
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
@@ -182,6 +185,8 @@ def _run_report(args) -> int:
     except NonMember as exc:
         print(f"non-member: {exc}", file=sys.stderr)
         return EXIT_NONMEMBER
+    except ValueError as exc:
+        raise _CliError(str(exc), EXIT_USAGE)
     report = CoefficientReport.from_member(member)
     if args.format == "json":
         print(json.dumps(report_to_dict(report), indent=2))

@@ -102,8 +102,7 @@ def validate(lam: RationalIn, b: Sequence[RationalIn]) -> ClassMember:
     total = sum(((n - 1) * bn for n, bn in enumerate(bs, start=1)), Fraction(0))
     if total > lam_q:
         raise NonMember("lemma-sum exceeded", f"sum={total} > lambda={lam_q}")
-    poly = UnitPolynomial.from_coeffs((Fraction(1),) + tuple(bs))
-    if not nonvanishing_in_open_disk(poly):
+    if not nonvanishing_in_open_disk((Fraction(1),) + tuple(bs)):
         raise NonMember("zero in disk")
     member = ClassMember(lam_q, tuple(bs))
     # consequence of the gates, never an independent constraint

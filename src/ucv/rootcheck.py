@@ -2,22 +2,24 @@
 
 The primary question: does 1 + p_1 z + ... + p_d z^d have a zero inside
 the open unit disk?  Membership checks admit zeros ON the circle (the
-sharp extremal denominators all have one), so the decision is
-min |root| >= 1 - 1e-9 with a small one-sided tolerance.
+sharp extremal denominators all have one).
 
-Method: companion-matrix eigenvalues (numpy.roots) as the generic path.
-Eigenvalues lose accuracy on multiple or clustered roots (a k-fold root
-is only located to eps^(1/k)), so whenever the answer is ambiguous near
-the circle, or a root cluster is detected, the polynomial is re-examined
-exactly: coefficients are kept as Fractions, rational roots at +-1 are
-deflated symbolically, the square-free part is extracted by exact gcd,
-and only genuinely close simple roots fall through to high-precision
-iteration (mpmath).  Degrees 1 and 2 are always resolved by closed
-formulas with the discriminant sign computed exactly.
+When the tail budget sum_{n>=2} (n-1)|p_n| is at most 1 the answer is
+exact: p has no zero in the open disk iff p(-1) >= 0 and p(1) >= 0 (the
+proof is at nonvanishing_in_open_disk).  Every denominator of the class
+has such a budget, so membership never reaches a root finder.
 
-Batches of integer polynomials (the search's lattice points times their
-common denominator) go through nonvanishing_rows, which sends only rows
-with a root modulus near 1 to the scalar gate.
+Any other polynomial is decided as min |root| >= 1 - 1e-9, with a small
+one-sided tolerance.  Method: companion-matrix eigenvalues (numpy.roots)
+as the generic path.  Eigenvalues lose accuracy on multiple or clustered
+roots (a k-fold root is only located to eps^(1/k)), so whenever the
+answer is ambiguous near the circle, or a root cluster is detected, the
+polynomial is re-examined exactly: coefficients are kept as Fractions,
+rational roots at +-1 are deflated symbolically, the square-free part is
+extracted by exact gcd, and only genuinely close simple roots fall
+through to high-precision iteration (mpmath).  Degrees 1 and 2 are
+always resolved by closed formulas with the discriminant sign computed
+exactly.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ _NEAR_UNIT_BAND = 1e-3
 # smears eigenvalues by ~eps^(1/k) (already 1e-4 at k=4, 2e-3 at k=6), so
 # the band errs generous at the price of an occasional exact re-check
 _CLUSTER_SEP = 1e-2
-# an eigenvalue modulus this close to 1 sends a row to the scalar gate
-_ROW_BAND = 1e-2
 
 RationalIn = Union[Fraction, int, float, str]
 
@@ -251,82 +251,31 @@ def min_root_modulus(p: Union[UnitPolynomial, Sequence[RationalIn]]) -> float:
 
 
 def nonvanishing_in_open_disk(p: Union[UnitPolynomial, Sequence[RationalIn]]) -> bool:
-    """True when p has no zero in the open unit disk, up to the one-sided
-    tolerance: min |root| >= 1 - 1e-9.  Zeros on the circle pass.
+    """True when p has no zero in the open unit disk; zeros on the circle
+    pass.  Exact when the tail budget sum_{n>=2} (n-1)|p_n| is <= 1, as on
+    every class denominator; otherwise min |root| >= 1 - 1e-9.
 
-    Fast exact sufficient condition first: if all coefficients are
-    nonnegative and their sum past the constant is <= 1, then
-    |p(z) - 1| < 1 strictly inside the disk, so p cannot vanish there.
+    Theorem (the argument of L. A. Aksent'ev's univalence criterion,
+    1958): with tail budget <= 1, p has no zero in |z| < 1 iff p(-1) >= 0
+    and p(1) >= 0.  Proof: let phi(z) = p(z)/z.  For z != w in the
+    punctured disk,
+        phi(z) - phi(w) = -((z - w)/(z w)) [1 - sum_{n>=2} p_n sum_{k=1}^{n-1} z^k w^(n-k)],
+    whose n - 1 inner terms each have modulus < 1, so the double sum has
+    modulus < 1: phi is injective there, and p has at most one zero in
+    the disk.  The coefficients are real, so that zero is real.  On
+    (-1, 0) and (0, 1), (p/x)' = -q/x^2 with q = 1 - sum (n-1) p_n x^n > 0,
+    so p(x)/x < -p(-1) <= 0 on (-1, 0) and p(x)/x > p(1) >= 0 on (0, 1):
+    p > 0 on both.
     """
     up = _as_unit(p)
-    if all(c >= 0 for c in up.coeffs) and sum(up.coeffs[1:]) <= 1:
+    cs = list(up.coeffs)
+    # nonnegative coefficients summing to <= 1 keep |p(z) - 1| < 1 inside
+    if all(c >= 0 for c in cs) and sum(cs[1:]) <= 1:
         return True
     # p(0) = 1 > 0, so a negative value at either end of (-1, 1) forces a
-    # real root strictly inside the disk; both tests are exact
-    cs = list(up.coeffs)
+    # real root strictly inside the disk
     if _eval_at(cs, 1) < 0 or _eval_at(cs, -1) < 0:
         return False
+    if sum((n - 1) * abs(c) for n, c in enumerate(cs[2:], start=2)) <= 1:
+        return True
     return min_root_modulus(up) >= 1.0 - _TOL
-
-
-# -- batched gate on integer rows ----------------------------------------
-
-
-def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of each row of `coeffs` (ascending float coefficients, one
-    degree d >= 1 for all rows, nonzero leading term) as the eigenvalues
-    of stacked companion matrices, in one eigvals call."""
-    n, d = coeffs.shape[0], coeffs.shape[1] - 1
-    comp = np.zeros((n, d, d))
-    comp[:, range(1, d), range(d - 1)] = 1.0
-    comp[:, 0, :] = -coeffs[:, d - 1::-1] / coeffs[:, d:]
-    return np.linalg.eigvals(comp)
-
-
-def _deflate_minus_one(coeffs: np.ndarray) -> np.ndarray:
-    """Divide each row of ascending int64 coefficients by (1 + z) for as
-    long as it vanishes at -1 (descending synthetic division, exact);
-    quotients come back zero padded to the input width."""
-    q = coeffs.copy()
-    alt = np.array([(-1) ** j for j in range(q.shape[1])], dtype=np.int64)
-    rows = np.flatnonzero(q @ alt == 0)
-    while rows.size:
-        sub = q[rows]
-        out = np.zeros_like(sub)
-        acc = np.zeros(rows.size, dtype=np.int64)
-        for k in range(sub.shape[1] - 1, 0, -1):
-            acc = sub[:, k] - acc
-            out[:, k - 1] = acc
-        q[rows] = out
-        rows = rows[out @ alt == 0]
-    return q
-
-
-def nonvanishing_rows(coeffs: np.ndarray) -> np.ndarray:
-    """nonvanishing_in_open_disk of each row of ascending int64
-    coefficients with a positive constant term, as a boolean array.
-
-    (1 + z)^m is divided out exactly and the quotients' roots come from
-    the companion eigenvalues, one call per degree (degree 0 accepted).
-    A row with an eigenvalue modulus within _ROW_BAND of 1 takes the
-    scalar gate; any other row is accepted iff its smallest modulus
-    exceeds 1.  No tolerance is needed there: simple roots are located to
-    about 1e-15 and a k-fold cluster smears by about eps^(1/k), under
-    1e-2 for k <= 7, while the root -1 of any multiplicity is gone, so an
-    eigenvalue that far from the circle cannot stand for a root on its
-    other side.  This one band replaces an all-pairs cluster test.
-    """
-    q = _deflate_minus_one(coeffs)
-    width = q.shape[1]
-    deg = width - 1 - np.argmax(q[:, ::-1] != 0, axis=1)
-    accept = deg == 0
-    for d in range(1, width):
-        rows = np.flatnonzero(deg == d)
-        if not rows.size:
-            continue
-        moduli = np.abs(_companion_roots(q[rows, : d + 1].astype(float)))
-        accept[rows] = moduli.min(axis=1) > 1.0
-        for i in rows[(np.abs(moduli - 1.0) <= _ROW_BAND).any(axis=1)]:
-            c0 = int(coeffs[i, 0])
-            accept[i] = nonvanishing_in_open_disk([Fraction(int(c), c0) for c in coeffs[i]])
-    return accept

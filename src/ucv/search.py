@@ -2,6 +2,11 @@
 
 The feasible set is the b-lattice of the membership model: b_n >= 0,
 sum (n-1) b_n <= lambda, denominator nonvanishing in the open disk.
+With b >= 0 and a budget lambda <= 1 the disk condition is exactly
+p(-1) = 1 - b1 + b2 - b3 + ... >= 0 (the theorem at
+rootcheck.nonvanishing_in_open_disk), so the sweep keeps a lattice
+point by one exact integer comparison and computes no root.
+
 Every objective here is a low-degree polynomial in (b1..b4) (the
 general coefficient objective AN(n) reads b1..b_{n-1}), so the search
 is a deterministic lattice sweep followed by shrinking-step local
@@ -34,16 +39,11 @@ from ucv.model import (
     decimal_str,
     functional_by_name,
 )
-from ucv.rootcheck import (
-    RationalIn,
-    UnitPolynomial,
-    as_rational,
-    nonvanishing_in_open_disk,
-    nonvanishing_rows,
-)
+from ucv.rootcheck import RationalIn, as_rational, nonvanishing_in_open_disk
 
-# floating slack separating a genuine bound violation from root-gate and
-# rounding noise, vs the much looser grid-sharpness warning threshold
+# floating slack separating a genuine bound violation from the rounding
+# of the float objectives, vs the much looser grid-sharpness warning
+# threshold
 FAIL_SLACK = 1e-7
 WARN_GAP = 5e-3
 
@@ -100,8 +100,7 @@ def _feasible(lam: Fraction, b: tuple[Fraction, ...]) -> bool:
         return False
     if sum(((n - 1) * x for n, x in enumerate(b, start=1)), Fraction(0)) > lam:
         return False
-    poly = UnitPolynomial.from_coeffs((Fraction(1),) + b)
-    return nonvanishing_in_open_disk(poly)
+    return nonvanishing_in_open_disk((Fraction(1),) + b)
 
 
 def _tail_units(units_left: int, weights: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -195,28 +194,6 @@ def _better(value: float, arg: tuple, cur_value: float, cur_arg, sign: int) -> b
     return value == cur_value and arg < cur_arg
 
 
-def _root_gate_mask(k1: int, tails: np.ndarray, tail_deg: np.ndarray, undecided: np.ndarray,
-                    step: Fraction) -> np.ndarray:
-    """Batched disk check for the lattice points no exact pretest settled.
-
-    Degree <= 3 survivors are feasible outright: with b >= 0, p(-1) >= 0
-    and b2 + 2 b3 <= lambda <= 1, every real root is negative, an inside
-    pair of real roots would force b2 > 1 through its reciprocal product,
-    and an inside complex pair of a cubic gives
-    b2 + 2 b3 = 1/mu^2 + (2/(mu r))(1/mu - cos t) > 1.  Degree >= 4 goes
-    to nonvanishing_rows in one call: for step = num/den the point's
-    polynomial times den is the integer polynomial
-    den + num k1 z + num t2 z^2 + ...
-    """
-    accept = undecided & (tail_deg <= 3)
-    rows = np.flatnonzero(undecided & (tail_deg >= 4))
-    if rows.size:
-        num, den = step.numerator, step.denominator
-        head = np.tile(np.array([den, num * k1], dtype=np.int64), (rows.size, 1))
-        accept[rows] = nonvanishing_rows(np.hstack((head, num * tails[rows])))
-    return accept
-
-
 def _sweep_chunk(args) -> list:
     lam, cfg, names, k_lo, k_hi = args
     fns = [functional_by_name(nm) for nm in names]
@@ -226,28 +203,19 @@ def _sweep_chunk(args) -> list:
     budget_units = int(lam / step)
     tail_list = list(_tail_units(budget_units, weights))
     tails = np.array(tail_list, dtype=np.int64).reshape((len(tail_list), cfg.dims - 1))
-    m, ncols = tails.shape
-    ksum = tails.sum(axis=1)
+    ncols = tails.shape[1]
     # p(-1) = 1 - b1 + b2 - b3 + ...: alternating tail sum, in step units
     signs = np.array([(-1) ** j for j in range(ncols)], dtype=np.int64)
     talt = tails @ signs
-    u1 = int(1 / step)  # floor(1/step); all comparisons below are exact
-    tail_deg = np.zeros(m, dtype=np.int64)
-    for j in range(ncols):
-        tail_deg[tails[:, j] > 0] = j + 2
+    u1 = int(1 / step)  # floor(1/step); the comparison below is exact
     # correctly rounded lattice values, so float results match the exact
     # points regardless of step (k * float(step) can be off by one ulp)
     lut = np.array([float(k * step) for k in range(max(budget_units, k_hi - 1) + 1)])
     # per functional: [max_value, max_arg, min_value, min_arg]
     best = [[-math.inf, None, math.inf, None] for _ in fns]
     for k1 in range(k_lo, k_hi):
-        # sum b_n <= 1 keeps |p(z) - 1| < 1 on the open disk: accept outright
-        accept = (k1 + ksum) <= u1
-        # p(0) = 1 > 0, so p(-1) < 0 forces a real root in (-1, 0): reject
-        alive = (k1 - talt) <= u1
-        undecided = alive & ~accept
-        accept |= _root_gate_mask(k1, tails, tail_deg, undecided, step)
-        sel = np.flatnonzero(accept)
+        # the point is a member iff p(-1) >= 0, that is (k1 - talt) step <= 1
+        sel = np.flatnonzero((k1 - talt) <= u1)
         if not sel.size:
             continue
         cols = [np.full(sel.size, lut[k1])]

@@ -13,11 +13,14 @@ not a tautology:
                             Schur-Cohn reduction over Fractions
   random_member             seeded rejection sampler over the feasible set
   enumerate_feasible        every lattice point the sweep visits, one by
-                            one through validate(), for the sweep tests
+                            one, its disk condition decided by numerical
+                            roots (min_root_modulus), not by the p(-1)
+                            sign test the sweep and validate() apply
 
-All arithmetic is exact rational; nothing here imports the modules whose
-answers it is checking beyond the shared series container, the member
-gate validate() and the search's configuration record.
+All arithmetic is exact rational, except for that root finder; nothing
+here imports the modules whose answers it is checking beyond the shared
+series container, the member gate validate() (for random_member), the
+root finder min_root_modulus and the search's configuration record.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from ucv.model import ClassMember, NonMember, validate
+from ucv.rootcheck import min_root_modulus
 from ucv.search import SearchConfig
 from ucv.series import TruncatedSeries
 
@@ -191,8 +195,11 @@ def enumerate_feasible(lam, cfg: SearchConfig | None = None) -> Iterator[tuple[F
     """Feasible lattice points in lexicographic order, one at a time.
 
     b1 runs over [0, 1 + lambda] in grid_step increments; b2..b_dims over
-    the weighted simplex sum (n-1) b_n <= lambda; a point is kept when
-    validate() accepts it.  Yields tuples padded to >= 4 entries.
+    the weighted simplex sum (n-1) b_n <= lambda.  A point is kept when
+    its coordinates are nonnegative, its budget is within lambda and its
+    denominator's smallest root modulus is >= 1 - 1e-9, so the sweep's
+    sign test is checked against roots.  Yields tuples padded to >= 4
+    entries.
     """
     cfg = cfg or SearchConfig()
     lam = Fraction(lam)
@@ -204,8 +211,9 @@ def enumerate_feasible(lam, cfg: SearchConfig | None = None) -> Iterator[tuple[F
         for tail in _tails(budget_units, weights, step):
             b = (k1 * step,) + tail
             b += (Fraction(0),) * (width - len(b))
-            try:
-                validate(lam, b)
-            except NonMember:
+            if any(x < 0 for x in b):
                 continue
-            yield b
+            if sum((n - 1) * x for n, x in enumerate(b, start=1)) > lam:
+                continue
+            if min_root_modulus((Fraction(1),) + b) >= 1 - 1e-9:
+                yield b

@@ -45,6 +45,23 @@ def test_usage_exit_codes(capsys, argv):
     assert "error" in err.lower()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--lambda", "1", "--step", "0"],
+        ["verify", "--lambda", "1", "--refine", "-1"],
+        ["search", "--functional", "A2", "--direction", "max", "--lambda", "1", "--dims", "0"],
+        ["report", "--lambda", "1", "--b", ","],
+    ],
+    ids=["step-0", "refine-negative", "dims-0", "empty-b"],
+)
+def test_invalid_values_exit_usage_without_traceback(capsys, argv):
+    # values argparse accepts but SearchConfig or validate() reject
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("ucv: error: ")
+
+
 # -- report ------------------------------------------------------------------
 
 

@@ -124,14 +124,47 @@ def test_known_product_of_rational_roots():
 small_fraction = st.fractions(min_value=-2, max_value=2, max_denominator=8)
 
 
-@settings(deadline=None, max_examples=150)
-@given(st.lists(small_fraction, min_size=1, max_size=6))
-def test_gate_agrees_with_schur_cohn(tail):
-    coeffs = [F(1)] + list(tail)
-    moduli_ok = _away_from_circle(coeffs)
-    if not moduli_ok:
+@st.composite
+def budget_polynomials(draw):
+    """1 + b1 z + ... + b_d z^d with signed b, degree 2..9 and tail budget
+    sum_{n>=2} (n-1)|b_n| <= 1, where the gate decides by the signs of
+    p(+-1) alone; half of them lie on the facet p(-1) = 0."""
+    d = draw(st.integers(min_value=2, max_value=9))
+    tail = draw(st.lists(small_fraction, min_size=d - 1, max_size=d - 1).filter(lambda t: t[-1] != 0))
+    budget = sum((n - 1) * abs(c) for n, c in enumerate(tail, start=2))
+    scale = draw(st.fractions(min_value=0, max_value=1, max_denominator=8).filter(bool)) / budget
+    tail = [c * scale for c in tail]
+    if draw(st.booleans()):
+        b1 = 1 + sum((-1) ** n * c for n, c in enumerate(tail, start=2))
+    else:
+        b1 = draw(st.fractions(min_value=-3, max_value=3, max_denominator=8))
+    return [F(1), b1] + tail
+
+
+def _divide_out_unit_roots(coeffs):
+    """coeffs / ((1 + z)^m (1 - z)^k), exactly: those zeros sit on the
+    circle, so the quotient has the same zeros inside the disk."""
+    cs = list(coeffs)
+    for r in (-1, 1):
+        while len(cs) > 1 and sum(c * r**k for k, c in enumerate(cs)) == 0:
+            # synthetic division by (z - r), from the top coefficient down
+            q = [F(0)] * (len(cs) - 1)
+            acc = F(0)
+            for k in range(len(cs) - 1, 0, -1):
+                acc = cs[k] + acc * r
+                q[k - 1] = acc
+            cs = q
+    return cs
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.lists(small_fraction, min_size=1, max_size=6).map(lambda t: [F(1)] + t),
+                 budget_polynomials()))
+def test_gate_agrees_with_schur_cohn(coeffs):
+    quotient = _divide_out_unit_roots(coeffs)
+    if not _away_from_circle(quotient):
         return  # the count oracle needs a circle-free polynomial
-    inside = inside_unit_count(coeffs)
+    inside = inside_unit_count(quotient)
     assert nonvanishing_in_open_disk(coeffs) == (inside == 0)
 
 

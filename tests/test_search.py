@@ -5,28 +5,23 @@ conjecture scan."""
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-import random
-
-import ucv.rootcheck
 import ucv.search
 from oracles import enumerate_feasible, random_member
 from ucv.model import FUNCTIONAL_NAMES, an_functional, f_series, functional_by_name, validate
-from ucv.rootcheck import UnitPolynomial, nonvanishing_in_open_disk, nonvanishing_rows
+from ucv.rootcheck import UnitPolynomial
 from ucv.search import (
     BoundCertificate,
     CSV_HEADER,
     SearchConfig,
     _better,
     _move_directions,
-    _root_gate_mask,
     _optimize_detail,
     _sweep,
-    _tail_units,
     certificate_csv_row,
     certificate_to_dict,
     certificates_to_csv,
@@ -67,8 +62,10 @@ SWEEP_GRIDS = [
     (F(1, 4), SearchConfig(grid_step=F(1, 8), dims=3)),
     (F(1), SearchConfig(grid_step=F(1, 6), dims=2)),
     (F(1, 3), SearchConfig(grid_step=F(1, 5), dims=1)),
-    # 1/step not an integer: the gate's rows carry num = 3, den = 20
+    # 1/step not an integer: the p(-1) >= 0 test compares against floor(1/step)
     (F(1), SearchConfig(grid_step=F(3, 20), dims=5)),
+    # degree 7, the sweep of conjecture --n 8
+    (F(1), SearchConfig(grid_step=F(1, 4), dims=7)),
 ]
 
 
@@ -121,165 +118,6 @@ def test_sweep_pool_capped_by_cpus_and_jobs(monkeypatch):
     monkeypatch.setattr(ucv.search.os, "sched_getaffinity", lambda pid: set(range(256)))
     _sweep(lam, cfg, FUNCTIONAL_NAMES)
     assert workers == [3, 21]
-
-
-# -- batched disk gate on integer rows ----------------------------------------
-
-
-def facet_lattice_rows(lam, units, dims):
-    """Every lattice point with p(-1) = 0 as the integer polynomial
-    units * p = units + k1 z + t2 z^2 + ..., units = 1/step."""
-    tails = list(_tail_units(int(lam * units), tuple(range(1, dims))))
-    rows = [
-        (units, k1) + t
-        for k1 in range(int((1 + lam) * units) + 1)
-        for t in tails
-        if units - k1 + sum((-1) ** j * x for j, x in enumerate(t)) == 0
-    ]
-    return np.array(rows, dtype=np.int64)
-
-
-def _unit(row):
-    return UnitPolynomial.from_coeffs([F(int(c), int(row[0])) for c in row])
-
-
-def scalar_decisions(rows):
-    return [nonvanishing_in_open_disk(_unit(r)) for r in rows]
-
-
-@pytest.fixture
-def fallback_calls(monkeypatch):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return nonvanishing_in_open_disk(*args, **kwargs)
-
-    monkeypatch.setattr(ucv.rootcheck, "nonvanishing_in_open_disk", counted)
-    return calls
-
-
-@pytest.mark.parametrize("lam", [F(1, 10), F(1, 4), F(1, 2), F(3, 4), F(1)], ids=str)
-def test_facet_gate_matches_scalar_gate_on_lattice(lam):
-    rows = facet_lattice_rows(lam, 50, 4)
-    assert len(rows) == {F(1, 10): 16, F(1, 4): 102, F(1, 2): 640, F(3, 4): 1841, F(1): 4248}[lam]
-    want = scalar_decisions(rows)
-    assert list(nonvanishing_rows(rows)) == want
-    # the sweep accepts degree <= 3 rows by its lemma before this gate
-    assert all(w for r, w in zip(rows, want) if not r[4:].any())
-
-
-def undecided_lattice_rows(lam, step, dims):
-    """The rows the sweep sends to nonvanishing_rows: lattice points of
-    degree `dims` that neither sum b_n <= 1 accepts nor p(-1) < 0
-    rejects, facet and plain alike, as den * p for step = num/den."""
-    num, den = step.numerator, step.denominator
-    tails = list(_tail_units(int(lam / step), tuple(range(1, dims))))
-    rows = [
-        (den, num * k1) + tuple(num * x for x in t)
-        for k1 in range(int((1 + lam) / step) + 1)
-        for t in tails
-        if t[-1] and (k1 + sum(t)) * step > 1
-        and den - num * (k1 - sum((-1) ** j * x for j, x in enumerate(t))) >= 0
-    ]
-    return np.array(rows, dtype=np.int64)
-
-
-def test_rows_gate_matches_scalar_gate_on_undecided_lattice(fallback_calls):
-    grids = [(F(1, 10), F(1, 50)), (F(1, 4), F(1, 50)), (F(1, 2), F(1, 50)), (F(1), F(1, 20))]
-    rows = [undecided_lattice_rows(lam, step, 4) for lam, step in grids]
-    assert [len(r) for r in rows] == [14, 440, 7776, 3234]
-    for r in rows:
-        assert list(nonvanishing_rows(r)) == scalar_decisions(r)
-    # only lambda = 1 puts eigenvalues within the band of the circle
-    assert len(fallback_calls) == 7
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def assert_rows_gate(rows, want, doubtful, fallback_calls):
-    got = list(nonvanishing_rows(rows))
-    assert got == want
-    assert got == scalar_decisions(rows)
-    routed = {UnitPolynomial.from_coeffs(p) for p in fallback_calls}
-    assert [_unit(p) in routed for p in rows] == doubtful
-    assert len(fallback_calls) == sum(doubtful)
-
-
-# (q ascending, accepted, doubtful): (1 + z)^m q has a zero in the open
-# disk iff q does; doubtful quotients have a root modulus within 1e-2 of
-# 1, and only they take the scalar gate
-FACET_QUOTIENTS = [
-    ([1], True, False),                 # (1 + z)^m alone
-    ([2, 1], True, False),              # root -2
-    ([1, 3, 1], False, False),          # real root -0.38
-    ([1, 1, 4], False, False),          # complex pair of modulus 1/2
-    ([1, 0, 1], True, True),            # +-i, on the circle
-    ([1, -1, 1], True, True),           # primitive sixth roots, on the circle
-    ([1, 0, 0, 0, 1], True, True),      # four zeros on the circle
-    (_poly_mul([1000, 999], [1000, 1001]), False, True),  # -1.001 and -0.999
-    (_poly_mul([20, 19], [21, 20]), True, False),         # cluster near -1.05
-]
-
-
-def test_facet_gate_hand_built_cases(fallback_calls):
-    polys, want, doubtful = [], [], []
-    for q, accepted, unsure in FACET_QUOTIENTS:
-        p = q
-        for _ in range(4):
-            p = _poly_mul(p, [1, 1])
-            polys.append(p)
-            want.append(accepted)
-            doubtful.append(unsure)
-    # one batch of mixed degrees, zero padded to a common width
-    width = max(len(p) for p in polys)
-    rows = np.array([p + [0] * (width - len(p)) for p in polys], dtype=np.int64)
-    assert_rows_gate(rows, want, doubtful, fallback_calls)
-
-
-# (p ascending with p(-1) > 0, accepted, doubtful), nothing to deflate
-PLAIN_ROWS = [
-    ([1, 0, 1], True, True),                            # +-i, on the circle
-    ([998001, -999000, 1000000], False, True),          # pair of modulus 0.999
-    ([1002001, -1001000, 1000000], True, True),         # pair of modulus 1.001
-    (_poly_mul([998001, 0, 1000000], [3, 1]), False, True),
-    (_poly_mul([1002001, 0, 1000000], [3, 1]), True, True),
-    ([16, 0, 8, 0, 1], True, False),                    # double pair +-2i
-    ([1, 0, 8, 0, 16], False, False),                   # double pair +-i/2
-]
-
-
-def test_rows_gate_hand_built_plain_rows(fallback_calls):
-    width = max(len(p) for p, _, _ in PLAIN_ROWS)
-    rows = np.array([p + [0] * (width - len(p)) for p, _, _ in PLAIN_ROWS], dtype=np.int64)
-    assert all(r @ [(-1) ** j for j in range(width)] > 0 for r in rows)
-    want = [accepted for _, accepted, _ in PLAIN_ROWS]
-    doubtful = [unsure for _, _, unsure in PLAIN_ROWS]
-    assert_rows_gate(rows, want, doubtful, fallback_calls)
-
-
-def test_root_gate_mask_scales_points_by_a_non_unit_step():
-    # tails off the budget, so that some points have a zero in the disk;
-    # every lattice point the sweep sends here is a member, which would
-    # hide a wrong num/den scaling of the integer rows
-    step = F(3, 20)
-    rng = random.Random(11)
-    tails = np.array([[rng.randrange(12), rng.randrange(12), rng.randrange(1, 12)]
-                      for _ in range(60)], dtype=np.int64)
-    undecided = np.ones(len(tails), dtype=bool)
-    decisions = []
-    for k1 in (0, 4, 13):
-        got = _root_gate_mask(k1, tails, np.full(len(tails), 4), undecided, step)
-        want = [nonvanishing_in_open_disk([1, k1 * step] + [int(t) * step for t in row]) for row in tails]
-        assert list(got) == want
-        decisions += want
-    assert 0 < sum(decisions) < len(decisions)
 
 
 # -- feasible enumeration ----------------------------------------------------
