@@ -22,6 +22,7 @@ reproduced at this resolution).
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -93,14 +94,6 @@ def _width(cfg: SearchConfig) -> int:
 
 def _pad(b: tuple[Fraction, ...], width: int) -> tuple[Fraction, ...]:
     return b + (Fraction(0),) * (width - len(b))
-
-
-def _feasible(lam: Fraction, b: tuple[Fraction, ...]) -> bool:
-    if any(x < 0 for x in b):
-        return False
-    if sum(((n - 1) * x for n, x in enumerate(b, start=1)), Fraction(0)) > lam:
-        return False
-    return nonvanishing_in_open_disk((Fraction(1),) + b)
 
 
 def _tail_units(units_left: int, weights: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -343,44 +336,49 @@ def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
     """Shrinking-step local polish around the coarse incumbent.
 
     Each round divides the step by 10 and greedily applies the move set of
-    _move_directions at window scales 1..12.  Candidates are scored first
-    and sent through the exact root gate only when they would improve, so
-    the expensive check runs a handful of times per round.  Returns the
-    round value history for monotonicity checks.
+    _move_directions at window scales 1..12.  A candidate is scored first;
+    only an improving one is held to the budget and the exact root gate.
+    Returns the round value history for monotonicity checks.
+
+    The incumbent is an int tuple x over one denominator D (the point
+    x / D).  D starts at the step's denominator and each round multiplies
+    x and D by 10, so for step = num/den a move m at scale k always adds
+    m k num.  Bounds and budget are cross-multiplied int comparisons.  The
+    result equals the same loop over Fraction: int true division is
+    correctly rounded (c / D is float(Fraction(c, D)) bit for bit), and
+    int tuples over one D order like their rationals (the tie-break of
+    _better holds).  Python ints, not int64/float64: D passes 2**53.
     """
     sign = +1 if direction == "max" else -1
     cap = cfg.b1_cap(lam)
-    dims = cfg.dims
-    width = _width(cfg)
-    step = cfg.grid_step
+    num = cfg.grid_step.numerator
+    pad = (0,) * (_width(cfg) - cfg.dims)
+    deltas = tuple(tuple(m * k * num for m in move) + pad
+                   for move in _move_directions(cfg.dims) for k in range(1, _REFINE_WINDOW + 1))
+    D = cfg.grid_step.denominator
+    x = tuple(int(v * D) for v in arg)
     history = [value]
-    moves = tuple(m + (0,) * (width - dims) for m in _move_directions(dims))
-    best = [value, arg]
-
-    def consider(cand: tuple[Fraction, ...]) -> bool:
-        if cand[0] > cap or any(x < 0 for x in cand):
-            return False
-        v = fn.evaluate(tuple(float(x) for x in cand)) + 0.0
-        if not _better(v, cand, best[0], best[1], sign):
-            return False
-        if not _feasible(lam, cand):
-            return False
-        best[0], best[1] = v, cand
-        return True
-
     for _ in range(cfg.refine_rounds):
-        step = step / 10
+        D *= 10
+        x = tuple(10 * c for c in x)
+        cap_units, lam_units = cap.numerator * D, lam.numerator * D
         for _ in range(_REFINE_PASSES):
             improved = False
-            for move in moves:
-                for k in range(1, _REFINE_WINDOW + 1):
-                    delta = k * step
-                    cand = tuple(x + m * delta for x, m in zip(best[1], move))
-                    improved |= consider(cand)
+            for delta in deltas:
+                cand = tuple(map(operator.add, x, delta))
+                if cand[0] * cap.denominator > cap_units or min(cand) < 0:
+                    continue
+                v = fn.evaluate(tuple(c / D for c in cand)) + 0.0
+                if not _better(v, cand, value, x, sign):
+                    continue
+                if sum(i * c for i, c in enumerate(cand)) * lam.denominator > lam_units:
+                    continue
+                if nonvanishing_in_open_disk((Fraction(1),) + tuple(Fraction(c, D) for c in cand)):
+                    value, x, improved = v, cand, True
             if not improved:
                 break
-        history.append(best[0])
-    return best[1], best[0], history
+        history.append(value)
+    return tuple(Fraction(c, D) for c in x), value, history
 
 
 # -- public search API -----------------------------------------------------

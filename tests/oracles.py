@@ -16,11 +16,16 @@ not a tautology:
                             one, its disk condition decided by numerical
                             roots (min_root_modulus), not by the p(-1)
                             sign test the sweep and validate() apply
+  refine_by_fractions       the refinement polish with every point a tuple
+                            of Fraction, against the search's integer
+                            vectors over one denominator
 
-All arithmetic is exact rational, except for that root finder; nothing
-here imports the modules whose answers it is checking beyond the shared
-series container, the member gate validate() (for random_member), the
-root finder min_root_modulus and the search's configuration record.
+All arithmetic is exact rational, except for that root finder and the
+float objective; nothing here imports the modules whose answers it is
+checking beyond the shared series container, the member gate validate()
+(for random_member), the root finder min_root_modulus and the root gate
+(for refine_by_fractions), and the search's configuration record and
+move set.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from ucv.model import ClassMember, NonMember, validate
-from ucv.rootcheck import min_root_modulus
-from ucv.search import SearchConfig
+from ucv.rootcheck import min_root_modulus, nonvanishing_in_open_disk
+from ucv.search import _REFINE_PASSES, _REFINE_WINDOW, SearchConfig, _move_directions
 from ucv.series import TruncatedSeries
 
 
@@ -217,3 +222,46 @@ def enumerate_feasible(lam, cfg: SearchConfig | None = None) -> Iterator[tuple[F
                 continue
             if min_root_modulus((Fraction(1),) + b) >= 1 - 1e-9:
                 yield b
+
+
+# -- refinement over Fraction ---------------------------------------------
+
+
+def refine_by_fractions(lam, cfg: SearchConfig, fn, direction: str, arg, value: float):
+    """The refinement loop with Fraction points; returns (argmax, value,
+    round history) as the search's _refine does.
+
+    Each round divides the step by 10; every pass tries each move at
+    window scales 1..12 from the current incumbent and accepts a candidate
+    that stays in the box, scores strictly better (or ties and is the
+    lexicographically smaller point), keeps the budget and passes the
+    disk gate.  A round ends at the first pass with no accept.
+    """
+    lam = Fraction(lam)
+    sign = 1 if direction == "max" else -1
+    cap = 1 + lam
+    width = max(4, cfg.dims)
+    moves = [m + (0,) * (width - cfg.dims) for m in _move_directions(cfg.dims)]
+    step = cfg.grid_step
+    best, best_value = tuple(arg), value
+    history = [value]
+    for _ in range(cfg.refine_rounds):
+        step = step / 10
+        for _ in range(_REFINE_PASSES):
+            improved = False
+            for move in moves:
+                for k in range(1, _REFINE_WINDOW + 1):
+                    cand = tuple(x + m * k * step for x, m in zip(best, move))
+                    if cand[0] > cap or any(x < 0 for x in cand):
+                        continue
+                    v = fn.evaluate(tuple(float(x) for x in cand)) + 0.0
+                    if not (sign * (v - best_value) > 0 or (v == best_value and cand < best)):
+                        continue
+                    if sum(n * x for n, x in enumerate(cand)) > lam:
+                        continue
+                    if nonvanishing_in_open_disk((Fraction(1),) + cand):
+                        best, best_value, improved = cand, v, True
+            if not improved:
+                break
+        history.append(best_value)
+    return best, best_value, history

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -218,6 +219,14 @@ def test_verify_json_is_valid_and_ordered(capsys):
         "lambda", "functional", "direction", "searched",
         "closed_form", "gap", "status", "warn", "argmax",
     }
+
+
+def test_verify_grid_csv_matches_benchmark_expected(capsys):
+    # the benchmark's pinned CSV for the five-lambda grid at the defaults
+    expected = Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "verify_grid.csv"
+    code, out, _ = run(capsys, "verify", "--grid", "0.1,0.25,0.5,0.75,1", "--format", "csv")
+    assert code == EXIT_FAIL
+    assert out.encode() == expected.read_bytes()
 
 
 def test_verify_table_renders(capsys):

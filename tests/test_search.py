@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import ucv.search
-from oracles import enumerate_feasible, random_member
+from oracles import enumerate_feasible, random_member, refine_by_fractions
 from ucv.model import FUNCTIONAL_NAMES, an_functional, f_series, functional_by_name, validate
 from ucv.rootcheck import UnitPolynomial
 from ucv.search import (
@@ -21,6 +21,7 @@ from ucv.search import (
     _better,
     _move_directions,
     _optimize_detail,
+    _refine,
     _sweep,
     certificate_csv_row,
     certificate_to_dict,
@@ -358,6 +359,44 @@ def test_refinement_history_monotone():
     assert list(up.round_values) == sorted(up.round_values)
     down = _optimize_detail("H2F", F(61, 100), "min", SearchConfig(grid_step=F(1, 20)))
     assert list(down.round_values) == sorted(down.round_values, reverse=True)
+
+
+REFINE_CASES = [
+    ("H2F", "max", F(1), SearchConfig(grid_step=F(1, 20), dims=4, refine_rounds=3)),
+    # a step numerator other than 1, with a point that stays and one that moves
+    ("Z24", "min", F(3, 4), SearchConfig(grid_step=F(3, 20))),
+    ("H3F", "min", F(3, 4), SearchConfig(grid_step=F(3, 20))),
+    # lambda's denominator does not divide D: the budget cross-multiplies
+    ("A4C", "max", F(1, 3), SearchConfig(grid_step=F(1, 7))),
+    # no rounds: the coarse point comes back unchanged
+    ("H3INV", "max", F(1, 10), SearchConfig(refine_rounds=0)),
+    ("AN(6)", "max", F(1), SearchConfig(grid_step=F(1, 4), dims=5, refine_rounds=2)),
+    ("H2F", "max", F(1), SearchConfig(grid_step=F(1, 4), dims=5, refine_rounds=2)),
+]
+
+
+@pytest.mark.parametrize("name,direction,lam,cfg", REFINE_CASES, ids=lambda v: str(v))
+def test_refine_matches_fraction_reference(name, direction, lam, cfg):
+    fn = functional_by_name(name)
+    value, arg = _sweep(lam, cfg, [fn.name])[(fn.name, direction)]
+    got = _refine(lam, cfg, fn, direction, arg, value)
+    want = refine_by_fractions(lam, cfg, fn, direction, arg, value)
+    assert got == want
+    if cfg.refine_rounds == 0:
+        assert got == (arg, value, [value])
+
+
+def test_refine_exact_past_float_precision():
+    # fifteen rounds take the denominator to 50 * 10**15 > 2**53, where
+    # int64 or float64 coordinates would no longer be exact
+    cfg = SearchConfig(refine_rounds=15)
+    D = cfg.grid_step.denominator * 10**15
+    assert D > 2**53
+    c = optimize("A3", "1/2", "max", cfg)
+    assert all(D % x.denominator == 0 for x in c.argmax)
+    validate(F(1, 2), c.argmax)
+    fn = functional_by_name("A3")
+    assert c.searched_value == fn.evaluate(tuple(float(x) for x in c.argmax)) + 0.0
 
 
 def test_move_directions_shape():
