@@ -10,7 +10,10 @@ point by one exact integer comparison and computes no root.
 Every objective here is a low-degree polynomial in (b1..b4) (the
 general coefficient objective AN(n) reads b1..b_{n-1}), so the search
 is a deterministic lattice sweep followed by shrinking-step local
-refinement; no gradients, no randomness.
+refinement; no gradients, no randomness.  The sweep runs in one
+process; verify_bounds refines its rows, which are independent, on
+UCV_THREADS worker processes and collects them in row order, so the
+output is identical for any worker count.
 
 Certification compares the searched extremum against the closed-form
 bound for the class when one exists.  A certificate FAILs only if the
@@ -187,13 +190,19 @@ def _better(value: float, arg: tuple, cur_value: float, cur_arg, sign: int) -> b
     return value == cur_value and arg < cur_arg
 
 
-def _sweep_chunk(args) -> list:
-    lam, cfg, names, k_lo, k_hi = args
-    fns = [functional_by_name(nm) for nm in names]
+def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional]) -> dict:
+    """Coarse lattice sweep; returns {(name, direction): (value, arg)}.
+
+    One pass over b1 = 0..k1_max in increasing order.  Ties go to the
+    lexicographically least point, as _better breaks them: within a b1
+    slice the first hit of argmax/argmin is the least point, and a strict
+    comparison keeps the earlier slice's.
+    """
     step = cfg.grid_step
     width = _width(cfg)
     weights = tuple(range(1, cfg.dims))
     budget_units = int(lam / step)
+    k1_max = int(cfg.b1_cap(lam) / step)
     tail_list = list(_tail_units(budget_units, weights))
     tails = np.array(tail_list, dtype=np.int64).reshape((len(tail_list), cfg.dims - 1))
     ncols = tails.shape[1]
@@ -203,10 +212,10 @@ def _sweep_chunk(args) -> list:
     u1 = int(1 / step)  # floor(1/step); the comparison below is exact
     # correctly rounded lattice values, so float results match the exact
     # points regardless of step (k * float(step) can be off by one ulp)
-    lut = np.array([float(k * step) for k in range(max(budget_units, k_hi - 1) + 1)])
+    lut = np.array([float(k * step) for k in range(max(budget_units, k1_max) + 1)])
     # per functional: [max_value, max_arg, min_value, min_arg]
     best = [[-math.inf, None, math.inf, None] for _ in fns]
-    for k1 in range(k_lo, k_hi):
+    for k1 in range(k1_max + 1):
         # the point is a member iff p(-1) >= 0, that is (k1 - talt) step <= 1
         sel = np.flatnonzero((k1 - talt) <= u1)
         if not sel.size:
@@ -219,9 +228,8 @@ def _sweep_chunk(args) -> list:
         def lattice_point(row: int) -> tuple[Fraction, ...]:
             return _pad((k1 * step,) + tuple(int(t) * step for t in tails[row]), width)
 
-        for i, fn in enumerate(fns):
+        for fn, slot in zip(fns, best):
             v = fn.evaluate(bf) + 0.0  # normalize -0.0
-            slot = best[i]
             jmax = int(np.argmax(v))  # first hit = lexicographically least
             vmax = float(v[jmax])
             if vmax > slot[0]:
@@ -230,58 +238,10 @@ def _sweep_chunk(args) -> list:
             vmin = float(v[jmin])
             if vmin < slot[2]:
                 slot[2], slot[3] = vmin, lattice_point(int(sel[jmin]))
-    return best
-
-
-def _thread_count() -> int:
-    try:
-        n = int(os.environ.get("UCV_THREADS", "1"))
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def _cpu_count() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _sweep(lam: Fraction, cfg: SearchConfig, names: Sequence[str]) -> dict:
-    """Coarse lattice sweep; returns {(name, direction): (value, arg)}.
-
-    Work may be partitioned over processes by b1-slice (UCV_THREADS);
-    the merge reapplies the deterministic tie-break, so the result is
-    identical for any worker count.
-    """
-    k1_max = int(cfg.b1_cap(lam) / cfg.grid_step)
-    threads = _thread_count()
-    if threads == 1 or k1_max < 8:
-        chunks = [_sweep_chunk((lam, cfg, tuple(names), 0, k1_max + 1))]
-    else:
-        n_chunks = min(4 * threads, k1_max + 1)
-        edges = [round(i * (k1_max + 1) / n_chunks) for i in range(n_chunks + 1)]
-        jobs = [
-            (lam, cfg, tuple(names), lo, hi)
-            for lo, hi in zip(edges, edges[1:])
-            if hi > lo
-        ]
-        # fork starts every worker up front, so never more than there
-        # are jobs or CPUs this process may run on
-        workers = min(threads, len(jobs), _cpu_count())
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_sweep_chunk, jobs))
-    merged = [[-math.inf, None, math.inf, None] for _ in names]
-    for chunk in chunks:
-        for slot, part in zip(merged, chunk):
-            if part[1] is not None and _better(part[0], part[1], slot[0], slot[1], +1):
-                slot[0], slot[1] = part[0], part[1]
-            if part[3] is not None and _better(part[2], part[3], slot[2], slot[3], -1):
-                slot[2], slot[3] = part[2], part[3]
     out = {}
-    for name, slot in zip(names, merged):
-        out[(name, "max")] = (slot[0], slot[1])
-        out[(name, "min")] = (slot[2], slot[3])
+    for fn, slot in zip(fns, best):
+        out[(fn.name, "max")] = (slot[0], slot[1])
+        out[(fn.name, "min")] = (slot[2], slot[3])
     return out
 
 
@@ -384,32 +344,66 @@ def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
 # -- public search API -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OptimizeDetail:
-    certificate: BoundCertificate
-    coarse_value: float
-    round_values: tuple[float, ...]
-
-
-def _optimize_detail(fn: Union[Functional, str], lam: RationalIn, direction: str,
-                     cfg: SearchConfig | None = None) -> OptimizeDetail:
-    if direction not in ("max", "min"):
-        raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
-    fn = functional_by_name(fn) if isinstance(fn, str) else fn
-    lam = as_rational(lam)
+def _lambda_in_range(raw: RationalIn) -> Fraction:
+    lam = as_rational(raw)
     if not 0 < lam <= 1:
         raise ValueError(f"lambda must be in (0, 1], got {lam}")
-    cfg = cfg or SearchConfig()
-    coarse = _sweep(lam, cfg, [fn.name])[(fn.name, direction)]
-    arg, value, history = _refine(lam, cfg, fn, direction, coarse[1], coarse[0])
-    cert = _certificate(fn, lam, direction, value, arg)
-    return OptimizeDetail(cert, coarse[0], tuple(history))
+    return lam
+
+
+# (lambda, config, functional, direction, coarse value, coarse arg); the
+# functional goes by name when the row crosses to a worker process, since
+# a Functional holds lambdas and does not pickle
+_Row = tuple[Fraction, SearchConfig, Union[Functional, str], str, float, tuple[Fraction, ...]]
+
+
+def _certify_row(row: _Row) -> BoundCertificate:
+    """Refine one coarse incumbent and certify it against the closed form."""
+    lam, cfg, fn, direction, value, arg = row
+    fn = functional_by_name(fn) if isinstance(fn, str) else fn
+    arg, value, _ = _refine(lam, cfg, fn, direction, arg, value)
+    return _certificate(fn, lam, direction, value, arg)
+
+
+def _thread_count() -> int:
+    try:
+        n = int(os.environ.get("UCV_THREADS", "1"))
+    except ValueError:
+        n = 1
+    return max(1, n)
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _certify_rows(rows: Sequence[_Row]) -> list[BoundCertificate]:
+    """_certify_row over the rows, in order, on UCV_THREADS processes.
+
+    The rows are independent and Executor.map keeps their order, so the
+    result is identical for any worker count.  The pool starts every
+    worker up front, so never more than there are rows or CPUs this
+    process may run on.
+    """
+    workers = min(_thread_count(), len(rows), _cpu_count())
+    if workers <= 1:
+        return [_certify_row(row) for row in rows]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_certify_row, rows))
 
 
 def optimize(fn: Union[Functional, str], lam: RationalIn, direction: str,
              cfg: SearchConfig | None = None) -> BoundCertificate:
     """Grid sweep plus refinement for one (functional, direction) pair."""
-    return _optimize_detail(fn, lam, direction, cfg).certificate
+    if direction not in ("max", "min"):
+        raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
+    fn = functional_by_name(fn) if isinstance(fn, str) else fn
+    lam = _lambda_in_range(lam)
+    cfg = cfg or SearchConfig()
+    value, arg = _sweep(lam, cfg, [fn])[(fn.name, direction)]
+    return _certify_row((lam, cfg, fn, direction, value, arg))
 
 
 def verify_bounds(lambda_grid: Sequence[RationalIn], cfg: SearchConfig | None = None) -> list[BoundCertificate]:
@@ -417,22 +411,17 @@ def verify_bounds(lambda_grid: Sequence[RationalIn], cfg: SearchConfig | None = 
 
     One shared coarse sweep per lambda feeds all rows (the sweep itself is
     the pointwise never-exceed check: each incumbent dominates every
-    feasible grid point).  Row order: grid order, then functional order,
-    then max before min.
+    feasible grid point); the rows are then refined and certified by
+    _certify_rows.  Row order: grid order, then functional order, then max
+    before min.
     """
     cfg = cfg or SearchConfig()
-    certs: list[BoundCertificate] = []
-    for raw in lambda_grid:
-        lam = as_rational(raw)
-        if not 0 < lam <= 1:
-            raise ValueError(f"lambda must be in (0, 1], got {lam}")
-        incumbents = _sweep(lam, cfg, FUNCTIONAL_NAMES)
-        for fn in FUNCTIONALS:
-            for direction in ("max", "min"):
-                value, arg = incumbents[(fn.name, direction)]
-                arg2, value2, _ = _refine(lam, cfg, fn, direction, arg, value)
-                certs.append(_certificate(fn, lam, direction, value2, arg2))
-    return certs
+    rows: list[_Row] = []
+    for lam in [_lambda_in_range(raw) for raw in lambda_grid]:
+        incumbents = _sweep(lam, cfg, FUNCTIONALS)
+        rows.extend((lam, cfg, name, direction, *incumbents[(name, direction)])
+                    for name in FUNCTIONAL_NAMES for direction in ("max", "min"))
+    return _certify_rows(rows)
 
 
 def conjecture_scan(n: int, lam: RationalIn, cfg: SearchConfig | None = None) -> BoundCertificate:

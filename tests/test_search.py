@@ -20,7 +20,6 @@ from ucv.search import (
     SearchConfig,
     _better,
     _move_directions,
-    _optimize_detail,
     _refine,
     _sweep,
     certificate_csv_row,
@@ -73,52 +72,12 @@ SWEEP_GRIDS = [
 @pytest.mark.parametrize("lam,cfg", SWEEP_GRIDS, ids=lambda v: str(v))
 def test_sweep_matches_brute_force_bit_for_bit(lam, cfg):
     names = list(FUNCTIONAL_NAMES) + ["AN(5)"]
-    got = _sweep(lam, cfg, names)
+    got = _sweep(lam, cfg, [functional_by_name(n) for n in names])
     want = brute_force_sweep(lam, cfg, names)
     for key, (wv, wa) in want.items():
         gv, ga = got[key]
         assert gv == wv, (key, gv, wv)  # exact float equality, no tolerance
         assert ga == wa, (key, ga, wa)
-
-
-def test_sweep_parallel_merge_identical(monkeypatch):
-    lam, cfg = F(1), SearchConfig(grid_step=F(1, 10))
-    serial = _sweep(lam, cfg, FUNCTIONAL_NAMES)
-    monkeypatch.setenv("UCV_THREADS", "3")
-    parallel = _sweep(lam, cfg, FUNCTIONAL_NAMES)
-    assert serial == parallel
-
-
-def test_sweep_pool_capped_by_cpus_and_jobs(monkeypatch):
-    workers = []
-
-    class SerialPool:
-        """Records its worker count and maps in this process, so no
-        worker is ever started."""
-
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    lam, cfg = F(1), SearchConfig(grid_step=F(1, 10))
-    serial = _sweep(lam, cfg, FUNCTIONAL_NAMES)
-    monkeypatch.setattr(ucv.search, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(ucv.search.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setenv("UCV_THREADS", "64")
-    assert _sweep(lam, cfg, FUNCTIONAL_NAMES) == serial
-    # 21 b1 slices make 21 single-slice jobs; three CPUs bound the pool
-    assert workers == [3]
-    monkeypatch.setattr(ucv.search.os, "sched_getaffinity", lambda pid: set(range(256)))
-    _sweep(lam, cfg, FUNCTIONAL_NAMES)
-    assert workers == [3, 21]
 
 
 # -- feasible enumeration ----------------------------------------------------
@@ -354,11 +313,15 @@ def test_optimize_deterministic():
 
 
 def test_refinement_history_monotone():
-    up = _optimize_detail("A4", F(37, 100), "max", SearchConfig(grid_step=F(1, 20)))
-    assert up.round_values[0] == up.coarse_value
-    assert list(up.round_values) == sorted(up.round_values)
-    down = _optimize_detail("H2F", F(61, 100), "min", SearchConfig(grid_step=F(1, 20)))
-    assert list(down.round_values) == sorted(down.round_values, reverse=True)
+    cfg = SearchConfig(grid_step=F(1, 20))
+    a4, h2f = functional_by_name("A4"), functional_by_name("H2F")
+    coarse, arg = _sweep(F(37, 100), cfg, [a4])[("A4", "max")]
+    up = _refine(F(37, 100), cfg, a4, "max", arg, coarse)[2]
+    assert up[0] == coarse
+    assert up == sorted(up)
+    coarse, arg = _sweep(F(61, 100), cfg, [h2f])[("H2F", "min")]
+    down = _refine(F(61, 100), cfg, h2f, "min", arg, coarse)[2]
+    assert down == sorted(down, reverse=True)
 
 
 REFINE_CASES = [
@@ -378,7 +341,7 @@ REFINE_CASES = [
 @pytest.mark.parametrize("name,direction,lam,cfg", REFINE_CASES, ids=lambda v: str(v))
 def test_refine_matches_fraction_reference(name, direction, lam, cfg):
     fn = functional_by_name(name)
-    value, arg = _sweep(lam, cfg, [fn.name])[(fn.name, direction)]
+    value, arg = _sweep(lam, cfg, [fn])[(fn.name, direction)]
     got = _refine(lam, cfg, fn, direction, arg, value)
     want = refine_by_fractions(lam, cfg, fn, direction, arg, value)
     assert got == want
@@ -420,14 +383,78 @@ def test_verify_empty_grid():
     assert verify_bounds([]) == []
 
 
-def test_verify_rejects_bad_lambda():
+def test_verify_rejects_bad_lambda(serial_pool, monkeypatch):
+    monkeypatch.setenv("UCV_THREADS", "2")
     with pytest.raises(ValueError):
         verify_bounds([F(3, 2)])
+    # a bad lambda anywhere in the grid stops the run before the rows are mapped
+    with pytest.raises(ValueError):
+        verify_bounds([F(1, 2), F(3, 2)])
+    assert serial_pool == []
 
 
 def test_verify_deterministic_small():
     cfg = SearchConfig(grid_step=F(1, 20), refine_rounds=2)
     assert verify_bounds([F(1, 2)], cfg) == verify_bounds([F(1, 2)], cfg)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Swaps in a pool that records its worker count and maps in this
+    process, so no worker is ever started; returns the record."""
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, rows):
+            return map(fn, rows)
+
+    monkeypatch.setattr(ucv.search, "ProcessPoolExecutor", SerialPool)
+    return workers
+
+
+def test_verify_pool_capped_by_cpus_and_rows(serial_pool, monkeypatch):
+    cfg = SearchConfig(grid_step=F(1, 10), refine_rounds=1)
+    monkeypatch.setenv("UCV_THREADS", "1")
+    serial = verify_bounds([1], cfg)
+    assert serial_pool == []
+    monkeypatch.setattr(ucv.search.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setenv("UCV_THREADS", "64")
+    assert verify_bounds([1], cfg) == serial
+    assert serial_pool == [3]
+    # 32 rows for one lambda bound the pool when the CPUs do not
+    monkeypatch.setattr(ucv.search.os, "sched_getaffinity", lambda pid: set(range(256)))
+    assert verify_bounds([1], cfg) == serial
+    assert serial_pool == [3, 32]
+    # one row runs in this process
+    optimize("A3", 1, "max", cfg)
+    assert serial_pool == [3, 32]
+
+
+def test_verify_pool_matches_serial(monkeypatch):
+    workers = []
+
+    class RecordingPool(ucv.search.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    grid, cfg = [F(1, 4), F(1)], SearchConfig(grid_step=F(1, 10))
+    monkeypatch.setenv("UCV_THREADS", "1")
+    serial = verify_bounds(grid, cfg)
+    monkeypatch.setattr(ucv.search, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(ucv.search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("UCV_THREADS", "2")
+    assert verify_bounds(grid, cfg) == serial
+    assert workers == [2]
 
 
 # -- serialization -----------------------------------------------------------
