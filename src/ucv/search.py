@@ -24,13 +24,13 @@ reproduced at this resolution).
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -99,14 +99,21 @@ def _pad(b: tuple[Fraction, ...], width: int) -> tuple[Fraction, ...]:
     return b + (Fraction(0),) * (width - len(b))
 
 
-def _tail_units(units_left: int, weights: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    if not weights:
-        yield ()
-        return
-    w = weights[0]
-    for k in range(units_left // w + 1):
-        for rest in _tail_units(units_left - k * w, weights[1:]):
-            yield (k,) + rest
+def _tail_units(budget: int, weights: tuple[int, ...]) -> np.ndarray:
+    """Every (k_2, ..., k_dims) >= 0 with sum w_j k_j <= budget, as int64
+    rows in lexicographic order; one empty row when there are no weights.
+
+    Built from the last weight forwards: for k = 0..budget // w, k goes
+    in front of the rows of the later weights whose units fit in
+    budget - k w, which keeps the order lexicographic.
+    """
+    rows = np.zeros((1, 0), dtype=np.int64)
+    used = np.zeros(1, dtype=np.int64)
+    for w in reversed(weights):
+        fits = [(k, used <= budget - k * w) for k in range(budget // w + 1)]
+        rows = np.concatenate([np.hstack((np.full((int(m.sum()), 1), k), rows[m])) for k, m in fits])
+        used = np.concatenate([used[m] + k * w for k, m in fits])
+    return rows
 
 
 # -- certificates ----------------------------------------------------------
@@ -181,30 +188,20 @@ def certificates_to_csv(certs: Sequence[BoundCertificate]) -> str:
 # -- sweep core ------------------------------------------------------------
 
 
-def _better(value: float, arg: tuple, cur_value: float, cur_arg, sign: int) -> bool:
-    # strict improvement, or an exact tie broken toward the smaller point
-    if cur_arg is None:
-        return True
-    if sign * (value - cur_value) > 0:
-        return True
-    return value == cur_value and arg < cur_arg
-
-
 def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional]) -> dict:
     """Coarse lattice sweep; returns {(name, direction): (value, arg)}.
 
     One pass over b1 = 0..k1_max in increasing order.  Ties go to the
-    lexicographically least point, as _better breaks them: within a b1
-    slice the first hit of argmax/argmin is the least point, and a strict
-    comparison keeps the earlier slice's.
+    lexicographically least point: within a b1 slice the first hit of
+    argmax/argmin is the least point, and a strict comparison keeps the
+    earlier slice's.
     """
     step = cfg.grid_step
     width = _width(cfg)
     weights = tuple(range(1, cfg.dims))
     budget_units = int(lam / step)
     k1_max = int(cfg.b1_cap(lam) / step)
-    tail_list = list(_tail_units(budget_units, weights))
-    tails = np.array(tail_list, dtype=np.int64).reshape((len(tail_list), cfg.dims - 1))
+    tails = _tail_units(budget_units, weights)
     ncols = tails.shape[1]
     # p(-1) = 1 - b1 + b2 - b3 + ...: alternating tail sum, in step units
     signs = np.array([(-1) ** j for j in range(ncols)], dtype=np.int64)
@@ -291,54 +288,91 @@ def _move_directions(dims: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(moves))
 
 
+@functools.lru_cache(maxsize=None)
+def _delta_table(dims: int, num: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The refinement's moves in trial order, with what a pass reads of them.
+
+    Rows are m k num for each move m of _move_directions at window scales
+    k = 1..12, padded to the search width.  Per row: its budget change
+    sum i d_i, its change -d_1 + d_2 - d_3 + ... to D p(-1), and whether
+    its leading nonzero entry is negative, which is exactly x + d < x
+    lexicographically.  Built once per (dims, step numerator).
+    """
+    width = max(4, dims)
+    rows = [tuple(m * k * num for m in move) + (0,) * (width - dims)
+            for move in _move_directions(dims) for k in range(1, _REFINE_WINDOW + 1)]
+    vectors = np.array(rows, dtype=np.int64)
+    budget = vectors @ np.arange(width, dtype=np.int64)
+    alt = vectors @ np.array([(-1) ** (i + 1) for i in range(width)], dtype=np.int64)
+    lowers = np.array([next(c for c in row if c) < 0 for row in rows])
+    for a in (vectors, budget, alt, lowers):
+        a.setflags(write=False)
+    return vectors, budget, alt, lowers
+
+
 def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
             arg: tuple[Fraction, ...], value: float) -> tuple[tuple[Fraction, ...], float, list[float]]:
     """Shrinking-step local polish around the coarse incumbent.
 
-    Each round divides the step by 10 and greedily applies the move set of
-    _move_directions at window scales 1..12.  A candidate is scored first;
-    only an improving one is held to the budget and the exact root gate.
-    Returns the round value history for monotonicity checks.
+    Each round divides the step by 10 and makes up to six greedy passes
+    over the moves of _delta_table; a round ends at the first pass with
+    no accept.  Returns the round value history for monotonicity checks.
 
-    The incumbent is an int tuple x over one denominator D (the point
-    x / D).  D starts at the step's denominator and each round multiplies
-    x and D by 10, so for step = num/den a move m at scale k always adds
-    m k num.  Bounds and budget are cross-multiplied int comparisons.  The
-    result equals the same loop over Fraction: int true division is
-    correctly rounded (c / D is float(Fraction(c, D)) bit for bit), and
-    int tuples over one D order like their rationals (the tie-break of
-    _better holds).  Python ints, not int64/float64: D passes 2**53.
+    The incumbent is an int vector x over one denominator D (the point
+    x / D); each round multiplies x and D by 10.  A pass scores all its
+    remaining candidates x + d as one array and masks those that improve
+    (a better value, or an equal one at a smaller point: the lowers flag),
+    keep b1 under its cap and every coordinate >= 0, keep the budget
+    (bx + budget(d) <= floor(lambda D)) and keep D p(-1) = ax >= -alt(d).
+    With b >= 0 and budget <= lambda <= 1 that sign test is the disk
+    condition (rootcheck.nonvanishing_in_open_disk), so the gate only
+    re-checks the returned argmax, and a rejection raises.  The first hit
+    is accepted and the pass goes on from the move after it: the same
+    first-improvement order as one move at a time.  The arrays are int64
+    while 2 D + max |d| < 2**53, where float64 c / D is Python's correctly
+    rounded int true division bit for bit, and hold Python ints (dtype
+    object) past that, so the result equals the same loop over Fraction.
     """
+    if not cfg.refine_rounds:
+        return arg, value, [value]  # the sweep's point, kept by the sign test
     sign = +1 if direction == "max" else -1
     cap = cfg.b1_cap(lam)
-    num = cfg.grid_step.numerator
-    pad = (0,) * (_width(cfg) - cfg.dims)
-    deltas = tuple(tuple(m * k * num for m in move) + pad
-                   for move in _move_directions(cfg.dims) for k in range(1, _REFINE_WINDOW + 1))
+    table = _delta_table(cfg.dims, cfg.grid_step.numerator)
+    lowers = table[3]
+    n, span = len(lowers), int(np.abs(table[0]).max())
     D = cfg.grid_step.denominator
-    x = tuple(int(v * D) for v in arg)
+    x = [int(v * D) for v in arg]
     history = [value]
     for _ in range(cfg.refine_rounds):
         D *= 10
-        x = tuple(10 * c for c in x)
-        cap_units, lam_units = cap.numerator * D, lam.numerator * D
+        x = [10 * c for c in x]
+        dtype = np.int64 if 2 * D + span < 2**53 else object
+        vectors, budget, alt = (a.astype(dtype, copy=False) for a in table[:3])
+        cap_units, lam_units = cap.numerator * D // cap.denominator, lam.numerator * D // lam.denominator
+        bx = sum(i * c for i, c in enumerate(x))
+        ax = D + sum(c if i % 2 else -c for i, c in enumerate(x))
         for _ in range(_REFINE_PASSES):
-            improved = False
-            for delta in deltas:
-                cand = tuple(map(operator.add, x, delta))
-                if cand[0] * cap.denominator > cap_units or min(cand) < 0:
-                    continue
-                v = fn.evaluate(tuple(c / D for c in cand)) + 0.0
-                if not _better(v, cand, value, x, sign):
-                    continue
-                if sum(i * c for i, c in enumerate(cand)) * lam.denominator > lam_units:
-                    continue
-                if nonvanishing_in_open_disk((Fraction(1),) + tuple(Fraction(c, D) for c in cand)):
-                    value, x, improved = v, cand, True
+            pos, improved = 0, False
+            while pos < n:
+                cand = vectors[pos:] + np.array(x, dtype=dtype)
+                v = fn.evaluate(tuple(np.asarray(cand / D, dtype=float).T)) + 0.0
+                ok = (sign * (v - value) > 0) | ((v == value) & lowers[pos:])
+                ok &= (cand[:, 0] <= cap_units) & (cand >= 0).all(axis=1)
+                ok &= (bx + budget[pos:] <= lam_units) & (ax + alt[pos:] >= 0)
+                hits = np.flatnonzero(ok)
+                if not hits.size:
+                    break
+                j = int(hits[0])
+                x, value = cand[j].tolist(), float(v[j])
+                bx, ax = bx + int(budget[pos + j]), ax + int(alt[pos + j])
+                pos, improved = pos + j + 1, True
             if not improved:
                 break
         history.append(value)
-    return tuple(Fraction(c, D) for c in x), value, history
+    point = tuple(Fraction(c, D) for c in x)
+    if not nonvanishing_in_open_disk((Fraction(1),) + point):
+        raise RuntimeError(f"refined point {point} fails the disk gate")
+    return point, value, history
 
 
 # -- public search API -----------------------------------------------------

@@ -4,10 +4,12 @@ conjecture scan."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import ucv.search
@@ -18,10 +20,10 @@ from ucv.search import (
     BoundCertificate,
     CSV_HEADER,
     SearchConfig,
-    _better,
     _move_directions,
     _refine,
     _sweep,
+    _tail_units,
     certificate_csv_row,
     certificate_to_dict,
     certificates_to_csv,
@@ -40,6 +42,15 @@ F = Fraction
 def brute_force_sweep(lam, cfg, names):
     """Literal loop over enumerate_feasible with the same float conversion
     the fast path uses; any disagreement at all is a bug."""
+
+    def better(value, arg, cur_value, cur_arg, sign):
+        # strict improvement, or an exact tie broken toward the smaller point
+        if cur_arg is None:
+            return True
+        if sign * (value - cur_value) > 0:
+            return True
+        return value == cur_value and arg < cur_arg
+
     fns = [functional_by_name(n) for n in names]
     best = {(n, d): (-math.inf if d == "max" else math.inf, None) for n in names for d in ("max", "min")}
     for b in enumerate_feasible(lam, cfg):
@@ -47,10 +58,10 @@ def brute_force_sweep(lam, cfg, names):
         for fn in fns:
             v = fn.evaluate(bf) + 0.0
             cur = best[(fn.name, "max")]
-            if _better(v, b, cur[0], cur[1], +1):
+            if better(v, b, cur[0], cur[1], +1):
                 best[(fn.name, "max")] = (v, b)
             cur = best[(fn.name, "min")]
-            if _better(v, b, cur[0], cur[1], -1):
+            if better(v, b, cur[0], cur[1], -1):
                 best[(fn.name, "min")] = (v, b)
     return best
 
@@ -335,6 +346,15 @@ REFINE_CASES = [
     ("H3INV", "max", F(1, 10), SearchConfig(refine_rounds=0)),
     ("AN(6)", "max", F(1), SearchConfig(grid_step=F(1, 4), dims=5, refine_rounds=2)),
     ("H2F", "max", F(1), SearchConfig(grid_step=F(1, 4), dims=5, refine_rounds=2)),
+    # functionals that ignore coordinates, so many moves tie: A2 and G1 read
+    # b1 only (a tie toward a larger point must be refused), H3INV ignores
+    # b1 (its min moves only by ties toward the smaller point)
+    ("A2", "max", F(1, 2), SearchConfig(grid_step=F(1, 20))),
+    ("G1", "min", F(3, 4), SearchConfig(grid_step=F(3, 20))),
+    ("H3INV", "min", F(1, 4), SearchConfig(grid_step=F(1, 20))),
+    # D passes 2**53 mid-refinement: the pass moves from int64 to Python ints
+    ("A3", "max", F(1, 2), SearchConfig(refine_rounds=15)),
+    ("H2F", "max", F(1), SearchConfig(grid_step=F(1, 10), refine_rounds=15)),
 ]
 
 
@@ -360,6 +380,17 @@ def test_refine_exact_past_float_precision():
     validate(F(1, 2), c.argmax)
     fn = functional_by_name("A3")
     assert c.searched_value == fn.evaluate(tuple(float(x) for x in c.argmax)) + 0.0
+
+
+@pytest.mark.parametrize("dims", range(1, 6))
+def test_tail_units_lexicographic_lattice(dims):
+    weights = tuple(range(1, dims))
+    for budget in (0, 1, 5, 12):
+        want = [ks for ks in itertools.product(*(range(budget // w + 1) for w in weights))
+                if sum(w * k for w, k in zip(weights, ks)) <= budget]
+        got = _tail_units(budget, weights)
+        assert got.dtype == np.int64 and got.shape == (len(want), dims - 1)
+        assert got.tolist() == [list(ks) for ks in want]
 
 
 def test_move_directions_shape():
