@@ -22,6 +22,11 @@ Functionals (the FUNCTIONALS registry), all exact in the rationals:
   h2f, h3f      second/third Hankel determinants of f
   h2inv, h3inv  the same for the inverse
   z23, z24      Zalcman expressions a2 a3 - a4 and a2 a4 - a5
+
+The series route checks them independently: f by the reciprocal of
+u = z/f, A_n = [z^(n-1)] u^n / n and gamma_n = [z^n] u^n / (2n) by
+Lagrange inversion over the integer powers of d u (d = lcm of the b
+denominators); TruncatedSeries.revert is the tests' reference for it.
 """
 
 from __future__ import annotations
@@ -122,18 +127,42 @@ def f_series(member: ClassMember, order: int) -> TruncatedSeries:
     return TruncatedSeries((Fraction(0),) + rec.coeffs)
 
 
+def _denominator_powers(member: ClassMember, count: int, order: int) -> tuple[int, list[list[int]]]:
+    """(d, [P^1, ..., P^count]) truncated at z^order, where d is the lcm of
+    the b denominators and P = d u over the ints; so u^n = P^n / d^n."""
+    d = math.lcm(*(bn.denominator for bn in member.b))
+    p = ([d] + [bn.numerator * (d // bn.denominator) for bn in member.b] + [0] * order)[: order + 1]
+    terms = [(j, c) for j, c in enumerate(p) if c]
+    power, powers = [1] + [0] * order, []
+    for _ in range(count):
+        power = [sum(c * power[k - j] for j, c in terms if j <= k) for k in range(order + 1)]
+        powers.append(power)
+    return d, powers
+
+
 def inverse_series(member: ClassMember, order: int) -> TruncatedSeries:
-    """Expansion of the compositional inverse through w^order."""
-    return f_series(member, order).revert()
+    """Expansion of the compositional inverse through w^order.
+
+    Lagrange inversion: f = z/u gives A_n = [z^(n-1)] u^n / n, read off
+    the integer powers of d u."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    d, powers = _denominator_powers(member, order, order - 1)
+    return TruncatedSeries((Fraction(0),) + tuple(
+        Fraction(pn[n - 1], n * d**n) for n, pn in enumerate(powers, start=1)))
 
 
 def log_inverse_halved(member: ClassMember, order: int) -> tuple[Fraction, ...]:
     """Coefficients gamma_1..gamma_order with
-    log(f^-1(w) / w) = 2 sum_{n>=1} gamma_n w^n, via series arithmetic."""
-    g = inverse_series(member, order + 1)
-    unit = TruncatedSeries(g.coeffs[1:])  # g/w, constant term 1
-    lg = unit.log_unit()
-    return tuple(c / 2 for c in lg.coeffs[1 : order + 1])
+    log(f^-1(w) / w) = 2 sum_{n>=1} gamma_n w^n.
+
+    With g = f^-1, g/w = u(g), and Lagrange-Buermann gives
+    [w^n] log u(g) = (1/n)[z^(n-1)] u' u^(n-1) = (1/n)[z^n] u^n, so
+    gamma_n = [z^n] u^n / (2n), read off the integer powers of d u."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    d, powers = _denominator_powers(member, order, order)
+    return tuple(Fraction(pn[n], 2 * n * d**n) for n, pn in enumerate(powers, start=1))
 
 
 def u_residual(member: ClassMember, order: int) -> TruncatedSeries:

@@ -210,7 +210,7 @@ def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional]) -> dict:
     # correctly rounded lattice values, so float results match the exact
     # points regardless of step (k * float(step) can be off by one ulp)
     lut = np.array([float(k * step) for k in range(max(budget_units, k1_max) + 1)])
-    # per functional: [max_value, max_arg, min_value, min_arg]
+    # per functional: [max_value, max_at, min_value, min_at], at = (k1, tail row)
     best = [[-math.inf, None, math.inf, None] for _ in fns]
     for k1 in range(k1_max + 1):
         # the point is a member iff p(-1) >= 0, that is (k1 - talt) step <= 1
@@ -221,24 +221,25 @@ def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional]) -> dict:
         cols.extend(lut[tails[sel, j]] for j in range(ncols))
         cols.extend(np.zeros(sel.size) for _ in range(width - 1 - ncols))
         bf = tuple(cols)
-
-        def lattice_point(row: int) -> tuple[Fraction, ...]:
-            return _pad((k1 * step,) + tuple(int(t) * step for t in tails[row]), width)
-
         for fn, slot in zip(fns, best):
             v = fn.evaluate(bf) + 0.0  # normalize -0.0
             jmax = int(np.argmax(v))  # first hit = lexicographically least
             vmax = float(v[jmax])
             if vmax > slot[0]:
-                slot[0], slot[1] = vmax, lattice_point(int(sel[jmax]))
+                slot[0], slot[1] = vmax, (k1, int(sel[jmax]))
             jmin = int(np.argmin(v))
             vmin = float(v[jmin])
             if vmin < slot[2]:
-                slot[2], slot[3] = vmin, lattice_point(int(sel[jmin]))
+                slot[2], slot[3] = vmin, (k1, int(sel[jmin]))
+
+    def lattice_point(k1: int, row: int) -> tuple[Fraction, ...]:
+        return _pad((k1 * step,) + tuple(int(t) * step for t in tails[row]), width)
+
+    # the b1 = 0 slice always holds the zero point, so every slot is set
     out = {}
     for fn, slot in zip(fns, best):
-        out[(fn.name, "max")] = (slot[0], slot[1])
-        out[(fn.name, "min")] = (slot[2], slot[3])
+        out[(fn.name, "max")] = (slot[0], lattice_point(*slot[1]))
+        out[(fn.name, "min")] = (slot[2], lattice_point(*slot[3]))
     return out
 
 

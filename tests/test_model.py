@@ -24,6 +24,7 @@ from ucv.model import (
     u_residual,
     validate,
 )
+from ucv.series import TruncatedSeries
 
 F = Fraction
 
@@ -130,6 +131,30 @@ def test_closed_forms_match_series(member):
 
     a1, a2, a3, a4, a5 = fs
     assert fields("z23", "z24") == (a2 * a3 - a4, a2 * a4 - a5)
+
+
+def log_by_reversion(member, order):
+    """gamma_1..gamma_order by back-substitution reversion and log_unit."""
+    g = f_series(member, order + 1).revert()
+    return tuple(c / 2 for c in TruncatedSeries(g.coeffs[1:]).log_unit().coeffs[1 : order + 1])
+
+
+@pytest.mark.parametrize(
+    "member",
+    member_fixtures()
+    + [validate("3/4", ("1", "1/4", "1/4")),  # facet: p(-1) = 0
+       validate(1, ("1/3", "1/7", "1/11", "1/13", "1/29", "1/31"))],  # 6-entry window
+    ids=lambda m: f"lam={m.lam},b={m.b}")
+def test_lagrange_route_matches_reversion(member):
+    for n in range(1, 10):
+        assert inverse_series(member, n) == f_series(member, n).revert()
+    for n in range(0, 8):
+        assert log_inverse_halved(member, n) == log_by_reversion(member, n)
+
+
+def test_inverse_series_needs_order_one():
+    with pytest.raises(ValueError):
+        inverse_series(validate(1, (2, 1)), 0)
 
 
 @pytest.mark.parametrize("member", member_fixtures()[:12], ids=lambda m: f"lam={m.lam},b={m.b}")
