@@ -23,10 +23,11 @@ Functionals (the FUNCTIONALS registry), all exact in the rationals:
   h2inv, h3inv  the same for the inverse
   z23, z24      Zalcman expressions a2 a3 - a4 and a2 a4 - a5
 
-The series route checks them independently: f by the reciprocal of
-u = z/f, A_n = [z^(n-1)] u^n / n and gamma_n = [z^n] u^n / (2n) by
-Lagrange inversion over the integer powers of d u (d = lcm of the b
-denominators); TruncatedSeries.revert is the tests' reference for it.
+The exact layers work over the ints, on the member's integer form
+(d = lcm of the b denominators, N = d b), and build one Fraction per
+returned value: the gates compare ints, the report sums integer monomials
+of N, and the series route checks it by the reciprocal recurrence (f) and
+Lagrange inversion (A_n = [z^(n-1)] u^n / n, gamma_n = [z^n] u^n / (2n)).
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from typing import Callable, Sequence, Union
 
-from ucv.rootcheck import RationalIn, UnitPolynomial, as_rational, nonvanishing_in_open_disk
+from ucv.rootcheck import (RationalIn, UnitPolynomial, as_rational, nonvanishing_in_open_disk,
+                           over_common_denominator)
 from ucv.series import TruncatedSeries, series_from_polynomial
 
 VALIDATION_REASONS = (
@@ -63,6 +66,11 @@ class ClassMember:
 
     lam: Fraction
     b: tuple[Fraction, ...]
+
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[int, ...]]:
+        """(d, N): d the lcm of the b denominators and b = N / d."""
+        return over_common_denominator(self.b)
 
     def lemma_sum(self) -> Fraction:
         return sum(((n - 1) * bn for n, bn in enumerate(self.b, start=1)), Fraction(0))
@@ -99,17 +107,18 @@ def validate(lam: RationalIn, b: Sequence[RationalIn]) -> ClassMember:
     bs = [as_rational(x) for x in b]
     if not bs:
         raise ValueError("b must contain at least one coefficient")
-    for n, bn in enumerate(bs, start=1):
-        if bn < 0:
-            raise NonMember("negative coefficient", f"b{n}={bn}")
     while len(bs) < 4:
         bs.append(Fraction(0))
-    total = sum(((n - 1) * bn for n, bn in enumerate(bs, start=1)), Fraction(0))
-    if total > lam_q:
-        raise NonMember("lemma-sum exceeded", f"sum={total} > lambda={lam_q}")
-    if not nonvanishing_in_open_disk((Fraction(1),) + tuple(bs)):
-        raise NonMember("zero in disk")
     member = ClassMember(lam_q, tuple(bs))
+    d, ns = member.integer_form
+    for n, x in enumerate(ns, start=1):
+        if x < 0:
+            raise NonMember("negative coefficient", f"b{n}={bs[n - 1]}")
+    weighted = sum((n - 1) * x for n, x in enumerate(ns, start=1))  # d * lemma sum
+    if weighted * lam_q.denominator > lam_q.numerator * d:
+        raise NonMember("lemma-sum exceeded", f"sum={member.lemma_sum()} > lambda={lam_q}")
+    if not nonvanishing_in_open_disk((Fraction(1),) + member.b):
+        raise NonMember("zero in disk")
     # consequence of the gates, never an independent constraint
     assert 0 <= member.b1 <= 1 + lam_q, "b1 outside [0, 1+lambda] after gates"
     return member
@@ -119,19 +128,22 @@ def validate(lam: RationalIn, b: Sequence[RationalIn]) -> ClassMember:
 
 
 def f_series(member: ClassMember, order: int) -> TruncatedSeries:
-    """Taylor expansion of f = z / (1 + sum b_n z^n) through z^order."""
+    """Taylor expansion of f = z / (1 + sum b_n z^n) through z^order, by
+    Q_k = -sum_j N_j d^(j-1) Q_(k-j) over the ints and a_(k+1) = Q_k / d^k."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    den = series_from_polynomial((Fraction(1),) + member.b, order - 1)
-    rec = den.reciprocal()
-    return TruncatedSeries((Fraction(0),) + rec.coeffs)
+    d, ns = member.integer_form
+    qs = [1]
+    for k in range(1, order):
+        qs.append(-sum(x * d**j * q for j, (x, q) in enumerate(zip(ns, reversed(qs)))))
+    return TruncatedSeries((Fraction(0),) + tuple(Fraction(q, d**k) for k, q in enumerate(qs)))
 
 
 def _denominator_powers(member: ClassMember, count: int, order: int) -> tuple[int, list[list[int]]]:
-    """(d, [P^1, ..., P^count]) truncated at z^order, where d is the lcm of
-    the b denominators and P = d u over the ints; so u^n = P^n / d^n."""
-    d = math.lcm(*(bn.denominator for bn in member.b))
-    p = ([d] + [bn.numerator * (d // bn.denominator) for bn in member.b] + [0] * order)[: order + 1]
+    """(d, [P^1, ..., P^count]) truncated at z^order, where P = d u over
+    the ints, from the member's integer form; so u^n = P^n / d^n."""
+    d, ns = member.integer_form
+    p = ([d, *ns] + [0] * order)[: order + 1]
     terms = [(j, c) for j, c in enumerate(p) if c]
     power, powers = [1] + [0] * order, []
     for _ in range(count):
@@ -188,13 +200,13 @@ _ZERO = Fraction(0)
 class Functional:
     """One coefficient functional of f as a polynomial in (b1, b2, ...).
 
-    `evaluate` is ring generic: the same expression gives the exact report
-    value on Fraction coordinates and the search objective on floats and
-    numpy arrays.  It avoids `**`, so equal rationals give bit-equal
-    floats on the scalar and the vectorised route.  `name` is the search
-    and CSV name, `field` the CoefficientReport field (None for AN(n)),
-    and `bounds(lam)` the class's closed-form (max, min), None in a
-    direction with no known closed form.
+    `evaluate` is ring generic: run once over _Polynomial it yields the
+    monomials of the exact report, and on floats and numpy arrays it is
+    the search objective.  It avoids `**`, so equal rationals give
+    bit-equal floats on the scalar and the vectorised route.  `name` is
+    the search and CSV name, `field` the CoefficientReport field (None
+    for AN(n)), and `bounds(lam)` the class's closed-form (max, min),
+    None in a direction with no known closed form.
     """
 
     name: str
@@ -322,6 +334,38 @@ REPORT_FIELDS = (
 )
 
 
+class _Polynomial(dict):
+    """{exponent tuple over b1..b4: Fraction} with the operations the
+    registry's `evaluate` uses, so evaluating it yields the monomials."""
+
+    def __add__(self, other):
+        return _Polynomial({e: self.get(e, 0) + other.get(e, 0) for e in {*self, *other}})
+
+    def __mul__(self, other):
+        if not isinstance(other, _Polynomial):  # a number
+            return _Polynomial({e: c * other for e, c in self.items()})
+        return sum((_Polynomial({tuple(map(sum, zip(e, f))): c * k for f, k in other.items()})
+                    for e, c in self.items()), _Polynomial())
+
+    __rmul__ = __mul__
+    __neg__ = lambda self: self * -1
+    __sub__ = lambda self, other: self + -other
+    __truediv__ = lambda self, k: self * Fraction(1, k)
+
+
+def _integer_monomials(fn: Functional) -> tuple[int, int, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """(L, deg, terms) with fn(N / d) = sum c d^e0 N^e / (L d^deg) over the
+    terms (c, (e0, e)), each of total degree deg."""
+    poly = fn.evaluate([_Polynomial({tuple(int(i == j) for j in range(4)): Fraction(1)}) for i in range(4)])
+    deg, lcm = max(map(sum, poly)), math.lcm(*(c.denominator for c in poly.values()))
+    return lcm, deg, tuple((int(c * lcm), (deg - sum(e),) + e) for e, c in poly.items() if c)
+
+
+@cache  # derived on the first report, so importing and searching never pay for it
+def _report_terms() -> tuple:
+    return tuple((fn.field, *_integer_monomials(fn)) for fn in FUNCTIONALS)
+
+
 @dataclass(frozen=True)
 class CoefficientReport:
     """All sixteen functional values of one member, exact, by report field."""
@@ -332,7 +376,14 @@ class CoefficientReport:
 
     @classmethod
     def from_member(cls, member: ClassMember) -> "CoefficientReport":
-        return cls(member.lam, member.b, {fn.field: fn.evaluate(member.b) for fn in FUNCTIONALS})
+        """Each field's integer monomials on the member's integer form."""
+        d, ns = member.integer_form
+        p0, p1, p2, p3, p4 = ([x**k for k in range(5)] for x in (d, *ns[:4]))  # degree <= 4
+        values = {}
+        for field, lcm, deg, terms in _report_terms():
+            num = sum(c * p0[e0] * p1[e1] * p2[e2] * p3[e3] * p4[e4] for c, (e0, e1, e2, e3, e4) in terms)
+            values[field] = Fraction(num, lcm * p0[deg])
+        return cls(member.lam, member.b, values)
 
     def value(self, field: str) -> Fraction:
         return self.values[field]

@@ -7,7 +7,8 @@ sharp extremal denominators all have one).
 When the tail budget sum_{n>=2} (n-1)|p_n| is at most 1 the answer is
 exact: p has no zero in the open disk iff p(-1) >= 0 and p(1) >= 0 (the
 proof is at nonvanishing_in_open_disk).  Every denominator of the class
-has such a budget, so membership never reaches a root finder.
+has such a budget, so membership never reaches a root finder, and the
+test compares ints: the coefficients' numerators over their lcm.
 
 Any other polynomial is decided as min |root| >= 1 - 1e-9, with a small
 one-sided tolerance.  Method: companion-matrix eigenvalues (numpy.roots)
@@ -56,6 +57,12 @@ def as_rational(value: RationalIn) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot widen {type(value).__name__} to an exact rational")
+
+
+def over_common_denominator(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(d, N): d the lcm of the denominators and N_i = d values_i."""
+    d = math.lcm(*(q.denominator for q in values))
+    return d, tuple(q.numerator * (d // q.denominator) for q in values)
 
 
 @dataclass(frozen=True)
@@ -268,14 +275,14 @@ def nonvanishing_in_open_disk(p: Union[UnitPolynomial, Sequence[RationalIn]]) ->
     p > 0 on both.
     """
     up = _as_unit(p)
-    cs = list(up.coeffs)
+    d, ns = over_common_denominator(up.coeffs)  # ns = d p with d > 0
     # nonnegative coefficients summing to <= 1 keep |p(z) - 1| < 1 inside
-    if all(c >= 0 for c in cs) and sum(cs[1:]) <= 1:
+    if min(ns) >= 0 and sum(ns[1:]) <= d:
         return True
     # p(0) = 1 > 0, so a negative value at either end of (-1, 1) forces a
     # real root strictly inside the disk
-    if _eval_at(cs, 1) < 0 or _eval_at(cs, -1) < 0:
+    if sum(ns) < 0 or sum(ns[0::2]) < sum(ns[1::2]):
         return False
-    if sum((n - 1) * abs(c) for n, c in enumerate(cs[2:], start=2)) <= 1:
+    if sum((n - 1) * abs(c) for n, c in enumerate(ns[2:], start=2)) <= d:
         return True
     return min_root_modulus(up) >= 1.0 - _TOL

@@ -11,6 +11,9 @@ not a tautology:
                             fed with series-route Taylor coefficients
   inside_unit_count         exact zero count in the open unit disk by the
                             Schur-Cohn reduction over Fractions
+  sign_test_by_fractions    the disk gate's exact decisions (positive sum,
+                            signs of p(+-1), tail budget) over Fraction,
+                            against the gate's integer numerators
   random_member             seeded rejection sampler over the feasible set
   enumerate_feasible        every lattice point the sweep visits, one by
                             one, its disk condition decided by numerical
@@ -150,6 +153,21 @@ def inside_unit_count(coeffs: Sequence) -> int:
         except SchurCohnSingular:
             continue
     raise SchurCohnSingular("all rescales degenerate")
+
+
+def sign_test_by_fractions(coeffs: Sequence) -> bool | None:
+    """The disk gate's exact decisions for 1 + p_1 z + ..., over Fraction:
+    True for nonnegative coefficients summing to <= 1, False when p(1) < 0
+    or p(-1) < 0, True when sum_{n>=2} (n-1)|p_n| <= 1, and None where the
+    gate goes on to the root finder."""
+    cs = [Fraction(c) for c in coeffs]
+    if all(c >= 0 for c in cs) and sum(cs[1:]) <= 1:
+        return True
+    if sum(cs) < 0 or sum(c * (-1) ** k for k, c in enumerate(cs)) < 0:
+        return False
+    if sum((n - 1) * abs(c) for n, c in enumerate(cs[2:], start=2)) <= 1:
+        return True
+    return None
 
 
 # -- random members --------------------------------------------------------

@@ -109,6 +109,20 @@ def test_report_nonmember_exit(capsys):
     assert "zero in disk" in err
 
 
+@pytest.mark.parametrize(
+    "lam,b,message",
+    [
+        ("1", "1/3,-1/8", "non-member: negative coefficient: b2=-1/8\n"),
+        ("1/3", "1,1/2,0,1/9", "non-member: lemma-sum exceeded: sum=5/6 > lambda=1/3\n"),
+        ("0.2", "0.1,0.3,0.1", "non-member: lemma-sum exceeded: sum=1/2 > lambda=1/5\n"),
+        ("1/2", "3/2,1/4", "non-member: zero in disk\n"),
+    ],
+)
+def test_report_nonmember_messages_are_pinned(capsys, lam, b, message):
+    code, out, err = run(capsys, "report", "--lambda", lam, "--b", b)
+    assert (code, out, err) == (EXIT_NONMEMBER, "", message)
+
+
 def test_report_lambda_out_of_range_is_nonmember(capsys):
     code, _, err = run(capsys, "report", "--lambda", "1.5", "--b", "0")
     assert code == EXIT_NONMEMBER

@@ -7,9 +7,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import hankel2_from, hankel3_from, random_member
+from oracles import hankel2_from, hankel3_from, random_member, reciprocal_by_geometric
 from ucv.model import (
+    _report_terms,
     CATALOG_NAMES,
     FUNCTIONALS,
     REPORT_FIELDS,
@@ -24,7 +27,7 @@ from ucv.model import (
     u_residual,
     validate,
 )
-from ucv.series import TruncatedSeries
+from ucv.series import TruncatedSeries, series_from_polynomial
 
 F = Fraction
 
@@ -72,6 +75,16 @@ def test_lemma_sum_rejected():
 def test_zero_in_disk_rejected():
     with pytest.raises(NonMember, match="zero in disk"):
         validate(F(1, 2), (F(3, 2), F(1, 4)))
+
+
+def test_budget_boundary_is_exact_over_mixed_denominators():
+    # 1/2 + 2 (1/12) + 3 (1/18) = 5/6 exactly: on the budget
+    b = (F(1, 7), F(1, 2), F(1, 12), F(1, 18))
+    m = validate(F(5, 6), b)
+    assert m.lemma_sum() == F(5, 6)
+    assert m.integer_form == (252, (36, 126, 21, 14))
+    with pytest.raises(NonMember, match="lemma-sum exceeded"):
+        validate(F(5, 6) - F(1, 10**12), b)
 
 
 def test_boundary_roots_admitted():
@@ -133,18 +146,75 @@ def test_closed_forms_match_series(member):
     assert fields("z23", "z24") == (a2 * a3 - a4, a2 * a4 - a5)
 
 
+FACET_MEMBER = validate("3/4", ("1", "1/4", "1/4"))  # p(-1) = 0
+WINDOW6_MEMBER = validate(1, ("1/3", "1/7", "1/11", "1/13", "1/29", "1/31"))
+ROUTE_MEMBERS = member_fixtures() + [FACET_MEMBER, WINDOW6_MEMBER]
+LARGE_PRIMES = (10007, 65537, 999983, 1000003, 2147483647, 2305843009213693951)
+
+
+@st.composite
+def coprime_members(draw):
+    """Members whose b_n have large, pairwise coprime denominators, so d is
+    their product; b_n <= 1/16 keeps the budget <= 15/16 < lambda = 1 and
+    the coefficient sum <= 1, so every draw is a member."""
+    dens = draw(st.permutations(LARGE_PRIMES))
+    size = draw(st.integers(min_value=4, max_value=6))
+    return validate(1, [F(draw(st.integers(min_value=0, max_value=q // 16)), q) for q in dens[:size]])
+
+
+def _check_report_against_registry(member):
+    rep = CoefficientReport.from_member(member)
+    for fn in FUNCTIONALS:
+        assert rep.value(fn.field) == fn.evaluate(member.b), fn.name
+
+
+def _check_f_series_against_reciprocals(member):
+    for n in range(1, 10):
+        den = series_from_polynomial((F(1),) + member.b, n - 1)
+        want = (F(0),) + den.reciprocal().coeffs
+        assert (F(0),) + reciprocal_by_geometric(den).coeffs == want
+        assert f_series(member, n).coeffs == want
+
+
+@pytest.mark.parametrize("member", ROUTE_MEMBERS, ids=lambda m: f"lam={m.lam},b={m.b}")
+def test_integer_report_matches_registry_over_fractions(member):
+    _check_report_against_registry(member)
+
+
+@pytest.mark.parametrize("member", ROUTE_MEMBERS, ids=lambda m: f"lam={m.lam},b={m.b}")
+def test_integer_f_series_matches_reciprocal(member):
+    # orders 1..9 include every order below the 6-entry window's length
+    _check_f_series_against_reciprocals(member)
+
+
+@settings(deadline=None, max_examples=60)
+@given(coprime_members())
+def test_integer_routes_on_large_coprime_denominators(member):
+    d, ns = member.integer_form
+    assert all(F(x, d) == bn for x, bn in zip(ns, member.b))
+    _check_report_against_registry(member)
+    _check_f_series_against_reciprocals(member)
+
+
+def test_derived_monomials_reproduce_evaluate():
+    rng = random.Random(5)
+    points = [tuple(F(rng.randrange(-60, 61), rng.randrange(1, 50)) for _ in range(4)) for _ in range(30)]
+    assert [field for field, *_ in _report_terms()] == [fn.field for fn in FUNCTIONALS]
+    for fn, (_, lcm, deg, terms) in zip(FUNCTIONALS, _report_terms()):
+        assert terms and all(e[0] >= 0 and sum(e) == deg for _, e in terms), fn.name
+        for x in points:
+            value = sum(F(c, lcm) * x[0] ** e1 * x[1] ** e2 * x[2] ** e3 * x[3] ** e4
+                        for c, (_, e1, e2, e3, e4) in terms)
+            assert value == fn.evaluate(x), (fn.name, x)
+
+
 def log_by_reversion(member, order):
     """gamma_1..gamma_order by back-substitution reversion and log_unit."""
     g = f_series(member, order + 1).revert()
     return tuple(c / 2 for c in TruncatedSeries(g.coeffs[1:]).log_unit().coeffs[1 : order + 1])
 
 
-@pytest.mark.parametrize(
-    "member",
-    member_fixtures()
-    + [validate("3/4", ("1", "1/4", "1/4")),  # facet: p(-1) = 0
-       validate(1, ("1/3", "1/7", "1/11", "1/13", "1/29", "1/31"))],  # 6-entry window
-    ids=lambda m: f"lam={m.lam},b={m.b}")
+@pytest.mark.parametrize("member", ROUTE_MEMBERS, ids=lambda m: f"lam={m.lam},b={m.b}")
 def test_lagrange_route_matches_reversion(member):
     for n in range(1, 10):
         assert inverse_series(member, n) == f_series(member, n).revert()

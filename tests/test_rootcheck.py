@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import inside_unit_count
+from oracles import inside_unit_count, sign_test_by_fractions
 from ucv.rootcheck import UnitPolynomial, min_root_modulus, nonvanishing_in_open_disk
 
 F = Fraction
@@ -189,3 +189,69 @@ def test_scaling_moves_the_minimum():
             continue
         scaled = [c / F(2) ** k for k, c in enumerate(coeffs)]
         assert min_root_modulus(scaled) == pytest.approx(2 * m, rel=1e-9)
+
+
+# -- the integer sign test against its Fraction reference ---------------------
+
+mixed_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=97)
+
+
+@st.composite
+def sign_test_polynomials(draw):
+    """1 + b1 z + ... with signed b of mixed denominators, often on the
+    boundary of one of the gate's integer comparisons: tail budget exactly
+    1, coefficient sum exactly 1, p(-1) = 0 or p(1) = 0."""
+    deg = draw(st.integers(min_value=1, max_value=7))
+    tail = draw(st.lists(mixed_fraction, min_size=deg - 1, max_size=deg - 1))
+    edge = draw(st.sampled_from(("free", "sum", "p(-1)", "p(1)")))
+    if edge == "sum":
+        tail = [abs(c) for c in tail]
+    budget = sum((n - 1) * abs(c) for n, c in enumerate(tail, start=2))
+    if budget and (edge == "sum" or draw(st.booleans())):
+        tail = [c / budget for c in tail]
+    if edge == "sum":  # the tail sums to <= its budget = 1
+        b1 = 1 - sum(tail)
+    elif edge == "p(-1)":
+        b1 = 1 + sum((-1) ** n * c for n, c in enumerate(tail, start=2))
+    elif edge == "p(1)":
+        b1 = -(1 + sum(tail))
+    else:
+        b1 = draw(mixed_fraction)
+    return [F(1), b1] + tail
+
+
+@settings(deadline=None, max_examples=400)
+@given(sign_test_polynomials())
+def test_integer_gate_matches_fraction_sign_test(coeffs):
+    expected = sign_test_by_fractions(coeffs)
+    if expected is None:
+        expected = min_root_modulus(coeffs) >= 1 - 1e-9
+    assert nonvanishing_in_open_disk(coeffs) == expected
+
+
+EPS = F(1, 10**12)
+
+
+@pytest.mark.parametrize(
+    "coeffs,expected",
+    [
+        # nonnegative, coefficient sum exactly 1, tail budget 7/3 and p(-1) = 0
+        ([1, F(1, 4), 0, F(1, 3), 0, F(5, 12)], True),
+        # p(-1) = 0 with tail budget 3/7 + 2 (2/7) = 1 exactly, and just past p(-1) = 0
+        ([1, F(12, 7), F(3, 7), F(-2, 7)], True),
+        ([1, F(12, 7) + EPS, F(3, 7), F(-2, 7)], False),
+        # p(1) = 0 with tail budget 1/3 + 2 (1/3) = 1 exactly, and just past p(1) = 0
+        ([1, -1, F(-1, 3), F(1, 3)], True),
+        ([1, -1 - EPS, F(-1, 3), F(1, 3)], False),
+        # both ends positive, tail budget exactly 1 with mixed denominators
+        ([1, F(1, 5), F(-1, 2), F(1, 12), F(1, 9)], True),
+    ],
+)
+def test_sign_test_boundaries(monkeypatch, coeffs, expected):
+    assert sign_test_by_fractions(coeffs) is expected
+    # each case is decided by an integer comparison, never by roots
+    monkeypatch.setattr("ucv.rootcheck.min_root_modulus", lambda p: pytest.fail("root finder reached"))
+    assert nonvanishing_in_open_disk(coeffs) is expected
+    quotient = _divide_out_unit_roots(coeffs)
+    if _away_from_circle(quotient):
+        assert (inside_unit_count(quotient) == 0) is expected
