@@ -117,7 +117,7 @@ def validate(lam: RationalIn, b: Sequence[RationalIn]) -> ClassMember:
     weighted = sum((n - 1) * x for n, x in enumerate(ns, start=1))  # d * lemma sum
     if weighted * lam_q.denominator > lam_q.numerator * d:
         raise NonMember("lemma-sum exceeded", f"sum={member.lemma_sum()} > lambda={lam_q}")
-    if not nonvanishing_in_open_disk((Fraction(1),) + member.b):
+    if not nonvanishing_in_open_disk((Fraction(1),) + member.b, (d, (d, *ns))):
         raise NonMember("zero in disk")
     # consequence of the gates, never an independent constraint
     assert 0 <= member.b1 <= 1 + lam_q, "b1 outside [0, 1+lambda] after gates"
@@ -140,23 +140,28 @@ def f_series(member: ClassMember, order: int) -> TruncatedSeries:
 
 
 def _denominator_powers(member: ClassMember, count: int, order: int) -> tuple[int, list[list[int]]]:
-    """(d, [P^1, ..., P^count]) truncated at z^order, where P = d u over
-    the ints, from the member's integer form; so u^n = P^n / d^n."""
+    """(d, [P^1, ..., P^count]) through at least z^order, where P = d u over
+    the ints, from the member's integer form; so u^n = P^n / d^n.  The rows
+    are kept on the member and regrown only for a larger count or order:
+    a truncation is exact, so no value depends on the order of the calls."""
     d, ns = member.integer_form
-    p = ([d, *ns] + [0] * order)[: order + 1]
-    terms = [(j, c) for j, c in enumerate(p) if c]
-    power, powers = [1] + [0] * order, []
-    for _ in range(count):
-        power = [sum(c * power[k - j] for j, c in terms if j <= k) for k in range(order + 1)]
-        powers.append(power)
-    return d, powers
+    powers = getattr(member, "_powers", [[]])
+    if len(powers) < count or len(powers[0]) <= order:
+        count, top = max(count, len(powers)), max(order, len(powers[0]) - 1)
+        terms = [(j, c) for j, c in enumerate([d, *ns][: top + 1]) if c]
+        power, powers = [1] + [0] * top, []
+        for _ in range(count):
+            power = [sum(c * power[k - j] for j, c in terms if j <= k) for k in range(top + 1)]
+            powers.append(power)
+        object.__setattr__(member, "_powers", powers)
+    return d, powers[:count]
 
 
 def inverse_series(member: ClassMember, order: int) -> TruncatedSeries:
     """Expansion of the compositional inverse through w^order.
 
     Lagrange inversion: f = z/u gives A_n = [z^(n-1)] u^n / n, read off
-    the integer powers of d u."""
+    the integer powers of d u that log_inverse_halved shares."""
     if order < 1:
         raise ValueError("order must be >= 1")
     d, powers = _denominator_powers(member, order, order - 1)
@@ -170,7 +175,8 @@ def log_inverse_halved(member: ClassMember, order: int) -> tuple[Fraction, ...]:
 
     With g = f^-1, g/w = u(g), and Lagrange-Buermann gives
     [w^n] log u(g) = (1/n)[z^(n-1)] u' u^(n-1) = (1/n)[z^n] u^n, so
-    gamma_n = [z^n] u^n / (2n), read off the integer powers of d u."""
+    gamma_n = [z^n] u^n / (2n), read off the integer powers of d u that
+    inverse_series shares."""
     if order < 0:
         raise ValueError("order must be >= 0")
     d, powers = _denominator_powers(member, order, order)

@@ -257,10 +257,13 @@ def min_root_modulus(p: Union[UnitPolynomial, Sequence[RationalIn]]) -> float:
     return m
 
 
-def nonvanishing_in_open_disk(p: Union[UnitPolynomial, Sequence[RationalIn]]) -> bool:
+def nonvanishing_in_open_disk(p: Union[UnitPolynomial, Sequence[RationalIn]],
+                              lifted: tuple[int, tuple[int, ...]] | None = None) -> bool:
     """True when p has no zero in the open unit disk; zeros on the circle
     pass.  Exact when the tail budget sum_{n>=2} (n-1)|p_n| is <= 1, as on
-    every class denominator; otherwise min |root| >= 1 - 1e-9.
+    every class denominator; otherwise min |root| >= 1 - 1e-9.  A caller
+    that holds p as ints passes lifted = (d, N), any d > 0 with N = d p,
+    and saves re-reading p; p itself is then read only by the root finder.
 
     Theorem (the argument of L. A. Aksent'ev's univalence criterion,
     1958): with tail budget <= 1, p has no zero in |z| < 1 iff p(-1) >= 0
@@ -274,8 +277,7 @@ def nonvanishing_in_open_disk(p: Union[UnitPolynomial, Sequence[RationalIn]]) ->
     so p(x)/x < -p(-1) <= 0 on (-1, 0) and p(x)/x > p(1) >= 0 on (0, 1):
     p > 0 on both.
     """
-    up = _as_unit(p)
-    d, ns = over_common_denominator(up.coeffs)  # ns = d p with d > 0
+    d, ns = lifted or over_common_denominator(_as_unit(p).coeffs)  # ns = d p with d > 0
     # nonnegative coefficients summing to <= 1 keep |p(z) - 1| < 1 inside
     if min(ns) >= 0 and sum(ns[1:]) <= d:
         return True
@@ -285,4 +287,4 @@ def nonvanishing_in_open_disk(p: Union[UnitPolynomial, Sequence[RationalIn]]) ->
         return False
     if sum((n - 1) * abs(c) for n, c in enumerate(ns[2:], start=2)) <= d:
         return True
-    return min_root_modulus(up) >= 1.0 - _TOL
+    return min_root_modulus(p) >= 1.0 - _TOL

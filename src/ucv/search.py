@@ -51,6 +51,7 @@ from ucv.rootcheck import RationalIn, as_rational, nonvanishing_in_open_disk
 FAIL_SLACK = 1e-7
 WARN_GAP = 5e-3
 
+_SWEEP_BLOCK = 2**14  # lattice points the sweep scores per block of b1 slices
 _REFINE_WINDOW = 12
 _REFINE_PASSES = 6
 
@@ -188,13 +189,20 @@ def certificates_to_csv(certs: Sequence[BoundCertificate]) -> str:
 # -- sweep core ------------------------------------------------------------
 
 
+def _grid_values(step: Fraction, count: int) -> np.ndarray:
+    # float(k * step) bit for bit: int true division rounds correctly, k * float(step) can be an ulp off
+    return np.array([k * step.numerator / step.denominator for k in range(count)])
+
+
 def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional]) -> dict:
     """Coarse lattice sweep; returns {(name, direction): (value, arg)}.
 
-    One pass over b1 = 0..k1_max in increasing order.  Ties go to the
-    lexicographically least point: within a b1 slice the first hit of
-    argmax/argmin is the least point, and a strict comparison keeps the
-    earlier slice's.
+    b1 = 0..k1_max goes in blocks of consecutive slices, about _SWEEP_BLOCK
+    points each, scored by one evaluate, argmax and argmin per functional.
+    np.flatnonzero of a block's (k1, tail row) mask lists its points
+    k1-major, tails in lexicographic order: its slices end to end.  Ties go
+    to the least point: a block's first argmax/argmin hit is its least, and
+    a strict comparison keeps the earlier block's.
     """
     step = cfg.grid_step
     width = _width(cfg)
@@ -207,30 +215,29 @@ def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional]) -> dict:
     signs = np.array([(-1) ** j for j in range(ncols)], dtype=np.int64)
     talt = tails @ signs
     u1 = int(1 / step)  # floor(1/step); the comparison below is exact
-    # correctly rounded lattice values, so float results match the exact
-    # points regardless of step (k * float(step) can be off by one ulp)
-    lut = np.array([float(k * step) for k in range(max(budget_units, k1_max) + 1)])
+    lut = _grid_values(step, max(budget_units, k1_max) + 1)
+    tail_cols = [lut[tails[:, j]] for j in range(ncols)]
+    per = max(1, _SWEEP_BLOCK // len(tails))
     # per functional: [max_value, max_at, min_value, min_at], at = (k1, tail row)
     best = [[-math.inf, None, math.inf, None] for _ in fns]
-    for k1 in range(k1_max + 1):
+    for k0 in range(0, k1_max + 1, per):
+        ks = np.arange(k0, min(k0 + per, k1_max + 1))
         # the point is a member iff p(-1) >= 0, that is (k1 - talt) step <= 1
-        sel = np.flatnonzero((k1 - talt) <= u1)
-        if not sel.size:
+        at = np.flatnonzero((ks[:, None] - talt) <= u1)
+        if not at.size:
             continue
-        cols = [np.full(sel.size, lut[k1])]
-        cols.extend(lut[tails[sel, j]] for j in range(ncols))
-        cols.extend(np.zeros(sel.size) for _ in range(width - 1 - ncols))
-        bf = tuple(cols)
+        kk, rows = at // len(tails) + k0, at % len(tails)
+        bf = (lut[kk], *(c[rows] for c in tail_cols), *(np.zeros(kk.size),) * (width - 1 - ncols))
         for fn, slot in zip(fns, best):
             v = fn.evaluate(bf) + 0.0  # normalize -0.0
             jmax = int(np.argmax(v))  # first hit = lexicographically least
             vmax = float(v[jmax])
             if vmax > slot[0]:
-                slot[0], slot[1] = vmax, (k1, int(sel[jmax]))
+                slot[0], slot[1] = vmax, (int(kk[jmax]), int(rows[jmax]))
             jmin = int(np.argmin(v))
             vmin = float(v[jmin])
             if vmin < slot[2]:
-                slot[2], slot[3] = vmin, (k1, int(sel[jmin]))
+                slot[2], slot[3] = vmin, (int(kk[jmin]), int(rows[jmin]))
 
     def lattice_point(k1: int, row: int) -> tuple[Fraction, ...]:
         return _pad((k1 * step,) + tuple(int(t) * step for t in tails[row]), width)

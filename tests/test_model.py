@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ucv.model
+import ucv.rootcheck
 from oracles import hankel2_from, hankel3_from, random_member, reciprocal_by_geometric
 from ucv.model import (
     _report_terms,
@@ -27,6 +29,7 @@ from ucv.model import (
     u_residual,
     validate,
 )
+from ucv.rootcheck import nonvanishing_in_open_disk
 from ucv.series import TruncatedSeries, series_from_polynomial
 
 F = Fraction
@@ -220,6 +223,96 @@ def test_lagrange_route_matches_reversion(member):
         assert inverse_series(member, n) == f_series(member, n).revert()
     for n in range(0, 8):
         assert log_inverse_halved(member, n) == log_by_reversion(member, n)
+
+
+POWER_CALL_ORDERS = {
+    "inverse first": [("inv", 5), ("log", 3), ("inv", 2), ("log", 6), ("inv", 7), ("log", 0)],
+    "log first": [("log", 3), ("inv", 5), ("log", 6), ("inv", 1), ("inv", 7)],
+    "descending": [("inv", 7), ("log", 6), ("inv", 3), ("log", 1), ("log", 0)],
+    "ascending": [(kind, n) for n in range(1, 8) for kind in ("log", "inv")],
+}
+
+
+@pytest.mark.parametrize("member", ROUTE_MEMBERS, ids=lambda m: f"lam={m.lam},b={m.b}")
+def test_shared_powers_do_not_depend_on_call_order(member):
+    # each order starts from a fresh member, so its power rows are built
+    # by the first call and regrown by the calls after it
+    want = {("inv", n): f_series(member, n).revert() for n in range(1, 8)}
+    want.update({("log", n): log_by_reversion(member, n) for n in range(0, 8)})
+    route = {"inv": inverse_series, "log": log_inverse_halved}
+    for calls in POWER_CALL_ORDERS.values():
+        fresh = ClassMember(member.lam, member.b)
+        for kind, n in calls:
+            assert route[kind](fresh, n) == want[(kind, n)], (calls, kind, n)
+
+
+def test_exact_route_builds_one_set_of_powers(monkeypatch):
+    # the report's pair, A through w^5 then gamma through w^3, needs
+    # P^1..P^5 to z^4 and P^1..P^3 to z^3: one pass of five rows
+    member = ClassMember(F(1, 2), (F(1, 3), F(1, 5), F(1, 7), F(0)))
+    passes = []
+    real = ucv.model._denominator_powers
+
+    def counted(m, count, order):
+        before = getattr(m, "_powers", None)
+        out = real(m, count, order)
+        passes.append(getattr(m, "_powers") is not before)
+        return out
+
+    monkeypatch.setattr(ucv.model, "_denominator_powers", counted)
+    inverse_series(member, 5)
+    log_inverse_halved(member, 3)
+    assert passes == [True, False]
+    assert [len(row) for row in member._powers] == [5] * 5
+
+
+def _gate_cases():
+    """(lam, b) pairs: every route member, and non-members of each kind
+    validate rejects (negative coefficient, lemma sum, zero in disk)."""
+    cases = [(m.lam, m.b) for m in ROUTE_MEMBERS]
+    cases += [(F(1), (F(1), F(-1, 8))), (F(1, 2), (F(0), F(1))), (F(1), (F(0), F(0), F(0), F(1, 2))),
+              (F(1, 2), (F(3, 2), F(1, 4))), (F(1), (F(3),))]
+    rng = random.Random(17)
+    for _ in range(300):
+        size = rng.randint(1, 6)
+        cases.append((F(1), tuple(F(rng.randint(-4, 12), rng.randint(1, 12)) for _ in range(size))))
+    return cases
+
+
+def test_gate_verdict_from_the_cached_integer_form():
+    reasons = set()
+    for lam, b in _gate_cases():
+        b = tuple(b) + (F(0),) * (4 - len(b))
+        d, ns = ClassMember(lam, b).integer_form
+        coeffs = (F(1),) + b
+        verdict = nonvanishing_in_open_disk(coeffs)
+        assert nonvanishing_in_open_disk(coeffs, (d, (d, *ns))) == verdict, b
+        # any positive common denominator, not only the lcm
+        assert nonvanishing_in_open_disk(coeffs, (3 * d, (3 * d, *(3 * x for x in ns)))) == verdict, b
+        try:
+            validate(lam, b)
+        except NonMember as exc:
+            reasons.add(exc.reason)
+    assert reasons == {"negative coefficient", "lemma-sum exceeded", "zero in disk"}
+
+
+def test_validate_lifts_a_member_once(monkeypatch):
+    calls = []
+    real = ucv.rootcheck.over_common_denominator
+
+    def counted(values):
+        calls.append(values)
+        return real(values)
+
+    monkeypatch.setattr(ucv.model, "over_common_denominator", counted)
+    monkeypatch.setattr(ucv.rootcheck, "over_common_denominator", counted)
+    for lam, b in [(F(1), (F(2), F(1))), (F(3, 4), (F(1), F(1, 4), F(1, 4))), (F(1, 2), (F(3, 2), F(1, 4)))]:
+        calls.clear()
+        try:
+            validate(lam, b)
+        except NonMember:
+            pass
+        assert len(calls) == 1, (lam, b)
 
 
 def test_inverse_series_needs_order_one():

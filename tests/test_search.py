@@ -4,6 +4,7 @@ conjecture scan."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -14,12 +15,13 @@ import pytest
 
 import ucv.search
 from oracles import enumerate_feasible, random_member, refine_by_fractions
-from ucv.model import FUNCTIONAL_NAMES, an_functional, f_series, functional_by_name, validate
+from ucv.model import FUNCTIONAL_NAMES, Functional, an_functional, f_series, functional_by_name, validate
 from ucv.rootcheck import UnitPolynomial
 from ucv.search import (
     BoundCertificate,
     CSV_HEADER,
     SearchConfig,
+    _grid_values,
     _move_directions,
     _refine,
     _sweep,
@@ -80,15 +82,74 @@ SWEEP_GRIDS = [
 ]
 
 
-@pytest.mark.parametrize("lam,cfg", SWEEP_GRIDS, ids=lambda v: str(v))
-def test_sweep_matches_brute_force_bit_for_bit(lam, cfg):
-    names = list(FUNCTIONAL_NAMES) + ["AN(5)"]
-    got = _sweep(lam, cfg, [functional_by_name(n) for n in names])
-    want = brute_force_sweep(lam, cfg, names)
-    for key, (wv, wa) in want.items():
+SWEEP_NAMES = tuple(FUNCTIONAL_NAMES) + ("AN(5)",)
+
+
+@functools.cache
+def sweep_reference(lam, cfg):
+    return brute_force_sweep(lam, cfg, SWEEP_NAMES)
+
+
+def assert_sweep_matches_brute_force(lam, cfg):
+    got = _sweep(lam, cfg, [functional_by_name(n) for n in SWEEP_NAMES])
+    for key, (wv, wa) in sweep_reference(lam, cfg).items():
         gv, ga = got[key]
         assert gv == wv, (key, gv, wv)  # exact float equality, no tolerance
         assert ga == wa, (key, ga, wa)
+
+
+def sweep_shape(lam, cfg):
+    """(number of tail rows, number of b1 slices) of the sweep's lattice."""
+    tails = _tail_units(int(lam / cfg.grid_step), tuple(range(1, cfg.dims)))
+    return len(tails), int(cfg.b1_cap(lam) / cfg.grid_step) + 1
+
+
+@pytest.mark.parametrize("lam,cfg", SWEEP_GRIDS, ids=lambda v: str(v))
+def test_sweep_matches_brute_force_bit_for_bit(lam, cfg):
+    assert_sweep_matches_brute_force(lam, cfg)
+
+
+@pytest.mark.parametrize("per_block", ["one slice", "uneven"])
+@pytest.mark.parametrize("lam,cfg", SWEEP_GRIDS, ids=lambda v: str(v))
+def test_sweep_ties_across_block_boundaries(monkeypatch, lam, cfg, per_block):
+    # the tie rule must hold at every block boundary: one b1 slice per
+    # block, or blocks of `per` slices with a shorter last block
+    ntails, slices = sweep_shape(lam, cfg)
+    if per_block == "one slice":
+        block = 1
+    else:
+        per = next(k for k in range(2, slices) if slices % k)
+        block = per * ntails
+    monkeypatch.setattr(ucv.search, "_SWEEP_BLOCK", block)
+    assert_sweep_matches_brute_force(lam, cfg)
+
+
+@pytest.mark.parametrize("block", [None, 1, 3 * 41], ids=["default", "one slice", "uneven"])
+def test_sweep_tie_along_a_segment_goes_to_the_least_point(monkeypatch, block):
+    # -|b1 + b2 - 1| peaks at 0 on a segment across many b1 slices (exact
+    # in floats at step 1/8); the least point (0, 1, 0, 0) must win, where
+    # a tail-major order within a block would pick (1, 0, 0, 0)
+    line = Functional("LINE", None, lambda b: -abs(b[0] + b[1] - 1), lambda lam: (None, None))
+    lam, cfg = F(1), SearchConfig(grid_step=F(1, 8))
+    if block:
+        monkeypatch.setattr(ucv.search, "_SWEEP_BLOCK", block)
+    assert sweep_shape(lam, cfg) == (41, 17)  # 3 slices a block: 6 blocks, the last of 2
+    assert _sweep(lam, cfg, [line])[("LINE", "max")] == (0.0, (F(0), F(1), F(0), F(0)))
+
+
+def test_sweep_spans_several_default_blocks():
+    lam, cfg = F(1), SearchConfig(grid_step=F(1, 150), dims=2)
+    ntails, slices = sweep_shape(lam, cfg)
+    assert math.ceil(slices / (ucv.search._SWEEP_BLOCK // ntails)) >= 3
+    assert_sweep_matches_brute_force(lam, cfg)
+
+
+@pytest.mark.parametrize("step", [F(1, 50), F(3, 20), F(1, 7), F(7, 3)], ids=str)
+def test_grid_values_are_correctly_rounded(step):
+    got = _grid_values(step, 2000)
+    assert got.tolist() == [float(k * step) for k in range(2000)]
+    # the float product is an ulp off somewhere, so the table is not it
+    assert got.tolist() != [k * float(step) for k in range(2000)]
 
 
 # -- feasible enumeration ----------------------------------------------------
