@@ -2,25 +2,19 @@
 
 The primary question: does 1 + p_1 z + ... + p_d z^d have a zero inside
 the open unit disk?  Membership checks admit zeros ON the circle (the
-sharp extremal denominators all have one).
+sharp extremal denominators all have one).  Every answer is exact; no
+float enters a decision.
 
-When the tail budget sum_{n>=2} (n-1)|p_n| is at most 1 the answer is
-exact: p has no zero in the open disk iff p(-1) >= 0 and p(1) >= 0 (the
-proof is at nonvanishing_in_open_disk).  Every denominator of the class
-has such a budget, so membership never reaches a root finder, and the
-test compares ints: the coefficients' numerators over their lcm.
+When the tail budget sum_{n>=2} (n-1)|p_n| is at most 1, p has no zero
+in the open disk iff p(-1) >= 0 and p(1) >= 0 (the proof is at
+nonvanishing_in_open_disk).  Every denominator of the class has such a
+budget, so membership compares ints: the coefficients' numerators over
+their lcm.
 
-Any other polynomial is decided as min |root| >= 1 - 1e-9, with a small
-one-sided tolerance.  Method: companion-matrix eigenvalues (numpy.roots)
-as the generic path.  Eigenvalues lose accuracy on multiple or clustered
-roots (a k-fold root is only located to eps^(1/k)), so whenever the
-answer is ambiguous near the circle, or a root cluster is detected, the
-polynomial is re-examined exactly: coefficients are kept as Fractions,
-rational roots at +-1 are deflated symbolically, the square-free part is
-extracted by exact gcd, and only genuinely close simple roots fall
-through to high-precision iteration (mpmath).  Degrees 1 and 2 are
-always resolved by closed formulas with the discriminant sign computed
-exactly.
+Any other polynomial is decided over Fraction.  g = gcd(p, p*), p* the
+reversed p, takes every zero on the circle and every reciprocal pair
+r, 1/r; the cofactor p/g goes through the strict Schur-Cohn test, and
+g, self-reciprocal, through a Sturm count in x = z + 1/z on (-2, 2).
 """
 
 from __future__ import annotations
@@ -31,16 +25,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-
-# one-sided tolerance of the scalar decision: min |root| >= 1 - _TOL
-_TOL = 1e-9
-
-# |min modulus - 1| below this triggers the exact re-examination
-_NEAR_UNIT_BAND = 1e-3
-# two numerical roots closer than this count as a cluster; a k-fold root
-# smears eigenvalues by ~eps^(1/k) (already 1e-4 at k=4, 2e-3 at k=6), so
-# the band errs generous at the price of an occasional exact re-check
-_CLUSTER_SEP = 1e-2
 
 RationalIn = Union[Fraction, int, float, str]
 
@@ -95,7 +79,7 @@ def _as_unit(p: Union[UnitPolynomial, Sequence[RationalIn]]) -> UnitPolynomial:
     return UnitPolynomial.from_coeffs(p)
 
 
-# -- exact polynomial helpers (ascending Fraction lists) ----------------
+# -- exact helpers: ascending Fraction lists, top coefficient nonzero ----
 
 
 def _eval_at(cs: list[Fraction], x: int) -> Fraction:
@@ -105,165 +89,115 @@ def _eval_at(cs: list[Fraction], x: int) -> Fraction:
     return acc
 
 
-def _deflate(cs: list[Fraction], root: int) -> list[Fraction]:
-    """Exact synthetic division by (z - root); remainder must be zero."""
-    out: list[Fraction] = [Fraction(0)] * (len(cs) - 1)
-    acc = Fraction(0)
-    for k in range(len(cs) - 1, 0, -1):
-        acc = cs[k] + acc * root
-        out[k - 1] = acc
-    assert _eval_at(cs, root) == 0
-    return out
-
-
-def _poly_derivative(cs: list[Fraction]) -> list[Fraction]:
-    return [Fraction(k) * cs[k] for k in range(1, len(cs))]
-
-
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     r = list(a)
-    db = len(b) - 1
-    lead = b[-1]
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
+    for k in range(len(a) - len(b), -1, -1):
+        c = q[k] = r[k + len(b) - 1] / b[-1]
+        for j, bj in enumerate(b):
+            r[k + j] -= c * bj
+    r = r[:len(b) - 1] or [Fraction(0)]
     while len(r) > 1 and r[-1] == 0:
         r.pop()
-    while len(r) - 1 >= db and r:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        q = r[-1] / lead
-        shift = len(r) - 1 - db
-        for j in range(db + 1):
-            r[shift + j] -= q * b[j]
-        r.pop()
-    while len(r) > 1 and r[-1] == 0:
-        r.pop()
-    return r if r else [Fraction(0)]
+    return q, r
 
 
 def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    x, y = list(a), list(b)
-    while len(y) > 1 or y[0] != 0:
-        x, y = y, _poly_mod(x, y)
-    lead = x[-1]
-    return [c / lead for c in x]
+    """Monic gcd by Euclid's algorithm."""
+    while b != [0]:
+        a, b = b, _poly_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
 
 
-def _poly_div_exact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    r = list(a)
-    db = len(b) - 1
-    q = [Fraction(0)] * (len(a) - db)
-    for k in range(len(q) - 1, -1, -1):
-        c = r[db + k] / b[-1]
-        q[k] = c
-        if c:
-            for j in range(db + 1):
-                r[k + j] -= c * b[j]
-    assert all(c == 0 for c in r)
-    return q
+# -- the exact disk decision -------------------------------------------
 
 
-def _squarefree_part(cs: list[Fraction]) -> list[Fraction]:
-    if len(cs) <= 2:
-        return list(cs)
-    g = _poly_gcd(cs, _poly_derivative(cs))
-    if len(g) == 1:
-        return list(cs)
-    return _poly_div_exact(cs, g)
+def _schur_stable(q: list[Fraction]) -> bool:
+    """True iff q, q(0) != 0, has no zero in the closed unit disk.
 
-
-# -- modulus computations ----------------------------------------------
-
-
-def _small_degree_modulus(cs: list[Fraction]) -> float:
-    """Exact-discriminant closed forms for degree 1 and 2.
-
-    Deflation and square-free reduction do not keep the constant term at
-    1, so the general c0 appears throughout.
+    Strict Schur-Cohn: for r = q_n / q_0 with |r| < 1, q has a zero in the
+    closed disk iff T(q) = q - r q* does (q* the reversed q: Rouche, as
+    |q*| = |q| on the circle, where q* also vanishes with q); T(q) has
+    lower degree and T(q)(0) != 0.  If |r| >= 1 the roots' moduli
+    multiply to |1/r| <= 1.
     """
-    c0 = cs[0]
-    if len(cs) == 2:
-        return abs(float(c0 / cs[1]))
-    c1, c2 = cs[1], cs[2]
-    disc = c1 * c1 - 4 * c0 * c2
-    if disc < 0:
-        # conjugate pair, |z|^2 = c0/c2 (positive whenever disc < 0)
-        return math.sqrt(float(c0 / c2))
-    c1f, c2f = float(c1), float(c2)
-    s = math.sqrt(float(disc))
-    q = -(c1f + math.copysign(s, c1f)) / 2.0 if c1f != 0 else -s / 2.0
-    if q == 0:
-        # c1 = 0 and disc = 0 force c0 c2 = 0; both are nonzero at the
-        # call sites (trailing strip, nonzero constant), so unreachable
-        return math.inf
-    # stable Vieta split: roots q/c2 and c0/q
-    return min(abs(q / c2f), abs(float(c0) / q))
+    while len(q) > 1:
+        r = q[-1] / q[0]
+        if abs(r) >= 1:
+            return False
+        n = len(q) - 1
+        q = [q[k] - r * q[n - k] for k in range(n)]
+        while len(q) > 1 and q[-1] == 0:
+            q.pop()
+    return True
 
 
-def _has_cluster(roots: np.ndarray) -> bool:
-    gaps = np.abs(roots[:, None] - roots[None, :])
-    return bool((gaps[np.triu_indices(len(roots), 1)] < _CLUSTER_SEP).any())
+def _zeros_on_circle(g: list[Fraction]) -> bool:
+    """True iff every zero of the self-reciprocal g lies on |z| = 1.
+
+    Dividing out the zeros at +-1 leaves g palindromic of even degree 2m,
+    g(z) = z^m H(z + 1/z), and z lies on the circle iff x = z + 1/z is
+    real in [-2, 2], where x = +-2 are the zeros at z = +-1.  So g passes
+    iff H has all its distinct zeros, m - deg gcd(H, H'), in (-2, 2): a
+    Sturm count.
+    """
+    for root in (1, -1):
+        while len(g) > 1 and _eval_at(g, root) == 0:
+            g = _poly_divmod(g, [Fraction(-root), Fraction(1)])[0]
+    m = (len(g) - 1) // 2
+    if m == 0:
+        return True
+    # z^j + z^-j = D_j(x) with D_0 = 2, D_1 = x, D_{j+1} = x D_j - D_{j-1}
+    h = [g[m]] + [Fraction(0)] * m
+    prev, cur = [Fraction(2)], [Fraction(0), Fraction(1)]
+    for j in range(1, m + 1):
+        for i, c in enumerate(cur):
+            h[i] += g[m + j] * c
+        nxt = [Fraction(0)] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    sturm = [h, [k * c for k, c in enumerate(h) if k]]
+    while sturm[-1] != [0]:
+        sturm.append([-c for c in _poly_divmod(sturm[-2], sturm[-1])[1]])
+    sturm.pop()
+
+    def sign_changes(x: int) -> int:
+        signs = [v > 0 for v in (_eval_at(s, x) for s in sturm) if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return sign_changes(-2) - sign_changes(2) == m - (len(sturm[-1]) - 1)
 
 
-def _mp_min_modulus(cs: list[Fraction]) -> float:
-    import mpmath as mp
-
-    with mp.workdps(60):
-        desc = [mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in reversed(cs)]
-        roots = mp.polyroots(desc, maxsteps=400, extraprec=200)
-        return float(min(abs(r) for r in roots))
-
-
-def _exact_min_modulus(cs: list[Fraction]) -> float:
-    """Careful path: symbolic +-1 deflation, exact square-free reduction,
-    closed forms or high precision on what remains."""
-    work = list(cs)
-    found_unit = False
-    changed = True
-    while changed and len(work) > 1:
-        changed = False
-        for r in (-1, 1):
-            while len(work) > 1 and _eval_at(work, r) == 0:
-                work = _deflate(work, r)
-                found_unit = True
-                changed = True
-    best = 1.0 if found_unit else math.inf
-    if len(work) == 1:
-        return best
-    work = _squarefree_part(work)
-    if len(work) <= 3:
-        return min(best, _small_degree_modulus(work))
-    roots = np.roots([float(c) for c in reversed(work)])
-    if _has_cluster(roots):
-        return min(best, _mp_min_modulus(work))
-    return min(best, float(np.abs(roots).min()))
+def _no_zero_in_open_disk(p: Union[UnitPolynomial, Sequence[RationalIn]]) -> bool:
+    """The exact decision for any p.  g = gcd(p, p*) holds every zero on
+    the circle with its full multiplicity (p* vanishes at 1/conj z = z
+    there) and every reciprocal pair r, 1/r, so the cofactor p/g has none
+    of either and goes to the strict Schur-Cohn test."""
+    cs = list(_as_unit(p).coeffs)
+    g = _poly_gcd(cs, cs[::-1])
+    return _schur_stable(_poly_divmod(cs, g)[0]) and _zeros_on_circle(g)
 
 
 def min_root_modulus(p: Union[UnitPolynomial, Sequence[RationalIn]]) -> float:
-    """Smallest |root| of p, +inf for degree 0.
-
-    Accurate to ~1e-12 relative even at multiple roots, thanks to the
-    exact fallback path; cheap closed forms handle degrees 1 and 2.
-    """
-    up = _as_unit(p)
-    cs = list(up.coeffs)
-    if up.degree == 0:
+    """Smallest |root| of p from numpy.roots, +inf for degree 0.  A float
+    estimate (a k-fold root is only located to about eps^(1/k)); no
+    decision reads it."""
+    cs = _as_unit(p).coeffs
+    if len(cs) == 1:
         return math.inf
-    if up.degree <= 2:
-        return _small_degree_modulus(cs)
-    roots = np.roots([float(c) for c in reversed(cs)])
-    m = float(np.abs(roots).min())
-    if abs(m - 1.0) <= _NEAR_UNIT_BAND or _has_cluster(roots):
-        return _exact_min_modulus(cs)
-    return m
+    return float(np.abs(np.roots([float(c) for c in reversed(cs)])).min())
 
 
 def nonvanishing_in_open_disk(p: Union[UnitPolynomial, Sequence[RationalIn]],
                               lifted: tuple[int, tuple[int, ...]] | None = None) -> bool:
     """True when p has no zero in the open unit disk; zeros on the circle
-    pass.  Exact when the tail budget sum_{n>=2} (n-1)|p_n| is <= 1, as on
-    every class denominator; otherwise min |root| >= 1 - 1e-9.  A caller
-    that holds p as ints passes lifted = (d, N), any d > 0 with N = d p,
-    and saves re-reading p; p itself is then read only by the root finder.
+    pass.  Exact on every input, with no float: integer comparisons when
+    the tail budget sum_{n>=2} (n-1)|p_n| is <= 1, as on every class
+    denominator, and the gcd / Schur-Cohn / Sturm decision otherwise.  A
+    caller that holds p as ints passes lifted = (d, N), any d > 0 with
+    N = d p, and saves re-reading p; p itself is then read only by the
+    exact routine.
 
     Theorem (the argument of L. A. Aksent'ev's univalence criterion,
     1958): with tail budget <= 1, p has no zero in |z| < 1 iff p(-1) >= 0
@@ -287,4 +221,4 @@ def nonvanishing_in_open_disk(p: Union[UnitPolynomial, Sequence[RationalIn]],
         return False
     if sum((n - 1) * abs(c) for n, c in enumerate(ns[2:], start=2)) <= d:
         return True
-    return min_root_modulus(p) >= 1.0 - _TOL
+    return _no_zero_in_open_disk(p)

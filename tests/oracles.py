@@ -16,19 +16,19 @@ not a tautology:
                             against the gate's integer numerators
   random_member             seeded rejection sampler over the feasible set
   enumerate_feasible        every lattice point the sweep visits, one by
-                            one, its disk condition decided by numerical
-                            roots (min_root_modulus), not by the p(-1)
-                            sign test the sweep and validate() apply
+                            one, its disk condition decided by the exact
+                            gcd / Schur-Cohn / Sturm routine, not by the
+                            p(-1) sign test the sweep and validate() apply
   refine_by_fractions       the refinement polish with every point a tuple
                             of Fraction, against the search's integer
                             vectors over one denominator
 
-All arithmetic is exact rational, except for that root finder and the
-float objective; nothing here imports the modules whose answers it is
-checking beyond the shared series container, the member gate validate()
-(for random_member), the root finder min_root_modulus and the root gate
-(for refine_by_fractions), and the search's configuration record and
-move set.
+All arithmetic is exact rational, except for the float objective;
+nothing here imports the modules whose answers it is checking beyond
+the shared series container, the member gate validate() (for
+random_member), the disk gate's exact routine _no_zero_in_open_disk
+and the gate itself (for refine_by_fractions), and the search's
+configuration record and move set.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from ucv.model import ClassMember, NonMember, validate
-from ucv.rootcheck import min_root_modulus, nonvanishing_in_open_disk
+from ucv.rootcheck import _no_zero_in_open_disk, nonvanishing_in_open_disk
 from ucv.search import _REFINE_PASSES, _REFINE_WINDOW, SearchConfig, _move_directions
 from ucv.series import TruncatedSeries
 
@@ -159,7 +159,7 @@ def sign_test_by_fractions(coeffs: Sequence) -> bool | None:
     """The disk gate's exact decisions for 1 + p_1 z + ..., over Fraction:
     True for nonnegative coefficients summing to <= 1, False when p(1) < 0
     or p(-1) < 0, True when sum_{n>=2} (n-1)|p_n| <= 1, and None where the
-    gate goes on to the root finder."""
+    gate goes on to its exact routine."""
     cs = [Fraction(c) for c in coeffs]
     if all(c >= 0 for c in cs) and sum(cs[1:]) <= 1:
         return True
@@ -220,9 +220,9 @@ def enumerate_feasible(lam, cfg: SearchConfig | None = None) -> Iterator[tuple[F
     b1 runs over [0, 1 + lambda] in grid_step increments; b2..b_dims over
     the weighted simplex sum (n-1) b_n <= lambda.  A point is kept when
     its coordinates are nonnegative, its budget is within lambda and its
-    denominator's smallest root modulus is >= 1 - 1e-9, so the sweep's
-    sign test is checked against roots.  Yields tuples padded to >= 4
-    entries.
+    denominator has no zero in the open disk by the exact routine, so the
+    sweep's sign test is checked against an independent decision.  Yields
+    tuples padded to >= 4 entries.
     """
     cfg = cfg or SearchConfig()
     lam = Fraction(lam)
@@ -238,7 +238,7 @@ def enumerate_feasible(lam, cfg: SearchConfig | None = None) -> Iterator[tuple[F
                 continue
             if sum((n - 1) * x for n, x in enumerate(b, start=1)) > lam:
                 continue
-            if min_root_modulus((Fraction(1),) + b) >= 1 - 1e-9:
+            if _no_zero_in_open_disk((Fraction(1),) + b):
                 yield b
 
 

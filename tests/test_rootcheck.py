@@ -3,16 +3,19 @@ agreement with the exact Schur-Cohn zero count."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import inside_unit_count, sign_test_by_fractions
-from ucv.rootcheck import UnitPolynomial, min_root_modulus, nonvanishing_in_open_disk
+from ucv.rootcheck import UnitPolynomial, _no_zero_in_open_disk, min_root_modulus, nonvanishing_in_open_disk
 
 F = Fraction
 
@@ -61,38 +64,34 @@ def test_cubic_modulus():
 
 
 def test_double_root_on_circle_is_exact():
-    # (1+z)^2: numpy alone locates the double root only to ~sqrt(eps);
-    # the exact path must return exactly 1.0
-    assert min_root_modulus([1, 2, 1]) == 1.0
+    # (1+z)^2: a double zero on the circle is admitted
     assert nonvanishing_in_open_disk([1, 2, 1])
 
 
 def test_boundary_two_factor_family():
     for lam in (F(1, 4), F(1, 2), F(1)):
         coeffs = [1, 1 + lam, lam]  # (1+z)(1+lam z)
-        assert min_root_modulus(coeffs) == 1.0
         assert nonvanishing_in_open_disk(coeffs)
 
 
 def test_quadruple_with_double_circle_root():
     # (1+z)^2 (1 - z/5 + z^2/10): the facet point b = (1.8, 0.7, 0, 0.1);
-    # the inner quadratic has |z| = sqrt(10), so the minimum is exactly 1
+    # the inner quadratic has |z| = sqrt(10), so no zero is inside
     coeffs = [1, F(9, 5), F(7, 10), 0, F(1, 10)]
-    assert min_root_modulus(coeffs) == 1.0
     assert nonvanishing_in_open_disk(coeffs)
 
 
-def test_fourfold_inside_root_via_squarefree():
-    # (1 + z/2)^4: a 4-fold root at -2, hopeless for plain eigenvalues
-    coeffs = [1, 2, F(3, 2), F(1, 2), F(1, 16)]
-    assert min_root_modulus(coeffs) == 2.0
+def test_fourfold_root_verdicts():
+    # (1 + z/2)^4, a 4-fold zero at -2, and (1 + 2z)^4, at -1/2: both are
+    # past the tail budget, so the exact routine decides
+    assert nonvanishing_in_open_disk([1, 2, F(3, 2), F(1, 2), F(1, 16)])
+    assert not nonvanishing_in_open_disk([1, 8, 24, 32, 16])
 
 
 def test_double_root_off_circle_is_exact():
-    # (1 + z/2)^2; the square-free quotient arrives with a non-unit
-    # constant term, which the closed forms must handle
+    # (1 + z/2)^2 with its double zero outside, (1 + 2z)^2 inside
     assert min_root_modulus([1, 1, F(1, 4)]) == 2.0
-    # same shape, root inside
+    assert nonvanishing_in_open_disk([1, 1, F(1, 4)])
     assert min_root_modulus([1, 4, 4]) == 0.5
     assert not nonvanishing_in_open_disk([1, 4, 4])
 
@@ -169,8 +168,6 @@ def test_gate_agrees_with_schur_cohn(coeffs):
 
 
 def _away_from_circle(coeffs, band=1e-6) -> bool:
-    import numpy as np
-
     desc = [float(c) for c in reversed(coeffs)]
     while len(desc) > 1 and desc[0] == 0.0:
         desc.pop(0)
@@ -225,7 +222,7 @@ def sign_test_polynomials(draw):
 def test_integer_gate_matches_fraction_sign_test(coeffs):
     expected = sign_test_by_fractions(coeffs)
     if expected is None:
-        expected = min_root_modulus(coeffs) >= 1 - 1e-9
+        expected = _no_zero_in_open_disk(coeffs)
     assert nonvanishing_in_open_disk(coeffs) == expected
 
 
@@ -249,9 +246,50 @@ EPS = F(1, 10**12)
 )
 def test_sign_test_boundaries(monkeypatch, coeffs, expected):
     assert sign_test_by_fractions(coeffs) is expected
-    # each case is decided by an integer comparison, never by roots
-    monkeypatch.setattr("ucv.rootcheck.min_root_modulus", lambda p: pytest.fail("root finder reached"))
+    # each case is decided by an integer comparison, never by the exact routine
+    monkeypatch.setattr("ucv.rootcheck._no_zero_in_open_disk", lambda p: pytest.fail("exact routine reached"))
     assert nonvanishing_in_open_disk(coeffs) is expected
     quotient = _divide_out_unit_roots(coeffs)
     if _away_from_circle(quotient):
         assert (inside_unit_count(quotient) == 0) is expected
+
+
+# -- exact decisions on zeros on or near the circle -----------------------
+
+# factors with their number of zeros in |z| < 1: zeros at +-1, circle
+# pairs (1 + 6z/5 + z^2 at cos t = -3/5), the reciprocal pair -2, -1/2 of
+# 1 + 5z/2 + z^2, and factors with zeros strictly inside or outside
+CIRCLE_FACTORS = [
+    ([1, 1], 0), ([1, -1], 0), ([1, 0, 1], 0), ([1, 1, 1], 0), ([1, -1, 1], 0),
+    ([1, 0, 0, 1], 0), ([1, F(6, 5), 1], 0), ([1, F(5, 2), 1], 1), ([1, F(1, 2)], 0),
+    ([1, 3], 1), ([1, 0, F(1, 4)], 0), ([1, 1, F(5, 4)], 2), ([1, F(-7, 3)], 1),
+    ([1, F(1, 3), F(1, 7)], 0),
+]
+
+
+def _times(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("first", range(len(CIRCLE_FACTORS)))
+def test_exact_verdict_on_factor_products(monkeypatch, first):
+    """Every product of 1 to 4 factors, repeats allowed, whose first factor
+    is CIRCLE_FACTORS[first], gets the verdict of its known inside count
+    with no float: numpy.roots, min_root_modulus and mpmath all fail."""
+    def blocked(*args):
+        pytest.fail("float root finder reached")
+
+    monkeypatch.setattr(np, "roots", blocked)
+    monkeypatch.setattr("ucv.rootcheck.min_root_modulus", blocked)
+    monkeypatch.setitem(sys.modules, "mpmath", None)
+    for k in range(4):
+        for rest in itertools.combinations_with_replacement(range(first, len(CIRCLE_FACTORS)), k):
+            coeffs, inside = [F(1)], 0
+            for i in (first,) + rest:
+                coeffs = _times(coeffs, CIRCLE_FACTORS[i][0])
+                inside += CIRCLE_FACTORS[i][1]
+            assert nonvanishing_in_open_disk(coeffs) == (inside == 0), coeffs
