@@ -10,10 +10,11 @@ point by one exact integer comparison and computes no root.
 Every objective here is a low-degree polynomial in (b1..b4) (the
 general coefficient objective AN(n) reads b1..b_{n-1}), so the search
 is a deterministic lattice sweep followed by shrinking-step local
-refinement; no gradients, no randomness.  The sweep runs in one
-process; verify_bounds refines its rows, which are independent, on
-UCV_THREADS worker processes and collects them in row order, so the
-output is identical for any worker count.
+refinement; no gradients, no randomness.  verify_bounds makes each
+lambda one task: its sweep, then the refinement and certification of
+its rows.  The tasks are independent; they run on UCV_THREADS worker
+processes and are collected in grid order, so the output is identical
+for any worker count.
 
 Certification compares the searched extremum against the closed-form
 bound for the class when one exists.  A certificate FAILs only if the
@@ -35,7 +36,6 @@ from typing import Sequence, Union
 import numpy as np
 
 from ucv.model import (
-    FUNCTIONAL_NAMES,
     FUNCTIONALS,
     BoundValue,
     Functional,
@@ -210,14 +210,15 @@ def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional]) -> dict:
     budget_units = int(lam / step)
     k1_max = int(cfg.b1_cap(lam) / step)
     tails = _tail_units(budget_units, weights)
-    ncols = tails.shape[1]
+    ntails, ncols = tails.shape
     # p(-1) = 1 - b1 + b2 - b3 + ...: alternating tail sum, in step units
     signs = np.array([(-1) ** j for j in range(ncols)], dtype=np.int64)
     talt = tails @ signs
     u1 = int(1 / step)  # floor(1/step); the comparison below is exact
     lut = _grid_values(step, max(budget_units, k1_max) + 1)
     tail_cols = [lut[tails[:, j]] for j in range(ncols)]
-    per = max(1, _SWEEP_BLOCK // len(tails))
+    del tails  # lut is strictly increasing, so searchsorted recovers a winner's units
+    per = max(1, _SWEEP_BLOCK // ntails)
     # per functional: [max_value, max_at, min_value, min_at], at = (k1, tail row)
     best = [[-math.inf, None, math.inf, None] for _ in fns]
     for k0 in range(0, k1_max + 1, per):
@@ -226,7 +227,7 @@ def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional]) -> dict:
         at = np.flatnonzero((ks[:, None] - talt) <= u1)
         if not at.size:
             continue
-        kk, rows = at // len(tails) + k0, at % len(tails)
+        kk, rows = at // ntails + k0, at % ntails
         bf = (lut[kk], *(c[rows] for c in tail_cols), *(np.zeros(kk.size),) * (width - 1 - ncols))
         for fn, slot in zip(fns, best):
             v = fn.evaluate(bf) + 0.0  # normalize -0.0
@@ -240,7 +241,8 @@ def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional]) -> dict:
                 slot[2], slot[3] = vmin, (int(kk[jmin]), int(rows[jmin]))
 
     def lattice_point(k1: int, row: int) -> tuple[Fraction, ...]:
-        return _pad((k1 * step,) + tuple(int(t) * step for t in tails[row]), width)
+        units = (int(np.searchsorted(lut, c[row])) for c in tail_cols)
+        return _pad((k1 * step,) + tuple(t * step for t in units), width)
 
     # the b1 = 0 slice always holds the zero point, so every slot is set
     out = {}
@@ -297,25 +299,29 @@ def _move_directions(dims: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _delta_table(dims: int, num: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The refinement's moves in trial order, with what a pass reads of them.
+def _delta_table(dims: int, num: int) -> tuple[np.ndarray, np.ndarray]:
+    """The refinement's moves in trial order, as one gate matrix.
 
-    Rows are m k num for each move m of _move_directions at window scales
-    k = 1..12, padded to the search width.  Per row: its budget change
-    sum i d_i, its change -d_1 + d_2 - d_3 + ... to D p(-1), and whether
-    its leading nonzero entry is negative, which is exactly x + d < x
+    The moves d are m k num for each move m of _move_directions at window
+    scales k = 1..12, padded to the search width w.  Row i of the gate
+    matrix G is (-d, d_1, budget(d), -alt(d)): budget(d) = sum i d_i is the
+    change to the budget units and alt(d) = -d_1 + d_2 - d_3 + ... the
+    change to D p(-1).  So x + d is feasible iff G_i <= (x_1..x_w,
+    cap - x_1, lambda - budget(x), D p(-1)) entrywise.  lowers_i says the
+    leading nonzero entry of d is negative, which is exactly x + d < x
     lexicographically.  Built once per (dims, step numerator).
     """
     width = max(4, dims)
     rows = [tuple(m * k * num for m in move) + (0,) * (width - dims)
             for move in _move_directions(dims) for k in range(1, _REFINE_WINDOW + 1)]
-    vectors = np.array(rows, dtype=np.int64)
-    budget = vectors @ np.arange(width, dtype=np.int64)
-    alt = vectors @ np.array([(-1) ** (i + 1) for i in range(width)], dtype=np.int64)
+    d = np.array(rows, dtype=np.int64)
+    budget = d @ np.arange(width, dtype=np.int64)
+    alt = d @ np.array([(-1) ** (i + 1) for i in range(width)], dtype=np.int64)
+    gates = np.column_stack((-d, d[:, 0], budget, -alt))
     lowers = np.array([next(c for c in row if c) < 0 for row in rows])
-    for a in (vectors, budget, alt, lowers):
+    for a in (gates, lowers):
         a.setflags(write=False)
-    return vectors, budget, alt, lowers
+    return gates, lowers
 
 
 def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
@@ -328,13 +334,13 @@ def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
 
     The incumbent is an int vector x over one denominator D (the point
     x / D); each round multiplies x and D by 10.  A pass scores all its
-    remaining candidates x + d as one array and masks those that improve
-    (a better value, or an equal one at a smaller point: the lowers flag),
-    keep b1 under its cap and every coordinate >= 0, keep the budget
-    (bx + budget(d) <= floor(lambda D)) and keep D p(-1) = ax >= -alt(d).
+    remaining candidates x + d as one array and keeps those that improve
+    (a better value, or an equal one at a smaller point: the lowers flag)
+    and pass the gate matrix in one comparison: every coordinate >= 0, b1
+    under its cap, the budget within floor(lambda D) and D p(-1) >= 0.
     With b >= 0 and budget <= lambda <= 1 that sign test is the disk
     condition (rootcheck.nonvanishing_in_open_disk), so the gate only
-    re-checks the returned argmax, and a rejection raises.  The first hit
+    re-checks the returned point, and a rejection raises.  The first hit
     is accepted and the pass goes on from the move after it: the same
     first-improvement order as one move at a time.  The arrays are int64
     while 2 D + max |d| < 2**53, where float64 c / D is Python's correctly
@@ -343,11 +349,10 @@ def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
     """
     if not cfg.refine_rounds:
         return arg, value, [value]  # the sweep's point, kept by the sign test
-    sign = +1 if direction == "max" else -1
     cap = cfg.b1_cap(lam)
-    table = _delta_table(cfg.dims, cfg.grid_step.numerator)
-    lowers = table[3]
-    n, span = len(lowers), int(np.abs(table[0]).max())
+    table, lowers = _delta_table(cfg.dims, cfg.grid_step.numerator)
+    width = _width(cfg)
+    n, span = len(lowers), int(np.abs(table[:, :width]).max())
     D = cfg.grid_step.denominator
     x = [int(v * D) for v in arg]
     history = [value]
@@ -355,24 +360,23 @@ def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
         D *= 10
         x = [10 * c for c in x]
         dtype = np.int64 if 2 * D + span < 2**53 else object
-        vectors, budget, alt = (a.astype(dtype, copy=False) for a in table[:3])
+        gates = table.astype(dtype, copy=False)
         cap_units, lam_units = cap.numerator * D // cap.denominator, lam.numerator * D // lam.denominator
         bx = sum(i * c for i, c in enumerate(x))
         ax = D + sum(c if i % 2 else -c for i, c in enumerate(x))
         for _ in range(_REFINE_PASSES):
             pos, improved = 0, False
             while pos < n:
-                cand = vectors[pos:] + np.array(x, dtype=dtype)
+                g, h = gates[pos:], np.array(x + [cap_units - x[0], lam_units - bx, ax], dtype=dtype)
+                cand = h[:width] - g[:, :width]
                 v = fn.evaluate(tuple(np.asarray(cand / D, dtype=float).T)) + 0.0
-                ok = (sign * (v - value) > 0) | ((v == value) & lowers[pos:])
-                ok &= (cand[:, 0] <= cap_units) & (cand >= 0).all(axis=1)
-                ok &= (bx + budget[pos:] <= lam_units) & (ax + alt[pos:] >= 0)
-                hits = np.flatnonzero(ok)
-                if not hits.size:
+                better = v > value if direction == "max" else v < value
+                ok = (better | ((v == value) & lowers[pos:])) & (g <= h).all(axis=1)
+                j = int(ok.argmax())
+                if not ok[j]:
                     break
-                j = int(hits[0])
                 x, value = cand[j].tolist(), float(v[j])
-                bx, ax = bx + int(budget[pos + j]), ax + int(alt[pos + j])
+                bx, ax = bx + int(g[j, width + 1]), ax - int(g[j, width + 2])
                 pos, improved = pos + j + 1, True
             if not improved:
                 break
@@ -393,18 +397,19 @@ def _lambda_in_range(raw: RationalIn) -> Fraction:
     return lam
 
 
-# (lambda, config, functional, direction, coarse value, coarse arg); the
-# functional goes by name when the row crosses to a worker process, since
-# a Functional holds lambdas and does not pickle
-_Row = tuple[Fraction, SearchConfig, Union[Functional, str], str, float, tuple[Fraction, ...]]
-
-
-def _certify_row(row: _Row) -> BoundCertificate:
+def _certify_row(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
+                 value: float, arg: tuple[Fraction, ...]) -> BoundCertificate:
     """Refine one coarse incumbent and certify it against the closed form."""
-    lam, cfg, fn, direction, value, arg = row
-    fn = functional_by_name(fn) if isinstance(fn, str) else fn
     arg, value, _ = _refine(lam, cfg, fn, direction, arg, value)
     return _certificate(fn, lam, direction, value, arg)
+
+
+def _certify_lambda(lam: Fraction, cfg: SearchConfig) -> list[BoundCertificate]:
+    """Sweep one lambda, then refine and certify its 32 rows: functional
+    order, max before min."""
+    incumbents = _sweep(lam, cfg, FUNCTIONALS)
+    return [_certify_row(lam, cfg, fn, direction, *incumbents[(fn.name, direction)])
+            for fn in FUNCTIONALS for direction in ("max", "min")]
 
 
 def _thread_count() -> int:
@@ -421,21 +426,6 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _certify_rows(rows: Sequence[_Row]) -> list[BoundCertificate]:
-    """_certify_row over the rows, in order, on UCV_THREADS processes.
-
-    The rows are independent and Executor.map keeps their order, so the
-    result is identical for any worker count.  The pool starts every
-    worker up front, so never more than there are rows or CPUs this
-    process may run on.
-    """
-    workers = min(_thread_count(), len(rows), _cpu_count())
-    if workers <= 1:
-        return [_certify_row(row) for row in rows]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_certify_row, rows))
-
-
 def optimize(fn: Union[Functional, str], lam: RationalIn, direction: str,
              cfg: SearchConfig | None = None) -> BoundCertificate:
     """Grid sweep plus refinement for one (functional, direction) pair."""
@@ -445,25 +435,31 @@ def optimize(fn: Union[Functional, str], lam: RationalIn, direction: str,
     lam = _lambda_in_range(lam)
     cfg = cfg or SearchConfig()
     value, arg = _sweep(lam, cfg, [fn])[(fn.name, direction)]
-    return _certify_row((lam, cfg, fn, direction, value, arg))
+    return _certify_row(lam, cfg, fn, direction, value, arg)
 
 
 def verify_bounds(lambda_grid: Sequence[RationalIn], cfg: SearchConfig | None = None) -> list[BoundCertificate]:
     """Certify every named functional in both directions over a lambda grid.
 
-    One shared coarse sweep per lambda feeds all rows (the sweep itself is
-    the pointwise never-exceed check: each incumbent dominates every
-    feasible grid point); the rows are then refined and certified by
-    _certify_rows.  Row order: grid order, then functional order, then max
-    before min.
+    Each lambda is one task of _certify_lambda: one shared coarse sweep
+    feeds its 32 rows (the sweep itself is the pointwise never-exceed
+    check: each incumbent dominates every feasible grid point), which are
+    then refined and certified.  Every lambda is range-checked before any
+    work starts.  The tasks run on min(UCV_THREADS, grid size, CPUs)
+    processes, in this one when that is 1; the pool starts every worker up
+    front, and Executor.map keeps grid order, so the output is identical
+    for any worker count.  Row order: grid order, then functional order,
+    then max before min.
     """
     cfg = cfg or SearchConfig()
-    rows: list[_Row] = []
-    for lam in [_lambda_in_range(raw) for raw in lambda_grid]:
-        incumbents = _sweep(lam, cfg, FUNCTIONALS)
-        rows.extend((lam, cfg, name, direction, *incumbents[(name, direction)])
-                    for name in FUNCTIONAL_NAMES for direction in ("max", "min"))
-    return _certify_rows(rows)
+    grid = [_lambda_in_range(raw) for raw in lambda_grid]
+    workers = min(_thread_count(), len(grid), _cpu_count())
+    if workers <= 1:
+        parts = [_certify_lambda(lam, cfg) for lam in grid]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_certify_lambda, grid, [cfg] * len(grid)))
+    return [cert for part in parts for cert in part]
 
 
 def conjecture_scan(n: int, lam: RationalIn, cfg: SearchConfig | None = None) -> BoundCertificate:

@@ -479,7 +479,7 @@ def test_verify_rejects_bad_lambda(serial_pool, monkeypatch):
     monkeypatch.setenv("UCV_THREADS", "2")
     with pytest.raises(ValueError):
         verify_bounds([F(3, 2)])
-    # a bad lambda anywhere in the grid stops the run before the rows are mapped
+    # a bad lambda anywhere in the grid stops the run before any lambda is mapped
     with pytest.raises(ValueError):
         verify_bounds([F(1, 2), F(3, 2)])
     assert serial_pool == []
@@ -506,29 +506,56 @@ def serial_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, rows):
-            return map(fn, rows)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(ucv.search, "ProcessPoolExecutor", SerialPool)
     return workers
 
 
-def test_verify_pool_capped_by_cpus_and_rows(serial_pool, monkeypatch):
+GRID5 = [F(1, 10), F(1, 4), F(1, 2), F(3, 4), F(1)]
+
+
+def test_verify_pool_capped_by_cpus_and_grid(serial_pool, monkeypatch):
     cfg = SearchConfig(grid_step=F(1, 10), refine_rounds=1)
     monkeypatch.setenv("UCV_THREADS", "1")
-    serial = verify_bounds([1], cfg)
+    serial = verify_bounds(GRID5, cfg)
     assert serial_pool == []
     monkeypatch.setattr(ucv.search.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setenv("UCV_THREADS", "64")
-    assert verify_bounds([1], cfg) == serial
+    assert verify_bounds(GRID5, cfg) == serial
     assert serial_pool == [3]
-    # 32 rows for one lambda bound the pool when the CPUs do not
+    # two lambdas bound the pool when the CPUs do not
     monkeypatch.setattr(ucv.search.os, "sched_getaffinity", lambda pid: set(range(256)))
-    assert verify_bounds([1], cfg) == serial
-    assert serial_pool == [3, 32]
-    # one row runs in this process
+    assert verify_bounds(GRID5[:2], cfg) == serial[:64]
+    assert serial_pool == [3, 2]
+    # one lambda, and one optimize row, run in this process
+    assert verify_bounds(GRID5[-1:], cfg) == serial[-32:]
     optimize("A3", 1, "max", cfg)
-    assert serial_pool == [3, 32]
+    assert serial_pool == [3, 2]
+
+
+def test_verify_pool_tasks_are_the_grid_lambdas(serial_pool, monkeypatch):
+    tasks = []
+    certify = ucv.search._certify_lambda
+
+    def recording(lam, cfg):
+        part = certify(lam, cfg)
+        tasks.append(((lam, cfg), part))
+        return part
+
+    monkeypatch.setattr(ucv.search, "_certify_lambda", recording)
+    monkeypatch.setattr(ucv.search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("UCV_THREADS", "2")
+    cfg, grid = SearchConfig(grid_step=F(1, 10), refine_rounds=1), [F(1, 4), F(1), F(1, 2)]
+    certs = verify_bounds(["1/4", 1, 0.5], cfg)
+    assert serial_pool == [2]
+    assert [task for task, _ in tasks] == [(lam, cfg) for lam in grid]
+    assert certs == [c for _, part in tasks for c in part]
+    order = [(n, d) for n in FUNCTIONAL_NAMES for d in ("max", "min")]
+    for lam, (_, part) in zip(grid, tasks):
+        assert [(c.functional, c.direction) for c in part] == order
+        assert {c.lam for c in part} == {lam}
 
 
 def test_verify_pool_matches_serial(monkeypatch):
