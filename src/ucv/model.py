@@ -272,15 +272,18 @@ AN_MIN, AN_MAX = 2, 8
 
 
 def _an_coefficient(b: Sequence, n: int):
-    # coefficient of z^(n-1) in 1/(1 + sum b_j z^j), i.e. a_n of f;
-    # written without branching so it also evaluates elementwise on arrays
-    c = [b[0] * 0 + 1]
+    # e_(n-1) = (-1)^(n-1) a_n, a_n the coefficient of z^(n-1) in
+    # 1/(1 + sum b_j z^j): e_0 = 1, e_k = b1 e_(k-1) - b2 e_(k-2) + ...
+    # Rounding is sign-symmetric, so |e_(n-1)| has the bits of |a_n| by the
+    # unfolded recursion (only a zero's sign can differ).  No branch on
+    # values, so it also evaluates elementwise on arrays
+    e = [1]
     for k in range(1, n):
-        s = c[0] * 0
-        for j in range(1, min(k, len(b)) + 1):
-            s = s + b[j - 1] * c[k - j]
-        c.append(-s)
-    return c[n - 1]
+        s = b[0] * e[k - 1]
+        for j in range(2, min(k, len(b)) + 1):
+            s = s + b[j - 1] * e[k - j] if j % 2 else s - b[j - 1] * e[k - j]
+        e.append(s)
+    return e[n - 1]
 
 
 def an_functional(n: int) -> Functional:
@@ -288,7 +291,7 @@ def an_functional(n: int) -> Functional:
     defined for 2 <= n <= 8."""
     if not AN_MIN <= n <= AN_MAX:
         raise ValueError(f"n must be in [{AN_MIN}, {AN_MAX}], got {n}")
-    return Functional(f"AN({n})", None, lambda b: abs(_an_coefficient(b, n)),
+    return Functional(f"AN({n})", None, lambda b: abs(_an_coefficient(b, n)),  # |a_n| = |e_(n-1)|
                       lambda lam: (sum((lam**k for k in range(n)), _ZERO), None))
 
 

@@ -197,59 +197,60 @@ def _grid_values(step: Fraction, count: int) -> np.ndarray:
 def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional]) -> dict:
     """Coarse lattice sweep; returns {(name, direction): (value, arg)}.
 
-    b1 = 0..k1_max goes in blocks of consecutive slices, about _SWEEP_BLOCK
-    points each, scored by one evaluate, argmax and argmin per functional.
-    np.flatnonzero of a block's (k1, tail row) mask lists its points
-    k1-major, tails in lexicographic order: its slices end to end.  Ties go
-    to the least point: a block's first argmax/argmin hit is its least, and
-    a strict comparison keeps the earlier block's.
+    The tails are sorted once by p(-1) slack, most first, by a stable sort,
+    so slice b1 = k1 step holds exactly the first counts[k1] of them.  b1 =
+    0..k1_max goes in blocks of consecutive slices, about _SWEEP_BLOCK points
+    each, scored by one evaluate, argmax and argmin per functional; a
+    one-slice block reads its tail columns as views.  A slot keeps its best
+    value and the least k1 that reaches it (a block's first hit lies in its
+    least slice; a strict comparison keeps the earlier block's).  Slack order
+    is not lexicographic, so the winning slice is scored again and its least
+    tied tail wins: the least point overall.
     """
     step = cfg.grid_step
     width = _width(cfg)
-    weights = tuple(range(1, cfg.dims))
     budget_units = int(lam / step)
     k1_max = int(cfg.b1_cap(lam) / step)
-    tails = _tail_units(budget_units, weights)
-    ntails, ncols = tails.shape
+    tails = _tail_units(budget_units, tuple(range(1, cfg.dims)))
+    ncols = tails.shape[1]
     # p(-1) = 1 - b1 + b2 - b3 + ...: alternating tail sum, in step units
-    signs = np.array([(-1) ** j for j in range(ncols)], dtype=np.int64)
-    talt = tails @ signs
-    u1 = int(1 / step)  # floor(1/step); the comparison below is exact
+    talt = tails @ np.array([(-1) ** j for j in range(ncols)], dtype=np.int64)
+    order = np.argsort(-talt, kind="stable")  # sorted row -> lexicographic row
     lut = _grid_values(step, max(budget_units, k1_max) + 1)
-    tail_cols = [lut[tails[:, j]] for j in range(ncols)]
-    del tails  # lut is strictly increasing, so searchsorted recovers a winner's units
-    per = max(1, _SWEEP_BLOCK // ntails)
-    # per functional: [max_value, max_at, min_value, min_at], at = (k1, tail row)
+    tail_cols = [lut[tails[order, j]] for j in range(ncols)]
+    # the point is a member iff p(-1) >= 0, that is k1 - talt <= floor(1/step)
+    counts = np.searchsorted(-talt[order], int(1 / step) - np.arange(k1_max + 1), side="right")
+    del tails, talt  # lut is strictly increasing, so searchsorted recovers a winner's units
+    nslices = int(np.count_nonzero(counts))  # counts falls with k1; b1 = 0 keeps the zero tail
+
+    def points(lo: int, hi: int) -> tuple:  # slices lo..hi-1 end to end
+        cnt = counts[lo:hi]
+        cols = [c[: cnt[0]] if hi - lo == 1 else np.concatenate([c[:m] for m in cnt]) for c in tail_cols]
+        b1 = np.repeat(lut[lo:hi], cnt)
+        return (b1, *cols, *(np.zeros(b1.size) for _ in range(width - 1 - ncols)))
+
+    per = max(1, _SWEEP_BLOCK // len(order))
+    # per functional: [max_value, max_k1, min_value, min_k1]
     best = [[-math.inf, None, math.inf, None] for _ in fns]
-    for k0 in range(0, k1_max + 1, per):
-        ks = np.arange(k0, min(k0 + per, k1_max + 1))
-        # the point is a member iff p(-1) >= 0, that is (k1 - talt) step <= 1
-        at = np.flatnonzero((ks[:, None] - talt) <= u1)
-        if not at.size:
-            continue
-        kk, rows = at // ntails + k0, at % ntails
-        bf = (lut[kk], *(c[rows] for c in tail_cols), *(np.zeros(kk.size),) * (width - 1 - ncols))
+    for lo in range(0, nslices, per):
+        hi = min(lo + per, nslices)
+        bf, ends = points(lo, hi), np.cumsum(counts[lo:hi])
         for fn, slot in zip(fns, best):
             v = fn.evaluate(bf) + 0.0  # normalize -0.0
-            jmax = int(np.argmax(v))  # first hit = lexicographically least
-            vmax = float(v[jmax])
-            if vmax > slot[0]:
-                slot[0], slot[1] = vmax, (int(kk[jmax]), int(rows[jmax]))
-            jmin = int(np.argmin(v))
-            vmin = float(v[jmin])
-            if vmin < slot[2]:
-                slot[2], slot[3] = vmin, (int(kk[jmin]), int(rows[jmin]))
+            jmax, jmin = int(np.argmax(v)), int(np.argmin(v))
+            if v[jmax] > slot[0]:
+                slot[0], slot[1] = float(v[jmax]), lo + int(np.searchsorted(ends, jmax, side="right"))
+            if v[jmin] < slot[2]:
+                slot[2], slot[3] = float(v[jmin]), lo + int(np.searchsorted(ends, jmin, side="right"))
 
-    def lattice_point(k1: int, row: int) -> tuple[Fraction, ...]:
+    def lattice_point(fn: Functional, value: float, k1: int) -> tuple[Fraction, ...]:
+        ties = np.flatnonzero(fn.evaluate(points(k1, k1 + 1)) == value)
+        row = ties[np.argmin(order[ties])]  # the least tail in lexicographic order
         units = (int(np.searchsorted(lut, c[row])) for c in tail_cols)
         return _pad((k1 * step,) + tuple(t * step for t in units), width)
 
-    # the b1 = 0 slice always holds the zero point, so every slot is set
-    out = {}
-    for fn, slot in zip(fns, best):
-        out[(fn.name, "max")] = (slot[0], lattice_point(*slot[1]))
-        out[(fn.name, "min")] = (slot[2], lattice_point(*slot[3]))
-    return out
+    return {(fn.name, d): (v, lattice_point(fn, v, k1))
+            for fn, slot in zip(fns, best) for d, v, k1 in (("max", *slot[:2]), ("min", *slot[2:]))}
 
 
 # -- refinement ------------------------------------------------------------

@@ -22,6 +22,9 @@ not a tautology:
   refine_by_fractions       the refinement polish with every point a tuple
                             of Fraction, against the search's integer
                             vectors over one denominator
+  an_coefficient_by_recursion   a_n by the reciprocal recursion with its
+                            signs unfolded, against the search's
+                            sign-folded recursion
 
 All arithmetic is exact rational, except for the float objective;
 nothing here imports the modules whose answers it is checking beyond
@@ -201,6 +204,21 @@ def random_member(rng: random.Random, lam: Fraction | None = None) -> ClassMembe
             return validate(lam, (b1,) + tail)
         except NonMember:
             continue
+
+
+# -- coefficient recursion ---------------------------------------------------
+
+
+def an_coefficient_by_recursion(b: Sequence, n: int):
+    # coefficient of z^(n-1) in 1/(1 + sum b_j z^j), i.e. a_n of f;
+    # written without branching so it also evaluates elementwise on arrays
+    c = [b[0] * 0 + 1]
+    for k in range(1, n):
+        s = c[0] * 0
+        for j in range(1, min(k, len(b)) + 1):
+            s = s + b[j - 1] * c[k - j]
+        c.append(-s)
+    return c[n - 1]
 
 
 # -- brute-force lattice enumeration ----------------------------------------

@@ -14,8 +14,16 @@ import numpy as np
 import pytest
 
 import ucv.search
-from oracles import enumerate_feasible, random_member, refine_by_fractions
-from ucv.model import FUNCTIONAL_NAMES, Functional, an_functional, f_series, functional_by_name, validate
+from oracles import an_coefficient_by_recursion, enumerate_feasible, random_member, refine_by_fractions
+from ucv.model import (
+    FUNCTIONAL_NAMES,
+    Functional,
+    _an_coefficient,
+    an_functional,
+    f_series,
+    functional_by_name,
+    validate,
+)
 from ucv.rootcheck import UnitPolynomial
 from ucv.search import (
     BoundCertificate,
@@ -137,6 +145,23 @@ def test_sweep_tie_along_a_segment_goes_to_the_least_point(monkeypatch, block):
     assert _sweep(lam, cfg, [line])[("LINE", "max")] == (0.0, (F(0), F(1), F(0), F(0)))
 
 
+@pytest.mark.parametrize("block", [None, 1, 3 * 41], ids=["default", "one slice", "uneven"])
+@pytest.mark.parametrize("lam,cfg", [(F(1), SearchConfig(grid_step=F(1, 8))),
+                                     (F(1, 2), SearchConfig(grid_step=F(1, 10), dims=5))], ids=str)
+def test_sweep_tie_in_slack_order_goes_to_the_least_tail(monkeypatch, lam, cfg, block):
+    # b1 and b3 both reach their minimum 0 on the whole b1 = 0 slice (b3:
+    # wherever b3 = 0), and that slice lists the tails with more p(-1)
+    # slack, such as (b2, b3, b4) = (lambda, 0, 0), ahead of the zero tail;
+    # the least point, the zero tail, must win all the same
+    if block:
+        monkeypatch.setattr(ucv.search, "_SWEEP_BLOCK", block)
+    fns = [Functional("B1", None, lambda b: b[0], lambda lam: (None, None)),
+           Functional("B3", None, lambda b: b[2], lambda lam: (None, None))]
+    got = _sweep(lam, cfg, fns)
+    zero = (F(0),) * max(4, cfg.dims)
+    assert got[("B1", "min")] == got[("B3", "min")] == (0.0, zero)
+
+
 def test_sweep_spans_several_default_blocks():
     lam, cfg = F(1), SearchConfig(grid_step=F(1, 150), dims=2)
     ntails, slices = sweep_shape(lam, cfg)
@@ -236,6 +261,40 @@ def test_an_functional_matches_f_series():
         fs = f_series(m, 7).coeffs
         for n in range(2, 8):
             assert an_functional(n).evaluate(m.b) == abs(fs[n]), n
+
+
+def _an_columns(rng, width, size):
+    """Seeded float64 columns: uniform on [-2, 2], about 30% of entries on
+    the step-1/50 lattice and about 30% zeros of either sign."""
+    cols = []
+    for _ in range(width):
+        x = rng.uniform(-2.0, 2.0, size)
+        on_lattice = rng.random(size) < 0.3
+        x[on_lattice] = rng.integers(0, 101, int(on_lattice.sum())) / 50
+        zero = rng.random(size) < 0.3
+        x[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+        cols.append(x)
+    return cols
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_an_coefficient_keeps_the_bits_of_the_unfolded_recursion(n):
+    # the sign-folded recursion against the plain one: float rounding is
+    # sign-symmetric, so |a_n| keeps its bits and abs removes a zero's sign
+    rng = np.random.default_rng(2400 + n)
+
+    def bits(x):
+        return np.asarray(abs(x) + 0.0, dtype=np.float64).view(np.int64)
+
+    for width in (max(4, n - 1), 7, 3):
+        b = _an_columns(rng, width, 4000)
+        assert np.array_equal(bits(_an_coefficient(b, n)), bits(an_coefficient_by_recursion(b, n)))
+        for row in list(zip(*b))[:300]:  # the same values as Python float scalars
+            row = tuple(float(x) for x in row)
+            assert bits(_an_coefficient(row, n)) == bits(an_coefficient_by_recursion(row, n))
+    for _ in range(200):  # and exactly over Fraction, sign included
+        b = tuple(F(int(rng.integers(-60, 61)), int(rng.integers(1, 60))) for _ in range(7))
+        assert _an_coefficient(b, n) == (-1) ** (n - 1) * an_coefficient_by_recursion(b, n)
 
 
 # -- configuration -----------------------------------------------------------
