@@ -5,8 +5,9 @@ functional values of one member), search (one functional/direction),
 expand (series coefficients of a catalog member), conjecture (growth
 bound scan for |a_n|).
 
-Exit codes: 0 success, 2 at least one FAIL certificate, 64 usage error,
-65 non-member input.
+Exit codes: 0 success, 2 at least one FAIL certificate, 64 usage error
+(a bad flag, or any value the library rejects with ValueError), 65
+non-member input to report.
 """
 
 from __future__ import annotations
@@ -46,16 +47,14 @@ EXIT_NONMEMBER = 65
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+    """A usage error the library cannot see (exit 64)."""
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; the contract here reserves 2 for
     # bound FAILs, so usage problems are rerouted
     def error(self, message):
-        raise _CliError(message, EXIT_USAGE)
+        raise _CliError(message)
 
 
 def _fraction(text: str) -> Fraction:
@@ -71,12 +70,6 @@ def _fraction_list(text: str) -> list[Fraction]:
     return [_fraction(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _check_lambda(lam: Fraction) -> Fraction:
-    if not 0 < lam <= 1:
-        raise _CliError(f"lambda out of range: {lam}", EXIT_USAGE)
-    return lam
-
-
 def _config(args) -> SearchConfig:
     kwargs = {}
     if args.step is not None:
@@ -85,10 +78,7 @@ def _config(args) -> SearchConfig:
         kwargs["refine_rounds"] = args.refine
     if args.dims is not None:
         kwargs["dims"] = args.dims
-    try:
-        return SearchConfig(**kwargs)
-    except ValueError as exc:
-        raise _CliError(str(exc), EXIT_USAGE)
+    return SearchConfig(**kwargs)
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
@@ -170,10 +160,9 @@ def _run_verify(args) -> int:
     elif args.lam is not None:
         grid = [args.lam]
     else:
-        raise _CliError("verify needs --lambda or --grid", EXIT_USAGE)
+        raise _CliError("verify needs --lambda or --grid")
     if not grid:
-        raise _CliError("empty lambda grid", EXIT_USAGE)
-    grid = [_check_lambda(x) for x in grid]
+        raise _CliError("empty lambda grid")
     certs = verify_bounds(grid, _config(args))
     _print_certificates(certs, args.format)
     return _exit_for(certs)
@@ -185,8 +174,6 @@ def _run_report(args) -> int:
     except NonMember as exc:
         print(f"non-member: {exc}", file=sys.stderr)
         return EXIT_NONMEMBER
-    except ValueError as exc:
-        raise _CliError(str(exc), EXIT_USAGE)
     report = CoefficientReport.from_member(member)
     if args.format == "json":
         print(json.dumps(report_to_dict(report), indent=2))
@@ -206,30 +193,26 @@ def _run_report(args) -> int:
 
 
 def _run_search(args) -> int:
-    lam = _check_lambda(args.lam)
     try:
         fn = functional_by_name(args.functional)
-    except (KeyError, ValueError):
-        raise _CliError(f"unknown functional: {args.functional}", EXIT_USAGE)
-    cert = optimize(fn, lam, args.direction, _config(args))
+    except KeyError:
+        raise _CliError(f"unknown functional: {args.functional}")
+    cert = optimize(fn, args.lam, args.direction, _config(args))
     _print_certificates([cert], args.format)
     return _exit_for([cert])
 
 
 def _run_expand(args) -> int:
     if args.name not in CATALOG_NAMES:
-        raise _CliError(f"unknown extremal name: {args.name}", EXIT_USAGE)
-    lam = _check_lambda(args.lam)
-    if args.order < 1:
-        raise _CliError("order must be >= 1", EXIT_USAGE)
-    member = extremal_catalog(args.name, lam)
+        raise _CliError(f"unknown extremal name: {args.name}")
+    member = extremal_catalog(args.name, args.lam)
     direct = f_series(member, args.order).coeffs[1:]
     show_inverse = args.inverse or args.name == "FLambda"
     inverse = inverse_series(member, args.order).coeffs[1:] if show_inverse else None
     if args.format == "json":
         payload = {
             "name": args.name,
-            "lambda": str(lam),
+            "lambda": str(args.lam),
             "order": args.order,
         }
         if not args.inverse:
@@ -246,11 +229,7 @@ def _run_expand(args) -> int:
 
 
 def _run_conjecture(args) -> int:
-    lam = _check_lambda(args.lam)
-    try:
-        cert = conjecture_scan(args.n, lam, _config(args))
-    except ValueError as exc:
-        raise _CliError(str(exc), EXIT_USAGE)
+    cert = conjecture_scan(args.n, args.lam, _config(args))
     _print_certificates([cert], args.format)
     return _exit_for([cert])
 
@@ -269,9 +248,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _RUNNERS[args.command](args)
-    except _CliError as exc:
+    except (_CliError, ValueError) as exc:  # NonMember outside report is a usage error
         print(f"ucv: error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -59,6 +59,16 @@ class NonMember(ValueError):
         super().__init__(reason if not detail else f"{reason}: {detail}")
 
 
+def lambda_in_range(raw: RationalIn) -> Fraction:
+    """The one lambda check of the package: raw as an exact rational, or
+    NonMember("lambda out of range") outside (0, 1], where U+(lambda) is
+    not defined."""
+    lam = as_rational(raw)
+    if not 0 < lam <= 1:
+        raise NonMember("lambda out of range", f"lambda={lam}")
+    return lam
+
+
 @dataclass(frozen=True)
 class ClassMember:
     """A validated member: rational lambda plus the b-window (length >= 4,
@@ -101,9 +111,7 @@ def validate(lam: RationalIn, b: Sequence[RationalIn]) -> ClassMember:
     Raises NonMember with reason one of: "lambda out of range",
     "negative coefficient", "lemma-sum exceeded", "zero in disk".
     """
-    lam_q = as_rational(lam)
-    if not 0 < lam_q <= 1:
-        raise NonMember("lambda out of range", f"lambda={lam_q}")
+    lam_q = lambda_in_range(lam)
     bs = [as_rational(x) for x in b]
     if not bs:
         raise ValueError("b must contain at least one coefficient")
@@ -298,7 +306,7 @@ def an_functional(n: int) -> Functional:
 def functional_by_name(name: str) -> Functional:
     if name in _BY_NAME:
         return _BY_NAME[name]
-    if name.startswith("AN(") and name.endswith(")"):
+    if name.startswith("AN(") and name.endswith(")") and name[3:-1].isdigit():
         return an_functional(int(name[3:-1]))
     raise KeyError(name)
 
@@ -324,11 +332,9 @@ def extremal_catalog(name: str, lam: RationalIn) -> ClassMember:
 
     Names: FLambda (the two-factor denominator (1+z)(1+lambda z)), Bz2,
     Bz4over3, H2UpperMix, HalfZ3, H3LowerMix.  Raises KeyError
-    for unknown names, NonMember if lambda is out of range.
+    for unknown names, NonMember("lambda out of range") outside (0, 1].
     """
-    lam_q = as_rational(lam)
-    if not 0 < lam_q <= 1:
-        raise NonMember("lambda out of range", f"lambda={lam_q}")
+    lam_q = lambda_in_range(lam)
     return validate(lam_q, _CATALOG[name](lam_q))
 
 

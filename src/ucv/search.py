@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -42,6 +43,7 @@ from ucv.model import (
     an_functional,
     decimal_str,
     functional_by_name,
+    lambda_in_range,
 )
 from ucv.rootcheck import RationalIn, as_rational, nonvanishing_in_open_disk
 
@@ -60,11 +62,12 @@ _REFINE_PASSES = 6
 
 
 def closed_form_bound(fn: Union[Functional, str], lam: RationalIn, direction: str) -> BoundValue:
-    """Closed-form class bound, or None where no closed form exists."""
+    """Closed-form class bound, or None where no closed form exists.
+    Raises NonMember("lambda out of range") outside (0, 1]."""
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
     fn = functional_by_name(fn) if isinstance(fn, str) else fn
-    upper, lower = fn.bounds(as_rational(lam))
+    upper, lower = fn.bounds(lambda_in_range(lam))
     return upper if direction == "max" else lower
 
 
@@ -78,8 +81,9 @@ class SearchConfig:
     refine_rounds: int = 3
 
     def __post_init__(self):
-        if not isinstance(self.grid_step, Fraction):
-            object.__setattr__(self, "grid_step", as_rational(self.grid_step))
+        object.__setattr__(self, "dims", operator.index(self.dims))
+        object.__setattr__(self, "grid_step", as_rational(self.grid_step))
+        object.__setattr__(self, "refine_rounds", operator.index(self.refine_rounds))
         if self.grid_step <= 0:
             raise ValueError("grid_step must be positive")
         if self.dims < 1:
@@ -391,13 +395,6 @@ def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
 # -- public search API -----------------------------------------------------
 
 
-def _lambda_in_range(raw: RationalIn) -> Fraction:
-    lam = as_rational(raw)
-    if not 0 < lam <= 1:
-        raise ValueError(f"lambda must be in (0, 1], got {lam}")
-    return lam
-
-
 def _certify_row(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
                  value: float, arg: tuple[Fraction, ...]) -> BoundCertificate:
     """Refine one coarse incumbent and certify it against the closed form."""
@@ -433,7 +430,7 @@ def optimize(fn: Union[Functional, str], lam: RationalIn, direction: str,
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
     fn = functional_by_name(fn) if isinstance(fn, str) else fn
-    lam = _lambda_in_range(lam)
+    lam = lambda_in_range(lam)
     cfg = cfg or SearchConfig()
     value, arg = _sweep(lam, cfg, [fn])[(fn.name, direction)]
     return _certify_row(lam, cfg, fn, direction, value, arg)
@@ -453,7 +450,7 @@ def verify_bounds(lambda_grid: Sequence[RationalIn], cfg: SearchConfig | None = 
     then max before min.
     """
     cfg = cfg or SearchConfig()
-    grid = [_lambda_in_range(raw) for raw in lambda_grid]
+    grid = [lambda_in_range(raw) for raw in lambda_grid]
     workers = min(_thread_count(), len(grid), _cpu_count())
     if workers <= 1:
         parts = [_certify_lambda(lam, cfg) for lam in grid]

@@ -4,8 +4,9 @@ A series of order N stores the coefficients of z^0 .. z^N and stands for
 an unknown analytic function modulo z^(N+1).  Every operation truncates
 to the order of the least-informed operand, so results never claim
 coefficients that the inputs cannot justify.  Coefficients are
-fractions.Fraction throughout; floats are rejected to keep the algebra
-exact (decimal literals can be passed as strings).
+fractions.Fraction throughout; inputs go through rootcheck.as_rational,
+so a float means its decimal text (0.1 is 1/10) and the algebra stays
+exact.
 """
 
 from __future__ import annotations
@@ -13,19 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
-Coefficient = Union[Fraction, int, str]
-
-
-def _coerce(value: Coefficient) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"exact coefficient required, got {type(value).__name__}")
+from ucv.rootcheck import RationalIn, as_rational
 
 
 @dataclass(frozen=True)
@@ -37,19 +28,19 @@ class TruncatedSeries:
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise ValueError("a truncated series needs at least the z^0 coefficient")
-        object.__setattr__(self, "coeffs", tuple(_coerce(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(as_rational(c) for c in self.coeffs))
 
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def from_coeffs(cls, values: Iterable[Coefficient]) -> "TruncatedSeries":
+    def from_coeffs(cls, values: Iterable[RationalIn]) -> "TruncatedSeries":
         return cls(tuple(values))
 
     @classmethod
-    def constant(cls, value: Coefficient, order: int = 0) -> "TruncatedSeries":
+    def constant(cls, value: RationalIn, order: int = 0) -> "TruncatedSeries":
         if order < 0:
             raise ValueError("order must be >= 0")
-        return cls((_coerce(value),) + (Fraction(0),) * order)
+        return cls((as_rational(value),) + (Fraction(0),) * order)
 
     @classmethod
     def zero(cls, order: int = 0) -> "TruncatedSeries":
@@ -82,8 +73,8 @@ class TruncatedSeries:
             raise ValueError("can only truncate to a lower or equal order")
         return TruncatedSeries(self.coeffs[: order + 1])
 
-    def scale(self, factor: Coefficient) -> "TruncatedSeries":
-        f = _coerce(factor)
+    def scale(self, factor: RationalIn) -> "TruncatedSeries":
+        f = as_rational(factor)
         return TruncatedSeries(tuple(f * c for c in self.coeffs))
 
     def __neg__(self) -> "TruncatedSeries":
@@ -215,11 +206,11 @@ class TruncatedSeries:
         return f"{body} + O(z^{self.order + 1})"
 
 
-def series_from_polynomial(coeffs: Sequence[Coefficient], order: int) -> TruncatedSeries:
+def series_from_polynomial(coeffs: Sequence[RationalIn], order: int) -> TruncatedSeries:
     """Polynomial coefficients viewed as a series of the given order,
     zero-padded or truncated as needed (valid because a polynomial's
     tail really is zero)."""
-    cs = [_coerce(c) for c in coeffs]
+    cs = [as_rational(c) for c in coeffs]
     if order + 1 < len(cs):
         cs = cs[: order + 1]
     else:

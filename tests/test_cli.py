@@ -38,12 +38,32 @@ def run(capsys, *argv):
         ["expand", "--name", "Nope", "--lambda", "1"],
         ["expand", "--name", "FLambda", "--lambda", "1", "--order", "0"],
         ["conjecture", "--n", "12", "--lambda", "1"],
+        ["search", "--functional", "A2", "--direction", "max", "--lambda", "0"],
+        ["expand", "--name", "FLambda", "--lambda", "2"],
+        ["conjecture", "--n", "4", "--lambda", "-1"],
     ],
 )
 def test_usage_exit_codes(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert "error" in err.lower()
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify", "--grid", "1/4,1.5"], "lambda out of range: lambda=3/2"),
+        (["search", "--functional", "A2", "--direction", "max", "--lambda", "0"], "lambda out of range: lambda=0"),
+        (["expand", "--name", "FLambda", "--lambda", "1", "--order", "0"], "order must be >= 1"),
+        (["search", "--functional", "AN(12)", "--direction", "max", "--lambda", "1"], "n must be in [2, 8], got 12"),
+        (["conjecture", "--n", "12", "--lambda", "1"], "n must be in [2, 8], got 12"),
+        (["search", "--functional", "AN(x)", "--direction", "max", "--lambda", "1"], "unknown functional: AN(x)"),
+    ],
+)
+def test_usage_errors_are_one_pinned_line(capsys, argv, message):
+    # main maps the library's ValueError to exit 64 and prints its message
+    assert run(capsys, *argv) == (EXIT_USAGE, "", f"ucv: error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -127,6 +147,11 @@ def test_report_lambda_out_of_range_is_nonmember(capsys):
     code, _, err = run(capsys, "report", "--lambda", "1.5", "--b", "0")
     assert code == EXIT_NONMEMBER
     assert "lambda out of range" in err
+
+
+def test_report_lambda_zero_is_nonmember(capsys):
+    code, out, err = run(capsys, "report", "--lambda", "0", "--b", "0")
+    assert (code, out, err) == (EXIT_NONMEMBER, "", "non-member: lambda out of range: lambda=0\n")
 
 
 def test_report_accepts_mixed_fraction_styles(capsys):

@@ -312,6 +312,16 @@ def test_search_config_validation():
     assert cfg.b1_cap(F(1, 2)) == F(3, 2)
 
 
+def test_search_config_integer_fields_are_checked_when_built():
+    with pytest.raises(TypeError):
+        SearchConfig(dims=4.5)
+    with pytest.raises(TypeError):
+        SearchConfig(refine_rounds=4.5)
+    cfg = SearchConfig(dims=np.int64(5), refine_rounds=np.int64(2))
+    assert (cfg.dims, cfg.refine_rounds) == (5, 2)
+    assert type(cfg.dims) is type(cfg.refine_rounds) is int
+
+
 def test_float_inputs_mean_their_decimal_text():
     cfg = SearchConfig(grid_step=F(1, 10), refine_rounds=0)
     assert validate(0.1, (0,)).lam == optimize("A2", 0.1, "max", cfg).lam == F(1, 10)

@@ -42,8 +42,9 @@ def test_constructor_rejections():
         TruncatedSeries.identity(0)
     with pytest.raises(ValueError):
         TruncatedSeries.constant(1, -1)
+    assert TruncatedSeries((F(1), 0.5)).coeffs == (F(1), F(1, 2))  # a float means its decimal text
     with pytest.raises(TypeError):
-        TruncatedSeries((F(1), 0.5))  # floats are not exact; pass "1/2" instead
+        TruncatedSeries((F(1), None))
 
 
 def test_coefficient_range_checked():
