@@ -284,12 +284,14 @@ def _an_coefficient(b: Sequence, n: int):
     # 1/(1 + sum b_j z^j): e_0 = 1, e_k = b1 e_(k-1) - b2 e_(k-2) + ...
     # Rounding is sign-symmetric, so |e_(n-1)| has the bits of |a_n| by the
     # unfolded recursion (only a zero's sign can differ).  No branch on
-    # values, so it also evaluates elementwise on arrays
+    # values, so it also evaluates elementwise on arrays.  The j = k term
+    # b_k e_0 is read as b_k: x * 1 == x exactly, so no bit changes
     e = [1]
     for k in range(1, n):
-        s = b[0] * e[k - 1]
+        s = b[0] * e[k - 1] if k > 1 else b[0]
         for j in range(2, min(k, len(b)) + 1):
-            s = s + b[j - 1] * e[k - j] if j % 2 else s - b[j - 1] * e[k - j]
+            t = b[j - 1] * e[k - j] if j < k else b[j - 1]
+            s = s + t if j % 2 else s - t
         e.append(s)
     return e[n - 1]
 

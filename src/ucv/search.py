@@ -29,7 +29,6 @@ import functools
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence, Union
@@ -53,7 +52,7 @@ from ucv.rootcheck import RationalIn, as_rational, nonvanishing_in_open_disk
 FAIL_SLACK = 1e-7
 WARN_GAP = 5e-3
 
-_SWEEP_BLOCK = 2**14  # lattice points the sweep scores per block of b1 slices
+_SWEEP_BLOCK = 2**14  # most feasible points in a sweep block of several b1 slices
 _REFINE_WINDOW = 12
 _REFINE_PASSES = 6
 
@@ -110,14 +109,15 @@ def _tail_units(budget: int, weights: tuple[int, ...]) -> np.ndarray:
 
     Built from the last weight forwards: for k = 0..budget // w, k goes
     in front of the rows of the later weights whose units fit in
-    budget - k w, which keeps the order lexicographic.
+    budget - k w.  One nonzero over the (k, row) fit table lists those
+    pairs k-major, which keeps the order lexicographic.
     """
     rows = np.zeros((1, 0), dtype=np.int64)
     used = np.zeros(1, dtype=np.int64)
     for w in reversed(weights):
-        fits = [(k, used <= budget - k * w) for k in range(budget // w + 1)]
-        rows = np.concatenate([np.hstack((np.full((int(m.sum()), 1), k), rows[m])) for k, m in fits])
-        used = np.concatenate([used[m] + k * w for k, m in fits])
+        k = np.arange(budget // w + 1)
+        ks, rs = np.nonzero(used <= budget - w * k[:, None])
+        rows, used = np.hstack((ks[:, None], rows[rs])), used[rs] + w * ks
     return rows
 
 
@@ -203,9 +203,10 @@ def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional]) -> dict:
 
     The tails are sorted once by p(-1) slack, most first, by a stable sort,
     so slice b1 = k1 step holds exactly the first counts[k1] of them.  b1 =
-    0..k1_max goes in blocks of consecutive slices, about _SWEEP_BLOCK points
-    each, scored by one evaluate, argmax and argmin per functional; a
-    one-slice block reads its tail columns as views.  A slot keeps its best
+    0..k1_max goes in blocks of consecutive slices, each the most that fit in
+    _SWEEP_BLOCK feasible points (or one larger slice), scored by one
+    evaluate, argmax and argmin per functional; a one-slice block reads its
+    tail columns as views and passes b1 as a scalar.  A slot keeps its best
     value and the least k1 that reaches it (a block's first hit lies in its
     least slice; a strict comparison keeps the earlier block's).  Slack order
     is not lexicographic, so the winning slice is scored again and its least
@@ -217,38 +218,49 @@ def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional]) -> dict:
     k1_max = int(cfg.b1_cap(lam) / step)
     tails = _tail_units(budget_units, tuple(range(1, cfg.dims)))
     ncols = tails.shape[1]
-    # p(-1) = 1 - b1 + b2 - b3 + ...: alternating tail sum, in step units
-    talt = tails @ np.array([(-1) ** j for j in range(ncols)], dtype=np.int64)
-    order = np.argsort(-talt, kind="stable")  # sorted row -> lexicographic row
+    # p(-1) = 1 - b1 - key, key = -b2 + b3 - b4 + ... in step units, |key| <= budget_units
+    key = tails @ np.array([(-1) ** (j + 1) for j in range(ncols)], dtype=np.int64)
+    # sorted row -> lexicographic row; numpy's stable sort of 16-bit ints is a radix sort
+    order = np.argsort(key.astype(np.int16) if budget_units < 2**15 else key, kind="stable")
     lut = _grid_values(step, max(budget_units, k1_max) + 1)
     tail_cols = [lut[tails[order, j]] for j in range(ncols)]
-    # the point is a member iff p(-1) >= 0, that is k1 - talt <= floor(1/step)
-    counts = np.searchsorted(-talt[order], int(1 / step) - np.arange(k1_max + 1), side="right")
-    del tails, talt  # lut is strictly increasing, so searchsorted recovers a winner's units
+    # the point is a member iff p(-1) >= 0, that is k1 + key <= floor(1/step)
+    counts = np.searchsorted(key[order], int(1 / step) - np.arange(k1_max + 1), side="right")
+    del tails, key  # lut is strictly increasing, so searchsorted recovers a winner's units
     nslices = int(np.count_nonzero(counts))  # counts falls with k1; b1 = 0 keeps the zero tail
+    ends = np.cumsum(counts[:nslices])  # points in slices 0..k1
 
-    def points(lo: int, hi: int) -> tuple:  # slices lo..hi-1 end to end
+    def points(lo: int, hi: int) -> tuple:  # slices lo..hi-1 end to end; b1 a scalar for one slice
         cnt = counts[lo:hi]
-        cols = [c[: cnt[0]] if hi - lo == 1 else np.concatenate([c[:m] for m in cnt]) for c in tail_cols]
-        b1 = np.repeat(lut[lo:hi], cnt)
-        return (b1, *cols, *(np.zeros(b1.size) for _ in range(width - 1 - ncols)))
+        if hi - lo == 1:
+            b1, cols = lut[lo], [c[: cnt[0]] for c in tail_cols]
+        else:
+            b1, cols = np.repeat(lut[lo:hi], cnt), [np.concatenate([c[:m] for m in cnt]) for c in tail_cols]
+        return (b1, *cols, *(np.zeros(int(cnt.sum())) for _ in range(width - 1 - ncols)))
 
-    per = max(1, _SWEEP_BLOCK // len(order))
+    def scores(fn: Functional, block: tuple) -> np.ndarray:
+        v = fn.evaluate(block) + 0.0  # normalize -0.0
+        # a functional of a one-slice block's scalar b1 alone; block[1] spans the block (width >= 4)
+        return v if np.ndim(v) else np.broadcast_to(v, block[1].shape)
+
     # per functional: [max_value, max_k1, min_value, min_k1]
     best = [[-math.inf, None, math.inf, None] for _ in fns]
-    for lo in range(0, nslices, per):
-        hi = min(lo + per, nslices)
-        bf, ends = points(lo, hi), np.cumsum(counts[lo:hi])
+    lo = 0
+    while lo < nslices:  # the most slices that fit in _SWEEP_BLOCK points, or one larger slice
+        start = int(ends[lo] - counts[lo])
+        hi = max(int(np.searchsorted(ends, start + _SWEEP_BLOCK, side="right")), lo + 1)
+        bf = points(lo, hi)
         for fn, slot in zip(fns, best):
-            v = fn.evaluate(bf) + 0.0  # normalize -0.0
+            v = scores(fn, bf)
             jmax, jmin = int(np.argmax(v)), int(np.argmin(v))
             if v[jmax] > slot[0]:
-                slot[0], slot[1] = float(v[jmax]), lo + int(np.searchsorted(ends, jmax, side="right"))
+                slot[0], slot[1] = float(v[jmax]), int(np.searchsorted(ends, start + jmax, side="right"))
             if v[jmin] < slot[2]:
-                slot[2], slot[3] = float(v[jmin]), lo + int(np.searchsorted(ends, jmin, side="right"))
+                slot[2], slot[3] = float(v[jmin]), int(np.searchsorted(ends, start + jmin, side="right"))
+        lo = hi
 
     def lattice_point(fn: Functional, value: float, k1: int) -> tuple[Fraction, ...]:
-        ties = np.flatnonzero(fn.evaluate(points(k1, k1 + 1)) == value)
+        ties = np.flatnonzero(scores(fn, points(k1, k1 + 1)) == value)
         row = ties[np.argmin(order[ties])]  # the least tail in lexicographic order
         units = (int(np.searchsorted(lut, c[row])) for c in tail_cols)
         return _pad((k1 * step,) + tuple(t * step for t in units), width)
@@ -455,6 +467,8 @@ def verify_bounds(lambda_grid: Sequence[RationalIn], cfg: SearchConfig | None = 
     if workers <= 1:
         parts = [_certify_lambda(lam, cfg) for lam in grid]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled run loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_certify_lambda, grid, [cfg] * len(grid)))
     return [cert for part in parts for cert in part]

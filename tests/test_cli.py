@@ -282,6 +282,25 @@ def test_verify_table_renders(capsys):
 # -- conjecture --------------------------------------------------------------
 
 
+def test_conjecture_json_matches_pinned_outputs(capsys):
+    """`conjecture --format json` for n = 2..8 at lambda 1/2, then at
+    lambda 1 (default step, dims and refinement), concatenated, equals
+    tests/expected/conjecture_n2-8.txt byte for byte, and every run exits 0.
+
+    The rule for changing that file: a change that alters any row (exact
+    scoring's 1-ulp fixes, for one) regenerates it and names every changed
+    row, with the reason, in CHANGES.md.
+    """
+    expected = Path(__file__).resolve().parent / "expected" / "conjecture_n2-8.txt"
+    outs = []
+    for lam in ("1/2", "1"):
+        for n in range(2, 9):
+            code, out, _ = run(capsys, "conjecture", "--n", str(n), "--lambda", lam, "--format", "json")
+            assert code == EXIT_OK, (n, lam)
+            outs.append(out)
+    assert "".join(outs).encode() == expected.read_bytes()
+
+
 def test_conjecture_cli(capsys):
     code, out, _ = run(capsys, "conjecture", "--n", "3", "--lambda", "0.5",
                        "--step", "1/10", "--refine", "2")

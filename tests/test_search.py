@@ -4,6 +4,7 @@ conjecture scan."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import functools
 import itertools
 import math
@@ -112,6 +113,26 @@ def sweep_shape(lam, cfg):
     return len(tails), int(cfg.b1_cap(lam) / cfg.grid_step) + 1
 
 
+def sweep_blocks(lam, cfg):
+    """The points of each b1 slice of each block the sweep scores, in
+    order: a recording functional logs every evaluate, and the last two
+    re-score the winning slices."""
+    log = []
+
+    def record(b):
+        b1 = np.broadcast_to(b[0], np.broadcast(*b).shape)
+        log.append(np.unique(b1, return_counts=True)[1].tolist())  # b1 rises with the slice
+        return b[0] + b[1]
+
+    _sweep(lam, cfg, [Functional("REC", None, record, lambda lam: (None, None))])
+    return log[:-2]
+
+
+@functools.cache
+def feasible_count(lam, cfg):
+    return sum(1 for _ in enumerate_feasible(lam, cfg))
+
+
 @pytest.mark.parametrize("lam,cfg", SWEEP_GRIDS, ids=lambda v: str(v))
 def test_sweep_matches_brute_force_bit_for_bit(lam, cfg):
     assert_sweep_matches_brute_force(lam, cfg)
@@ -121,15 +142,29 @@ def test_sweep_matches_brute_force_bit_for_bit(lam, cfg):
 @pytest.mark.parametrize("lam,cfg", SWEEP_GRIDS, ids=lambda v: str(v))
 def test_sweep_ties_across_block_boundaries(monkeypatch, lam, cfg, per_block):
     # the tie rule must hold at every block boundary: one b1 slice per
-    # block, or blocks of `per` slices with a shorter last block
-    ntails, slices = sweep_shape(lam, cfg)
-    if per_block == "one slice":
-        block = 1
-    else:
-        per = next(k for k in range(2, slices) if slices % k)
-        block = per * ntails
+    # block, or blocks of several slices that hold at most a third of the
+    # feasible points (plus one); the last block may be one slice
+    block = 1 if per_block == "one slice" else feasible_count(lam, cfg) // 3 + 1
     monkeypatch.setattr(ucv.search, "_SWEEP_BLOCK", block)
+    slices = [len(cut) for cut in sweep_blocks(lam, cfg)]
+    assert len(slices) >= 2
+    assert all(s == 1 for s in slices) if per_block == "one slice" else all(s >= 2 for s in slices[:-1])
     assert_sweep_matches_brute_force(lam, cfg)
+
+
+@pytest.mark.parametrize("block", [None, 1, 7, 40, 150], ids=["default", "1", "7", "40", "150"])
+@pytest.mark.parametrize("lam,cfg", SWEEP_GRIDS, ids=lambda v: str(v))
+def test_sweep_blocks_fill_with_feasible_points(monkeypatch, lam, cfg, block):
+    # a block takes the most slices that fit in _SWEEP_BLOCK feasible
+    # points, or one larger slice, so no block could also take the first
+    # slice of the next; together they hold every feasible point once
+    if block:
+        monkeypatch.setattr(ucv.search, "_SWEEP_BLOCK", block)
+    size = ucv.search._SWEEP_BLOCK
+    cut = sweep_blocks(lam, cfg)
+    assert all(sum(sl) <= size or len(sl) == 1 for sl in cut)
+    assert all(sum(sl) + nxt[0] > size for sl, nxt in zip(cut, cut[1:]))
+    assert sum(map(sum, cut)) == feasible_count(lam, cfg)
 
 
 @pytest.mark.parametrize("block", [None, 1, 3 * 41], ids=["default", "one slice", "uneven"])
@@ -141,7 +176,7 @@ def test_sweep_tie_along_a_segment_goes_to_the_least_point(monkeypatch, block):
     lam, cfg = F(1), SearchConfig(grid_step=F(1, 8))
     if block:
         monkeypatch.setattr(ucv.search, "_SWEEP_BLOCK", block)
-    assert sweep_shape(lam, cfg) == (41, 17)  # 3 slices a block: 6 blocks, the last of 2
+    assert sweep_shape(lam, cfg) == (41, 17)  # at 123 points a block: blocks of 3, 3, 3 and 8 slices
     assert _sweep(lam, cfg, [line])[("LINE", "max")] == (0.0, (F(0), F(1), F(0), F(0)))
 
 
@@ -163,9 +198,12 @@ def test_sweep_tie_in_slack_order_goes_to_the_least_tail(monkeypatch, lam, cfg, 
 
 
 def test_sweep_spans_several_default_blocks():
+    # 34,126 feasible points in slices of at most 151: three blocks at the
+    # default block size
     lam, cfg = F(1), SearchConfig(grid_step=F(1, 150), dims=2)
-    ntails, slices = sweep_shape(lam, cfg)
-    assert math.ceil(slices / (ucv.search._SWEEP_BLOCK // ntails)) >= 3
+    cut = sweep_blocks(lam, cfg)
+    assert len(cut) >= 3
+    assert all(sum(sl) <= ucv.search._SWEEP_BLOCK for sl in cut)
     assert_sweep_matches_brute_force(lam, cfg)
 
 
@@ -286,9 +324,17 @@ def test_an_coefficient_keeps_the_bits_of_the_unfolded_recursion(n):
     def bits(x):
         return np.asarray(abs(x) + 0.0, dtype=np.float64).view(np.int64)
 
+    def wide(x):  # one column; a functional of a scalar b1 alone is a scalar
+        return np.broadcast_to(np.asarray(x, dtype=np.float64), (4000,)).copy()
+
     for width in (max(4, n - 1), 7, 3):
         b = _an_columns(rng, width, 4000)
         assert np.array_equal(bits(_an_coefficient(b, n)), bits(an_coefficient_by_recursion(b, n)))
+        for x in (0.0, -0.0, *b[0][:8]):  # a one-slice block of the sweep: b1 a numpy scalar
+            scalar, column = (np.float64(x), *b[1:]), (np.full(4000, x), *b[1:])
+            got = wide(_an_coefficient(scalar, n))
+            assert np.array_equal(got.view(np.int64), wide(_an_coefficient(column, n)).view(np.int64))
+            assert np.array_equal(bits(got), bits(wide(an_coefficient_by_recursion(scalar, n))))
         for row in list(zip(*b))[:300]:  # the same values as Python float scalars
             row = tuple(float(x) for x in row)
             assert bits(_an_coefficient(row, n)) == bits(an_coefficient_by_recursion(row, n))
@@ -515,12 +561,20 @@ def test_refine_exact_past_float_precision():
 @pytest.mark.parametrize("dims", range(1, 6))
 def test_tail_units_lexicographic_lattice(dims):
     weights = tuple(range(1, dims))
-    for budget in (0, 1, 5, 12):
+    for budget in (0, 1, 5, 12, 50):
         want = [ks for ks in itertools.product(*(range(budget // w + 1) for w in weights))
                 if sum(w * k for w, k in zip(weights, ks)) <= budget]
         got = _tail_units(budget, weights)
         assert got.dtype == np.int64 and got.shape == (len(want), dims - 1)
         assert got.tolist() == [list(ks) for ks in want]
+
+
+def test_tail_units_row_count_at_dims_7():
+    # the tail lattice of conjecture --n 8 at step 1/80
+    weights = tuple(range(1, 7))
+    rows = _tail_units(80, weights)
+    assert rows.shape == (1_080_266, 6)
+    assert int((rows @ np.array(weights)).max()) == 80
 
 
 def test_move_directions_shape():
@@ -578,7 +632,7 @@ def serial_pool(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(ucv.search, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return workers
 
 
@@ -630,7 +684,7 @@ def test_verify_pool_tasks_are_the_grid_lambdas(serial_pool, monkeypatch):
 def test_verify_pool_matches_serial(monkeypatch):
     workers = []
 
-    class RecordingPool(ucv.search.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             workers.append(max_workers)
             super().__init__(max_workers=max_workers)
@@ -638,7 +692,7 @@ def test_verify_pool_matches_serial(monkeypatch):
     grid, cfg = [F(1, 4), F(1)], SearchConfig(grid_step=F(1, 10))
     monkeypatch.setenv("UCV_THREADS", "1")
     serial = verify_bounds(grid, cfg)
-    monkeypatch.setattr(ucv.search, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(ucv.search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setenv("UCV_THREADS", "2")
     assert verify_bounds(grid, cfg) == serial
