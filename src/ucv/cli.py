@@ -118,7 +118,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", type=_fraction, required=True)
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--inverse", action="store_true", help="expand the compositional inverse")
-    _add_format_flag(p)
+    p.add_argument("--format", choices=("json", "table"), default="table")  # no CSV rendering
 
     p = sub.add_parser("conjecture", help="scan the coefficient growth bound for |a_n|")
     p.add_argument("--n", type=int, required=True)

@@ -38,8 +38,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Sequence, Union
 
-from ucv.rootcheck import (RationalIn, UnitPolynomial, as_rational, nonvanishing_in_open_disk,
-                           over_common_denominator)
+from ucv.rootcheck import RationalIn, as_rational, nonvanishing_in_open_disk, over_common_denominator
 from ucv.series import TruncatedSeries, series_from_polynomial
 
 VALIDATION_REASONS = (
@@ -71,8 +70,8 @@ def lambda_in_range(raw: RationalIn) -> Fraction:
 
 @dataclass(frozen=True)
 class ClassMember:
-    """A validated member: rational lambda plus the b-window (length >= 4,
-    zero padded).  Construct through validate() or extremal_catalog()."""
+    """A validated member: rational lambda and b = (b1, b2, ...), length >= 4,
+    zero padded.  Construct through validate() or extremal_catalog()."""
 
     lam: Fraction
     b: tuple[Fraction, ...]
@@ -84,25 +83,6 @@ class ClassMember:
 
     def lemma_sum(self) -> Fraction:
         return sum(((n - 1) * bn for n, bn in enumerate(self.b, start=1)), Fraction(0))
-
-    def denominator(self) -> UnitPolynomial:
-        return UnitPolynomial.from_coeffs((Fraction(1),) + self.b)
-
-    @property
-    def b1(self) -> Fraction:
-        return self.b[0]
-
-    @property
-    def b2(self) -> Fraction:
-        return self.b[1]
-
-    @property
-    def b3(self) -> Fraction:
-        return self.b[2]
-
-    @property
-    def b4(self) -> Fraction:
-        return self.b[3]
 
 
 def validate(lam: RationalIn, b: Sequence[RationalIn]) -> ClassMember:
@@ -128,7 +108,7 @@ def validate(lam: RationalIn, b: Sequence[RationalIn]) -> ClassMember:
     if not nonvanishing_in_open_disk((Fraction(1),) + member.b, (d, (d, *ns))):
         raise NonMember("zero in disk")
     # consequence of the gates, never an independent constraint
-    assert 0 <= member.b1 <= 1 + lam_q, "b1 outside [0, 1+lambda] after gates"
+    assert 0 <= member.b[0] <= 1 + lam_q, "b1 outside [0, 1+lambda] after gates"
     return member
 
 

@@ -5,7 +5,8 @@ sum (n-1) b_n <= lambda, denominator nonvanishing in the open disk.
 With b >= 0 and a budget lambda <= 1 the disk condition is exactly
 p(-1) = 1 - b1 + b2 - b3 + ... >= 0 (the theorem at
 rootcheck.nonvanishing_in_open_disk), so the sweep keeps a lattice
-point by one exact integer comparison and computes no root.
+point by one exact integer comparison and computes no root.  It sets
+no b1 cap: the three conditions imply b1 <= 1 + lambda (see _refine).
 
 Every objective here is a low-degree polynomial in (b1..b4) (the
 general coefficient objective AN(n) reads b1..b_{n-1}), so the search
@@ -91,16 +92,12 @@ class SearchConfig:
             raise ValueError("refine_rounds must be >= 0")
 
     def b1_cap(self, lam: Fraction) -> Fraction:
-        # every member has b1 <= 1 + lambda (a consequence of the gates)
+        # b1 <= 1 + lambda holds on the class; only perfbench reads it, the search does not
         return 1 + lam
 
 
-def _width(cfg: SearchConfig) -> int:
-    return max(4, cfg.dims)
-
-
-def _pad(b: tuple[Fraction, ...], width: int) -> tuple[Fraction, ...]:
-    return b + (Fraction(0),) * (width - len(b))
+def _width(dims: int) -> int:
+    return max(4, dims)
 
 
 def _tail_units(budget: int, weights: tuple[int, ...]) -> np.ndarray:
@@ -203,29 +200,29 @@ def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional]) -> dict:
 
     The tails are sorted once by p(-1) slack, most first, by a stable sort,
     so slice b1 = k1 step holds exactly the first counts[k1] of them.  b1 =
-    0..k1_max goes in blocks of consecutive slices, each the most that fit in
-    _SWEEP_BLOCK feasible points (or one larger slice), scored by one
-    evaluate, argmax and argmin per functional; a one-slice block reads its
-    tail columns as views and passes b1 as a scalar.  A slot keeps its best
-    value and the least k1 that reaches it (a block's first hit lies in its
-    least slice; a strict comparison keeps the earlier block's).  Slack order
-    is not lexicographic, so the winning slice is scored again and its least
-    tied tail wins: the least point overall.
+    0..floor(1/step) + budget goes in blocks of consecutive slices, each the
+    most that fit in _SWEEP_BLOCK feasible points (or one larger slice),
+    scored by one evaluate, argmax and argmin per functional; a one-slice
+    block reads its full-width tail columns as views, b1 as a scalar.  A
+    slot keeps its best value and the least k1 that reaches it (a block's
+    first hit lies in its least slice; a strict comparison keeps the earlier
+    block's).  Slack order is not lexicographic, so the winning slice is
+    scored again and its least tied tail wins: the least point overall.
     """
     step = cfg.grid_step
-    width = _width(cfg)
-    budget_units = int(lam / step)
-    k1_max = int(cfg.b1_cap(lam) / step)
+    top, budget_units = int(1 / step), int(lam / step)
+    k1_max = top + budget_units  # the least key, -budget_units, puts the whole budget on b2
     tails = _tail_units(budget_units, tuple(range(1, cfg.dims)))
     ncols = tails.shape[1]
     # p(-1) = 1 - b1 - key, key = -b2 + b3 - b4 + ... in step units, |key| <= budget_units
     key = tails @ np.array([(-1) ** (j + 1) for j in range(ncols)], dtype=np.int64)
     # sorted row -> lexicographic row; numpy's stable sort of 16-bit ints is a radix sort
     order = np.argsort(key.astype(np.int16) if budget_units < 2**15 else key, kind="stable")
-    lut = _grid_values(step, max(budget_units, k1_max) + 1)
+    lut = _grid_values(step, k1_max + 1)
     tail_cols = [lut[tails[order, j]] for j in range(ncols)]
+    tail_cols += [np.zeros(len(order)) for _ in range(_width(cfg.dims) - 1 - ncols)]  # b_(dims+1)..b4
     # the point is a member iff p(-1) >= 0, that is k1 + key <= floor(1/step)
-    counts = np.searchsorted(key[order], int(1 / step) - np.arange(k1_max + 1), side="right")
+    counts = np.searchsorted(key[order], top - np.arange(k1_max + 1), side="right")
     del tails, key  # lut is strictly increasing, so searchsorted recovers a winner's units
     nslices = int(np.count_nonzero(counts))  # counts falls with k1; b1 = 0 keeps the zero tail
     ends = np.cumsum(counts[:nslices])  # points in slices 0..k1
@@ -233,10 +230,8 @@ def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional]) -> dict:
     def points(lo: int, hi: int) -> tuple:  # slices lo..hi-1 end to end; b1 a scalar for one slice
         cnt = counts[lo:hi]
         if hi - lo == 1:
-            b1, cols = lut[lo], [c[: cnt[0]] for c in tail_cols]
-        else:
-            b1, cols = np.repeat(lut[lo:hi], cnt), [np.concatenate([c[:m] for m in cnt]) for c in tail_cols]
-        return (b1, *cols, *(np.zeros(int(cnt.sum())) for _ in range(width - 1 - ncols)))
+            return (lut[lo], *(c[: cnt[0]] for c in tail_cols))
+        return (np.repeat(lut[lo:hi], cnt), *(np.concatenate([c[:m] for m in cnt]) for c in tail_cols))
 
     def scores(fn: Functional, block: tuple) -> np.ndarray:
         v = fn.evaluate(block) + 0.0  # normalize -0.0
@@ -263,7 +258,7 @@ def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional]) -> dict:
         ties = np.flatnonzero(scores(fn, points(k1, k1 + 1)) == value)
         row = ties[np.argmin(order[ties])]  # the least tail in lexicographic order
         units = (int(np.searchsorted(lut, c[row])) for c in tail_cols)
-        return _pad((k1 * step,) + tuple(t * step for t in units), width)
+        return (k1 * step,) + tuple(t * step for t in units)
 
     return {(fn.name, d): (v, lattice_point(fn, v, k1))
             for fn, slot in zip(fns, best) for d, v, k1 in (("max", *slot[:2]), ("min", *slot[2:]))}
@@ -321,20 +316,20 @@ def _delta_table(dims: int, num: int) -> tuple[np.ndarray, np.ndarray]:
 
     The moves d are m k num for each move m of _move_directions at window
     scales k = 1..12, padded to the search width w.  Row i of the gate
-    matrix G is (-d, d_1, budget(d), -alt(d)): budget(d) = sum i d_i is the
+    matrix G is (-d, budget(d), -alt(d)): budget(d) = sum i d_i is the
     change to the budget units and alt(d) = -d_1 + d_2 - d_3 + ... the
     change to D p(-1).  So x + d is feasible iff G_i <= (x_1..x_w,
-    cap - x_1, lambda - budget(x), D p(-1)) entrywise.  lowers_i says the
+    lambda - budget(x), D p(-1)) entrywise.  lowers_i says the
     leading nonzero entry of d is negative, which is exactly x + d < x
     lexicographically.  Built once per (dims, step numerator).
     """
-    width = max(4, dims)
+    width = _width(dims)
     rows = [tuple(m * k * num for m in move) + (0,) * (width - dims)
             for move in _move_directions(dims) for k in range(1, _REFINE_WINDOW + 1)]
     d = np.array(rows, dtype=np.int64)
     budget = d @ np.arange(width, dtype=np.int64)
     alt = d @ np.array([(-1) ** (i + 1) for i in range(width)], dtype=np.int64)
-    gates = np.column_stack((-d, d[:, 0], budget, -alt))
+    gates = np.column_stack((-d, budget, -alt))
     lowers = np.array([next(c for c in row if c) < 0 for row in rows])
     for a in (gates, lowers):
         a.setflags(write=False)
@@ -353,22 +348,23 @@ def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
     x / D); each round multiplies x and D by 10.  A pass scores all its
     remaining candidates x + d as one array and keeps those that improve
     (a better value, or an equal one at a smaller point: the lowers flag)
-    and pass the gate matrix in one comparison: every coordinate >= 0, b1
-    under its cap, the budget within floor(lambda D) and D p(-1) >= 0.
-    With b >= 0 and budget <= lambda <= 1 that sign test is the disk
-    condition (rootcheck.nonvanishing_in_open_disk), so the gate only
-    re-checks the returned point, and a rejection raises.  The first hit
-    is accepted and the pass goes on from the move after it: the same
-    first-improvement order as one move at a time.  The arrays are int64
-    while 2 D + max |d| < 2**53, where float64 c / D is Python's correctly
+    and pass the gate matrix in one comparison: every coordinate >= 0, the
+    budget x_2 + 2 x_3 + ... within floor(lambda D) and D p(-1) >= 0.  These
+    imply the paper's b1 <= 1 + lambda, so no cap is set: x_1 <= D + x_2 -
+    x_3 + x_4 - ... <= D + x_2 + x_4 + ... <= D + floor(lambda D).  With
+    b >= 0 and budget <= lambda <= 1 the sign test is the disk condition
+    (rootcheck.nonvanishing_in_open_disk), so the gate only re-checks the
+    returned point, and a rejection raises.  The first hit is accepted and
+    the pass goes on from the move after it: the same first-improvement
+    order as one move at a time.  The arrays are int64 while
+    2 D + max |d| < 2**53, where float64 c / D is Python's correctly
     rounded int true division bit for bit, and hold Python ints (dtype
     object) past that, so the result equals the same loop over Fraction.
     """
     if not cfg.refine_rounds:
         return arg, value, [value]  # the sweep's point, kept by the sign test
-    cap = cfg.b1_cap(lam)
     table, lowers = _delta_table(cfg.dims, cfg.grid_step.numerator)
-    width = _width(cfg)
+    width = _width(cfg.dims)
     n, span = len(lowers), int(np.abs(table[:, :width]).max())
     D = cfg.grid_step.denominator
     x = [int(v * D) for v in arg]
@@ -378,13 +374,13 @@ def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
         x = [10 * c for c in x]
         dtype = np.int64 if 2 * D + span < 2**53 else object
         gates = table.astype(dtype, copy=False)
-        cap_units, lam_units = cap.numerator * D // cap.denominator, lam.numerator * D // lam.denominator
+        lam_units = lam.numerator * D // lam.denominator
         bx = sum(i * c for i, c in enumerate(x))
         ax = D + sum(c if i % 2 else -c for i, c in enumerate(x))
         for _ in range(_REFINE_PASSES):
             pos, improved = 0, False
             while pos < n:
-                g, h = gates[pos:], np.array(x + [cap_units - x[0], lam_units - bx, ax], dtype=dtype)
+                g, h = gates[pos:], np.array(x + [lam_units - bx, ax], dtype=dtype)
                 cand = h[:width] - g[:, :width]
                 v = fn.evaluate(tuple(np.asarray(cand / D, dtype=float).T)) + 0.0
                 better = v > value if direction == "max" else v < value
@@ -393,7 +389,7 @@ def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
                 if not ok[j]:
                     break
                 x, value = cand[j].tolist(), float(v[j])
-                bx, ax = bx + int(g[j, width + 1]), ax - int(g[j, width + 2])
+                bx, ax = bx + int(g[j, width]), ax - int(g[j, width + 1])
                 pos, improved = pos + j + 1, True
             if not improved:
                 break
@@ -422,18 +418,13 @@ def _certify_lambda(lam: Fraction, cfg: SearchConfig) -> list[BoundCertificate]:
             for fn in FUNCTIONALS for direction in ("max", "min")]
 
 
-def _thread_count() -> int:
+def _worker_count(tasks: int) -> int:
     try:
-        n = int(os.environ.get("UCV_THREADS", "1"))
+        threads = int(os.environ.get("UCV_THREADS", "1"))
     except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def _cpu_count() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        threads = 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(threads, tasks, cpus))
 
 
 def optimize(fn: Union[Functional, str], lam: RationalIn, direction: str,
@@ -463,8 +454,8 @@ def verify_bounds(lambda_grid: Sequence[RationalIn], cfg: SearchConfig | None = 
     """
     cfg = cfg or SearchConfig()
     grid = [lambda_in_range(raw) for raw in lambda_grid]
-    workers = min(_thread_count(), len(grid), _cpu_count())
-    if workers <= 1:
+    workers = _worker_count(len(grid))
+    if workers == 1:
         parts = [_certify_lambda(lam, cfg) for lam in grid]
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a pooled run loads multiprocessing

@@ -15,16 +15,20 @@ not a tautology:
                             signs of p(+-1), tail budget) over Fraction,
                             against the gate's integer numerators
   random_member             seeded rejection sampler over the feasible set
-  enumerate_feasible        every lattice point the sweep visits, one by
-                            one, its disk condition decided by the exact
-                            gcd / Schur-Cohn / Sturm routine, not by the
-                            p(-1) sign test the sweep and validate() apply
+  enumerate_feasible        every feasible lattice point, one by one, its
+                            disk condition decided by the exact gcd /
+                            Schur-Cohn / Sturm routine, not by the p(-1)
+                            sign test the sweep and validate() apply
   refine_by_fractions       the refinement polish with every point a tuple
                             of Fraction, against the search's integer
                             vectors over one denominator
   an_coefficient_by_recursion   a_n by the reciprocal recursion with its
                             signs unfolded, against the search's
                             sign-folded recursion
+
+enumerate_feasible and refine_by_fractions keep the cap b1 <= 1 + lambda,
+which the search does not impose (the class's conditions imply it), so
+agreement also checks that implication wherever they go.
 
 All arithmetic is exact rational, except for the float objective;
 nothing here imports the modules whose answers it is checking beyond
@@ -235,12 +239,13 @@ def _tails(units_left: int, weights: tuple[int, ...], step: Fraction) -> Iterato
 def enumerate_feasible(lam, cfg: SearchConfig | None = None) -> Iterator[tuple[Fraction, ...]]:
     """Feasible lattice points in lexicographic order, one at a time.
 
-    b1 runs over [0, 1 + lambda] in grid_step increments; b2..b_dims over
-    the weighted simplex sum (n-1) b_n <= lambda.  A point is kept when
-    its coordinates are nonnegative, its budget is within lambda and its
-    denominator has no zero in the open disk by the exact routine, so the
-    sweep's sign test is checked against an independent decision.  Yields
-    tuples padded to >= 4 entries.
+    b1 runs over [0, 1 + lambda] (the cap the sweep does not impose) in
+    grid_step increments; b2..b_dims over the weighted simplex
+    sum (n-1) b_n <= lambda.  A point is kept when its coordinates are
+    nonnegative, its budget is within lambda and its denominator has no
+    zero in the open disk by the exact routine, so the sweep's sign test
+    is checked against an independent decision.  Yields tuples padded to
+    >= 4 entries.
     """
     cfg = cfg or SearchConfig()
     lam = Fraction(lam)

@@ -41,6 +41,7 @@ def run(capsys, *argv):
         ["search", "--functional", "A2", "--direction", "max", "--lambda", "0"],
         ["expand", "--name", "FLambda", "--lambda", "2"],
         ["conjecture", "--n", "4", "--lambda", "-1"],
+        ["expand", "--name", "FLambda", "--lambda", "1", "--format", "csv"],  # expand has no CSV
     ],
 )
 def test_usage_exit_codes(capsys, argv):

@@ -43,8 +43,6 @@ def test_validate_boundary_member():
     assert m.b == (F(2), F(1), F(0), F(0))
     assert m.lam == 1
     assert m.lemma_sum() == 1
-    assert m.denominator().coeffs == (F(1), F(2), F(1))
-    assert (m.b1, m.b2, m.b3, m.b4) == (F(2), F(1), F(0), F(0))
 
 
 def test_validate_pads_to_four():

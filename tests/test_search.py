@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ucv.search
 from oracles import an_coefficient_by_recursion, enumerate_feasible, random_member, refine_by_fractions
@@ -108,9 +110,10 @@ def assert_sweep_matches_brute_force(lam, cfg):
 
 
 def sweep_shape(lam, cfg):
-    """(number of tail rows, number of b1 slices) of the sweep's lattice."""
-    tails = _tail_units(int(lam / cfg.grid_step), tuple(range(1, cfg.dims)))
-    return len(tails), int(cfg.b1_cap(lam) / cfg.grid_step) + 1
+    """(number of tail rows, number of b1 slices) of the sweep's lattice:
+    b1 runs to floor(1/step) + budget."""
+    budget = int(lam / cfg.grid_step)
+    return len(_tail_units(budget, tuple(range(1, cfg.dims)))), int(1 / cfg.grid_step) + budget + 1
 
 
 def sweep_blocks(lam, cfg):
@@ -133,9 +136,29 @@ def feasible_count(lam, cfg):
     return sum(1 for _ in enumerate_feasible(lam, cfg))
 
 
-@pytest.mark.parametrize("lam,cfg", SWEEP_GRIDS, ids=lambda v: str(v))
+# floor(1/step) = 1 at step 2/3: the sweep's b1 stops at 2, the oracle's cap at 3
+@pytest.mark.parametrize("lam,cfg", SWEEP_GRIDS + [(F(1), SearchConfig(grid_step=F(2, 3)))], ids=lambda v: str(v))
 def test_sweep_matches_brute_force_bit_for_bit(lam, cfg):
     assert_sweep_matches_brute_force(lam, cfg)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_class_conditions_imply_the_b1_cap(data):
+    # the search sets no b1 cap because b >= 0, the budget and p(-1) >= 0
+    # imply b1 <= 1 + lambda; over one denominator D, drawn past 2**53:
+    # every tail within floor(lambda D), then every x_1 with D p(-1) >= 0
+    q = data.draw(st.integers(1, 10**6))
+    lam = F(data.draw(st.integers(1, q)), q)
+    D = data.draw(st.integers(1, 10**17))
+    units = lam.numerator * D // lam.denominator
+    tail = []
+    for weight in range(1, data.draw(st.integers(1, 8))):  # x_2..x_width, weights 1, 2, ...
+        tail.append(data.draw(st.integers(0, units // weight)))
+        units -= weight * tail[-1]
+    x1 = data.draw(st.integers(0, D + sum(c if i % 2 == 0 else -c for i, c in enumerate(tail))))
+    assert x1 <= (lam.denominator + lam.numerator) * D // lam.denominator
+    assert validate(lam, [F(c, D) for c in (x1, *tail)]).b[0] <= 1 + lam
 
 
 @pytest.mark.parametrize("per_block", ["one slice", "uneven"])
