@@ -234,7 +234,7 @@ def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional]) -> dict:
         return (np.repeat(lut[lo:hi], cnt), *(np.concatenate([c[:m] for m in cnt]) for c in tail_cols))
 
     def scores(fn: Functional, block: tuple) -> np.ndarray:
-        v = fn.evaluate(block) + 0.0  # normalize -0.0
+        v = fn.evaluate(block)  # -0.0 == 0.0 in every comparison; a kept winner is cleared of it
         # a functional of a one-slice block's scalar b1 alone; block[1] spans the block (width >= 4)
         return v if np.ndim(v) else np.broadcast_to(v, block[1].shape)
 
@@ -249,9 +249,9 @@ def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional]) -> dict:
             v = scores(fn, bf)
             jmax, jmin = int(np.argmax(v)), int(np.argmin(v))
             if v[jmax] > slot[0]:
-                slot[0], slot[1] = float(v[jmax]), int(np.searchsorted(ends, start + jmax, side="right"))
+                slot[0], slot[1] = float(v[jmax]) + 0.0, int(np.searchsorted(ends, start + jmax, side="right"))
             if v[jmin] < slot[2]:
-                slot[2], slot[3] = float(v[jmin]), int(np.searchsorted(ends, start + jmin, side="right"))
+                slot[2], slot[3] = float(v[jmin]) + 0.0, int(np.searchsorted(ends, start + jmin, side="right"))
         lo = hi
 
     def lattice_point(fn: Functional, value: float, k1: int) -> tuple[Fraction, ...]:
@@ -315,13 +315,13 @@ def _delta_table(dims: int, num: int) -> tuple[np.ndarray, np.ndarray]:
     """The refinement's moves in trial order, as one gate matrix.
 
     The moves d are m k num for each move m of _move_directions at window
-    scales k = 1..12, padded to the search width w.  Row i of the gate
-    matrix G is (-d, budget(d), -alt(d)): budget(d) = sum i d_i is the
-    change to the budget units and alt(d) = -d_1 + d_2 - d_3 + ... the
-    change to D p(-1).  So x + d is feasible iff G_i <= (x_1..x_w,
-    lambda - budget(x), D p(-1)) entrywise.  lowers_i says the
-    leading nonzero entry of d is negative, which is exactly x + d < x
-    lexicographically.  Built once per (dims, step numerator).
+    scales k = 1..12, padded to the search width w.  Column i of the gate
+    matrix G, C-contiguous of shape (w + 2, n), is (-d, budget(d),
+    -alt(d)): budget(d) = sum i d_i is the change to the budget units and
+    alt(d) = -d_1 + d_2 - d_3 + ... the change to D p(-1).  So x + d is
+    feasible iff G[:, i] <= (x_1..x_w, lambda - budget(x), D p(-1))
+    entrywise.  lowers_i says the leading nonzero entry of d is negative,
+    which is x + d < x lexicographically.  Built once per (dims, num).
     """
     width = _width(dims)
     rows = [tuple(m * k * num for m in move) + (0,) * (width - dims)
@@ -329,7 +329,7 @@ def _delta_table(dims: int, num: int) -> tuple[np.ndarray, np.ndarray]:
     d = np.array(rows, dtype=np.int64)
     budget = d @ np.arange(width, dtype=np.int64)
     alt = d @ np.array([(-1) ** (i + 1) for i in range(width)], dtype=np.int64)
-    gates = np.column_stack((-d, budget, -alt))
+    gates = np.ascontiguousarray(np.vstack((-d.T, budget, -alt)))  # vstack of d.T is in Fortran order
     lowers = np.array([next(c for c in row if c) < 0 for row in rows])
     for a in (gates, lowers):
         a.setflags(write=False)
@@ -345,27 +345,27 @@ def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
     no accept.  Returns the round value history for monotonicity checks.
 
     The incumbent is an int vector x over one denominator D (the point
-    x / D); each round multiplies x and D by 10.  A pass scores all its
-    remaining candidates x + d as one array and keeps those that improve
-    (a better value, or an equal one at a smaller point: the lowers flag)
-    and pass the gate matrix in one comparison: every coordinate >= 0, the
-    budget x_2 + 2 x_3 + ... within floor(lambda D) and D p(-1) >= 0.  These
-    imply the paper's b1 <= 1 + lambda, so no cap is set: x_1 <= D + x_2 -
-    x_3 + x_4 - ... <= D + x_2 + x_4 + ... <= D + floor(lambda D).  With
-    b >= 0 and budget <= lambda <= 1 the sign test is the disk condition
-    (rootcheck.nonvanishing_in_open_disk), so the gate only re-checks the
-    returned point, and a rejection raises.  The first hit is accepted and
-    the pass goes on from the move after it: the same first-improvement
-    order as one move at a time.  The arrays are int64 while
-    2 D + max |d| < 2**53, where float64 c / D is Python's correctly
-    rounded int true division bit for bit, and hold Python ints (dtype
-    object) past that, so the result equals the same loop over Fraction.
+    x / D); each round multiplies x and D by 10.  A pass takes the gate
+    columns of its remaining moves d, scores x + d as w contiguous rows,
+    and keeps what improves (a better value, or an equal one at a smaller
+    point: the lowers flag) and passes the gate, reduced over axis 0:
+    every coordinate >= 0, the budget x_2 + 2 x_3 + ... within
+    floor(lambda D) and D p(-1) >= 0.  These imply the paper's b1 <= 1 +
+    lambda (x_1 <= D + x_2 + x_4 + ... <= D + floor(lambda D)), so no cap
+    is set.  With b >= 0 and budget <= lambda <= 1 the sign test is the
+    disk condition (rootcheck.nonvanishing_in_open_disk), so the gate only
+    re-checks the returned point, and a rejection raises.  The first hit
+    is accepted, its value cleared of -0.0, and the pass goes on from the
+    move after it: the first-improvement order of one move at a time.
+    The arrays are int64 while 2 D + max |d| < 2**53, where float64 c / D
+    is Python's correctly rounded int true division bit for bit, and hold
+    Python ints (dtype object) past that: the same loop over Fraction.
     """
     if not cfg.refine_rounds:
         return arg, value, [value]  # the sweep's point, kept by the sign test
     table, lowers = _delta_table(cfg.dims, cfg.grid_step.numerator)
     width = _width(cfg.dims)
-    n, span = len(lowers), int(np.abs(table[:, :width]).max())
+    n, span = len(lowers), int(np.abs(table[:width]).max())
     D = cfg.grid_step.denominator
     x = [int(v * D) for v in arg]
     history = [value]
@@ -380,16 +380,16 @@ def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
         for _ in range(_REFINE_PASSES):
             pos, improved = 0, False
             while pos < n:
-                g, h = gates[pos:], np.array(x + [lam_units - bx, ax], dtype=dtype)
-                cand = h[:width] - g[:, :width]
-                v = fn.evaluate(tuple(np.asarray(cand / D, dtype=float).T)) + 0.0
+                g, h = gates[:, pos:], np.array(x + [lam_units - bx, ax], dtype=dtype)[:, None]
+                cand = h[:width] - g[:width]
+                v = fn.evaluate(tuple(np.asarray(cand / D, dtype=float)))
                 better = v > value if direction == "max" else v < value
-                ok = (better | ((v == value) & lowers[pos:])) & (g <= h).all(axis=1)
+                ok = (better | ((v == value) & lowers[pos:])) & (g <= h).all(axis=0)
                 j = int(ok.argmax())
                 if not ok[j]:
                     break
-                x, value = cand[j].tolist(), float(v[j])
-                bx, ax = bx + int(g[j, width]), ax - int(g[j, width + 1])
+                x, value = cand[:, j].tolist(), float(v[j]) + 0.0  # clears -0.0
+                bx, ax = bx + int(g[width, j]), ax - int(g[width + 1, j])
                 pos, improved = pos + j + 1, True
             if not improved:
                 break

@@ -32,6 +32,8 @@ from ucv.search import (
     BoundCertificate,
     CSV_HEADER,
     SearchConfig,
+    _certificate,
+    _delta_table,
     _grid_values,
     _move_directions,
     _refine,
@@ -94,6 +96,8 @@ SWEEP_GRIDS = [
 
 
 SWEEP_NAMES = tuple(FUNCTIONAL_NAMES) + ("AN(5)",)
+
+GRID5 = [F(1, 10), F(1, 4), F(1, 2), F(3, 4), F(1)]
 
 
 @functools.cache
@@ -532,6 +536,9 @@ def test_refinement_history_monotone():
     coarse, arg = _sweep(F(61, 100), cfg, [h2f])[("H2F", "min")]
     down = _refine(F(61, 100), cfg, h2f, "min", arg, coarse)[2]
     assert down == sorted(down, reverse=True)
+    # a history that stands still is sorted too, so each must also move
+    assert up[-1] > up[0]
+    assert down[-1] < down[0]
 
 
 REFINE_CASES = [
@@ -554,6 +561,8 @@ REFINE_CASES = [
     # D passes 2**53 mid-refinement: the pass moves from int64 to Python ints
     ("A3", "max", F(1, 2), SearchConfig(refine_rounds=15)),
     ("H2F", "max", F(1), SearchConfig(grid_step=F(1, 10), refine_rounds=15)),
+    # the 7-row gate table (width 5) on Python ints; the point nears 2/7 with b4 > 0
+    ("H2F", "max", F(1), SearchConfig(grid_step=F(1, 10), dims=5, refine_rounds=15)),
 ]
 
 
@@ -579,6 +588,38 @@ def test_refine_exact_past_float_precision():
     validate(F(1, 2), c.argmax)
     fn = functional_by_name("A3")
     assert c.searched_value == fn.evaluate(tuple(float(x) for x in c.argmax)) + 0.0
+
+
+def assert_no_negative_zero(*values):
+    for v in values:
+        if v == 0:  # -0.0 == 0.0, so only the sign bit tells them apart
+            assert math.copysign(1.0, v) == 1.0, values
+
+
+@pytest.mark.parametrize("lam,cfg", SWEEP_GRIDS + [(lam, SearchConfig()) for lam in GRID5], ids=lambda v: str(v))
+def test_no_negative_zero_escapes(lam, cfg):
+    fns = [functional_by_name(n) for n in SWEEP_NAMES]
+    incumbents = _sweep(lam, cfg, fns)
+    for fn in fns:
+        for direction in ("max", "min"):
+            value, arg = incumbents[(fn.name, direction)]
+            point, refined, history = _refine(lam, cfg, fn, direction, arg, value)
+            cert = _certificate(fn, lam, direction, refined, point)
+            assert_no_negative_zero(value, refined, *history, cert.searched_value)
+            if cert.gap is not None:
+                assert_no_negative_zero(cert.gap)
+    # the winner is b1 = 0, where A2C = -b1 evaluates to -0.0
+    cert = optimize("A2C", lam, "max", cfg)
+    assert cert.searched_value == 0 and cert.argmax[0] == 0
+    assert_no_negative_zero(cert.searched_value, cert.gap)
+
+
+def test_refine_tie_walk_at_zero_keeps_positive_zero():
+    # every accepted move ties A2C = -b1 = 0 at a smaller point and evaluates to -0.0
+    fn = functional_by_name("A2C")
+    point, value, history = _refine(F(1, 2), SearchConfig(), fn, "max", (F(0), F(1, 50), F(0), F(0)), 0.0)
+    assert point == (0, 0, 0, 0) and len(history) == 4
+    assert_no_negative_zero(value, *history)
 
 
 @pytest.mark.parametrize("dims", range(1, 6))
@@ -612,6 +653,21 @@ def test_move_directions_shape():
     assert (2, 3, 0, -1) in moves
     assert (0, 0, -3, 2) in moves
     assert list(moves) == sorted(moves)
+
+
+@pytest.mark.parametrize("num", (1, 3))
+@pytest.mark.parametrize("dims", range(1, 7))
+def test_delta_table_layout(dims, num):
+    gates, lowers = _delta_table(dims, num)
+    width, moves = max(4, dims), _move_directions(dims)
+    assert gates.flags.c_contiguous
+    assert gates.shape == (width + 2, 12 * len(moves)) and lowers.shape == (gates.shape[1],)
+    columns = [[c * k * num for c in m] + [0] * (width - dims) for m in moves for k in range(1, 13)]
+    for i, d in enumerate(columns):
+        budget = sum(j * c for j, c in enumerate(d))
+        alt = sum(c if j % 2 else -c for j, c in enumerate(d))  # -d_1 + d_2 - d_3 + ...
+        assert gates[:, i].tolist() == [-c for c in d] + [budget, -alt]
+        assert lowers[i] == (next(c for c in d if c) < 0)
 
 
 # -- verify plumbing ---------------------------------------------------------
@@ -657,9 +713,6 @@ def serial_pool(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return workers
-
-
-GRID5 = [F(1, 10), F(1, 4), F(1, 2), F(3, 4), F(1)]
 
 
 def test_verify_pool_capped_by_cpus_and_grid(serial_pool, monkeypatch):
