@@ -11,7 +11,7 @@ series     exact truncated power series over Fraction
 rootcheck  unit-disk nonvanishing test for real polynomials
 model      members, the functional registry, extremal catalog
 search     grid search, bound certificates, conjecture scan
-cli        command line front end
+cli        command line front end: argparse and every output shape
 """
 
 from ucv.series import TruncatedSeries

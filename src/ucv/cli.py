@@ -8,6 +8,10 @@ bound scan for |a_n|).
 Exit codes: 0 success, 2 at least one FAIL certificate, 64 usage error
 (a bad flag, or any value the library rejects with ValueError), 65
 non-member input to report.
+
+This module holds argparse and every output shape: the library returns
+values (BoundCertificate, CoefficientReport), and only this module turns
+them into table, JSON and CSV text.
 """
 
 from __future__ import annotations
@@ -16,29 +20,20 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Sequence
 
 from ucv.model import (
     CATALOG_NAMES,
     CoefficientReport,
     NonMember,
-    REPORT_FIELDS,
-    decimal_str,
     extremal_catalog,
     f_series,
     functional_by_name,
     inverse_series,
-    report_to_dict,
     validate,
 )
-from ucv.search import (
-    BoundCertificate,
-    SearchConfig,
-    certificate_to_dict,
-    certificates_to_csv,
-    conjecture_scan,
-    optimize,
-    verify_bounds,
-)
+from ucv.rootcheck import as_rational
+from ucv.search import BoundCertificate, SearchConfig, conjecture_scan, optimize, verify_bounds
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -58,33 +53,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fraction(text: str) -> Fraction:
-    # accepts "1/3" and decimal strings; decimals parse exactly, never
-    # through binary floats
+    # "1/3" and decimal strings, exact, by the package's one input rule
     try:
-        return Fraction(text.strip())
+        return as_rational(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
 def _fraction_list(text: str) -> list[Fraction]:
-    return [_fraction(tok) for tok in text.split(",") if tok.strip()]
+    return [_fraction(tok) for tok in text.split(",")]  # an empty entry is an error
 
 
 def _config(args) -> SearchConfig:
-    kwargs = {}
-    if args.step is not None:
-        kwargs["grid_step"] = args.step
-    if args.refine is not None:
-        kwargs["refine_rounds"] = args.refine
-    if args.dims is not None:
-        kwargs["dims"] = args.dims
-    return SearchConfig(**kwargs)
+    return SearchConfig(args.dims, args.step, args.refine)
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--step", type=_fraction, default=None, help="grid step (default 0.02)")
-    p.add_argument("--refine", type=int, default=None, help="refinement rounds (default 3)")
-    p.add_argument("--dims", type=int, default=None, help="searched b-coordinates (default 4)")
+    p.add_argument("--step", type=_fraction, default=SearchConfig.grid_step,
+                   help="grid step (default %(default)s)")
+    p.add_argument("--refine", type=int, default=SearchConfig.refine_rounds,
+                   help="refinement rounds (default %(default)s)")
+    p.add_argument("--dims", type=int, default=SearchConfig.dims,
+                   help="searched b-coordinates (default %(default)s)")
 
 
 def _add_format_flag(p: argparse.ArgumentParser) -> None:
@@ -96,8 +86,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("verify", help="certify bounds over a lambda grid")
-    p.add_argument("--lambda", dest="lam", type=_fraction, default=None)
-    p.add_argument("--grid", type=_fraction_list, default=None, help="comma-separated lambdas")
+    grid = p.add_mutually_exclusive_group(required=True)
+    grid.add_argument("--lambda", dest="lam", type=_fraction)
+    grid.add_argument("--grid", type=_fraction_list, help="comma-separated lambdas")
     _add_search_flags(p)
     _add_format_flag(p)
 
@@ -129,7 +120,67 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# -- output rendering ------------------------------------------------------
+# -- output shapes ---------------------------------------------------------
+
+REPORT_FIELDS = (
+    "a2", "a3", "a4", "a5",
+    "A2", "A3", "A4",
+    "gamma1", "gamma2", "gamma3",
+    "h2f", "h3f", "h2inv", "h3inv",
+    "z23", "z24",
+)
+CSV_HEADER = "lambda,functional,direction,searched,closed_form,gap,status,argmax"
+
+
+def decimal_str(q: Fraction) -> str:
+    """Shortest exact decimal when the denominator is 2^a 5^b, else p/q."""
+    num, den = q.numerator, q.denominator
+    if den == 1:
+        return str(num)
+    two = five = 0
+    d = den
+    while d % 2 == 0:
+        d //= 2
+        two += 1
+    while d % 5 == 0:
+        d //= 5
+        five += 1
+    if d != 1:
+        return str(q)
+    shift = max(two, five)
+    scaled = abs(num) * 2 ** (shift - two) * 5 ** (shift - five)
+    digits = str(scaled).rjust(shift + 1, "0")
+    sign = "-" if num < 0 else ""
+    return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
+
+
+def certificate_to_dict(cert: BoundCertificate) -> dict:
+    return {
+        "lambda": float(cert.lam),
+        "functional": cert.functional,
+        "direction": cert.direction,
+        "searched": cert.searched_value,
+        "closed_form": cert.closed_form,
+        "gap": cert.gap,
+        "status": cert.status,
+        "warn": cert.warn,
+        "argmax": [decimal_str(x) for x in cert.argmax],
+    }
+
+
+def certificates_to_csv(certs: Sequence[BoundCertificate]) -> str:
+    lines = [CSV_HEADER]
+    for c in certs:
+        closed, gap = ("" if x is None else repr(x) for x in (c.closed_form, c.gap))
+        lines.append(",".join((decimal_str(c.lam), c.functional, c.direction, repr(c.searched_value),
+                               closed, gap, c.status, ";".join(map(decimal_str, c.argmax)))))
+    return "\n".join(lines) + "\n"
+
+
+def report_to_dict(report: CoefficientReport) -> dict:
+    """Stable JSON shape; every rational renders as a p/q string."""
+    return {"lambda": str(report.lam), "b": [str(x) for x in report.b],
+            **{field: str(report.value(field)) for field in REPORT_FIELDS}}
 
 
 def _print_certificates(certs: list[BoundCertificate], fmt: str) -> None:
@@ -155,15 +206,7 @@ def _exit_for(certs: list[BoundCertificate]) -> int:
 
 
 def _run_verify(args) -> int:
-    if args.grid is not None:
-        grid = args.grid
-    elif args.lam is not None:
-        grid = [args.lam]
-    else:
-        raise _CliError("verify needs --lambda or --grid")
-    if not grid:
-        raise _CliError("empty lambda grid")
-    certs = verify_bounds(grid, _config(args))
+    certs = verify_bounds(args.grid or [args.lam], _config(args))
     _print_certificates(certs, args.format)
     return _exit_for(certs)
 
@@ -179,10 +222,9 @@ def _run_report(args) -> int:
         print(json.dumps(report_to_dict(report), indent=2))
     elif args.format == "csv":
         data = report_to_dict(report)
-        keys = ["lambda", "b"] + list(REPORT_FIELDS)
-        print(",".join(keys))
-        row = [data["lambda"], ";".join(data["b"])] + [data[k] for k in REPORT_FIELDS]
-        print(",".join(row))
+        data["b"] = ";".join(data["b"])
+        print(",".join(data))
+        print(",".join(data.values()))
     else:
         print(f"lambda = {report.lam}")
         print(f"b      = ({', '.join(decimal_str(x) for x in report.b)})")
@@ -206,25 +248,17 @@ def _run_expand(args) -> int:
     if args.name not in CATALOG_NAMES:
         raise _CliError(f"unknown extremal name: {args.name}")
     member = extremal_catalog(args.name, args.lam)
-    direct = f_series(member, args.order).coeffs[1:]
-    show_inverse = args.inverse or args.name == "FLambda"
-    inverse = inverse_series(member, args.order).coeffs[1:] if show_inverse else None
+    series = {}
+    if not args.inverse:
+        series["f"] = f_series(member, args.order)
+    if args.inverse or args.name == "FLambda":
+        series["inverse"] = inverse_series(member, args.order)
+    shown = {key: [decimal_str(c) for c in s.coeffs[1:]] for key, s in series.items()}
     if args.format == "json":
-        payload = {
-            "name": args.name,
-            "lambda": str(args.lam),
-            "order": args.order,
-        }
-        if not args.inverse:
-            payload["f"] = [decimal_str(c) for c in direct]
-        if inverse is not None:
-            payload["inverse"] = [decimal_str(c) for c in inverse]
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"name": args.name, "lambda": str(args.lam), "order": args.order, **shown}, indent=2))
     else:
-        if not args.inverse:
-            print("f:       " + ", ".join(decimal_str(c) for c in direct))
-        if inverse is not None:
-            print("inverse: " + ", ".join(decimal_str(c) for c in inverse))
+        for key, values in shown.items():
+            print(f"{key + ':':<9}" + ", ".join(values))
     return EXIT_OK
 
 

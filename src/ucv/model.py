@@ -28,6 +28,7 @@ The exact layers work over the ints, on the member's integer form
 returned value: the gates compare ints, the report sums integer monomials
 of N, and the series route checks it by the reciprocal recurrence (f) and
 Lagrange inversion (A_n = [z^(n-1)] u^n / n, gamma_n = [z^n] u^n / (2n)).
+A CoefficientReport holds exact values only; ucv.cli renders them.
 """
 
 from __future__ import annotations
@@ -288,7 +289,7 @@ def an_functional(n: int) -> Functional:
 def functional_by_name(name: str) -> Functional:
     if name in _BY_NAME:
         return _BY_NAME[name]
-    if name.startswith("AN(") and name.endswith(")") and name[3:-1].isdigit():
+    if name.startswith("AN(") and name.endswith(")") and name[3:-1].isascii() and name[3:-1].isdigit():
         return an_functional(int(name[3:-1]))
     raise KeyError(name)
 
@@ -320,15 +321,7 @@ def extremal_catalog(name: str, lam: RationalIn) -> ClassMember:
     return validate(lam_q, _CATALOG[name](lam_q))
 
 
-# -- report and serialization --------------------------------------------
-
-REPORT_FIELDS = (
-    "a2", "a3", "a4", "a5",
-    "A2", "A3", "A4",
-    "gamma1", "gamma2", "gamma3",
-    "h2f", "h3f", "h2inv", "h3inv",
-    "z23", "z24",
-)
+# -- report --------------------------------------------------------------
 
 
 class _Polynomial(dict):
@@ -384,36 +377,3 @@ class CoefficientReport:
 
     def value(self, field: str) -> Fraction:
         return self.values[field]
-
-
-def decimal_str(q: Fraction) -> str:
-    """Shortest exact decimal when the denominator is 2^a 5^b, else p/q."""
-    num, den = q.numerator, q.denominator
-    if den == 1:
-        return str(num)
-    two = five = 0
-    d = den
-    while d % 2 == 0:
-        d //= 2
-        two += 1
-    while d % 5 == 0:
-        d //= 5
-        five += 1
-    if d != 1:
-        return str(q)
-    shift = max(two, five)
-    scaled = abs(num) * 2 ** (shift - two) * 5 ** (shift - five)
-    digits = str(scaled).rjust(shift + 1, "0")
-    sign = "-" if num < 0 else ""
-    return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
-
-
-def report_to_dict(report: CoefficientReport) -> dict:
-    """Stable JSON shape; every rational renders as a p/q string."""
-    out: dict = {
-        "lambda": str(report.lam),
-        "b": [str(x) for x in report.b],
-    }
-    for field in REPORT_FIELDS:
-        out[field] = str(report.value(field))
-    return out

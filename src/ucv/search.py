@@ -21,7 +21,8 @@ Certification compares the searched extremum against the closed-form
 bound for the class when one exists.  A certificate FAILs only if the
 search strictly beats the bound beyond a small floating slack; a WARN
 flag marks bounds the grid did not get close to (sharpness not
-reproduced at this resolution).
+reproduced at this resolution).  A BoundCertificate is a value;
+ucv.cli renders it as a table, JSON or CSV.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from ucv.model import (
     BoundValue,
     Functional,
     an_functional,
-    decimal_str,
     functional_by_name,
     lambda_in_range,
 )
@@ -147,44 +147,6 @@ def _certificate(fn: Functional, lam: Fraction, direction: str, value: float,
         beats, shortfall = value < closed - FAIL_SLACK, -gap
     status = "FAIL" if beats else "PASS"
     return BoundCertificate(lam, fn.name, direction, value, arg, closed, gap, status, shortfall > WARN_GAP)
-
-
-def certificate_to_dict(cert: BoundCertificate) -> dict:
-    return {
-        "lambda": float(cert.lam),
-        "functional": cert.functional,
-        "direction": cert.direction,
-        "searched": cert.searched_value,
-        "closed_form": cert.closed_form,
-        "gap": cert.gap,
-        "status": cert.status,
-        "warn": cert.warn,
-        "argmax": [decimal_str(x) for x in cert.argmax],
-    }
-
-
-CSV_HEADER = "lambda,functional,direction,searched,closed_form,gap,status,argmax"
-
-
-def certificate_csv_row(cert: BoundCertificate) -> str:
-    return ",".join(
-        (
-            decimal_str(cert.lam),
-            cert.functional,
-            cert.direction,
-            repr(cert.searched_value),
-            "" if cert.closed_form is None else repr(cert.closed_form),
-            "" if cert.gap is None else repr(cert.gap),
-            cert.status,
-            ";".join(decimal_str(x) for x in cert.argmax),
-        )
-    )
-
-
-def certificates_to_csv(certs: Sequence[BoundCertificate]) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(certificate_csv_row(c) for c in certs)
-    return "\n".join(lines) + "\n"
 
 
 # -- sweep core ------------------------------------------------------------

@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from oracles import hankel2_from, hankel3_from, inside_unit_count, random_member
+from ucv.cli import CSV_HEADER
 from ucv.model import (
     CATALOG_NAMES,
     CoefficientReport,
@@ -44,7 +45,7 @@ from ucv.model import (
     u_residual,
 )
 from ucv.rootcheck import nonvanishing_in_open_disk
-from ucv.search import CSV_HEADER, conjecture_scan, verify_bounds
+from ucv.search import conjecture_scan, verify_bounds
 
 F = Fraction
 SRC = Path(__file__).resolve().parents[1] / "src"

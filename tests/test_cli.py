@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from ucv.cli import EXIT_FAIL, EXIT_NONMEMBER, EXIT_OK, EXIT_USAGE, main
-from ucv.search import CSV_HEADER
+from ucv.cli import CSV_HEADER, EXIT_FAIL, EXIT_NONMEMBER, EXIT_OK, EXIT_USAGE, _build_parser, main
+from ucv.search import SearchConfig
 
 F = Fraction
 
@@ -60,6 +60,17 @@ def test_usage_exit_codes(capsys, argv):
         (["search", "--functional", "AN(12)", "--direction", "max", "--lambda", "1"], "n must be in [2, 8], got 12"),
         (["conjecture", "--n", "12", "--lambda", "1"], "n must be in [2, 8], got 12"),
         (["search", "--functional", "AN(x)", "--direction", "max", "--lambda", "1"], "unknown functional: AN(x)"),
+        # n is ASCII digits only: an Arabic-Indic three or a superscript is no n
+        (["search", "--functional", "AN(\u0663)", "--direction", "max", "--lambda", "1"],
+         "unknown functional: AN(\u0663)"),
+        (["search", "--functional", "AN(\u00b3)", "--direction", "max", "--lambda", "1"],
+         "unknown functional: AN(\u00b3)"),
+        # an empty list entry is no coordinate, and verify takes one of --lambda and --grid
+        (["report", "--lambda", "1/2", "--b", ",0.5"], "argument --b: not a rational: ''"),
+        (["report", "--lambda", "1/2", "--b", "0.5,,0.1"], "argument --b: not a rational: ''"),
+        (["verify", "--grid", "1,"], "argument --grid: not a rational: ''"),
+        (["verify", "--lambda", "1/2", "--grid", "1/4"], "argument --grid: not allowed with argument --lambda"),
+        (["verify"], "one of the arguments --lambda --grid is required"),
     ],
 )
 def test_usage_errors_are_one_pinned_line(capsys, argv, message):
@@ -78,10 +89,25 @@ def test_usage_errors_are_one_pinned_line(capsys, argv, message):
     ids=["step-0", "refine-negative", "dims-0", "empty-b"],
 )
 def test_invalid_values_exit_usage_without_traceback(capsys, argv):
-    # values argparse accepts but SearchConfig or validate() reject
+    # values argparse accepts but SearchConfig rejects, and a --b of empty entries
     code, _, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert err.startswith("ucv: error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--lambda", "1"],
+        ["search", "--functional", "A2", "--direction", "max", "--lambda", "1"],
+        ["conjecture", "--n", "3", "--lambda", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_search_flag_defaults_are_the_config_defaults(argv):
+    args = _build_parser().parse_args(argv)
+    cfg = SearchConfig()
+    assert (args.dims, args.step, args.refine) == (cfg.dims, cfg.grid_step, cfg.refine_rounds)
 
 
 # -- report ------------------------------------------------------------------
@@ -224,6 +250,17 @@ def test_search_csv_single_row(capsys):
     assert lines[1].startswith("0.5,A2,max,1.5,1.5,0.0,PASS,")
 
 
+def test_search_table_golden_float_closed_form(capsys):
+    # A4C's maximum at lambda = 1 is (4/3)sqrt(2/3), a float closed form
+    code, out, _ = run(capsys, "search", "--functional", "A4C", "--direction", "max",
+                       "--lambda", "1", "--step", "1/10")
+    assert code == EXIT_OK
+    assert out == "\n".join([
+        "  lambda  functional dir           searched        closed_form          gap status         warn",
+        "       1  A4C        max      1.08866210788       1.0886621079     2.86e-11 PASS           ",
+    ]) + "\n"
+
+
 # -- verify ------------------------------------------------------------------
 
 
@@ -278,6 +315,47 @@ def test_verify_table_renders(capsys):
     assert code == EXIT_OK
     assert "functional" in out.splitlines()[0]
     assert "NO_CLOSED_FORM" in out
+
+
+def test_verify_table_golden(capsys):
+    # every table column byte for byte, with NO_CLOSED_FORM and WARN rows
+    code, out, _ = run(capsys, "verify", "--lambda", "1/3", "--step", "1/10", "--refine", "1")
+    assert code == EXIT_OK
+    assert out == "\n".join([
+        "  lambda  functional dir           searched        closed_form          gap status         warn",
+        "     1/3  A2         max               1.33      1.33333333333      0.00333 PASS           ",
+        "     1/3  A2         min                  0                  0            0 PASS           ",
+        "     1/3  A3         max             2.0989      2.11111111111       0.0122 PASS           WARN",
+        "     1/3  A3         min                  0                  0            0 PASS           ",
+        "     1/3  A4         max           3.669337       3.7037037037       0.0344 PASS           WARN",
+        "     1/3  A4         min                  0                  0            0 PASS           ",
+        "     1/3  G1         max              0.665     0.666666666667      0.00167 PASS           ",
+        "     1/3  G1         min                  0                  0            0 PASS           ",
+        "     1/3  G2         max           0.607225     0.611111111111      0.00389 PASS           ",
+        "     1/3  G2         min                  0                  0            0 PASS           ",
+        "     1/3  G3         max     0.831006166667      0.83950617284       0.0085 PASS           WARN",
+        "     1/3  G3         min                  0                  0            0 PASS           ",
+        "     1/3  H2F        max             0.1359     0.138888888889      0.00299 PASS           ",
+        "     1/3  H2F        min            -0.1089    -0.111111111111     -0.00221 PASS           ",
+        "     1/3  H3F        max              0.009   0.00925925925926     0.000259 PASS           ",
+        "     1/3  H3F        min            -0.0256   -0.0277777777778     -0.00218 PASS           ",
+        "     1/3  H2INV      max           0.474837     0.481481481481      0.00664 PASS           WARN",
+        "     1/3  H2INV      min            -0.1089    -0.111111111111     -0.00221 PASS           ",
+        "     1/3  H3INV      max           0.035937     0.037037037037       0.0011 PASS           ",
+        "     1/3  H3INV      min            -0.0256   -0.0277777777778     -0.00218 PASS           ",
+        "     1/3  Z23        max               0.16     0.166666666667      0.00667 PASS           WARN",
+        "     1/3  Z23        min            -0.4389    -0.444444444444     -0.00554 PASS           WARN",
+        "     1/3  Z24        max           0.474837     0.481481481481      0.00664 PASS           WARN",
+        "     1/3  Z24        min            -0.1344                                 NO_CLOSED_FORM ",
+        "     1/3  A2C        max                  0                  0            0 PASS           ",
+        "     1/3  A2C        min              -1.33     -1.33333333333     -0.00333 PASS           ",
+        "     1/3  A3C        max             1.4389      1.44444444444      0.00554 PASS           WARN",
+        "     1/3  A3C        min              -0.33    -0.333333333333     -0.00333 PASS           ",
+        "     1/3  A4C        max           0.206377                                 NO_CLOSED_FORM ",
+        "     1/3  A4C        min          -1.474837     -1.48148148148     -0.00664 PASS           WARN",
+        "     1/3  A5C        max         1.48669621                                 NO_CLOSED_FORM ",
+        "     1/3  A5C        min            -0.1361                                 NO_CLOSED_FORM ",
+    ]) + "\n"
 
 
 # -- conjecture --------------------------------------------------------------

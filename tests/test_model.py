@@ -13,15 +13,14 @@ from hypothesis import strategies as st
 import ucv.model
 import ucv.rootcheck
 from oracles import hankel2_from, hankel3_from, random_member, reciprocal_by_geometric
+from ucv.cli import REPORT_FIELDS, decimal_str
 from ucv.model import (
     _report_terms,
     CATALOG_NAMES,
     FUNCTIONALS,
-    REPORT_FIELDS,
     ClassMember,
     CoefficientReport,
     NonMember,
-    decimal_str,
     extremal_catalog,
     f_series,
     inverse_series,

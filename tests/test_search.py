@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import ucv.search
 from oracles import an_coefficient_by_recursion, enumerate_feasible, random_member, refine_by_fractions
+from ucv.cli import CSV_HEADER, certificate_to_dict, certificates_to_csv
 from ucv.model import (
     FUNCTIONAL_NAMES,
     Functional,
@@ -30,7 +31,6 @@ from ucv.model import (
 from ucv.rootcheck import UnitPolynomial
 from ucv.search import (
     BoundCertificate,
-    CSV_HEADER,
     SearchConfig,
     _certificate,
     _delta_table,
@@ -39,9 +39,6 @@ from ucv.search import (
     _refine,
     _sweep,
     _tail_units,
-    certificate_csv_row,
-    certificate_to_dict,
-    certificates_to_csv,
     closed_form_bound,
     conjecture_scan,
     optimize,
@@ -785,8 +782,8 @@ def test_csv_shape():
         closed_form=2.75, gap=0.0, status="PASS", warn=False,
     )
     assert CSV_HEADER == "lambda,functional,direction,searched,closed_form,gap,status,argmax"
-    assert certificate_csv_row(cert) == "0.5,A3,max,2.75,2.75,0.0,PASS,1.5;0.5;0;0"
     text = certificates_to_csv([cert])
+    assert text.split("\n")[1] == "0.5,A3,max,2.75,2.75,0.0,PASS,1.5;0.5;0;0"
     assert text.startswith(CSV_HEADER + "\n")
     assert text.endswith("\n")
 
@@ -797,7 +794,7 @@ def test_csv_empty_fields_for_missing_closed_form():
         searched_value=-2.0, argmax=(F(0), F(1), F(0), F(0)),
         closed_form=None, gap=None, status="NO_CLOSED_FORM", warn=False,
     )
-    assert certificate_csv_row(cert) == "1,Z24,min,-2.0,,,NO_CLOSED_FORM,0;1;0;0"
+    assert certificates_to_csv([cert]).split("\n")[1] == "1,Z24,min,-2.0,,,NO_CLOSED_FORM,0;1;0;0"
 
 
 def test_certificate_dict_keys():
