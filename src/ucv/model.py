@@ -208,6 +208,7 @@ class Functional:
     field: str | None
     evaluate: Callable[[Sequence], object]
     bounds: Callable[[Fraction], tuple[BoundValue, BoundValue]]
+    an: int | None = None  # n of AN(n), which the search scores exactly
 
 
 FUNCTIONALS = (
@@ -261,12 +262,13 @@ AN_MIN, AN_MAX = 2, 8
 
 
 def _an_coefficient(b: Sequence, n: int):
-    # e_(n-1) = (-1)^(n-1) a_n, a_n the coefficient of z^(n-1) in
-    # 1/(1 + sum b_j z^j): e_0 = 1, e_k = b1 e_(k-1) - b2 e_(k-2) + ...
-    # Rounding is sign-symmetric, so |e_(n-1)| has the bits of |a_n| by the
-    # unfolded recursion (only a zero's sign can differ).  No branch on
-    # values, so it also evaluates elementwise on arrays.  The j = k term
-    # b_k e_0 is read as b_k: x * 1 == x exactly, so no bit changes
+    """e_(n-1) = (-1)^(n-1) a_n, a_n the coefficient of z^(n-1) in
+    1/(1 + sum b_j z^j): e_0 = 1, e_k = b1 e_(k-1) - b2 e_(k-2) + ...
+    Ring generic, with no branch on values: it runs on floats and arrays
+    (rounding is sign-symmetric, so |e_(n-1)| has the bits of |a_n| by the
+    unfolded recursion, up to a zero's sign), on Fractions, and in the
+    sweep on polynomials in k1 (search._an_view).  The j = k term b_k e_0
+    is read as b_k: x * 1 == x exactly, so no bit changes."""
     e = [1]
     for k in range(1, n):
         s = b[0] * e[k - 1] if k > 1 else b[0]
@@ -279,17 +281,17 @@ def _an_coefficient(b: Sequence, n: int):
 
 def an_functional(n: int) -> Functional:
     """|a_n| of f, bounded above by 1 + lambda + ... + lambda^(n-1);
-    defined for 2 <= n <= 8."""
+    defined for 2 <= n <= 8.  Its `an` is n: the sweep scores it exactly."""
     if not AN_MIN <= n <= AN_MAX:
         raise ValueError(f"n must be in [{AN_MIN}, {AN_MAX}], got {n}")
     return Functional(f"AN({n})", None, lambda b: abs(_an_coefficient(b, n)),  # |a_n| = |e_(n-1)|
-                      lambda lam: (sum((lam**k for k in range(n)), _ZERO), None))
+                      lambda lam: (sum((lam**k for k in range(n)), _ZERO), None), n)
 
 
 def functional_by_name(name: str) -> Functional:
     if name in _BY_NAME:
         return _BY_NAME[name]
-    if name.startswith("AN(") and name.endswith(")") and name[3:-1].isascii() and name[3:-1].isdigit():
+    if name[3:-1].isdecimal() and name == f"AN({int(name[3:-1])})":  # ASCII digits, no leading zero
         return an_functional(int(name[3:-1]))
     raise KeyError(name)
 
@@ -325,11 +327,11 @@ def extremal_catalog(name: str, lam: RationalIn) -> ClassMember:
 
 
 class _Polynomial(dict):
-    """{exponent tuple over b1..b4: Fraction} with the operations the
-    registry's `evaluate` uses, so evaluating it yields the monomials."""
+    """{exponent tuple: coefficient} with the operations `evaluate` and _an_coefficient use:
+    Fractions over b1..b4 give the report's monomials, int arrays over k1 the exact AN(n) sweep."""
 
-    def __add__(self, other):
-        return _Polynomial({e: self.get(e, 0) + other.get(e, 0) for e in {*self, *other}})
+    def __add__(self, other):  # a term of one side alone is shared, not copied
+        return _Polynomial({**self, **other, **{e: self[e] + other[e] for e in self.keys() & other.keys()}})
 
     def __mul__(self, other):
         if not isinstance(other, _Polynomial):  # a number

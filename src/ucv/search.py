@@ -41,6 +41,8 @@ from ucv.model import (
     FUNCTIONALS,
     BoundValue,
     Functional,
+    _an_coefficient,
+    _Polynomial,
     an_functional,
     functional_by_name,
     lambda_in_range,
@@ -54,6 +56,7 @@ FAIL_SLACK = 1e-7
 WARN_GAP = 5e-3
 
 _SWEEP_BLOCK = 2**14  # most feasible points in a sweep block of several b1 slices
+_AN_CHUNK = 2**12  # most tails in one build of AN(n)'s exact columns
 _REFINE_WINDOW = 12
 _REFINE_PASSES = 6
 
@@ -157,73 +160,107 @@ def _grid_values(step: Fraction, count: int) -> np.ndarray:
     return np.array([k * step.numerator / step.denominator for k in range(count)])
 
 
+def _an_view(n: int, step: Fraction, k1_max: int, tails: np.ndarray, order: np.ndarray) -> tuple:
+    """(head, columns, scorer) on which _sweep scores AN(n) exactly: for
+    step = num/den, den^(n-1) e_(n-1) = C_0 + C_1 k1 + ... + num^(n-1)
+    k1^(n-1) at b1 = k1 step, a column C_i per tail in slack order.  e_k is
+    weighted homogeneous, so den^k e_k is e_k at b_j' = num k_j den^(j-1),
+    and _an_coefficient runs per chunk of tails over polynomials in k1.  At
+    -caps, the largest |b_j'|, it adds up the moduli of all its terms, which
+    bounds every value here: int64 below 2**63, else Python ints (object).
+    """
+    num, den = step.numerator, step.denominator
+    caps = [num * max(k1_max, 1)] + [num * max(int(c.max()), 1) * den ** (j + 1) for j, c in enumerate(tails.T)]
+    dtype = np.int64 if abs(_an_coefficient([-c for c in caps], n)) < 2**63 else object
+    cols = [np.empty(len(order), dtype=dtype) for _ in range(n - 1)]
+    for lo in range(0, len(order), _AN_CHUNK):
+        part = tails[order[lo:lo + _AN_CHUNK]].astype(dtype)
+        b = [_Polynomial({(0,): c * (num * den ** (j + 1))}) for j, c in enumerate(part.T)]
+        poly = _an_coefficient([_Polynomial({(1,): num})] + b, n)
+        for i, c in enumerate(cols):
+            c[lo:lo + _AN_CHUNK] = poly.get((i,), 0)
+
+    def horner(fn: Functional, block: tuple) -> np.ndarray:  # |a_n| den^(n-1)
+        acc = block[-1] + num ** (n - 1) * block[0]  # a new array, so the rest runs in place
+        for c in block[-2:0:-1]:
+            np.add(np.multiply(acc, block[0], out=acc), c, out=acc)
+        return np.abs(acc, out=acc)
+
+    return np.arange(k1_max + 1, dtype=dtype), cols, horner
+
+
 def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional]) -> dict:
     """Coarse lattice sweep; returns {(name, direction): (value, arg)}.
 
     The tails are sorted once by p(-1) slack, most first, by a stable sort,
-    so slice b1 = k1 step holds exactly the first counts[k1] of them.  b1 =
-    0..floor(1/step) + budget goes in blocks of consecutive slices, each the
-    most that fit in _SWEEP_BLOCK feasible points (or one larger slice),
-    scored by one evaluate, argmax and argmin per functional; a one-slice
-    block reads its full-width tail columns as views, b1 as a scalar.  A
-    slot keeps its best value and the least k1 that reaches it (a block's
-    first hit lies in its least slice; a strict comparison keeps the earlier
-    block's).  Slack order is not lexicographic, so the winning slice is
-    scored again and its least tied tail wins: the least point overall.
+    so slice b1 = k1 step holds exactly the first counts[k1] of them.  A
+    functional is scored on its view, a head per slice and columns per
+    tail: the registry's (b1 and the tail floats, for evaluate) in blocks
+    of consecutive slices, the most that fit in _SWEEP_BLOCK feasible
+    points (or one larger slice); AN(n)'s (_an_view, exact) a slice at a
+    time, valued by one scalar evaluate at the winner.  A one-slice block
+    reads its columns as views, its head as a scalar.  A slot keeps its
+    best score and the least k1 that reaches it (a block's first hit lies
+    in its least slice; a strict comparison keeps the earlier block's).
+    Slack order is not lexicographic, so the winning slice is scored again
+    and its least tied tail wins: the least point overall.
     """
-    step = cfg.grid_step
-    top, budget_units = int(1 / step), int(lam / step)
-    k1_max = top + budget_units  # the least key, -budget_units, puts the whole budget on b2
-    tails = _tail_units(budget_units, tuple(range(1, cfg.dims)))
-    ncols = tails.shape[1]
-    # p(-1) = 1 - b1 - key, key = -b2 + b3 - b4 + ... in step units, |key| <= budget_units
-    key = tails @ np.array([(-1) ** (j + 1) for j in range(ncols)], dtype=np.int64)
-    # sorted row -> lexicographic row; numpy's stable sort of 16-bit ints is a radix sort
-    order = np.argsort(key.astype(np.int16) if budget_units < 2**15 else key, kind="stable")
-    lut = _grid_values(step, k1_max + 1)
-    tail_cols = [lut[tails[order, j]] for j in range(ncols)]
-    tail_cols += [np.zeros(len(order)) for _ in range(_width(cfg.dims) - 1 - ncols)]  # b_(dims+1)..b4
-    # the point is a member iff p(-1) >= 0, that is k1 + key <= floor(1/step)
-    counts = np.searchsorted(key[order], top - np.arange(k1_max + 1), side="right")
-    del tails, key  # lut is strictly increasing, so searchsorted recovers a winner's units
-    nslices = int(np.count_nonzero(counts))  # counts falls with k1; b1 = 0 keeps the zero tail
-    ends = np.cumsum(counts[:nslices])  # points in slices 0..k1
-
-    def points(lo: int, hi: int) -> tuple:  # slices lo..hi-1 end to end; b1 a scalar for one slice
-        cnt = counts[lo:hi]
-        if hi - lo == 1:
-            return (lut[lo], *(c[: cnt[0]] for c in tail_cols))
-        return (np.repeat(lut[lo:hi], cnt), *(np.concatenate([c[:m] for m in cnt]) for c in tail_cols))
-
     def scores(fn: Functional, block: tuple) -> np.ndarray:
         v = fn.evaluate(block)  # -0.0 == 0.0 in every comparison; a kept winner is cleared of it
         # a functional of a one-slice block's scalar b1 alone; block[1] spans the block (width >= 4)
         return v if np.ndim(v) else np.broadcast_to(v, block[1].shape)
 
-    # per functional: [max_value, max_k1, min_value, min_k1]
-    best = [[-math.inf, None, math.inf, None] for _ in fns]
-    lo = 0
-    while lo < nslices:  # the most slices that fit in _SWEEP_BLOCK points, or one larger slice
-        start = int(ends[lo] - counts[lo])
-        hi = max(int(np.searchsorted(ends, start + _SWEEP_BLOCK, side="right")), lo + 1)
-        bf = points(lo, hi)
-        for fn, slot in zip(fns, best):
-            v = scores(fn, bf)
-            jmax, jmin = int(np.argmax(v)), int(np.argmin(v))
-            if v[jmax] > slot[0]:
-                slot[0], slot[1] = float(v[jmax]) + 0.0, int(np.searchsorted(ends, start + jmax, side="right"))
-            if v[jmin] < slot[2]:
-                slot[2], slot[3] = float(v[jmin]) + 0.0, int(np.searchsorted(ends, start + jmin, side="right"))
-        lo = hi
+    def points(an: int | None, lo: int, hi: int) -> tuple:  # slices lo..hi-1 end to end; a scalar head for one
+        (head, cols, _), cnt = views[an], counts[lo:hi]
+        if hi - lo == 1:
+            return (head[lo], *(c[: cnt[0]] for c in cols))
+        return (np.repeat(head[lo:hi], cnt), *(np.concatenate([c[:m] for m in cnt]) for c in cols))
 
-    def lattice_point(fn: Functional, value: float, k1: int) -> tuple[Fraction, ...]:
-        ties = np.flatnonzero(scores(fn, points(k1, k1 + 1)) == value)
+    step = cfg.grid_step
+    top, budget_units = int(1 / step), int(lam / step)
+    k1_max = top + budget_units  # the least key, -budget_units, puts the whole budget on b2
+    tails = _tail_units(budget_units, tuple(range(1, cfg.dims)))
+    units = tails.astype(np.int16 if budget_units < 2**15 else np.int64)  # kept for the winners' coordinates
+    pad = (Fraction(0),) * (_width(cfg.dims) - cfg.dims)  # b_(dims+1)..b4
+    # p(-1) = 1 - b1 - key, key = -b2 + b3 - b4 + ... in step units, |key| <= budget_units
+    key = tails @ np.array([(-1) ** (j + 1) for j in range(cfg.dims - 1)], dtype=np.int64)
+    # sorted row -> lexicographic row; numpy's stable sort of 16-bit ints is a radix sort
+    order = np.argsort(key.astype(units.dtype), kind="stable")
+    lut = _grid_values(step, k1_max + 1)
+    # (head, columns, scorer): the registry's at None, AN(n)'s by n
+    views = {None: (lut, [lut[tails[order, j]] for j in range(cfg.dims - 1)] + [np.zeros(len(order)) for _ in pad],
+                    scores)} if any(fn.an is None for fn in fns) else {}
+    # the point is a member iff p(-1) >= 0, that is k1 + key <= floor(1/step)
+    counts = np.searchsorted(key[order], top - np.arange(k1_max + 1), side="right")
+    del tails, key  # AN(n)'s columns, built from the units, outweigh them at fine steps
+    views.update((an, _an_view(an, step, k1_max, units, order)) for an in dict.fromkeys(fn.an for fn in fns) if an)
+    nslices = int(np.count_nonzero(counts))  # counts falls with k1; b1 = 0 keeps the zero tail
+    ends = np.cumsum(counts[:nslices])  # points in slices 0..k1
+    best = [[-math.inf, None, math.inf, None] for _ in fns]  # per functional: max, its k1, min, its k1
+    for an, (_, _, score) in views.items():
+        lo = 0
+        while lo < nslices:  # registry: the most slices in _SWEEP_BLOCK points, or one larger; AN(n): one
+            start = int(ends[lo] - counts[lo])
+            hi = lo + 1 if an else max(int(np.searchsorted(ends, start + _SWEEP_BLOCK, side="right")), lo + 1)
+            bf = points(an, lo, hi)
+            for fn, slot in zip(fns, best):
+                if fn.an == an:
+                    v = score(fn, bf)
+                    jmax, jmin = int(np.argmax(v)), int(np.argmin(v))
+                    if v[jmax] > slot[0]:
+                        slot[0], slot[1] = v[jmax], int(np.searchsorted(ends, start + jmax, side="right"))
+                    if v[jmin] < slot[2]:
+                        slot[2], slot[3] = v[jmin], int(np.searchsorted(ends, start + jmin, side="right"))
+            lo = hi
+
+    def winner(fn: Functional, score, k1: int) -> tuple[float, tuple[Fraction, ...]]:
+        ties = np.flatnonzero(views[fn.an][2](fn, points(fn.an, k1, k1 + 1)) == score)
         row = ties[np.argmin(order[ties])]  # the least tail in lexicographic order
-        units = (int(np.searchsorted(lut, c[row])) for c in tail_cols)
-        return (k1 * step,) + tuple(t * step for t in units)
+        arg = (k1 * step,) + tuple(int(t) * step for t in units[order[row]]) + pad
+        return float(score if fn.an is None else fn.evaluate(tuple(map(float, arg)))) + 0.0, arg
 
-    return {(fn.name, d): (v, lattice_point(fn, v, k1))
-            for fn, slot in zip(fns, best) for d, v, k1 in (("max", *slot[:2]), ("min", *slot[2:]))}
+    return {(fn.name, d): winner(fn, score, k1)
+            for fn, slot in zip(fns, best) for d, score, k1 in (("max", *slot[:2]), ("min", *slot[2:]))}
 
 
 # -- refinement ------------------------------------------------------------

@@ -25,6 +25,10 @@ not a tautology:
   an_coefficient_by_recursion   a_n by the reciprocal recursion with its
                             signs unfolded, against the search's
                             sign-folded recursion
+  an_extremes_by_fractions  the least lattice points that maximize and
+                            minimize |a_n| over enumerate_feasible, in
+                            Fraction, against the sweep's integer Horner
+                            scores of each tail's polynomial in b1
 
 enumerate_feasible and refine_by_fractions keep the cap b1 <= 1 + lambda,
 which the search does not impose (the class's conditions imply it), so
@@ -263,6 +267,22 @@ def enumerate_feasible(lam, cfg: SearchConfig | None = None) -> Iterator[tuple[F
                 continue
             if _no_zero_in_open_disk((Fraction(1),) + b):
                 yield b
+
+
+def an_extremes_by_fractions(lam, cfg: SearchConfig, ns) -> dict:
+    """{n: (max, argmax, min, argmin)} of |a_n| over the feasible lattice,
+    exact.  The enumeration is lexicographic and only a strict improvement
+    replaces an incumbent, so each arg is the least point that attains."""
+    best = {}
+    for b in enumerate_feasible(lam, cfg):
+        for n in ns:
+            v = abs(an_coefficient_by_recursion(b, n))
+            slot = best.setdefault(n, [(v, b), (v, b)])
+            if v > slot[0][0]:
+                slot[0] = (v, b)
+            if v < slot[1][0]:
+                slot[1] = (v, b)
+    return {n: (*hi, *lo) for n, (hi, lo) in best.items()}
 
 
 # -- refinement over Fraction ---------------------------------------------

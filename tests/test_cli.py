@@ -65,6 +65,8 @@ def test_usage_exit_codes(capsys, argv):
          "unknown functional: AN(\u0663)"),
         (["search", "--functional", "AN(\u00b3)", "--direction", "max", "--lambda", "1"],
          "unknown functional: AN(\u00b3)"),
+        # nor a zero-padded one, which would print a name the caller did not pass
+        (["search", "--functional", "AN(08)", "--direction", "max", "--lambda", "1"], "unknown functional: AN(08)"),
         # an empty list entry is no coordinate, and verify takes one of --lambda and --grid
         (["report", "--lambda", "1/2", "--b", ",0.5"], "argument --b: not a rational: ''"),
         (["report", "--lambda", "1/2", "--b", "0.5,,0.1"], "argument --b: not a rational: ''"),

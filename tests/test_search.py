@@ -4,6 +4,7 @@ conjecture scan."""
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import functools
 import itertools
@@ -17,12 +18,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ucv.search
-from oracles import an_coefficient_by_recursion, enumerate_feasible, random_member, refine_by_fractions
+from oracles import (
+    an_coefficient_by_recursion,
+    an_extremes_by_fractions,
+    enumerate_feasible,
+    random_member,
+    refine_by_fractions,
+)
 from ucv.cli import CSV_HEADER, certificate_to_dict, certificates_to_csv
 from ucv.model import (
+    AN_MAX,
     FUNCTIONAL_NAMES,
     Functional,
     _an_coefficient,
+    _Polynomial,
     an_functional,
     f_series,
     functional_by_name,
@@ -237,6 +246,130 @@ def test_grid_values_are_correctly_rounded(step):
     assert got.tolist() == [float(k * step) for k in range(2000)]
     # the float product is an ulp off somewhere, so the table is not it
     assert got.tolist() != [k * float(step) for k in range(2000)]
+
+
+# -- the exact AN(n) sweep ---------------------------------------------------
+
+
+# every SWEEP_GRIDS grid at each n it covers (dims >= n - 1), step 3/20 and
+# dims 7 among them; and a grid where two tails of one slice tie exactly at
+# the maximum, 243/1024 at b1 = 3/4 with b2 = 0 and b2 = 3/4, the larger
+# tail first in slack order
+AN_GRIDS = [(lam, cfg, n) for lam, cfg in SWEEP_GRIDS for n in range(2, min(cfg.dims + 1, AN_MAX) + 1)]
+AN_TIE = (F(1), SearchConfig(grid_step=F(3, 4), dims=5), 6)
+
+
+@functools.cache
+def an_reference(lam, cfg, ns):
+    return an_extremes_by_fractions(lam, cfg, ns)
+
+
+def assert_an_sweep_is_exact(lam, cfg, n):
+    """The sweep's AN(n) winners against the exact brute force: the least
+    exact argmax and argmin, each valued by one float evaluate."""
+    fn = an_functional(n)
+    got = _sweep(lam, cfg, [fn])
+    hi, arg_hi, lo, arg_lo = an_reference(lam, cfg, tuple(range(2, min(cfg.dims + 1, AN_MAX) + 1)))[n]
+    for direction, exact, arg in (("max", hi, arg_hi), ("min", lo, arg_lo)):
+        value, point = got[(fn.name, direction)]
+        assert point == arg, (direction, point, arg)
+        assert value == fn.evaluate(tuple(float(x) for x in arg)) + 0.0
+        assert math.copysign(1.0, value) == 1.0  # cleared of -0.0
+        assert value == pytest.approx(float(exact), rel=1e-12, abs=1e-15)
+
+
+def spy_an_build(monkeypatch, force_object=False):
+    """Record the dtypes of the arrays that the exact AN build multiplies.
+    The int64/object bound is _an_coefficient on Python ints; with
+    force_object it reads 2**63, which puts any grid on Python ints."""
+    real, dtypes = ucv.search._an_coefficient, set()
+
+    def spy(b, n):
+        if all(type(x) is int for x in b):
+            return 2**63 if force_object else real(b, n)
+        dtypes.update(c.dtype for p in b for c in p.values() if isinstance(c, np.ndarray))
+        return real(b, n)
+
+    monkeypatch.setattr(ucv.search, "_an_coefficient", spy)
+    return dtypes
+
+
+@pytest.mark.parametrize("chunk", [None, 7], ids=["default chunk", "chunks of 7 tails"])
+@pytest.mark.parametrize("lam,cfg,n", AN_GRIDS + [AN_TIE], ids=str)
+def test_an_sweep_matches_exact_brute_force(monkeypatch, lam, cfg, n, chunk):
+    if chunk:
+        monkeypatch.setattr(ucv.search, "_AN_CHUNK", chunk)
+    dtypes = spy_an_build(monkeypatch)
+    assert_an_sweep_is_exact(lam, cfg, n)
+    assert dtypes <= {np.dtype(np.int64)}  # no tail column at dims 1
+
+
+@pytest.mark.parametrize("force_object", [False, True], ids=["int64", "python ints"])
+@pytest.mark.parametrize("lam,cfg,n", [AN_GRIDS[-1], (F(1), SearchConfig(grid_step=F(3, 20), dims=5), 6),
+                                       (F(1, 2), SearchConfig(grid_step=F(2, 7), dims=6), 7)], ids=str)
+def test_an_view_scores_every_tail_exactly(monkeypatch, lam, cfg, n, force_object):
+    # each tail's polynomial in k1, by Horner on the whole columns, against
+    # den^(n-1) |a_n| over Fraction at every k1 and every tail, feasible or not
+    spy_an_build(monkeypatch, force_object)
+    monkeypatch.setattr(ucv.search, "_AN_CHUNK", 5)
+    step = cfg.grid_step
+    budget, k1_max = int(lam / step), int(1 / step) + int(lam / step)
+    tails = _tail_units(budget, tuple(range(1, cfg.dims)))
+    order = np.arange(len(tails))[::-1]
+    head, cols, horner = ucv.search._an_view(n, step, k1_max, tails, order)
+    for k1 in range(k1_max + 1):
+        got = horner(None, (head[k1], *cols))
+        want = [step.denominator ** (n - 1) * abs(an_coefficient_by_recursion((k1 * step, *(t * step for t in row)), n))
+                for row in tails[order].tolist()]
+        assert got.tolist() == want
+
+
+def test_an_tie_grid_ties_across_tails():
+    lam, cfg, n = AN_TIE
+    hi = max(abs(an_coefficient_by_recursion(b, n)) for b in enumerate_feasible(lam, cfg))
+    ties = [b for b in enumerate_feasible(lam, cfg) if abs(an_coefficient_by_recursion(b, n)) == hi]
+    assert hi == F(243, 1024)
+    assert ties == [(F(3, 4),) + (F(0),) * 4, (F(3, 4), F(3, 4)) + (F(0),) * 3]
+    # slack order puts b2 = 3/4 (key -1) ahead of the zero tail (key 0)
+    assert _sweep(lam, cfg, [an_functional(n)])[("AN(6)", "max")][1] == ties[0]
+
+
+def test_an_sweep_past_int64_runs_on_python_ints(monkeypatch):
+    # den^7 = 5000^7 is about 7.8e25, so the bound passes 2**63 by itself;
+    # about 10k points
+    dtypes = spy_an_build(monkeypatch)
+    assert_an_sweep_is_exact(F(1, 5000), SearchConfig(grid_step=F(1, 5000), dims=7), 8)
+    assert dtypes == {np.dtype(object)}
+
+
+@pytest.mark.parametrize("lam,cfg,n", [(F(1), SearchConfig(grid_step=F(1, 10)), 5), AN_GRIDS[-1], AN_TIE], ids=str)
+def test_an_sweep_forced_onto_python_ints(monkeypatch, lam, cfg, n):
+    dtypes = spy_an_build(monkeypatch, force_object=True)
+    assert_an_sweep_is_exact(lam, cfg, n)
+    assert dtypes == {np.dtype(object)}
+
+
+def test_an_sweep_runs_no_recursion_per_point(monkeypatch):
+    # _an_coefficient runs on the tails' polynomials in b1 once per chunk of
+    # _AN_CHUNK tails, once on the Python-int caps (the bound) and once per
+    # winner on floats: never on the points' arrays
+    calls = collections.Counter()
+
+    def counting(real):
+        def spy(b, n):
+            kind = ("build" if isinstance(b[0], _Polynomial) else "bound" if all(type(x) is int for x in b)
+                    else "scalar" if all(type(x) is float for x in b) else "array")
+            calls[kind] += 1
+            return real(b, n)
+        return spy
+
+    monkeypatch.setattr(ucv.model, "_an_coefficient", counting(ucv.model._an_coefficient))
+    monkeypatch.setattr(ucv.search, "_an_coefficient", counting(ucv.search._an_coefficient))
+    lam, cfg = F(1), SearchConfig(dims=5)  # the sweep of conjecture --n 6
+    tails = len(_tail_units(50, (1, 2, 3, 4)))
+    assert tails > 3 * ucv.search._AN_CHUNK
+    _sweep(lam, cfg, [an_functional(6)])
+    assert calls == {"build": -(-tails // ucv.search._AN_CHUNK), "bound": 1, "scalar": 2}
 
 
 # -- feasible enumeration ----------------------------------------------------
