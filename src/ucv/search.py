@@ -11,11 +11,9 @@ no b1 cap: the three conditions imply b1 <= 1 + lambda (see _refine).
 Every objective here is a low-degree polynomial in (b1..b4) (the
 general coefficient objective AN(n) reads b1..b_{n-1}), so the search
 is a deterministic lattice sweep followed by shrinking-step local
-refinement; no gradients, no randomness.  verify_bounds makes each
-lambda one task: its sweep, then the refinement and certification of
-its rows.  The tasks are independent; they run on UCV_THREADS worker
-processes and are collected in grid order, so the output is identical
-for any worker count.
+refinement; no gradients, no randomness.  verify_bounds takes its
+lambdas in grid order: one sweep each, then the refinement and
+certification of that lambda's rows.
 
 Certification compares the searched extremum against the closed-form
 bound for the class when one exists.  A certificate FAILs only if the
@@ -30,7 +28,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence, Union
@@ -104,20 +101,23 @@ def _width(dims: int) -> int:
 
 
 def _tail_units(budget: int, weights: tuple[int, ...]) -> np.ndarray:
-    """Every (k_2, ..., k_dims) >= 0 with sum w_j k_j <= budget, as int64
-    rows in lexicographic order; one empty row when there are no weights.
+    """Every (k_2, ..., k_dims) >= 0 with sum w_j k_j <= budget, as rows
+    in lexicographic order; one empty row when there are no weights.  The
+    rows are int16 while budget < 2**15, which bounds every entry, and
+    int64 past that.
 
     Built from the last weight forwards: for k = 0..budget // w, k goes
     in front of the rows of the later weights whose units fit in
     budget - k w.  One nonzero over the (k, row) fit table lists those
     pairs k-major, which keeps the order lexicographic.
     """
-    rows = np.zeros((1, 0), dtype=np.int64)
+    dtype = np.int16 if budget < 2**15 else np.int64
+    rows = np.zeros((1, 0), dtype=dtype)
     used = np.zeros(1, dtype=np.int64)
     for w in reversed(weights):
         k = np.arange(budget // w + 1)
         ks, rs = np.nonzero(used <= budget - w * k[:, None])
-        rows, used = np.hstack((ks[:, None], rows[rs])), used[rs] + w * ks
+        rows, used = np.hstack((ks.astype(dtype)[:, None], rows[rs])), used[rs] + w * ks
     return rows
 
 
@@ -220,20 +220,19 @@ def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional]) -> dict:
     top, budget_units = int(1 / step), int(lam / step)
     k1_max = top + budget_units  # the least key, -budget_units, puts the whole budget on b2
     tails = _tail_units(budget_units, tuple(range(1, cfg.dims)))
-    units = tails.astype(np.int16 if budget_units < 2**15 else np.int64)  # kept for the winners' coordinates
     pad = (Fraction(0),) * (_width(cfg.dims) - cfg.dims)  # b_(dims+1)..b4
-    # p(-1) = 1 - b1 - key, key = -b2 + b3 - b4 + ... in step units, |key| <= budget_units
-    key = tails @ np.array([(-1) ** (j + 1) for j in range(cfg.dims - 1)], dtype=np.int64)
+    # p(-1) = 1 - b1 - key, key = -b2 + b3 - b4 + ... in step units; every partial sum is at most
+    # sum k_j <= budget_units in modulus, so key is summed in the tails' dtype
+    key = tails @ np.array([(-1) ** (j + 1) for j in range(cfg.dims - 1)], dtype=tails.dtype)
     # sorted row -> lexicographic row; numpy's stable sort of 16-bit ints is a radix sort
-    order = np.argsort(key.astype(units.dtype), kind="stable")
+    order = np.argsort(key, kind="stable")
     lut = _grid_values(step, k1_max + 1)
     # (head, columns, scorer): the registry's at None, AN(n)'s by n
     views = {None: (lut, [lut[tails[order, j]] for j in range(cfg.dims - 1)] + [np.zeros(len(order)) for _ in pad],
                     scores)} if any(fn.an is None for fn in fns) else {}
     # the point is a member iff p(-1) >= 0, that is k1 + key <= floor(1/step)
     counts = np.searchsorted(key[order], top - np.arange(k1_max + 1), side="right")
-    del tails, key  # AN(n)'s columns, built from the units, outweigh them at fine steps
-    views.update((an, _an_view(an, step, k1_max, units, order)) for an in dict.fromkeys(fn.an for fn in fns) if an)
+    views.update((an, _an_view(an, step, k1_max, tails, order)) for an in dict.fromkeys(fn.an for fn in fns) if an)
     nslices = int(np.count_nonzero(counts))  # counts falls with k1; b1 = 0 keeps the zero tail
     ends = np.cumsum(counts[:nslices])  # points in slices 0..k1
     best = [[-math.inf, None, math.inf, None] for _ in fns]  # per functional: max, its k1, min, its k1
@@ -256,7 +255,7 @@ def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional]) -> dict:
     def winner(fn: Functional, score, k1: int) -> tuple[float, tuple[Fraction, ...]]:
         ties = np.flatnonzero(views[fn.an][2](fn, points(fn.an, k1, k1 + 1)) == score)
         row = ties[np.argmin(order[ties])]  # the least tail in lexicographic order
-        arg = (k1 * step,) + tuple(int(t) * step for t in units[order[row]]) + pad
+        arg = (k1 * step,) + tuple(int(t) * step for t in tails[order[row]]) + pad
         return float(score if fn.an is None else fn.evaluate(tuple(map(float, arg)))) + 0.0, arg
 
     return {(fn.name, d): winner(fn, score, k1)
@@ -409,23 +408,6 @@ def _certify_row(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: st
     return _certificate(fn, lam, direction, value, arg)
 
 
-def _certify_lambda(lam: Fraction, cfg: SearchConfig) -> list[BoundCertificate]:
-    """Sweep one lambda, then refine and certify its 32 rows: functional
-    order, max before min."""
-    incumbents = _sweep(lam, cfg, FUNCTIONALS)
-    return [_certify_row(lam, cfg, fn, direction, *incumbents[(fn.name, direction)])
-            for fn in FUNCTIONALS for direction in ("max", "min")]
-
-
-def _worker_count(tasks: int) -> int:
-    try:
-        threads = int(os.environ.get("UCV_THREADS", "1"))
-    except ValueError:
-        threads = 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(threads, tasks, cpus))
-
-
 def optimize(fn: Union[Functional, str], lam: RationalIn, direction: str,
              cfg: SearchConfig | None = None) -> BoundCertificate:
     """Grid sweep plus refinement for one (functional, direction) pair."""
@@ -441,27 +423,19 @@ def optimize(fn: Union[Functional, str], lam: RationalIn, direction: str,
 def verify_bounds(lambda_grid: Sequence[RationalIn], cfg: SearchConfig | None = None) -> list[BoundCertificate]:
     """Certify every named functional in both directions over a lambda grid.
 
-    Each lambda is one task of _certify_lambda: one shared coarse sweep
-    feeds its 32 rows (the sweep itself is the pointwise never-exceed
-    check: each incumbent dominates every feasible grid point), which are
-    then refined and certified.  Every lambda is range-checked before any
-    work starts.  The tasks run on min(UCV_THREADS, grid size, CPUs)
-    processes, in this one when that is 1; the pool starts every worker up
-    front, and Executor.map keeps grid order, so the output is identical
-    for any worker count.  Row order: grid order, then functional order,
-    then max before min.
+    Each lambda gets one shared coarse sweep that feeds its 32 rows (the
+    sweep itself is the pointwise never-exceed check: each incumbent
+    dominates every feasible grid point), which are then refined and
+    certified.  Every lambda is range-checked before any sweep starts.
+    Row order: grid order, then functional order, then max before min.
     """
     cfg = cfg or SearchConfig()
-    grid = [lambda_in_range(raw) for raw in lambda_grid]
-    workers = _worker_count(len(grid))
-    if workers == 1:
-        parts = [_certify_lambda(lam, cfg) for lam in grid]
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # only a pooled run loads multiprocessing
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_certify_lambda, grid, [cfg] * len(grid)))
-    return [cert for part in parts for cert in part]
+    certs = []
+    for lam in [lambda_in_range(raw) for raw in lambda_grid]:
+        incumbents = _sweep(lam, cfg, FUNCTIONALS)
+        certs += [_certify_row(lam, cfg, fn, direction, *incumbents[(fn.name, direction)])
+                  for fn in FUNCTIONALS for direction in ("max", "min")]
+    return certs
 
 
 def conjecture_scan(n: int, lam: RationalIn, cfg: SearchConfig | None = None) -> BoundCertificate:

@@ -315,6 +315,8 @@ def test_criterion_6_root_gate_oracle():
 
 
 def test_criterion_7_csv_determinism():
+    # verify runs in one process and no longer reads UCV_THREADS; the two
+    # runs check that its CSV does not depend on that variable
     cmd = [sys.executable, "-m", "ucv.cli", "verify", "--grid", "0.25,1.0", "--format", "csv"]
     # the subprocesses must import this checkout's ucv whether or not it is
     # installed; otherwise both fail alike and compare equal

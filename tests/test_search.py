@@ -5,7 +5,6 @@ conjecture scan."""
 from __future__ import annotations
 
 import collections
-import concurrent.futures
 import functools
 import itertools
 import math
@@ -759,8 +758,15 @@ def test_tail_units_lexicographic_lattice(dims):
         want = [ks for ks in itertools.product(*(range(budget // w + 1) for w in weights))
                 if sum(w * k for w, k in zip(weights, ks)) <= budget]
         got = _tail_units(budget, weights)
-        assert got.dtype == np.int64 and got.shape == (len(want), dims - 1)
+        assert got.dtype == (np.int16 if budget < 2**15 else np.int64) and got.shape == (len(want), dims - 1)
         assert got.tolist() == [list(ks) for ks in want]
+
+
+@pytest.mark.parametrize("budget, dtype", [(2**15 - 1, np.int16), (2**15, np.int64)])
+def test_tail_units_dtype_boundary(budget, dtype):
+    rows = _tail_units(budget, (1,))
+    assert rows.dtype == dtype and rows.shape == (budget + 1, 1)
+    assert rows[:, 0].tolist() == list(range(budget + 1))
 
 
 def test_tail_units_row_count_at_dims_7():
@@ -807,102 +813,43 @@ def test_verify_empty_grid():
     assert verify_bounds([]) == []
 
 
-def test_verify_rejects_bad_lambda(serial_pool, monkeypatch):
-    monkeypatch.setenv("UCV_THREADS", "2")
-    with pytest.raises(ValueError):
-        verify_bounds([F(3, 2)])
-    # a bad lambda anywhere in the grid stops the run before any lambda is mapped
-    with pytest.raises(ValueError):
-        verify_bounds([F(1, 2), F(3, 2)])
-    assert serial_pool == []
+def test_verify_rejects_bad_lambda(monkeypatch):
+    swept = []
+    sweep = ucv.search._sweep
+
+    def recording(lam, cfg, fns):
+        swept.append(lam)
+        return sweep(lam, cfg, fns)
+
+    monkeypatch.setattr(ucv.search, "_sweep", recording)
+    # a bad lambda anywhere in the grid stops the run before any lambda is swept
+    for grid in ([F(3, 2)], [F(1, 2), F(3, 2)], [0, F(1, 2)], [F(1, 4), F(1, 2), -1]):
+        with pytest.raises(ValueError):
+            verify_bounds(grid)
+    assert swept == []
+    verify_bounds([F(1, 2)], SearchConfig(grid_step=F(1, 10), refine_rounds=0))
+    assert swept == [F(1, 2)]
+
+
+def test_verify_certificate_order():
+    # grid order (not sorted), then functional order, then max before min
+    certs = verify_bounds(["1/4", 1, 0.5], SearchConfig(grid_step=F(1, 10), refine_rounds=1))
+    order = [(n, d) for n in FUNCTIONAL_NAMES for d in ("max", "min")]
+    assert [(c.lam, c.functional, c.direction) for c in certs] == [
+        (lam, n, d) for lam in (F(1, 4), F(1), F(1, 2)) for n, d in order]
+
+
+def test_verify_lambda_rows_independent_of_grid():
+    # one loop serves the whole grid: a lambda's 32 rows must not depend on
+    # the lambdas swept before or after it
+    cfg = SearchConfig(grid_step=F(1, 10), refine_rounds=1)
+    grid = [F(1), F(1, 4), F(1, 2)]
+    assert verify_bounds(grid, cfg) == [c for lam in grid for c in verify_bounds([lam], cfg)]
 
 
 def test_verify_deterministic_small():
     cfg = SearchConfig(grid_step=F(1, 20), refine_rounds=2)
     assert verify_bounds([F(1, 2)], cfg) == verify_bounds([F(1, 2)], cfg)
-
-
-@pytest.fixture
-def serial_pool(monkeypatch):
-    """Swaps in a pool that records its worker count and maps in this
-    process, so no worker is ever started; returns the record."""
-    workers = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    return workers
-
-
-def test_verify_pool_capped_by_cpus_and_grid(serial_pool, monkeypatch):
-    cfg = SearchConfig(grid_step=F(1, 10), refine_rounds=1)
-    monkeypatch.setenv("UCV_THREADS", "1")
-    serial = verify_bounds(GRID5, cfg)
-    assert serial_pool == []
-    monkeypatch.setattr(ucv.search.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setenv("UCV_THREADS", "64")
-    assert verify_bounds(GRID5, cfg) == serial
-    assert serial_pool == [3]
-    # two lambdas bound the pool when the CPUs do not
-    monkeypatch.setattr(ucv.search.os, "sched_getaffinity", lambda pid: set(range(256)))
-    assert verify_bounds(GRID5[:2], cfg) == serial[:64]
-    assert serial_pool == [3, 2]
-    # one lambda, and one optimize row, run in this process
-    assert verify_bounds(GRID5[-1:], cfg) == serial[-32:]
-    optimize("A3", 1, "max", cfg)
-    assert serial_pool == [3, 2]
-
-
-def test_verify_pool_tasks_are_the_grid_lambdas(serial_pool, monkeypatch):
-    tasks = []
-    certify = ucv.search._certify_lambda
-
-    def recording(lam, cfg):
-        part = certify(lam, cfg)
-        tasks.append(((lam, cfg), part))
-        return part
-
-    monkeypatch.setattr(ucv.search, "_certify_lambda", recording)
-    monkeypatch.setattr(ucv.search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setenv("UCV_THREADS", "2")
-    cfg, grid = SearchConfig(grid_step=F(1, 10), refine_rounds=1), [F(1, 4), F(1), F(1, 2)]
-    certs = verify_bounds(["1/4", 1, 0.5], cfg)
-    assert serial_pool == [2]
-    assert [task for task, _ in tasks] == [(lam, cfg) for lam in grid]
-    assert certs == [c for _, part in tasks for c in part]
-    order = [(n, d) for n in FUNCTIONAL_NAMES for d in ("max", "min")]
-    for lam, (_, part) in zip(grid, tasks):
-        assert [(c.functional, c.direction) for c in part] == order
-        assert {c.lam for c in part} == {lam}
-
-
-def test_verify_pool_matches_serial(monkeypatch):
-    workers = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    grid, cfg = [F(1, 4), F(1)], SearchConfig(grid_step=F(1, 10))
-    monkeypatch.setenv("UCV_THREADS", "1")
-    serial = verify_bounds(grid, cfg)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(ucv.search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setenv("UCV_THREADS", "2")
-    assert verify_bounds(grid, cfg) == serial
-    assert workers == [2]
 
 
 # -- serialization -----------------------------------------------------------
