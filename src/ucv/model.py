@@ -24,10 +24,10 @@ Functionals (the FUNCTIONALS registry), all exact in the rationals:
   z23, z24      Zalcman expressions a2 a3 - a4 and a2 a4 - a5
 
 The exact layers work over the ints, on the member's integer form
-(d = lcm of the b denominators, N = d b), and build one Fraction per
-returned value: the gates compare ints, the report sums integer monomials
-of N, and the series route checks it by the reciprocal recurrence (f) and
-Lagrange inversion (A_n = [z^(n-1)] u^n / n, gamma_n = [z^n] u^n / (2n)).
+(d = lcm of the b denominators, N = d b), one Fraction per returned value:
+the gates compare ints, the report builds each monomial of (d, N) once, from
+an earlier one, and the series route checks it by the reciprocal recurrence
+(f) and Lagrange inversion (A_n = [z^(n-1)] u^n / n, gamma_n = [z^n] u^n / 2n).
 A CoefficientReport holds exact values only; ucv.cli renders them.
 """
 
@@ -40,7 +40,7 @@ from functools import cache, cached_property
 from typing import Callable, Sequence, Union
 
 from ucv.rootcheck import RationalIn, as_rational, nonvanishing_in_open_disk, over_common_denominator
-from ucv.series import TruncatedSeries, series_from_polynomial
+from ucv.series import TruncatedSeries
 
 VALIDATION_REASONS = (
     "lambda out of range",
@@ -48,6 +48,7 @@ VALIDATION_REASONS = (
     "lemma-sum exceeded",
     "zero in disk",
 )
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class NonMember(ValueError):
@@ -64,7 +65,7 @@ def lambda_in_range(raw: RationalIn) -> Fraction:
     NonMember("lambda out of range") outside (0, 1], where U+(lambda) is
     not defined."""
     lam = as_rational(raw)
-    if not 0 < lam <= 1:
+    if not 0 < lam.numerator <= lam.denominator:  # the denominator is positive
         raise NonMember("lambda out of range", f"lambda={lam}")
     return lam
 
@@ -96,8 +97,7 @@ def validate(lam: RationalIn, b: Sequence[RationalIn]) -> ClassMember:
     bs = [as_rational(x) for x in b]
     if not bs:
         raise ValueError("b must contain at least one coefficient")
-    while len(bs) < 4:
-        bs.append(Fraction(0))
+    bs += [_ZERO] * (4 - len(bs))
     member = ClassMember(lam_q, tuple(bs))
     d, ns = member.integer_form
     for n, x in enumerate(ns, start=1):
@@ -106,10 +106,10 @@ def validate(lam: RationalIn, b: Sequence[RationalIn]) -> ClassMember:
     weighted = sum((n - 1) * x for n, x in enumerate(ns, start=1))  # d * lemma sum
     if weighted * lam_q.denominator > lam_q.numerator * d:
         raise NonMember("lemma-sum exceeded", f"sum={member.lemma_sum()} > lambda={lam_q}")
-    if not nonvanishing_in_open_disk((Fraction(1),) + member.b, (d, (d, *ns))):
+    if not nonvanishing_in_open_disk((_ONE,) + member.b, (d, (d, *ns))):
         raise NonMember("zero in disk")
-    # consequence of the gates, never an independent constraint
-    assert 0 <= member.b[0] <= 1 + lam_q, "b1 outside [0, 1+lambda] after gates"
+    # consequence of the gates, never an independent constraint: 0 <= N1 / d <= 1 + lambda
+    assert 0 <= ns[0] * lam_q.denominator <= (lam_q.denominator + lam_q.numerator) * d, "b1 outside [0, 1+lambda]"
     return member
 
 
@@ -122,28 +122,34 @@ def f_series(member: ClassMember, order: int) -> TruncatedSeries:
     if order < 1:
         raise ValueError("order must be >= 1")
     d, ns = member.integer_form
-    qs = [1]
-    for k in range(1, order):
-        qs.append(-sum(x * d**j * q for j, (x, q) in enumerate(zip(ns, reversed(qs)))))
-    return TruncatedSeries((Fraction(0),) + tuple(Fraction(q, d**k) for k, q in enumerate(qs)))
+    dk = [d**k for k in range(order)]
+    weights = [x * p for x, p in zip(ns, dk)]  # N_j d^(j-1)
+    qs = [1]  # Q_0 = 1, so a_1 = 1
+    for _ in range(1, order):
+        qs.append(-sum(w * q for w, q in zip(weights, reversed(qs))))
+    return TruncatedSeries((_ZERO, _ONE) + tuple(map(Fraction, qs[1:], dk[1:])))
 
 
-def _denominator_powers(member: ClassMember, count: int, order: int) -> tuple[int, list[list[int]]]:
-    """(d, [P^1, ..., P^count]) through at least z^order, where P = d u over
-    the ints, from the member's integer form; so u^n = P^n / d^n.  The rows
-    are kept on the member and regrown only for a larger count or order:
-    a truncation is exact, so no value depends on the order of the calls."""
+def _denominator_powers(member: ClassMember, count: int, order: int) -> list[list[int]]:
+    """[P^1, ..., P^count] through at least z^order, P = d u over the ints from
+    the member's integer form, so u^n = P^n / d^n with d^n the row's constant
+    term.  Each row is the one before times P, one loop over P's nonzero terms.
+    The rows are kept on the member and regrown only for a larger count or
+    order: a truncation is exact, so no value depends on the order of calls."""
     d, ns = member.integer_form
     powers = getattr(member, "_powers", [[]])
     if len(powers) < count or len(powers[0]) <= order:
         count, top = max(count, len(powers)), max(order, len(powers[0]) - 1)
-        terms = [(j, c) for j, c in enumerate([d, *ns][: top + 1]) if c]
-        power, powers = [1] + [0] * top, []
-        for _ in range(count):
-            power = [sum(c * power[k - j] for j, c in terms if j <= k) for k in range(top + 1)]
-            powers.append(power)
+        powers = [([d, *ns] + [0] * top)[: top + 1]]
+        terms = [(j, c) for j, c in enumerate(powers[0]) if c]
+        for _ in range(count - 1):
+            power, row = powers[-1], [0] * (top + 1)
+            for j, c in terms:
+                for k in range(j, top + 1):
+                    row[k] += c * power[k - j]
+            powers.append(row)
         object.__setattr__(member, "_powers", powers)
-    return d, powers[:count]
+    return powers[:count]
 
 
 def inverse_series(member: ClassMember, order: int) -> TruncatedSeries:
@@ -153,9 +159,8 @@ def inverse_series(member: ClassMember, order: int) -> TruncatedSeries:
     the integer powers of d u that log_inverse_halved shares."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    d, powers = _denominator_powers(member, order, order - 1)
-    return TruncatedSeries((Fraction(0),) + tuple(
-        Fraction(pn[n - 1], n * d**n) for n, pn in enumerate(powers, start=1)))
+    powers = _denominator_powers(member, order, order - 1)
+    return TruncatedSeries((_ZERO,) + tuple(Fraction(pn[n - 1], n * pn[0]) for n, pn in enumerate(powers, 1)))
 
 
 def log_inverse_halved(member: ClassMember, order: int) -> tuple[Fraction, ...]:
@@ -168,27 +173,13 @@ def log_inverse_halved(member: ClassMember, order: int) -> tuple[Fraction, ...]:
     inverse_series shares."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    d, powers = _denominator_powers(member, order, order)
-    return tuple(Fraction(pn[n], 2 * n * d**n) for n, pn in enumerate(powers, start=1))
-
-
-def u_residual(member: ClassMember, order: int) -> TruncatedSeries:
-    """The residual (z/f)^2 f' - 1 assembled from series arithmetic.
-
-    Identically equal to -sum_{n>=2} (n-1) b_n z^n, which is what the
-    membership budget caps; tests lean on that identity.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    u = series_from_polynomial((Fraction(1),) + member.b, order)
-    fp = f_series(member, order + 1).derivative()
-    return u * u * fp - TruncatedSeries.one(order)
+    powers = _denominator_powers(member, order, order)
+    return tuple(Fraction(pn[n], 2 * n * pn[0]) for n, pn in enumerate(powers, 1))
 
 
 # -- functional registry -------------------------------------------------
 
 BoundValue = Union[Fraction, float, None]
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -358,6 +349,22 @@ def _report_terms() -> tuple:
     return tuple((fn.field, *_integer_monomials(fn)) for fn in FUNCTIONALS)
 
 
+@cache  # built with _report_terms, at the first report
+def _report_table() -> tuple[list[tuple[int, ...]], list[tuple[int, int]], tuple]:
+    """(monomials, steps, fields): d, N1..N4, then each monomial a report reads as monomials[5 + i] =
+    monomials[p] * monomials[v], (p, v) = steps[i]; fields as _report_terms, d^deg and monomials by index."""
+    index, steps = {tuple(int(i == v) for i in range(5)): v for v in range(5)}, []
+    def add(e: tuple[int, ...]) -> int:  # e's parent lowers its first nonzero exponent by one
+        if e not in index:
+            v = next(i for i, x in enumerate(e) if x)
+            steps.append((add(e[:v] + (e[v] - 1,) + e[v + 1:]), v))
+            index[e] = len(index)
+        return index[e]
+    fields = tuple((field, lcm, add((deg, 0, 0, 0, 0)), tuple((c, add(e)) for c, e in terms))
+                   for field, lcm, deg, terms in _report_terms())
+    return list(index), steps, fields
+
+
 @dataclass(frozen=True)
 class CoefficientReport:
     """All sixteen functional values of one member, exact, by report field."""
@@ -368,13 +375,18 @@ class CoefficientReport:
 
     @classmethod
     def from_member(cls, member: ClassMember) -> "CoefficientReport":
-        """Each field's integer monomials on the member's integer form."""
-        d, ns = member.integer_form
-        p0, p1, p2, p3, p4 = ([x**k for k in range(5)] for x in (d, *ns[:4]))  # degree <= 4
+        """Each field's integer monomials on the member's integer form, each built once."""
+        d, (n1, n2, n3, n4, *_) = member.integer_form  # b1..b4: validate pads b to four
+        _, steps, fields = _report_table()
+        m = [d, n1, n2, n3, n4]
+        for p, v in steps:
+            m.append(m[p] * m[v])
         values = {}
-        for field, lcm, deg, terms in _report_terms():
-            num = sum(c * p0[e0] * p1[e1] * p2[e2] * p3[e3] * p4[e4] for c, (e0, e1, e2, e3, e4) in terms)
-            values[field] = Fraction(num, lcm * p0[deg])
+        for field, lcm, den, terms in fields:
+            num = 0
+            for c, i in terms:
+                num += c * m[i]
+            values[field] = Fraction(num, lcm * m[den])
         return cls(member.lam, member.b, values)
 
     def value(self, field: str) -> Fraction:

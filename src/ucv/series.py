@@ -11,7 +11,6 @@ exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -28,7 +27,8 @@ class TruncatedSeries:
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise ValueError("a truncated series needs at least the z^0 coefficient")
-        object.__setattr__(self, "coeffs", tuple(as_rational(c) for c in self.coeffs))
+        if type(self.coeffs) is not tuple or any(type(c) is not Fraction for c in self.coeffs):
+            object.__setattr__(self, "coeffs", tuple(map(as_rational, self.coeffs)))  # else kept as given
 
     # -- constructors ------------------------------------------------
 
@@ -175,18 +175,6 @@ class TruncatedSeries:
         for k in range(1, n + 1):
             power = power * u
             out = out + power.scale(Fraction((-1) ** (k + 1), k))
-        return out
-
-    def exp_zero(self) -> "TruncatedSeries":
-        """exp of a series with zero constant term: sum u^k / k!."""
-        if self.coeffs[0] != 0:
-            raise ValueError("exp_zero requires constant term 0")
-        n = self.order
-        out = TruncatedSeries.one(n)
-        power = TruncatedSeries.one(n)
-        for k in range(1, n + 1):
-            power = power * self
-            out = out + power.scale(Fraction(1, math.factorial(k)))
         return out
 
     # -- presentation --------------------------------------------------

@@ -7,6 +7,11 @@ not a tautology:
   reciprocal_by_geometric   1/(1+u) as the finite geometric sum 1-u+u^2-...
   revert_by_lagrange        compositional inverse coefficient by Lagrange's
                             formula g_n = (1/n) [z^(n-1)] (z/s(z))^n
+  exp_zero                  exp of a series with zero constant term, the
+                            inverse that TruncatedSeries.log_unit is checked by
+  u_residual                the residual (z/f)^2 f' - 1 by series products,
+                            which the membership budget caps as
+                            -sum (n-1) b_n z^n
   hankel2_from / hankel3_from   determinants straight from the definition,
                             fed with series-route Taylor coefficients
   inside_unit_count         exact zero count in the open unit disk by the
@@ -37,22 +42,24 @@ agreement also checks that implication wherever they go.
 All arithmetic is exact rational, except for the float objective;
 nothing here imports the modules whose answers it is checking beyond
 the shared series container, the member gate validate() (for
-random_member), the disk gate's exact routine _no_zero_in_open_disk
-and the gate itself (for refine_by_fractions), and the search's
-configuration record and move set.
+random_member), the series route f_series (for u_residual), the disk
+gate's exact routine _no_zero_in_open_disk and the gate itself (for
+refine_by_fractions), and the search's configuration record and move
+set.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from ucv.model import ClassMember, NonMember, validate
+from ucv.model import ClassMember, NonMember, f_series, validate
 from ucv.rootcheck import _no_zero_in_open_disk, nonvanishing_in_open_disk
 from ucv.search import _REFINE_PASSES, _REFINE_WINDOW, SearchConfig, _move_directions
-from ucv.series import TruncatedSeries
+from ucv.series import TruncatedSeries, series_from_polynomial
 
 
 # -- series oracles ------------------------------------------------------
@@ -89,6 +96,32 @@ def revert_by_lagrange(s: TruncatedSeries) -> TruncatedSeries:
         power = power * r
         g.append(power.coefficient(k - 1) / k)
     return TruncatedSeries(tuple(g))
+
+
+def exp_zero(s: TruncatedSeries) -> TruncatedSeries:
+    """exp of a series with zero constant term: sum s^k / k!."""
+    if s.coeffs[0] != 0:
+        raise ValueError("exp_zero requires constant term 0")
+    n = s.order
+    out = TruncatedSeries.one(n)
+    power = TruncatedSeries.one(n)
+    for k in range(1, n + 1):
+        power = power * s
+        out = out + power.scale(Fraction(1, math.factorial(k)))
+    return out
+
+
+def u_residual(member: ClassMember, order: int) -> TruncatedSeries:
+    """The residual (z/f)^2 f' - 1 assembled from series arithmetic.
+
+    Identically equal to -sum_{n>=2} (n-1) b_n z^n, which is what the
+    membership budget caps.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    u = series_from_polynomial((Fraction(1),) + member.b, order)
+    fp = f_series(member, order + 1).derivative()
+    return u * u * fp - TruncatedSeries.one(order)
 
 
 def hankel2_from(c: Sequence[Fraction]) -> Fraction:

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from oracles import hankel2_from, hankel3_from, inside_unit_count, random_member
+from oracles import hankel2_from, hankel3_from, inside_unit_count, random_member, u_residual
 from ucv.cli import CSV_HEADER
 from ucv.model import (
     CATALOG_NAMES,
@@ -42,7 +42,6 @@ from ucv.model import (
     f_series,
     inverse_series,
     log_inverse_halved,
-    u_residual,
 )
 from ucv.rootcheck import nonvanishing_in_open_disk
 from ucv.search import conjecture_scan, verify_bounds

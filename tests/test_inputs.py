@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from ucv.model import NonMember, extremal_catalog, validate
+from ucv.model import NonMember, extremal_catalog, lambda_in_range, validate
 from ucv.rootcheck import UnitPolynomial
 from ucv.search import SearchConfig, closed_form_bound, conjecture_scan, optimize, verify_bounds
 from ucv.series import TruncatedSeries, series_from_polynomial
@@ -59,3 +59,16 @@ def test_a_float_means_its_decimal_text(entry):
 def test_none_is_not_a_number(entry):
     with pytest.raises(TypeError):
         COERCES[entry](None)
+
+
+@pytest.mark.parametrize("lam", [F(1), F(1, 10**18)], ids=["one", "tiny"])
+def test_lambda_in_range_keeps_both_ends_of_the_class(lam):
+    assert lambda_in_range(lam) is lam
+
+
+@pytest.mark.parametrize("lam", [F(0), F(-1, 3), F(10**18 + 1, 10**18)],
+                         ids=["zero", "negative", "just-above-one"])
+def test_lambda_in_range_rejects_just_outside_the_class(lam):
+    with pytest.raises(NonMember) as info:
+        lambda_in_range(lam)
+    assert info.value.reason == "lambda out of range"

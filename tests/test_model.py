@@ -3,8 +3,12 @@ extremal catalog, and report serialization."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +16,10 @@ from hypothesis import strategies as st
 
 import ucv.model
 import ucv.rootcheck
-from oracles import hankel2_from, hankel3_from, random_member, reciprocal_by_geometric
+from oracles import hankel2_from, hankel3_from, random_member, reciprocal_by_geometric, u_residual
 from ucv.cli import REPORT_FIELDS, decimal_str
 from ucv.model import (
+    _report_table,
     _report_terms,
     CATALOG_NAMES,
     FUNCTIONALS,
@@ -25,7 +30,6 @@ from ucv.model import (
     f_series,
     inverse_series,
     log_inverse_halved,
-    u_residual,
     validate,
 )
 from ucv.rootcheck import nonvanishing_in_open_disk
@@ -206,6 +210,39 @@ def test_derived_monomials_reproduce_evaluate():
             value = sum(F(c, lcm) * x[0] ** e1 * x[1] ** e2 * x[2] ** e3 * x[3] ** e4
                         for c, (_, e1, e2, e3, e4) in terms)
             assert value == fn.evaluate(x), (fn.name, x)
+
+
+def test_report_table_builds_each_monomial_from_an_earlier_one():
+    monomials, steps, fields = _report_table()
+    units = [tuple(int(i == v) for i in range(5)) for v in range(5)]
+    assert monomials[:5] == units
+    assert len(steps) == len(monomials) - 5 and len(set(monomials)) == len(monomials)
+    for at, (e, (parent, v)) in enumerate(zip(monomials[5:], steps), start=5):
+        assert parent < at
+        assert tuple(x + y for x, y in zip(monomials[parent], units[v])) == e
+    # the terms' monomials and each d^deg, their parents, and nothing else
+    read = {e for *_, terms in _report_terms() for _, e in terms}
+    read |= {(deg, 0, 0, 0, 0) for _, _, deg, _ in _report_terms()}
+    assert read <= set(monomials)
+    assert set(monomials) == read | {monomials[p] for p, _ in steps} | set(units)
+    for (field, lcm, deg, terms), (name, table_lcm, den, indexed) in zip(_report_terms(), fields):
+        assert (name, table_lcm, monomials[den]) == (field, lcm, (deg, 0, 0, 0, 0))
+        assert tuple((c, monomials[i]) for c, i in indexed) == terms
+
+
+def test_import_and_search_leave_the_report_table_unbuilt():
+    code = ("import ucv, ucv.model as m\n"
+            "from ucv.search import SearchConfig, verify_bounds\n"
+            "verify_bounds(['1/2'], SearchConfig(grid_step='1/10', refine_rounds=0))\n"
+            "print(m._report_terms.cache_info().currsize, m._report_table.cache_info().currsize)\n"
+            "m.CoefficientReport.from_member(m.validate(1, (1,)))\n"
+            "print(m._report_terms.cache_info().currsize, m._report_table.cache_info().currsize)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    pythonpath = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": pythonpath}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["0 0", "1 1"]  # built by the first report
 
 
 def log_by_reversion(member, order):

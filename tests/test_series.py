@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reciprocal_by_geometric, revert_by_lagrange
+from oracles import exp_zero, reciprocal_by_geometric, revert_by_lagrange
 from ucv.series import TruncatedSeries, series_from_polynomial
 
 F = Fraction
@@ -45,6 +45,26 @@ def test_constructor_rejections():
     assert TruncatedSeries((F(1), 0.5)).coeffs == (F(1), F(1, 2))  # a float means its decimal text
     with pytest.raises(TypeError):
         TruncatedSeries((F(1), None))
+
+
+@pytest.mark.parametrize("raw, want", [
+    ([F(1), F(1, 2)], (F(1), F(1, 2))),
+    ((1, -2), (F(1), F(-2))),
+    ((0.5, 0.1), (F(1, 2), F(1, 10))),
+    (("1/3", "2"), (F(1, 3), F(2))),
+    ((True, False), (F(1), F(0))),
+], ids=["list", "ints", "floats", "strings", "bools"])
+def test_series_stores_a_tuple_of_exact_fractions(raw, want):
+    s = TruncatedSeries(raw)
+    assert type(s.coeffs) is tuple
+    assert all(type(c) is Fraction for c in s.coeffs)
+    assert s.coeffs == want
+
+
+def test_series_keeps_the_fractions_it_is_given():
+    given_coeffs = (F(1), F(2, 3), F(-5, 7))
+    kept = TruncatedSeries(given_coeffs).coeffs
+    assert len(kept) == 3 and all(k is c for k, c in zip(kept, given_coeffs))
 
 
 def test_coefficient_range_checked():
@@ -127,7 +147,7 @@ def test_log_unit_frozen():
 
 def test_exp_zero_rejects_constant():
     with pytest.raises(ValueError):
-        S(1, 1).exp_zero()
+        exp_zero(S(1, 1))
 
 
 def test_compose_requires_zero_inner():
@@ -208,7 +228,7 @@ def test_log_turns_products_into_sums(s, t):
 @settings(deadline=None)
 @given(unit_st)
 def test_exp_log_round_trip(s):
-    assert s.log_unit().exp_zero() == s
+    assert exp_zero(s.log_unit()) == s
 
 
 @settings(deadline=None)
