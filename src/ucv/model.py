@@ -34,9 +34,9 @@ A CoefficientReport holds exact values only; ucv.cli renders them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable, Sequence, Union
 
 from ucv.rootcheck import RationalIn, as_rational, nonvanishing_in_open_disk, over_common_denominator
@@ -77,11 +77,10 @@ class ClassMember:
 
     lam: Fraction
     b: tuple[Fraction, ...]
+    integer_form: tuple[int, tuple[int, ...]] = field(init=False, compare=False, repr=False)  # (d, N): b = N / d
 
-    @cached_property
-    def integer_form(self) -> tuple[int, tuple[int, ...]]:
-        """(d, N): d the lcm of the b denominators and b = N / d."""
-        return over_common_denominator(self.b)
+    def __post_init__(self):  # d is the lcm of the b denominators
+        object.__setattr__(self, "integer_form", over_common_denominator(self.b))
 
     def lemma_sum(self) -> Fraction:
         return sum(((n - 1) * bn for n, bn in enumerate(self.b, start=1)), Fraction(0))
@@ -258,7 +257,7 @@ def _an_coefficient(b: Sequence, n: int):
     Ring generic, with no branch on values: it runs on floats and arrays
     (rounding is sign-symmetric, so |e_(n-1)| has the bits of |a_n| by the
     unfolded recursion, up to a zero's sign), on Fractions, and in the
-    sweep on polynomials in k1 (search._an_view).  The j = k term b_k e_0
+    sweep on polynomials in k1 (search._an_sweep).  The j = k term b_k e_0
     is read as b_k: x * 1 == x exactly, so no bit changes."""
     e = [1]
     for k in range(1, n):

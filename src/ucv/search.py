@@ -11,9 +11,12 @@ no b1 cap: the three conditions imply b1 <= 1 + lambda (see _refine).
 Every objective here is a low-degree polynomial in (b1..b4) (the
 general coefficient objective AN(n) reads b1..b_{n-1}), so the search
 is a deterministic lattice sweep followed by shrinking-step local
-refinement; no gradients, no randomness.  verify_bounds takes its
-lambdas in grid order: one sweep each, then the refinement and
-certification of that lambda's rows.
+refinement; no gradients, no randomness.  A sweep scores the
+directions its caller keeps: optimize and conjecture_scan one,
+verify_bounds both, one sweep per lambda in grid order.  AN(n) is
+scored exactly per tail: an integer enclosure of den^(n-1) a_n over the
+tail's feasible b1 drops each tail that cannot win, and the rest are
+scored in (b1 x tail) integer Horner tables.
 
 Certification compares the searched extremum against the closed-form
 bound for the class when one exists.  A certificate FAILs only if the
@@ -160,61 +163,114 @@ def _grid_values(step: Fraction, count: int) -> np.ndarray:
     return np.array([k * step.numerator / step.denominator for k in range(count)])
 
 
-def _an_view(n: int, step: Fraction, k1_max: int, tails: np.ndarray, order: np.ndarray) -> tuple:
-    """(head, columns, scorer) on which _sweep scores AN(n) exactly: for
-    step = num/den, den^(n-1) e_(n-1) = C_0 + C_1 k1 + ... + num^(n-1)
-    k1^(n-1) at b1 = k1 step, a column C_i per tail in slack order.  e_k is
-    weighted homogeneous, so den^k e_k is e_k at b_j' = num k_j den^(j-1),
-    and _an_coefficient runs per chunk of tails over polynomials in k1.  At
-    -caps, the largest |b_j'|, it adds up the moduli of all its terms, which
-    bounds every value here: int64 below 2**63, else Python ints (object).
+def _horner(cols: np.ndarray, x, lead: int) -> np.ndarray:
+    # lead x^r + cols[r-1] x^(r-1) + ... + cols[0] in a new array; x is per tail, or a column of k1 for a table
+    acc = lead * x + cols[-1]
+    for c in cols[-2::-1]:
+        np.add(np.multiply(acc, x, out=acc), c, out=acc)
+    return acc
+
+
+def _enclosure(cols: np.ndarray, m, lead: int) -> tuple:
+    # (lower, upper, P(m)) of P = lead x^r + cols[r-1] x^(r-1) + ... + cols[0]: P+ and P-, its parts of positive
+    # and negative coefficients, rise on x >= 0, so P+(0) - P-(m) <= P(x) <= P+(m) - P-(0) for x in [0, m]
+    up, down = _horner(np.maximum(cols, 0), m, lead), _horner(np.maximum(-cols, 0), m, 0)
+    return np.maximum(cols[0], 0) - down, up - np.maximum(-cols[0], 0), up - down
+
+
+def _an_sweep(n: int, step: Fraction, k1_max: int, tails: np.ndarray, rank: np.ndarray, last: np.ndarray,
+              signs: dict) -> dict:
+    """{direction: (k1, row of tails)}, the least point of the exact
+    extremum of |a_n| over the tails rank[i] (slack order), each feasible
+    for k1 in [0, m], m = last[i].
+
+    P = den^(n-1) e_(n-1) = C_0 + C_1 k1 + ... + num^(n-1) k1^(n-1) for
+    step = num/den: den^k e_k is e_k at b_j' = num k_j den^(j-1) (weighted
+    homogeneity), built per chunk of tails over polynomials in k1.  At
+    -caps, the largest |b_j'|, it adds up the moduli of all its terms, a
+    bound on every value here: int64 below 2**63, else Python ints.  Each
+    tail's ends k1 = 0 and m are scored as it is built; a tail whose bound
+    on s |P| (s = 1 max, -1 min, _enclosure) is at most the best end cannot
+    beat it, as P+ rises strictly: the bound is reached at an end, or as
+    |P| = 0 inside the tail, after the zero tail's k1 = 0 end.  The rest
+    are scored in (k1 x tail) tables of at most _SWEEP_BLOCK cells,
+    infeasible cells below every score: a table's first hit is its best
+    at its least k1.
     """
     num, den = step.numerator, step.denominator
     caps = [num * max(k1_max, 1)] + [num * max(int(c.max()), 1) * den ** (j + 1) for j, c in enumerate(tails.T)]
-    dtype = np.int64 if abs(_an_coefficient([-c for c in caps], n)) < 2**63 else object
-    cols = [np.empty(len(order), dtype=dtype) for _ in range(n - 1)]
-    for lo in range(0, len(order), _AN_CHUNK):
-        part = tails[order[lo:lo + _AN_CHUNK]].astype(dtype)
-        b = [_Polynomial({(0,): c * (num * den ** (j + 1))}) for j, c in enumerate(part.T)]
-        poly = _an_coefficient([_Polynomial({(1,): num})] + b, n)
-        for i, c in enumerate(cols):
-            c[lo:lo + _AN_CHUNK] = poly.get((i,), 0)
+    bound = abs(_an_coefficient([-c for c in caps], n))
+    dtype = np.int64 if bound < 2**63 else object
+    lead, floor = num ** (n - 1), -bound - 1  # the top coefficient; below every score
+    best, kept = dict.fromkeys(signs, (floor, 0, 0)), []  # (score, -k1, -row) of the best end
+    for lo in range(0, len(last), _AN_CHUNK):
+        part, m = tails[rank[lo:lo + _AN_CHUNK]].astype(dtype), last[lo:lo + _AN_CHUNK].astype(dtype)
+        poly = _an_coefficient([_Polynomial({(1,): num})]
+                               + [_Polynomial({(0,): c * (num * den ** (j + 1))}) for j, c in enumerate(part.T)], n)
+        cols = np.array([np.broadcast_to(poly.pop((i,), 0), len(m)) for i in range(n - 1)], dtype=dtype)
+        lower, upper, at_m = _enclosure(cols, m, lead)
+        tops = [np.maximum(upper, -lower) if s > 0 else np.minimum(np.minimum(upper, -lower), 0)
+                for s in signs.values()]  # s |P| is at most these
+        for d, s in signs.items():
+            ends = s * np.abs([cols[0], at_m])  # at k1 = 0 and k1 = m
+            score = int(ends.max())
+            k = 0 if (ends[0] == score).any() else int(m[ends[1] == score].min())
+            at = ends[0] == score if k == 0 else (ends[1] == score) & (m == k)
+            best[d] = max(best[d], (score, -k, -int(rank[lo:lo + _AN_CHUNK][at].min())))
+        keep = np.logical_or.reduce([t > best[d][0] for t, d in zip(tops, signs)])
+        kept.append((lo + np.flatnonzero(keep), cols[:, keep], *(t[keep] for t in tops)))
+    for i, (r, c, *tops) in enumerate(kept):  # the final filter, part by part, before the one copy
+        keep = np.logical_or.reduce([t > best[d][0] for t, d in zip(tops, signs)])
+        kept[i] = r[keep], c[:, keep]
+    rows, cols = (np.concatenate(a, axis=-1) for a in zip(*kept))
+    m, hits, lo = last[rows], {d: best[d][:2] for d in signs}, 0  # m falls along the rows; hits: (score, -k1)
+    while lo < len(rows):  # tables of k1 in [k0, k0 + span) by tails lo..hi-1
+        span = min(int(m[lo]) + 1, _SWEEP_BLOCK)
+        hi = lo + _SWEEP_BLOCK // span
+        for k0 in range(0, int(m[lo]) + 1, span):
+            k = np.arange(k0, min(k0 + span, int(m[lo]) + 1), dtype=dtype)[:, None]
+            table, out = np.abs(_horner(cols[:, lo:hi], k, lead)), k > m[lo:hi]
+            for d, s in signs.items():
+                j = int(np.argmax(v := np.where(out, floor, s * table)))
+                hits[d] = max(hits[d], (v.flat[j], -(k0 + j // v.shape[1])))
+        lo = hi
+    found = {}
+    for d, s in signs.items():  # the least tail at the best k1: the best end's, or a kept one
+        (score, k1), live = hits[d], np.count_nonzero(m >= -hits[d][1])  # the kept tails feasible at k1
+        ties = rank[rows[:live][s * np.abs(_horner(cols[:, :live], -k1, lead)) == score]].tolist()
+        found[d] = -k1, min(ties + [-best[d][2]] * (hits[d] == best[d][:2]))
+    return found
 
-    def horner(fn: Functional, block: tuple) -> np.ndarray:  # |a_n| den^(n-1)
-        acc = block[-1] + num ** (n - 1) * block[0]  # a new array, so the rest runs in place
-        for c in block[-2:0:-1]:
-            np.add(np.multiply(acc, block[0], out=acc), c, out=acc)
-        return np.abs(acc, out=acc)
 
-    return np.arange(k1_max + 1, dtype=dtype), cols, horner
-
-
-def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional]) -> dict:
-    """Coarse lattice sweep; returns {(name, direction): (value, arg)}.
+def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional],
+           directions: Sequence[str] = ("max", "min")) -> dict:
+    """Coarse lattice sweep; returns {(name, direction): (value, arg)} for
+    the directions asked for.
 
     The tails are sorted once by p(-1) slack, most first, by a stable sort,
-    so slice b1 = k1 step holds exactly the first counts[k1] of them.  A
-    functional is scored on its view, a head per slice and columns per
-    tail: the registry's (b1 and the tail floats, for evaluate) in blocks
-    of consecutive slices, the most that fit in _SWEEP_BLOCK feasible
-    points (or one larger slice); AN(n)'s (_an_view, exact) a slice at a
-    time, valued by one scalar evaluate at the winner.  A one-slice block
-    reads its columns as views, its head as a scalar.  A slot keeps its
-    best score and the least k1 that reaches it (a block's first hit lies
-    in its least slice; a strict comparison keeps the earlier block's).
-    Slack order is not lexicographic, so the winning slice is scored again
-    and its least tied tail wins: the least point overall.
+    so slice b1 = k1 step holds exactly the first counts[k1] of them.
+    AN(n) is scored exactly per tail (_an_sweep: an integer bound drops the
+    tails that cannot win, Horner tables score the rest).  The registry is
+    scored by evaluate on floats in blocks: the most slices that fit in
+    _SWEEP_BLOCK feasible points, or _SWEEP_BLOCK rows of one larger slice
+    (b1 a scalar).  A slot keeps its best score and the least k1 that
+    reaches it (a strict comparison keeps the earlier block's); slack order
+    is not lexicographic, so the winning slice is scored again and its
+    least tied tail wins: the least point overall.
     """
     def scores(fn: Functional, block: tuple) -> np.ndarray:
         v = fn.evaluate(block)  # -0.0 == 0.0 in every comparison; a kept winner is cleared of it
         # a functional of a one-slice block's scalar b1 alone; block[1] spans the block (width >= 4)
         return v if np.ndim(v) else np.broadcast_to(v, block[1].shape)
 
-    def points(an: int | None, lo: int, hi: int) -> tuple:  # slices lo..hi-1 end to end; a scalar head for one
-        (head, cols, _), cnt = views[an], counts[lo:hi]
+    def points(lo: int, hi: int, r0: int, r1: int) -> tuple:  # slices lo..hi-1 end to end, or rows r0..r1-1 of one
         if hi - lo == 1:
-            return (head[lo], *(c[: cnt[0]] for c in cols))
-        return (np.repeat(head[lo:hi], cnt), *(np.concatenate([c[:m] for m in cnt]) for c in cols))
+            return (lut[lo], *(c[r0:r1] for c in cols))
+        return (np.repeat(lut[lo:hi], counts[lo:hi]), *(np.concatenate([c[:m] for m in counts[lo:hi]]) for c in cols))
+
+    def result(fn: Functional, k1: int, tail: int, score=None) -> tuple[float, tuple[Fraction, ...]]:
+        arg = (k1 * step,) + tuple(int(t) * step for t in tails[tail]) + pad  # AN(n): one scalar evaluate
+        return float(score if fn.an is None else fn.evaluate(tuple(map(float, arg)))) + 0.0, arg
 
     step = cfg.grid_step
     top, budget_units = int(1 / step), int(lam / step)
@@ -226,40 +282,34 @@ def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional]) -> dict:
     key = tails @ np.array([(-1) ** (j + 1) for j in range(cfg.dims - 1)], dtype=tails.dtype)
     # sorted row -> lexicographic row; numpy's stable sort of 16-bit ints is a radix sort
     order = np.argsort(key, kind="stable")
-    lut = _grid_values(step, k1_max + 1)
-    # (head, columns, scorer): the registry's at None, AN(n)'s by n
-    views = {None: (lut, [lut[tails[order, j]] for j in range(cfg.dims - 1)] + [np.zeros(len(order)) for _ in pad],
-                    scores)} if any(fn.an is None for fn in fns) else {}
     # the point is a member iff p(-1) >= 0, that is k1 + key <= floor(1/step)
     counts = np.searchsorted(key[order], top - np.arange(k1_max + 1), side="right")
-    views.update((an, _an_view(an, step, k1_max, tails, order)) for an in dict.fromkeys(fn.an for fn in fns) if an)
-    nslices = int(np.count_nonzero(counts))  # counts falls with k1; b1 = 0 keeps the zero tail
-    ends = np.cumsum(counts[:nslices])  # points in slices 0..k1
-    best = [[-math.inf, None, math.inf, None] for _ in fns]  # per functional: max, its k1, min, its k1
-    for an, (_, _, score) in views.items():
-        lo = 0
-        while lo < nslices:  # registry: the most slices in _SWEEP_BLOCK points, or one larger; AN(n): one
-            start = int(ends[lo] - counts[lo])
-            hi = lo + 1 if an else max(int(np.searchsorted(ends, start + _SWEEP_BLOCK, side="right")), lo + 1)
-            bf = points(an, lo, hi)
-            for fn, slot in zip(fns, best):
-                if fn.an == an:
-                    v = score(fn, bf)
-                    jmax, jmin = int(np.argmax(v)), int(np.argmin(v))
-                    if v[jmax] > slot[0]:
-                        slot[0], slot[1] = v[jmax], int(np.searchsorted(ends, start + jmax, side="right"))
-                    if v[jmin] < slot[2]:
-                        slot[2], slot[3] = v[jmin], int(np.searchsorted(ends, start + jmin, side="right"))
-            lo = hi
-
-    def winner(fn: Functional, score, k1: int) -> tuple[float, tuple[Fraction, ...]]:
-        ties = np.flatnonzero(views[fn.an][2](fn, points(fn.an, k1, k1 + 1)) == score)
-        row = ties[np.argmin(order[ties])]  # the least tail in lexicographic order
-        arg = (k1 * step,) + tuple(int(t) * step for t in tails[order[row]]) + pad
-        return float(score if fn.an is None else fn.evaluate(tuple(map(float, arg)))) + 0.0, arg
-
-    return {(fn.name, d): winner(fn, score, k1)
-            for fn, slot in zip(fns, best) for d, score, k1 in (("max", *slot[:2]), ("min", *slot[2:]))}
+    signs = {d: 1 if d == "max" else -1 for d in directions}
+    live = order[:counts[0]]  # the tails with a feasible k1, whose last is top - key
+    found = {(fn.name, d): result(fn, *hit) for fn in fns if fn.an for d, hit in _an_sweep(
+        fn.an, step, k1_max, tails, live, top - key[live].astype(np.int64), signs).items()}
+    registry = [fn for fn in fns if fn.an is None]
+    lut = _grid_values(step, k1_max + 1) if registry else None
+    cols = [lut[tails[order, j]] for j in range(cfg.dims - 1)] + [np.zeros(len(order)) for _ in pad] if registry else []
+    ends = np.cumsum(counts[:np.count_nonzero(counts)])  # points in slices 0..k1; b1 = 0 keeps the zero tail
+    best = {(fn, d): [-s * math.inf, None] for fn in registry for d, s in signs.items()}  # score, k1
+    lo = 0
+    while registry and lo < len(ends):
+        start, size = int(ends[lo] - counts[lo]), int(counts[lo])
+        hi = max(int(np.searchsorted(ends, start + _SWEEP_BLOCK, side="right")), lo + 1)  # one slice: row ranges
+        for r0 in range(0, size if hi == lo + 1 else 1, _SWEEP_BLOCK):
+            block = points(lo, hi, r0, min(r0 + _SWEEP_BLOCK, size))
+            for fn in registry:
+                v = scores(fn, block)
+                for d, s in signs.items():
+                    j, slot = int(np.argmax(v) if s > 0 else np.argmin(v)), best[fn, d]
+                    if s * v[j] > s * slot[0]:
+                        slot[:] = v[j], int(np.searchsorted(ends, start + r0 + j, side="right"))
+        lo = hi
+    for (fn, d), (score, k1) in best.items():
+        ties = np.flatnonzero(scores(fn, points(k1, k1 + 1, 0, int(counts[k1]))) == score)
+        found[fn.name, d] = result(fn, k1, order[ties].min(), score)
+    return {(fn.name, d): found[fn.name, d] for fn in fns for d in directions}
 
 
 # -- refinement ------------------------------------------------------------
@@ -278,34 +328,14 @@ def _move_directions(dims: int) -> tuple[tuple[int, ...], ...]:
     tight can be a local optimum of every axis or diagonal move while the
     true extremum sits further along the intersection.
     """
-    moves: set[tuple[int, ...]] = set()
-
-    def add(v: list[int]) -> None:
-        moves.add(tuple(v))
-        moves.add(tuple(-x for x in v))
-
-    for i in range(dims):
-        v = [0] * dims
-        v[i] = 1
-        add(v)
-    for i in range(dims):
-        for j in range(i + 1, dims):
-            for sj in (+1, -1):
-                v = [0] * dims
-                v[i], v[j] = 1, sj
-                add(v)
+    moves = [{i: 1} for i in range(dims)]  # {index: entry}, zero elsewhere
+    moves += [{i: 1, j: sj} for i in range(dims) for j in range(i + 1, dims) for sj in (1, -1)]
     for i in range(1, dims):
         for j in range(i + 1, dims):
-            g = math.gcd(i, j)
-            vi, vj = j // g, -(i // g)
-            si, sj = (-1) ** (i + 1), (-1) ** (j + 1)
-            v = [0] * dims
-            v[i], v[j] = vi, vj
-            add(v)
-            v = list(v)
-            v[0] = vi * si + vj * sj
-            add(v)
-    return tuple(sorted(moves))
+            vi, vj = j // math.gcd(i, j), -(i // math.gcd(i, j))
+            moves += [{i: vi, j: vj}, {0: vi * (-1) ** (i + 1) + vj * (-1) ** (j + 1), i: vi, j: vj}]
+    vectors = [tuple(m.get(i, 0) for i in range(dims)) for m in moves]
+    return tuple(sorted({v for u in vectors for v in (u, tuple(-x for x in u))}))
 
 
 @functools.lru_cache(maxsize=None)
@@ -416,7 +446,7 @@ def optimize(fn: Union[Functional, str], lam: RationalIn, direction: str,
     fn = functional_by_name(fn) if isinstance(fn, str) else fn
     lam = lambda_in_range(lam)
     cfg = cfg or SearchConfig()
-    value, arg = _sweep(lam, cfg, [fn])[(fn.name, direction)]
+    value, arg = _sweep(lam, cfg, [fn], (direction,))[(fn.name, direction)]
     return _certify_row(lam, cfg, fn, direction, value, arg)
 
 
@@ -432,7 +462,7 @@ def verify_bounds(lambda_grid: Sequence[RationalIn], cfg: SearchConfig | None = 
     cfg = cfg or SearchConfig()
     certs = []
     for lam in [lambda_in_range(raw) for raw in lambda_grid]:
-        incumbents = _sweep(lam, cfg, FUNCTIONALS)
+        incumbents = _sweep(lam, cfg, FUNCTIONALS, ("max", "min"))
         certs += [_certify_row(lam, cfg, fn, direction, *incumbents[(fn.name, direction)])
                   for fn in FUNCTIONALS for direction in ("max", "min")]
     return certs

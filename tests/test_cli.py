@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -377,6 +380,26 @@ def test_conjecture_json_matches_pinned_outputs(capsys):
             assert code == EXIT_OK, (n, lam)
             outs.append(out)
     assert "".join(outs).encode() == expected.read_bytes()
+
+
+def test_conjecture_at_step_1_80_stays_under_100_mb():
+    # the n = 8 scan at step 1/80 sweeps 1,080,266 tails (96,095,347 lattice
+    # points).  The child reads VmHWM, the peak resident set of its own
+    # address space: its ru_maxrss would keep the peak of the pytest process
+    # it was started from (Linux carries the high-water mark of the address
+    # space that exec replaces), and RUSAGE_CHILDREN that of any earlier child
+    code = ("import contextlib, io, ucv.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = ucv.cli.main(['conjecture', '--n', '8', '--lambda', '1', '--step', '1/80'])\n"
+            "print(code, next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')).split()[1])\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    pythonpath = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": pythonpath}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, peak_kib = map(int, proc.stdout.split())
+    assert exit_code == EXIT_OK
+    assert peak_kib < 100 * 1024
 
 
 def test_conjecture_cli(capsys):

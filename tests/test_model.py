@@ -32,7 +32,7 @@ from ucv.model import (
     log_inverse_halved,
     validate,
 )
-from ucv.rootcheck import nonvanishing_in_open_disk
+from ucv.rootcheck import nonvanishing_in_open_disk, over_common_denominator
 from ucv.series import TruncatedSeries, series_from_polynomial
 
 F = Fraction
@@ -347,6 +347,18 @@ def test_validate_lifts_a_member_once(monkeypatch):
         except NonMember:
             pass
         assert len(calls) == 1, (lam, b)
+
+
+def test_integer_form_is_set_when_a_member_is_built():
+    # a ClassMember built directly carries the (d, N) of one built through
+    # validate, set when built; the field is left out of ==, hash and repr
+    for lam, b in [(F(1), (F(2), F(1))), (F(1, 2), (F(1, 3), F(1, 5), F(1, 7))), (F(3, 4), ("0.25", "1/6", 0, "1/12"))]:
+        member = validate(lam, b)
+        direct = ClassMember(member.lam, member.b)
+        assert "integer_form" in vars(direct)
+        assert direct.integer_form == member.integer_form == over_common_denominator(member.b)
+        assert direct == member and hash(direct) == hash(member)
+        assert repr(direct) == repr(member) == f"ClassMember(lam={member.lam!r}, b={member.b!r})"
 
 
 def test_inverse_series_needs_order_one():

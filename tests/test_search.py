@@ -126,14 +126,14 @@ def sweep_shape(lam, cfg):
 
 
 def sweep_blocks(lam, cfg):
-    """The points of each b1 slice of each block the sweep scores, in
+    """(b1, points) of each b1 slice of each block the sweep scores, in
     order: a recording functional logs every evaluate, and the last two
     re-score the winning slices."""
     log = []
 
     def record(b):
         b1 = np.broadcast_to(b[0], np.broadcast(*b).shape)
-        log.append(np.unique(b1, return_counts=True)[1].tolist())  # b1 rises with the slice
+        log.append(list(zip(*(a.tolist() for a in np.unique(b1, return_counts=True)))))  # b1 rises with the slice
         return b[0] + b[1]
 
     _sweep(lam, cfg, [Functional("REC", None, record, lambda lam: (None, None))])
@@ -188,15 +188,28 @@ def test_sweep_ties_across_block_boundaries(monkeypatch, lam, cfg, per_block):
 @pytest.mark.parametrize("lam,cfg", SWEEP_GRIDS, ids=lambda v: str(v))
 def test_sweep_blocks_fill_with_feasible_points(monkeypatch, lam, cfg, block):
     # a block takes the most slices that fit in _SWEEP_BLOCK feasible
-    # points, or one larger slice, so no block could also take the first
-    # slice of the next; together they hold every feasible point once
+    # points, so a block of whole slices could not also take the first
+    # slice of the next; a larger slice is cut into ranges of _SWEEP_BLOCK
+    # rows, the last holding the rest.  No block holds more than
+    # _SWEEP_BLOCK points, and together they hold every feasible point once
     if block:
         monkeypatch.setattr(ucv.search, "_SWEEP_BLOCK", block)
     size = ucv.search._SWEEP_BLOCK
     cut = sweep_blocks(lam, cfg)
-    assert all(sum(sl) <= size or len(sl) == 1 for sl in cut)
-    assert all(sum(sl) + nxt[0] > size for sl, nxt in zip(cut, cut[1:]))
-    assert sum(map(sum, cut)) == feasible_count(lam, cfg)
+    slices, pieces = collections.Counter(), collections.Counter()  # points and blocks per b1
+    for sl in cut:
+        slices.update(dict(sl))
+        pieces.update(b1 for b1, _ in sl)
+    assert all(sum(c for _, c in sl) <= size for sl in cut)
+    assert all(pieces[b1] == max(1, -(-slices[b1] // size)) for b1 in slices)
+    for sl, nxt in zip(cut, cut[1:]):
+        points = sum(c for _, c in sl)
+        if nxt[0][0] == sl[-1][0]:  # a range of a larger slice, with another after it
+            assert len(sl) == len(nxt) == 1 and points == size
+        elif slices[sl[-1][0]] <= size:  # whole slices
+            assert points + slices[nxt[0][0]] > size
+    assert sum(slices.values()) == feasible_count(lam, cfg)
+    assert_sweep_matches_brute_force(lam, cfg)
 
 
 @pytest.mark.parametrize("block", [None, 1, 3 * 41], ids=["default", "one slice", "uneven"])
@@ -235,7 +248,7 @@ def test_sweep_spans_several_default_blocks():
     lam, cfg = F(1), SearchConfig(grid_step=F(1, 150), dims=2)
     cut = sweep_blocks(lam, cfg)
     assert len(cut) >= 3
-    assert all(sum(sl) <= ucv.search._SWEEP_BLOCK for sl in cut)
+    assert all(sum(c for _, c in sl) <= ucv.search._SWEEP_BLOCK for sl in cut)
     assert_sweep_matches_brute_force(lam, cfg)
 
 
@@ -256,6 +269,10 @@ def test_grid_values_are_correctly_rounded(step):
 # tail first in slack order
 AN_GRIDS = [(lam, cfg, n) for lam, cfg in SWEEP_GRIDS for n in range(2, min(cfg.dims + 1, AN_MAX) + 1)]
 AN_TIE = (F(1), SearchConfig(grid_step=F(3, 4), dims=5), 6)
+DIRECTIONS = [("max",), ("min",), ("max", "min")]
+# the default chunk and table sizes; a few tails per chunk and tables of a
+# few cells, which cut a tail's k1 range into several tables
+AN_SIZES = {"default sizes": (None, None), "chunks of 7, tables of 5": (7, 5), "tables of 40": (None, 40)}
 
 
 @functools.cache
@@ -263,18 +280,30 @@ def an_reference(lam, cfg, ns):
     return an_extremes_by_fractions(lam, cfg, ns)
 
 
-def assert_an_sweep_is_exact(lam, cfg, n):
-    """The sweep's AN(n) winners against the exact brute force: the least
-    exact argmax and argmin, each valued by one float evaluate."""
+def assert_an_sweep_is_exact(lam, cfg, n, directions):
+    """The sweep's AN(n) winners in the directions asked for against the
+    exact brute force: the least exact argmax and argmin, each valued by
+    one float evaluate."""
     fn = an_functional(n)
-    got = _sweep(lam, cfg, [fn])
+    got = _sweep(lam, cfg, [fn], directions)
+    assert list(got) == [(fn.name, d) for d in directions]
     hi, arg_hi, lo, arg_lo = an_reference(lam, cfg, tuple(range(2, min(cfg.dims + 1, AN_MAX) + 1)))[n]
     for direction, exact, arg in (("max", hi, arg_hi), ("min", lo, arg_lo)):
+        if direction not in directions:
+            continue
         value, point = got[(fn.name, direction)]
         assert point == arg, (direction, point, arg)
         assert value == fn.evaluate(tuple(float(x) for x in arg)) + 0.0
         assert math.copysign(1.0, value) == 1.0  # cleared of -0.0
         assert value == pytest.approx(float(exact), rel=1e-12, abs=1e-15)
+
+
+def set_an_sizes(monkeypatch, sizes):
+    chunk, block = AN_SIZES[sizes]
+    if chunk:
+        monkeypatch.setattr(ucv.search, "_AN_CHUNK", chunk)
+    if block:
+        monkeypatch.setattr(ucv.search, "_SWEEP_BLOCK", block)
 
 
 def spy_an_build(monkeypatch, force_object=False):
@@ -293,34 +322,46 @@ def spy_an_build(monkeypatch, force_object=False):
     return dtypes
 
 
-@pytest.mark.parametrize("chunk", [None, 7], ids=["default chunk", "chunks of 7 tails"])
+def spy_an_scoring(monkeypatch):
+    """Record what _an_sweep scores point by point: the (k1 rows, tails)
+    of each Horner table, and the tails of each re-scan at one k1."""
+    real, scored = ucv.search._horner, {"tables": [], "rescans": []}
+
+    def spy(cols, x, lead):
+        if np.ndim(x) != 1:  # not the per-tail enclosure
+            scored["tables" if np.ndim(x) else "rescans"].append((*np.shape(x)[:1], cols.shape[1]))
+        return real(cols, x, lead)
+
+    monkeypatch.setattr(ucv.search, "_horner", spy)
+    return scored
+
+
+@pytest.mark.parametrize("directions", DIRECTIONS, ids="+".join)
+@pytest.mark.parametrize("sizes", AN_SIZES)
 @pytest.mark.parametrize("lam,cfg,n", AN_GRIDS + [AN_TIE], ids=str)
-def test_an_sweep_matches_exact_brute_force(monkeypatch, lam, cfg, n, chunk):
-    if chunk:
-        monkeypatch.setattr(ucv.search, "_AN_CHUNK", chunk)
+def test_an_sweep_matches_exact_brute_force(monkeypatch, lam, cfg, n, sizes, directions):
+    set_an_sizes(monkeypatch, sizes)
     dtypes = spy_an_build(monkeypatch)
-    assert_an_sweep_is_exact(lam, cfg, n)
+    assert_an_sweep_is_exact(lam, cfg, n, directions)
     assert dtypes <= {np.dtype(np.int64)}  # no tail column at dims 1
 
 
-@pytest.mark.parametrize("force_object", [False, True], ids=["int64", "python ints"])
-@pytest.mark.parametrize("lam,cfg,n", [AN_GRIDS[-1], (F(1), SearchConfig(grid_step=F(3, 20), dims=5), 6),
-                                       (F(1, 2), SearchConfig(grid_step=F(2, 7), dims=6), 7)], ids=str)
-def test_an_view_scores_every_tail_exactly(monkeypatch, lam, cfg, n, force_object):
-    # each tail's polynomial in k1, by Horner on the whole columns, against
-    # den^(n-1) |a_n| over Fraction at every k1 and every tail, feasible or not
-    spy_an_build(monkeypatch, force_object)
-    monkeypatch.setattr(ucv.search, "_AN_CHUNK", 5)
-    step = cfg.grid_step
-    budget, k1_max = int(lam / step), int(1 / step) + int(lam / step)
-    tails = _tail_units(budget, tuple(range(1, cfg.dims)))
-    order = np.arange(len(tails))[::-1]
-    head, cols, horner = ucv.search._an_view(n, step, k1_max, tails, order)
-    for k1 in range(k1_max + 1):
-        got = horner(None, (head[k1], *cols))
-        want = [step.denominator ** (n - 1) * abs(an_coefficient_by_recursion((k1 * step, *(t * step for t in row)), n))
-                for row in tails[order].tolist()]
-        assert got.tolist() == want
+@pytest.mark.parametrize("directions", DIRECTIONS, ids="+".join)
+@pytest.mark.parametrize("sizes", ["default sizes", "chunks of 7, tables of 5"])
+@pytest.mark.parametrize("lam,cfg,n", AN_GRIDS + [AN_TIE], ids=str)
+def test_an_sweep_forced_onto_python_ints(monkeypatch, lam, cfg, n, sizes, directions):
+    set_an_sizes(monkeypatch, sizes)
+    dtypes = spy_an_build(monkeypatch, force_object=True)
+    assert_an_sweep_is_exact(lam, cfg, n, directions)
+    assert dtypes == ({np.dtype(object)} if cfg.dims > 1 else set())  # no tail column at dims 1
+
+
+def test_an_sweep_past_int64_runs_on_python_ints(monkeypatch):
+    # den^7 = 5000^7 is about 7.8e25, so the bound passes 2**63 by itself;
+    # about 10k points
+    dtypes = spy_an_build(monkeypatch)
+    assert_an_sweep_is_exact(F(1, 5000), SearchConfig(grid_step=F(1, 5000), dims=7), 8, ("max", "min"))
+    assert dtypes == {np.dtype(object)}
 
 
 def test_an_tie_grid_ties_across_tails():
@@ -330,28 +371,69 @@ def test_an_tie_grid_ties_across_tails():
     assert hi == F(243, 1024)
     assert ties == [(F(3, 4),) + (F(0),) * 4, (F(3, 4), F(3, 4)) + (F(0),) * 3]
     # slack order puts b2 = 3/4 (key -1) ahead of the zero tail (key 0)
-    assert _sweep(lam, cfg, [an_functional(n)])[("AN(6)", "max")][1] == ties[0]
+    assert _sweep(lam, cfg, [an_functional(n)], ("max",))[("AN(6)", "max")][1] == ties[0]
 
 
-def test_an_sweep_past_int64_runs_on_python_ints(monkeypatch):
-    # den^7 = 5000^7 is about 7.8e25, so the bound passes 2**63 by itself;
-    # about 10k points
-    dtypes = spy_an_build(monkeypatch)
-    assert_an_sweep_is_exact(F(1, 5000), SearchConfig(grid_step=F(1, 5000), dims=7), 8)
-    assert dtypes == {np.dtype(object)}
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_enclosure_holds_at_every_k1(data):
+    # P = lead x^r + C_(r-1) x^(r-1) + ... + C_0 per tail, a column of
+    # cols, with its own m: P+(0) - P-(m) <= P(k1) <= P+(m) - P-(0) at every
+    # k1 in [0, m], on Python ints past 2**63 and on int64 below it.  Inside
+    # the tail |P| stays strictly within the bounds this gives on |P|, but
+    # for a zero of P: _an_sweep drops a tail whose bound only ties
+    r, tails = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 4))
+    big = data.draw(st.sampled_from([2**10, 2**40, 2**80]))
+    cols = [[data.draw(st.integers(-big, big)) for _ in range(tails)] for _ in range(r)]
+    lead, m = data.draw(st.integers(1, big)), [data.draw(st.integers(0, 12)) for _ in range(tails)]
+
+    def part(t, x, sign):  # the part of tail t's P whose coefficients have this sign, at x
+        return sum(c[t] * x**i for i, c in enumerate(cols + [[lead] * tails]) if sign * c[t] > 0)
+
+    # int64 holds every coefficient and partial sum when, as _an_sweep's caps do, x = max(m, 1) keeps this below 2**63
+    size = max(sum(abs(c[t]) * max(m[t], 1) ** i for i, c in enumerate(cols + [[lead] * tails])) for t in range(tails))
+    for dtype in [object] + [np.int64] * (size < 2**63):
+        got = ucv.search._enclosure(np.array(cols, dtype=dtype), np.array(m, dtype=dtype), lead)
+        lower, upper, at_m = (a.tolist() for a in got)
+        for t in range(tails):
+            values = [part(t, x, 1) + part(t, x, -1) for x in range(m[t] + 1)]
+            assert lower[t] <= min(values) and max(values) <= upper[t]
+            least = max(lower[t], -upper[t], 0)
+            assert all(least < abs(v) < max(upper[t], -lower[t]) or v == least == 0 for v in values[1:-1])
+            assert (lower[t], upper[t], at_m[t]) == (part(t, 0, 1) + part(t, m[t], -1),
+                                                     part(t, m[t], 1) + part(t, 0, -1), values[-1])
 
 
-@pytest.mark.parametrize("lam,cfg,n", [(F(1), SearchConfig(grid_step=F(1, 10)), 5), AN_GRIDS[-1], AN_TIE], ids=str)
-def test_an_sweep_forced_onto_python_ints(monkeypatch, lam, cfg, n):
-    dtypes = spy_an_build(monkeypatch, force_object=True)
-    assert_an_sweep_is_exact(lam, cfg, n)
-    assert dtypes == {np.dtype(object)}
+@pytest.mark.parametrize("sizes", AN_SIZES)
+@pytest.mark.parametrize("lam,cfg,n", [AN_GRIDS[-1], AN_TIE, (F(1), SearchConfig(grid_step=F(1, 20), dims=5), 6)],
+                         ids=str)
+def test_an_tables_hold_at_most_a_block(monkeypatch, lam, cfg, n, sizes):
+    set_an_sizes(monkeypatch, sizes)
+    scored = spy_an_scoring(monkeypatch)
+    _sweep(lam, cfg, [an_functional(n)], ("max",))
+    assert scored["tables"]
+    assert all(rows * tails <= ucv.search._SWEEP_BLOCK for rows, tails in scored["tables"])
+
+
+def test_an_conjecture_sweep_scores_under_a_quarter_of_its_points(monkeypatch):
+    # the sweep of conjecture --n 6: the bound drops the tails that cannot
+    # reach the maximum, so the tables and the re-scan at the winning b1
+    # score at most a quarter of the lattice's feasible points
+    lam, cfg = F(1), SearchConfig(dims=5)
+    tails = _tail_units(50, (1, 2, 3, 4))
+    points = int(np.maximum(51 - tails.astype(int) @ np.array([-1, 1, -1, 1]), 0).sum())
+    assert points == 941_438
+    scored = spy_an_scoring(monkeypatch)
+    assert _sweep(lam, cfg, [an_functional(6)], ("max",))[("AN(6)", "max")][0] == 6.0
+    cells = sum(rows * tails for rows, tails in scored["tables"]) + sum(tails for tails, in scored["rescans"])
+    assert 0 < cells <= points / 4
+    assert all(rows * tails <= ucv.search._SWEEP_BLOCK for rows, tails in scored["tables"])
 
 
 def test_an_sweep_runs_no_recursion_per_point(monkeypatch):
     # _an_coefficient runs on the tails' polynomials in b1 once per chunk of
     # _AN_CHUNK tails, once on the Python-int caps (the bound) and once per
-    # winner on floats: never on the points' arrays
+    # winner on floats, one per direction asked for: never on the points' arrays
     calls = collections.Counter()
 
     def counting(real):
@@ -365,10 +447,10 @@ def test_an_sweep_runs_no_recursion_per_point(monkeypatch):
     monkeypatch.setattr(ucv.model, "_an_coefficient", counting(ucv.model._an_coefficient))
     monkeypatch.setattr(ucv.search, "_an_coefficient", counting(ucv.search._an_coefficient))
     lam, cfg = F(1), SearchConfig(dims=5)  # the sweep of conjecture --n 6
-    tails = len(_tail_units(50, (1, 2, 3, 4)))
+    tails = len(_tail_units(50, (1, 2, 3, 4)))  # every tail has a feasible b1 here
     assert tails > 3 * ucv.search._AN_CHUNK
-    _sweep(lam, cfg, [an_functional(6)])
-    assert calls == {"build": -(-tails // ucv.search._AN_CHUNK), "bound": 1, "scalar": 2}
+    _sweep(lam, cfg, [an_functional(6)], ("max",))
+    assert calls == {"build": -(-tails // ucv.search._AN_CHUNK), "bound": 1, "scalar": 1}
 
 
 # -- feasible enumeration ----------------------------------------------------
@@ -817,9 +899,9 @@ def test_verify_rejects_bad_lambda(monkeypatch):
     swept = []
     sweep = ucv.search._sweep
 
-    def recording(lam, cfg, fns):
+    def recording(lam, cfg, fns, directions):
         swept.append(lam)
-        return sweep(lam, cfg, fns)
+        return sweep(lam, cfg, fns, directions)
 
     monkeypatch.setattr(ucv.search, "_sweep", recording)
     # a bad lambda anywhere in the grid stops the run before any lambda is swept
