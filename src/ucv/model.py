@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Sequence, Union
 
 from ucv.rootcheck import RationalIn, as_rational, nonvanishing_in_open_disk, over_common_denominator
@@ -256,9 +256,10 @@ def _an_coefficient(b: Sequence, n: int):
     1/(1 + sum b_j z^j): e_0 = 1, e_k = b1 e_(k-1) - b2 e_(k-2) + ...
     Ring generic, with no branch on values: it runs on floats and arrays
     (rounding is sign-symmetric, so |e_(n-1)| has the bits of |a_n| by the
-    unfolded recursion, up to a zero's sign), on Fractions, and in the
-    sweep on polynomials in k1 (search._an_sweep).  The j = k term b_k e_0
-    is read as b_k: x * 1 == x exactly, so no bit changes."""
+    unfolded recursion, up to a zero's sign), on Fractions, and once per
+    sweep on polynomials over (k1, k2..k_dims) (search._an_sweep).  The
+    j = k term b_k e_0 is read as b_k: x * 1 == x exactly, so no bit
+    changes."""
     e = [1]
     for k in range(1, n):
         s = b[0] * e[k - 1] if k > 1 else b[0]
@@ -318,7 +319,7 @@ def extremal_catalog(name: str, lam: RationalIn) -> ClassMember:
 
 class _Polynomial(dict):
     """{exponent tuple: coefficient} with the operations `evaluate` and _an_coefficient use:
-    Fractions over b1..b4 give the report's monomials, int arrays over k1 the exact AN(n) sweep."""
+    Fractions over b1..b4 give the report's monomials, ints over (k1, k2..k_dims) the exact AN(n) sweep."""
 
     def __add__(self, other):  # a term of one side alone is shared, not copied
         return _Polynomial({**self, **other, **{e: self[e] + other[e] for e in self.keys() & other.keys()}})
@@ -348,17 +349,22 @@ def _report_terms() -> tuple:
     return tuple((fn.field, *_integer_monomials(fn)) for fn in FUNCTIONALS)
 
 
+def _monomial_index(index: dict[tuple[int, ...], int], steps: list[tuple[int, int]], e: tuple[int, ...]) -> int:
+    """index[e], adding e and its missing ancestors: e's parent lowers its first nonzero exponent v by one,
+    and steps gets (parent's index, v), so each added monomial is an earlier one times variable v."""
+    if e not in index:
+        v = next(i for i, x in enumerate(e) if x)
+        steps.append((_monomial_index(index, steps, e[:v] + (e[v] - 1,) + e[v + 1:]), v))
+        index[e] = len(index)
+    return index[e]
+
+
 @cache  # built with _report_terms, at the first report
 def _report_table() -> tuple[list[tuple[int, ...]], list[tuple[int, int]], tuple]:
     """(monomials, steps, fields): d, N1..N4, then each monomial a report reads as monomials[5 + i] =
     monomials[p] * monomials[v], (p, v) = steps[i]; fields as _report_terms, d^deg and monomials by index."""
     index, steps = {tuple(int(i == v) for i in range(5)): v for v in range(5)}, []
-    def add(e: tuple[int, ...]) -> int:  # e's parent lowers its first nonzero exponent by one
-        if e not in index:
-            v = next(i for i, x in enumerate(e) if x)
-            steps.append((add(e[:v] + (e[v] - 1,) + e[v + 1:]), v))
-            index[e] = len(index)
-        return index[e]
+    add = partial(_monomial_index, index, steps)
     fields = tuple((field, lcm, add((deg, 0, 0, 0, 0)), tuple((c, add(e)) for c, e in terms))
                    for field, lcm, deg, terms in _report_terms())
     return list(index), steps, fields

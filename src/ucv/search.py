@@ -14,9 +14,10 @@ is a deterministic lattice sweep followed by shrinking-step local
 refinement; no gradients, no randomness.  A sweep scores the
 directions its caller keeps: optimize and conjecture_scan one,
 verify_bounds both, one sweep per lambda in grid order.  AN(n) is
-scored exactly per tail: an integer enclosure of den^(n-1) a_n over the
-tail's feasible b1 drops each tail that cannot win, and the rest are
-scored in (b1 x tail) integer Horner tables.
+scored exactly per tail: den^(n-1) a_n is expanded once per sweep, an
+integer enclosure of it over the tail's feasible b1 drops each tail that
+cannot win, the same enclosure on runs of consecutive b1 drops each run
+that cannot win, and the cells of the rest are scored by integer Horner.
 
 Certification compares the searched extremum against the closed-form
 bound for the class when one exists.  A certificate FAILs only if the
@@ -42,6 +43,7 @@ from ucv.model import (
     BoundValue,
     Functional,
     _an_coefficient,
+    _monomial_index,
     _Polynomial,
     an_functional,
     functional_by_name,
@@ -57,6 +59,7 @@ WARN_GAP = 5e-3
 
 _SWEEP_BLOCK = 2**14  # most feasible points in a sweep block of several b1 slices
 _AN_CHUNK = 2**12  # most tails in one build of AN(n)'s exact columns
+_RUN = 8  # k1 per run that AN(n)'s sweep bounds before it scores the run's cells
 _REFINE_WINDOW = 12
 _REFINE_PASSES = 6
 
@@ -109,18 +112,29 @@ def _tail_units(budget: int, weights: tuple[int, ...]) -> np.ndarray:
     rows are int16 while budget < 2**15, which bounds every entry, and
     int64 past that.
 
-    Built from the last weight forwards: for k = 0..budget // w, k goes
-    in front of the rows of the later weights whose units fit in
-    budget - k w.  One nonzero over the (k, row) fit table lists those
-    pairs k-major, which keeps the order lexicographic.
+    Built column by column into one array.  fits[j][u] counts the rows of
+    the weights from j on in a budget u.  The prefixes (k_2..k_(j+1)), in
+    lexicographic order, are kept as the budgets they leave: each is
+    followed by k = 0..left // w, and each k repeats once per row of the
+    later weights that fits in what is left then.
     """
     dtype = np.int16 if budget < 2**15 else np.int64
-    rows = np.zeros((1, 0), dtype=dtype)
-    used = np.zeros(1, dtype=np.int64)
-    for w in reversed(weights):
-        k = np.arange(budget // w + 1)
-        ks, rs = np.nonzero(used <= budget - w * k[:, None])
-        rows, used = np.hstack((ks.astype(dtype)[:, None], rows[rs])), used[rs] + w * ks
+    fits = [np.ones(budget + 1, dtype=np.int64)]
+    for w in reversed(weights):  # fit[u] = sum of the later fit[u - k w], k >= 0: a running sum per residue mod w
+        fit = np.zeros(-(-(budget + 1) // w) * w, dtype=np.int64)
+        fit[:budget + 1] = fits[0]
+        fits.insert(0, fit.reshape(-1, w).cumsum(axis=0).ravel()[:budget + 1])
+    rows = np.empty((int(fits[0][budget]), len(weights)), dtype=dtype)
+    left = np.array([budget], dtype=np.promote_types(dtype, np.int32))  # holds left // w + 1
+    for j, w in enumerate(weights):
+        kids = left // w + 1
+        k = np.ones(int(kids.sum()), dtype=dtype)  # 0..kids - 1 after each prefix, by one running sum
+        k[0], k[np.cumsum(kids[:-1])] = 0, 1 - kids[:-1]
+        np.cumsum(k, out=k)
+        if j + 1 < len(weights):  # the last column repeats nothing
+            left = np.repeat(left, kids) - w * k
+            k = np.repeat(k, fits[j + 1][left])
+        rows[:, j] = k
     return rows
 
 
@@ -164,18 +178,42 @@ def _grid_values(step: Fraction, count: int) -> np.ndarray:
 
 
 def _horner(cols: np.ndarray, x, lead: int) -> np.ndarray:
-    # lead x^r + cols[r-1] x^(r-1) + ... + cols[0] in a new array; x is per tail, or a column of k1 for a table
+    # lead x^r + cols[r-1] x^(r-1) + ... + cols[0] in a new array; x is per tail, or a (k1 x tail) table
     acc = lead * x + cols[-1]
     for c in cols[-2::-1]:
         np.add(np.multiply(acc, x, out=acc), c, out=acc)
     return acc
 
 
-def _enclosure(cols: np.ndarray, m, lead: int) -> tuple:
-    # (lower, upper, P(m)) of P = lead x^r + cols[r-1] x^(r-1) + ... + cols[0]: P+ and P-, its parts of positive
-    # and negative coefficients, rise on x >= 0, so P+(0) - P-(m) <= P(x) <= P+(m) - P-(0) for x in [0, m]
-    up, down = _horner(np.maximum(cols, 0), m, lead), _horner(np.maximum(-cols, 0), m, 0)
-    return np.maximum(cols[0], 0) - down, up - np.maximum(-cols[0], 0), up - down
+def _parts(cols: np.ndarray, x, lead: int) -> tuple:
+    # P = lead x^r + cols[r-1] x^(r-1) + ... + cols[0] and P-, the part of its negative coefficients negated, at x
+    return _horner(cols, x, lead), _horner(np.maximum(-cols, 0), x, 0)
+
+
+def _enclosure(at, neg) -> tuple:
+    # (lower, upper) of P on each [a, b] of two neighbours along axis 0 of the points, rising from 0 or more, at
+    # which P and P- take the values at and neg: P+ = P + P- and P- rise on x >= 0, so P+(a) - P-(b) <= P(x) <=
+    # P+(b) - P-(a)
+    pos = at + neg
+    return pos[:-1] - neg[1:], pos[1:] - neg[:-1]
+
+
+def _reach(lower, upper, s: int):
+    # the most that s |P| reaches where lower <= P <= upper: max |P| for s = 1, -min |P| for s = -1
+    return np.maximum(upper, -lower) if s > 0 else np.minimum(np.minimum(upper, -lower), 0)
+
+
+def _an_columns(part: np.ndarray, steps: list, sums: list) -> np.ndarray:
+    # C_i = sum c t over (c, t) in sums[i] for each row of part, t a tail monomial by index: monomial 0 is 1, and
+    # monomial i + 1 is monomial p times column v of part, (p, v) = steps[i]
+    monomials = [1]
+    for p, v in steps:
+        monomials.append(monomials[p] * part[:, v])
+    cols = np.zeros((len(sums), len(part)), dtype=part.dtype)
+    for col, terms in zip(cols, sums):
+        for c, t in terms:
+            col += c * monomials[t]
+    return cols
 
 
 def _an_sweep(n: int, step: Fraction, k1_max: int, tails: np.ndarray, rank: np.ndarray, last: np.ndarray,
@@ -186,33 +224,47 @@ def _an_sweep(n: int, step: Fraction, k1_max: int, tails: np.ndarray, rank: np.n
 
     P = den^(n-1) e_(n-1) = C_0 + C_1 k1 + ... + num^(n-1) k1^(n-1) for
     step = num/den: den^k e_k is e_k at b_j' = num k_j den^(j-1) (weighted
-    homogeneity), built per chunk of tails over polynomials in k1.  At
-    -caps, the largest |b_j'|, it adds up the moduli of all its terms, a
-    bound on every value here: int64 below 2**63, else Python ints.  Each
-    tail's ends k1 = 0 and m are scored as it is built; a tail whose bound
-    on s |P| (s = 1 max, -1 min, _enclosure) is at most the best end cannot
-    beat it, as P+ rises strictly: the bound is reached at an end, or as
-    |P| = 0 inside the tail, after the zero tail's k1 = 0 end.  The rest
-    are scored in (k1 x tail) tables of at most _SWEEP_BLOCK cells,
-    infeasible cells below every score: a table's first hit is its best
-    at its least k1.
+    homogeneity).  It is expanded once per sweep over (k1, k2..k_dims) in
+    Python ints, and each chunk of tails reads its C_i off the expansion,
+    each tail monomial built once per chunk from an earlier one
+    (_an_columns).  At -caps, the largest |b_j'|, e_(n-1) adds up the
+    moduli of all its terms, a bound on every value here: int64 below
+    2**63, else Python ints.  Each tail's ends k1 = 0 and m are scored as
+    it is built; a tail whose bound on s |P| (s = 1 max, -1 min, _enclosure
+    on [0, m]) is at most the best end cannot beat it, as P+ rises
+    strictly: the bound is reached at an end, or as |P| = 0 inside the
+    tail, after the zero tail's k1 = 0 end.  The kept tails are cut into
+    runs of _RUN k1 from a (fewer at m, and no more than a table holds).
+    A run is bounded on [a, b], b = a + _RUN or m, so that neighbouring
+    runs share their bound's ends, P and P- at the ends in tables of at
+    most _SWEEP_BLOCK ends x tails (or one run's two ends).  Each cell of a run has (score, -k1)
+    at most (bound, -a), so a run is scored only when (bound, -a) beats
+    the best (score, -k1) so far, in tables of at most _SWEEP_BLOCK cells,
+    each giving its best score at its least k1.
     """
     num, den = step.numerator, step.denominator
     caps = [num * max(k1_max, 1)] + [num * max(int(c.max()), 1) * den ** (j + 1) for j, c in enumerate(tails.T)]
     bound = abs(_an_coefficient([-c for c in caps], n))
     dtype = np.int64 if bound < 2**63 else object
     lead, floor = num ** (n - 1), -bound - 1  # the top coefficient; below every score
+    width = len(caps)
+    poly = _an_coefficient([_Polynomial({tuple(int(i == j) for i in range(width)): num * den**j})
+                            for j in range(width)], n)
+    index, steps, sums = {(0,) * (width - 1): 0}, [], [[] for _ in range(n - 1)]
+    for e, c in poly.items():
+        if e[0] < n - 1:  # the top term is lead k1^(n-1)
+            sums[e[0]].append((c, _monomial_index(index, steps, e[1:])))
     best, kept = dict.fromkeys(signs, (floor, 0, 0)), []  # (score, -k1, -row) of the best end
     for lo in range(0, len(last), _AN_CHUNK):
-        part, m = tails[rank[lo:lo + _AN_CHUNK]].astype(dtype), last[lo:lo + _AN_CHUNK].astype(dtype)
-        poly = _an_coefficient([_Polynomial({(1,): num})]
-                               + [_Polynomial({(0,): c * (num * den ** (j + 1))}) for j, c in enumerate(part.T)], n)
-        cols = np.array([np.broadcast_to(poly.pop((i,), 0), len(m)) for i in range(n - 1)], dtype=dtype)
-        lower, upper, at_m = _enclosure(cols, m, lead)
-        tops = [np.maximum(upper, -lower) if s > 0 else np.minimum(np.minimum(upper, -lower), 0)
-                for s in signs.values()]  # s |P| is at most these
+        # take gathers rows many times faster than fancy indexing does
+        cols = _an_columns(tails.take(rank[lo:lo + _AN_CHUNK], axis=0).astype(dtype), steps, sums)
+        m = last[lo:lo + _AN_CHUNK].astype(dtype)
+        p_m, neg_m = _parts(cols, m, lead)
+        p, neg = np.stack([cols[0], p_m]), np.stack([np.maximum(-cols[0], 0), neg_m])  # at k1 = 0 and m
+        lower, upper = _enclosure(p, neg)
+        tops = [_reach(lower[0], upper[0], s) for s in signs.values()]  # s |P| is at most these
         for d, s in signs.items():
-            ends = s * np.abs([cols[0], at_m])  # at k1 = 0 and k1 = m
+            ends = s * np.abs(p)  # at k1 = 0 and k1 = m
             score = int(ends.max())
             k = 0 if (ends[0] == score).any() else int(m[ends[1] == score].min())
             at = ends[0] == score if k == 0 else (ends[1] == score) & (m == k)
@@ -223,16 +275,28 @@ def _an_sweep(n: int, step: Fraction, k1_max: int, tails: np.ndarray, rank: np.n
         keep = np.logical_or.reduce([t > best[d][0] for t, d in zip(tops, signs)])
         kept[i] = r[keep], c[:, keep]
     rows, cols = (np.concatenate(a, axis=-1) for a in zip(*kept))
+    del kept  # the parts, before the tables
+    run = min(_RUN, _SWEEP_BLOCK)  # a run's cells fit in one table
+    per = _SWEEP_BLOCK // run  # kept runs per table of their cells
     m, hits, lo = last[rows], {d: best[d][:2] for d in signs}, 0  # m falls along the rows; hits: (score, -k1)
-    while lo < len(rows):  # tables of k1 in [k0, k0 + span) by tails lo..hi-1
-        span = min(int(m[lo]) + 1, _SWEEP_BLOCK)
-        hi = lo + _SWEEP_BLOCK // span
-        for k0 in range(0, int(m[lo]) + 1, span):
-            k = np.arange(k0, min(k0 + span, int(m[lo]) + 1), dtype=dtype)[:, None]
-            table, out = np.abs(_horner(cols[:, lo:hi], k, lead)), k > m[lo:hi]
+    while lo < len(rows):  # bound tables of the runs a = r0 run.. by tails lo..hi-1
+        runs = int(m[lo]) // run + 1
+        span = min(runs, max(_SWEEP_BLOCK - 1, 1))  # runs per bound table, which holds their span + 1 ends
+        hi = lo + max(_SWEEP_BLOCK // (span + 1), 1)
+        part, ms = cols[:, lo:hi], m[lo:hi]
+        for r0 in range(0, runs, span):
+            a = np.arange(r0 * run, (min(r0 + span, runs) + 1) * run, run, dtype=dtype)[:, None]
+            lower, upper = _enclosure(*_parts(part, np.minimum(a, ms), lead))  # each run to the next one's a, or m
+            a = a[:-1]
             for d, s in signs.items():
-                j = int(np.argmax(v := np.where(out, floor, s * table)))
-                hits[d] = max(hits[d], (v.flat[j], -(k0 + j // v.shape[1])))
+                score, k = hits[d]
+                top = _reach(lower, upper, s)
+                ra, t = np.nonzero((a <= ms) & ((top > score) | ((top == score) & (a < -k))))
+                for g in range(0, len(t), per):  # tables of the kept runs' cells
+                    k1, tg = a[ra[g:g + per], 0] + np.arange(run)[:, None], t[g:g + per]
+                    v = np.where(k1 > ms[tg], floor, s * np.abs(_horner(part[:, tg], np.minimum(k1, ms[tg]), lead)))
+                    top_v = v.max()
+                    hits[d] = max(hits[d], (int(top_v), -int(k1[v == top_v].min())))
         lo = hi
     found = {}
     for d, s in signs.items():  # the least tail at the best k1: the best end's, or a kept one
