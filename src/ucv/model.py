@@ -186,9 +186,10 @@ class Functional:
     """One coefficient functional of f as a polynomial in (b1, b2, ...).
 
     `evaluate` is ring generic: run once over _Polynomial it yields the
-    monomials of the exact report, and on floats and numpy arrays it is
-    the search objective.  It avoids `**`, so equal rationals give
-    bit-equal floats on the scalar and the vectorised route.  `name` is
+    integer monomials of the exact report and of the sweep's scores, on
+    numpy arrays it is the refinement's objective, and on floats the
+    printed value.  It avoids `**`, so equal rationals give bit-equal
+    floats on the scalar and the vectorised route.  `name` is
     the search and CSV name, `field` the CoefficientReport field (None
     for AN(n)), and `bounds(lam)` the class's closed-form (max, min),
     None in a direction with no known closed form.
@@ -198,7 +199,7 @@ class Functional:
     field: str | None
     evaluate: Callable[[Sequence], object]
     bounds: Callable[[Fraction], tuple[BoundValue, BoundValue]]
-    an: int | None = None  # n of AN(n), which the search scores exactly
+    an: int | None = None  # n of AN(n), |e_(n-1)|: the sweep scores its polynomial e_(n-1) in modulus
 
 
 FUNCTIONALS = (
@@ -256,8 +257,8 @@ def _an_coefficient(b: Sequence, n: int):
     1/(1 + sum b_j z^j): e_0 = 1, e_k = b1 e_(k-1) - b2 e_(k-2) + ...
     Ring generic, with no branch on values: it runs on floats and arrays
     (rounding is sign-symmetric, so |e_(n-1)| has the bits of |a_n| by the
-    unfolded recursion, up to a zero's sign), on Fractions, and once per
-    sweep on polynomials over (k1, k2..k_dims) (search._an_sweep).  The
+    unfolded recursion, up to a zero's sign), on Fractions, and on
+    polynomials over N1..N_width (_integer_monomials, for the sweep).  The
     j = k term b_k e_0 is read as b_k: x * 1 == x exactly, so no bit
     changes."""
     e = [1]
@@ -272,7 +273,7 @@ def _an_coefficient(b: Sequence, n: int):
 
 def an_functional(n: int) -> Functional:
     """|a_n| of f, bounded above by 1 + lambda + ... + lambda^(n-1);
-    defined for 2 <= n <= 8.  Its `an` is n: the sweep scores it exactly."""
+    defined for 2 <= n <= 8.  Its `an` is n: the sweep scores e_(n-1)."""
     if not AN_MIN <= n <= AN_MAX:
         raise ValueError(f"n must be in [{AN_MIN}, {AN_MAX}], got {n}")
     return Functional(f"AN({n})", None, lambda b: abs(_an_coefficient(b, n)),  # |a_n| = |e_(n-1)|
@@ -318,8 +319,8 @@ def extremal_catalog(name: str, lam: RationalIn) -> ClassMember:
 
 
 class _Polynomial(dict):
-    """{exponent tuple: coefficient} with the operations `evaluate` and _an_coefficient use:
-    Fractions over b1..b4 give the report's monomials, ints over (k1, k2..k_dims) the exact AN(n) sweep."""
+    """{exponent tuple: coefficient} with the operations `evaluate` and _an_coefficient use: over N1..N_width,
+    with int coefficients (Fractions where a functional divides), it gives the report's and the sweep's monomials."""
 
     def __add__(self, other):  # a term of one side alone is shared, not copied
         return _Polynomial({**self, **other, **{e: self[e] + other[e] for e in self.keys() & other.keys()}})
@@ -336,10 +337,12 @@ class _Polynomial(dict):
     __truediv__ = lambda self, k: self * Fraction(1, k)
 
 
-def _integer_monomials(fn: Functional) -> tuple[int, int, tuple[tuple[int, tuple[int, ...]], ...]]:
+def _integer_monomials(fn: Functional, width: int = 4) -> tuple[int, int, tuple[tuple[int, tuple[int, ...]], ...]]:
     """(L, deg, terms) with fn(N / d) = sum c d^e0 N^e / (L d^deg) over the
-    terms (c, (e0, e)), each of total degree deg."""
-    poly = fn.evaluate([_Polynomial({tuple(int(i == j) for j in range(4)): Fraction(1)}) for i in range(4)])
+    terms (c, (e0, e)), each of total degree deg, N = (N1..N_width); AN(n)
+    is read as e_(n-1)."""
+    b = [_Polynomial({tuple(int(i == j) for j in range(width)): 1}) for i in range(width)]
+    poly = _an_coefficient(b, fn.an) if fn.an else fn.evaluate(b)
     deg, lcm = max(map(sum, poly)), math.lcm(*(c.denominator for c in poly.values()))
     return lcm, deg, tuple((int(c * lcm), (deg - sum(e),) + e) for e, c in poly.items() if c)
 

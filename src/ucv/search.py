@@ -13,11 +13,12 @@ general coefficient objective AN(n) reads b1..b_{n-1}), so the search
 is a deterministic lattice sweep followed by shrinking-step local
 refinement; no gradients, no randomness.  A sweep scores the
 directions its caller keeps: optimize and conjecture_scan one,
-verify_bounds both, one sweep per lambda in grid order.  AN(n) is
-scored exactly per tail: den^(n-1) a_n is expanded once per sweep, an
-integer enclosure of it over the tail's feasible b1 drops each tail that
-cannot win, the same enclosure on runs of consecutive b1 drops each run
-that cannot win, and the cells of the rest are scored by integer Horner.
+verify_bounds both, one sweep per lambda in grid order.  Every
+functional is scored exactly per tail: its integer polynomial in the
+lattice units is expanded once, an integer enclosure of it over the
+tail's feasible b1 drops each tail that cannot win, the same enclosure
+on runs of consecutive b1 drops each run that cannot win, and the cells
+of the rest are scored by integer Horner.
 
 Certification compares the searched extremum against the closed-form
 bound for the class when one exists.  A certificate FAILs only if the
@@ -42,9 +43,8 @@ from ucv.model import (
     FUNCTIONALS,
     BoundValue,
     Functional,
-    _an_coefficient,
+    _integer_monomials,
     _monomial_index,
-    _Polynomial,
     an_functional,
     functional_by_name,
     lambda_in_range,
@@ -57,9 +57,10 @@ from ucv.rootcheck import RationalIn, as_rational, nonvanishing_in_open_disk
 FAIL_SLACK = 1e-7
 WARN_GAP = 5e-3
 
-_SWEEP_BLOCK = 2**14  # most feasible points in a sweep block of several b1 slices
-_AN_CHUNK = 2**12  # most tails in one build of AN(n)'s exact columns
-_RUN = 8  # k1 per run that AN(n)'s sweep bounds before it scores the run's cells
+_SWEEP_BLOCK = 2**13  # most cells (k1 or run ends x tails) in one table of the sweep
+_CHUNK = 2**15  # most cells (tails x functionals x coefficients) in one build of the sweep's exact columns
+_BATCH = 2**12  # most tails in a chunk, and the kept tails a functional gathers before they are scored
+_RUN = 8  # k1 per run that the sweep bounds before it scores the run's cells
 _REFINE_WINDOW = 12
 _REFINE_PASSES = 6
 
@@ -172,207 +173,199 @@ def _certificate(fn: Functional, lam: Fraction, direction: str, value: float,
 # -- sweep core ------------------------------------------------------------
 
 
-def _grid_values(step: Fraction, count: int) -> np.ndarray:
-    # float(k * step) bit for bit: int true division rounds correctly, k * float(step) can be an ulp off
-    return np.array([k * step.numerator / step.denominator for k in range(count)])
+def _expansion(fns: Sequence[Functional], step: Fraction, dims: int) -> tuple:
+    """(steps, monomials, table) of the integer polynomial P = L den^deg f(step k) of each f of fns, step = num/den:
+    f's integer monomials (_integer_monomials) at N = num k, d = den, b_j past dims being 0.  table[f][i] lists the
+    (c, t) of k1^i's coefficient, sum c monomial_t, up to P's degree in k1, at least 1; monomials holds the tail
+    exponents by index: monomial 0 is 1, and monomial i + 1 is monomial p times tail column v, (p, v) = steps[i]."""
+    num, den = step.numerator, step.denominator
+    index, steps, table = {(0,) * (dims - 1): 0}, [], []
+    for fn in fns:
+        _, deg, terms = _integer_monomials(fn, _width(dims))
+        terms = [(c * num ** (deg - e0) * den**e0, e) for c, (e0, *e) in terms if not any(e[dims:])]
+        sums = [[] for _ in range(max([e[0] for _, e in terms] + [1]) + 1)]
+        for c, e in terms:
+            sums[e[0]].append((c, _monomial_index(index, steps, tuple(e[1:dims]))))
+        table.append(sums)
+    return steps, list(index), table
 
 
-def _horner(cols: np.ndarray, x, lead: int) -> np.ndarray:
-    # lead x^r + cols[r-1] x^(r-1) + ... + cols[0] in a new array; x is per tail, or a (k1 x tail) table
-    acc = lead * x + cols[-1]
-    for c in cols[-2::-1]:
+def _bound(table: list, monomials: list, caps: list) -> int:
+    # the largest sum of |c| k^e over the terms of a P at k = caps, the largest k1 and k_j: every coefficient, product
+    # and Horner partial sum of P, P+ and N at 0 <= k <= caps is at most this in modulus
+    at = [math.prod(c**x for c, x in zip(caps[1:], e)) for e in monomials]
+    return max(sum(abs(c) * caps[0]**i * at[t] for i, terms in enumerate(sums) for c, t in terms) for sums in table)
+
+
+def _columns(part: np.ndarray, steps: list, table: list) -> np.ndarray:
+    # (r + 1, P, row of part): k1^i's coefficient of each P of the table at each row of part, 0 past a P's degree
+    monomials = [1]
+    for p, v in steps:
+        monomials.append(monomials[p] * part[:, v])
+    cols = np.zeros((max(map(len, table)), len(table), len(part)), dtype=part.dtype)
+    for f, sums in enumerate(table):
+        for col, terms in zip(cols[:, f], sums):
+            for c, t in terms:
+                col += c * monomials[t]
+    return cols
+
+
+def _horner(cols: np.ndarray, x) -> np.ndarray:
+    # cols[r] x^r + ... + cols[0] in a new array, r >= 1; x is per tail, or a (k1 x tail) table
+    acc = cols[-1] * x + cols[-2]
+    for c in cols[-3::-1]:
         np.add(np.multiply(acc, x, out=acc), c, out=acc)
     return acc
 
 
-def _parts(cols: np.ndarray, x, lead: int) -> tuple:
-    # P = lead x^r + cols[r-1] x^(r-1) + ... + cols[0] and P-, the part of its negative coefficients negated, at x
-    return _horner(cols, x, lead), _horner(np.maximum(-cols, 0), x, 0)
+def _parts(cols: np.ndarray, x) -> tuple:
+    # P = cols[r] x^r + ... + cols[0] and N, the sum of its negative terms, at x
+    return _horner(cols, x), _horner(np.minimum(cols, 0), x)
 
 
 def _enclosure(at, neg) -> tuple:
     # (lower, upper) of P on each [a, b] of two neighbours along axis 0 of the points, rising from 0 or more, at
-    # which P and P- take the values at and neg: P+ = P + P- and P- rise on x >= 0, so P+(a) - P-(b) <= P(x) <=
-    # P+(b) - P-(a)
-    pos = at + neg
-    return pos[:-1] - neg[1:], pos[1:] - neg[:-1]
+    # which P and N take the values at and neg: P+ = P - N rises and N falls on x >= 0, so P+(a) + N(b) <= P(x) <=
+    # P+(b) + N(a)
+    pos = at - neg
+    return pos[:-1] + neg[1:], pos[1:] + neg[:-1]
 
 
-def _reach(lower, upper, s: int):
-    # the most that s |P| reaches where lower <= P <= upper: max |P| for s = 1, -min |P| for s = -1
+def _reach(lower, upper, s: int, absolute: bool):
+    # the most that the score, s P or s |P| for AN(n) (s = 1 max, -1 min), reaches where lower <= P <= upper
+    if not absolute:
+        return upper if s > 0 else -lower
     return np.maximum(upper, -lower) if s > 0 else np.minimum(np.minimum(upper, -lower), 0)
 
 
-def _an_columns(part: np.ndarray, steps: list, sums: list) -> np.ndarray:
-    # C_i = sum c t over (c, t) in sums[i] for each row of part, t a tail monomial by index: monomial 0 is 1, and
-    # monomial i + 1 is monomial p times column v of part, (p, v) = steps[i]
-    monomials = [1]
-    for p, v in steps:
-        monomials.append(monomials[p] * part[:, v])
-    cols = np.zeros((len(sums), len(part)), dtype=part.dtype)
-    for col, terms in zip(cols, sums):
-        for c, t in terms:
-            col += c * monomials[t]
-    return cols
-
-
-def _an_sweep(n: int, step: Fraction, k1_max: int, tails: np.ndarray, rank: np.ndarray, last: np.ndarray,
-              signs: dict) -> dict:
-    """{direction: (k1, row of tails)}, the least point of the exact
-    extremum of |a_n| over the tails rank[i] (slack order), each feasible
-    for k1 in [0, m], m = last[i].
-
-    P = den^(n-1) e_(n-1) = C_0 + C_1 k1 + ... + num^(n-1) k1^(n-1) for
-    step = num/den: den^k e_k is e_k at b_j' = num k_j den^(j-1) (weighted
-    homogeneity).  It is expanded once per sweep over (k1, k2..k_dims) in
-    Python ints, and each chunk of tails reads its C_i off the expansion,
-    each tail monomial built once per chunk from an earlier one
-    (_an_columns).  At -caps, the largest |b_j'|, e_(n-1) adds up the
-    moduli of all its terms, a bound on every value here: int64 below
-    2**63, else Python ints.  Each tail's ends k1 = 0 and m are scored as
-    it is built; a tail whose bound on s |P| (s = 1 max, -1 min, _enclosure
-    on [0, m]) is at most the best end cannot beat it, as P+ rises
-    strictly: the bound is reached at an end, or as |P| = 0 inside the
-    tail, after the zero tail's k1 = 0 end.  The kept tails are cut into
-    runs of _RUN k1 from a (fewer at m, and no more than a table holds).
-    A run is bounded on [a, b], b = a + _RUN or m, so that neighbouring
-    runs share their bound's ends, P and P- at the ends in tables of at
-    most _SWEEP_BLOCK ends x tails (or one run's two ends).  Each cell of a run has (score, -k1)
-    at most (bound, -a), so a run is scored only when (bound, -a) beats
-    the best (score, -k1) so far, in tables of at most _SWEEP_BLOCK cells,
-    each giving its best score at its least k1.
-    """
-    num, den = step.numerator, step.denominator
-    caps = [num * max(k1_max, 1)] + [num * max(int(c.max()), 1) * den ** (j + 1) for j, c in enumerate(tails.T)]
-    bound = abs(_an_coefficient([-c for c in caps], n))
-    dtype = np.int64 if bound < 2**63 else object
-    lead, floor = num ** (n - 1), -bound - 1  # the top coefficient; below every score
-    width = len(caps)
-    poly = _an_coefficient([_Polynomial({tuple(int(i == j) for i in range(width)): num * den**j})
-                            for j in range(width)], n)
-    index, steps, sums = {(0,) * (width - 1): 0}, [], [[] for _ in range(n - 1)]
-    for e, c in poly.items():
-        if e[0] < n - 1:  # the top term is lead k1^(n-1)
-            sums[e[0]].append((c, _monomial_index(index, steps, e[1:])))
-    best, kept = dict.fromkeys(signs, (floor, 0, 0)), []  # (score, -k1, -row) of the best end
-    for lo in range(0, len(last), _AN_CHUNK):
-        # take gathers rows many times faster than fancy indexing does
-        cols = _an_columns(tails.take(rank[lo:lo + _AN_CHUNK], axis=0).astype(dtype), steps, sums)
-        m = last[lo:lo + _AN_CHUNK].astype(dtype)
-        p_m, neg_m = _parts(cols, m, lead)
-        p, neg = np.stack([cols[0], p_m]), np.stack([np.maximum(-cols[0], 0), neg_m])  # at k1 = 0 and m
-        lower, upper = _enclosure(p, neg)
-        tops = [_reach(lower[0], upper[0], s) for s in signs.values()]  # s |P| is at most these
-        for d, s in signs.items():
-            ends = s * np.abs(p)  # at k1 = 0 and k1 = m
-            score = int(ends.max())
-            k = 0 if (ends[0] == score).any() else int(m[ends[1] == score].min())
-            at = ends[0] == score if k == 0 else (ends[1] == score) & (m == k)
-            best[d] = max(best[d], (score, -k, -int(rank[lo:lo + _AN_CHUNK][at].min())))
-        keep = np.logical_or.reduce([t > best[d][0] for t, d in zip(tops, signs)])
-        kept.append((lo + np.flatnonzero(keep), cols[:, keep], *(t[keep] for t in tops)))
-    for i, (r, c, *tops) in enumerate(kept):  # the final filter, part by part, before the one copy
-        keep = np.logical_or.reduce([t > best[d][0] for t, d in zip(tops, signs)])
-        kept[i] = r[keep], c[:, keep]
-    rows, cols = (np.concatenate(a, axis=-1) for a in zip(*kept))
-    del kept  # the parts, before the tables
+def _run_tables(cols: np.ndarray, m: np.ndarray, ranks: np.ndarray, hits: list, directions: list, absolute: bool,
+                floor: int, big: int) -> None:
+    """Raise hits[i], as _ends does, to the best cells of the tails ranks, with columns cols and last k1 m falling
+    along them.  Each tail is cut into runs of _RUN k1 from a (fewer at m, and no more than a table holds), bounded on
+    [a, b], b = a + _RUN or m, so that neighbouring runs share their bound's ends: P and N at the ends in tables of at
+    most _SWEEP_BLOCK ends x tails (or one run's two ends).  A run is scored, in tables of at most _SWEEP_BLOCK cells
+    (an infeasible cell scores floor), when its bound beats the best or ties it at k1 <= least or >= greatest."""
+    dtype = cols.dtype
     run = min(_RUN, _SWEEP_BLOCK)  # a run's cells fit in one table
-    per = _SWEEP_BLOCK // run  # kept runs per table of their cells
-    m, hits, lo = last[rows], {d: best[d][:2] for d in signs}, 0  # m falls along the rows; hits: (score, -k1)
-    while lo < len(rows):  # bound tables of the runs a = r0 run.. by tails lo..hi-1
+    per, lo = _SWEEP_BLOCK // run, 0  # kept runs per table of their cells
+    while lo < len(m):  # bound tables of the runs a = r0 run.. by tails lo..hi-1
         runs = int(m[lo]) // run + 1
         span = min(runs, max(_SWEEP_BLOCK - 1, 1))  # runs per bound table, which holds their span + 1 ends
         hi = lo + max(_SWEEP_BLOCK // (span + 1), 1)
-        part, ms = cols[:, lo:hi], m[lo:hi]
+        part, ms, rs, lo = cols[:, lo:hi], m[lo:hi], ranks[lo:hi], hi
         for r0 in range(0, runs, span):
             a = np.arange(r0 * run, (min(r0 + span, runs) + 1) * run, run, dtype=dtype)[:, None]
-            lower, upper = _enclosure(*_parts(part, np.minimum(a, ms), lead))  # each run to the next one's a, or m
+            lower, upper = _enclosure(*_parts(part, np.minimum(a, ms)))  # each run to the next one's a, or m
             a = a[:-1]
-            for d, s in signs.items():
-                score, k = hits[d]
-                top = _reach(lower, upper, s)
-                ra, t = np.nonzero((a <= ms) & ((top > score) | ((top == score) & (a < -k))))
+            live, last = a <= ms, np.minimum(a + run - 1, ms)  # the runs that hold a point, and their last k1
+            for i, (_, s) in enumerate(directions):
+                (score, least, _), (_, greatest, _) = hits[i]
+                top = _reach(lower, upper, s, absolute)
+                ra, t = np.nonzero(live & ((top > score) | (top == score) & ((a <= -least) | (last >= greatest))))
                 for g in range(0, len(t), per):  # tables of the kept runs' cells
                     k1, tg = a[ra[g:g + per], 0] + np.arange(run)[:, None], t[g:g + per]
-                    v = np.where(k1 > ms[tg], floor, s * np.abs(_horner(part[:, tg], np.minimum(k1, ms[tg]), lead)))
-                    top_v = v.max()
-                    hits[d] = max(hits[d], (int(top_v), -int(k1[v == top_v].min())))
-        lo = hi
-    found = {}
-    for d, s in signs.items():  # the least tail at the best k1: the best end's, or a kept one
-        (score, k1), live = hits[d], np.count_nonzero(m >= -hits[d][1])  # the kept tails feasible at k1
-        ties = rank[rows[:live][s * np.abs(_horner(cols[:, :live], -k1, lead)) == score]].tolist()
-        found[d] = -k1, min(ties + [-best[d][2]] * (hits[d] == best[d][:2]))
-    return found
+                    p = _horner(part[:, tg], np.minimum(k1, ms[tg]))
+                    v = np.where(k1 > ms[tg], floor, s * (np.abs(p) if absolute else p))
+                    best = v.max()
+                    if best >= hits[i][0][0]:
+                        keys = (k1 * big + rs[tg])[v == best]  # the (k1, row) of each best cell as k1 big + row
+                        _raise(hits[i], int(best), int(keys.min()), int(keys.max()), big)
+
+
+def _raise(pair: list, score: int, lo: int, hi: int, big: int) -> None:
+    # raise pair, the least and the greatest point as [(score, -k1, -row), (score, k1, row)], to divmod(lo or hi, big)
+    pair[:] = max(pair[0], (score, *(-x for x in divmod(lo, big)))), max(pair[1], (score, *divmod(hi, big)))
+
+
+def _ends(cols: np.ndarray, m: np.ndarray, ranks: np.ndarray, hits: list, directions: list, absolute: bool,
+          big: int) -> np.ndarray:
+    """Raise hits[f][i], the least and the greatest point of the best score of functional f in directions[i], to the
+    ends k1 = 0 and m of the tails ranks, P and N taken for every functional at once, stacked; big is above every k1
+    and row.  Return whether each (functional, tail) can still beat or tie the best: not where its bound on the score
+    (_enclosure on [0, m]) is at most the best score, as P+ or N moves strictly unless P is constant in k1, so the
+    bound is reached only at the tail's ends, counted here; but |P| = 0 inside a tail ties a best 0 of -|P|."""
+    p_m, neg_m = _parts(cols, m.astype(cols.dtype, copy=False))
+    # _enclosure on [0, m], with P(0) = C_0 and N(0) = min(C_0, 0)
+    lower, upper = np.maximum(cols[0], 0) + neg_m, p_m - neg_m + np.minimum(cols[0], 0)
+    ends, keep = np.concatenate((cols[0], p_m), axis=-1), False  # P at k1 = 0, then at m, per functional
+    ends = np.abs(ends) if absolute else ends
+    keys = np.concatenate((ranks, m * big + ranks))  # the (k1, row) of each end as k1 big + row
+    for i, (_, s) in enumerate(directions):
+        best = np.array([h[i][0][0] for h in hits], dtype=cols.dtype)
+        e = ends.max(axis=-1) if s > 0 else ends.min(axis=-1)
+        rise = np.flatnonzero(s * e >= best)  # the functionals whose best can rise to an end
+        if rise.size:
+            at = ends[rise] == e[rise, None]
+            least, greatest = np.where(at, keys, big * big).min(axis=-1), np.where(at, keys, -1).max(axis=-1)
+            for f, score, lo, hi in zip(rise.tolist(), (s * e[rise]).tolist(), least.tolist(), greatest.tolist()):
+                _raise(hits[f][i], score, lo, hi, big)
+            best[rise] = s * e[rise]
+        # the score is at most the reach; integer scores, so reach > best - 1 keeps a tie, for -|P| only
+        keep = keep | (_reach(lower, upper, s, absolute) > best[:, None] - (absolute and s < 0))
+    return keep
+
+
+def _exact_sweep(fns: Sequence[Functional], absolute: bool, step: Fraction, caps: list, tails: np.ndarray,
+                 rank: np.ndarray, last: np.ndarray, signs: dict) -> dict:
+    """{(f, direction): ((k1, row of tails), (k1, row))}, the least and the greatest point of the exact extremum of
+    the score of fns[f], s P or s |P| where absolute, over the tails rank[i] (slack order), each feasible for k1 in
+    [0, m], m = last[i]; caps holds the largest k1 and k_j.  P = C_0 + C_1 k1 + ... + C_r k1^r is the integer
+    polynomial of _expansion.  Each chunk of at most _CHUNK cells and _BATCH tails reads every C_i off its tail
+    monomials (_columns): int64 while _bound, at caps, is below 2**63, else Python ints.  _ends keeps the tails
+    that can still win, and each functional's kept tails go to _run_tables once _BATCH of them gather."""
+    steps, monomials, table = _expansion(fns, step, tails.shape[1] + 1)
+    bound = _bound(table, monomials, [max(c, 1) for c in caps])
+    dtype = np.int64 if bound < 2**63 else object
+    floor, big, directions = -bound - 1, caps[0] + len(tails), list(signs.items())  # below any score; past k1, row
+    hits = [[[(floor, 0, 0)] * 2 for _ in signs] for _ in fns]  # per functional and direction, as _raise keeps them
+    kept = [[] for _ in fns]  # per functional: the (cols, m, ranks) of kept tails not yet scored
+    size = max(min(_CHUNK // (len(fns) * max(map(len, table))), _BATCH), 1)  # tails per chunk
+    for lo in range(0, len(last), size):
+        ranks, m = rank[lo:lo + size], last[lo:lo + size]
+        # take gathers rows many times faster than fancy indexing does
+        cols = _columns(tails.take(ranks, axis=0).astype(dtype), steps, table)
+        keep = _ends(cols, m, ranks, hits, directions, absolute, big)
+        for f in np.flatnonzero(keep.any(axis=-1)):
+            kept[f].append((cols[:len(table[f]), f][:, keep[f]], m[keep[f]], ranks[keep[f]]))
+        del cols  # before the tables
+        for f, part in enumerate(kept):
+            if part and (lo + size >= len(last) or sum(len(r) for *_, r in part) >= _BATCH):
+                _run_tables(*(np.concatenate(a, -1) for a in zip(*part)), hits[f], directions, absolute, floor, big)
+                part.clear()
+    return {(f, d): ((-hit[i][0][1], -hit[i][0][2]), hit[i][1][1:]) for f, hit in enumerate(hits)
+            for i, (d, _) in enumerate(directions)}
 
 
 def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional],
            directions: Sequence[str] = ("max", "min")) -> dict:
-    """Coarse lattice sweep; returns {(name, direction): (value, arg)} for
-    the directions asked for.
+    """Coarse lattice sweep; returns {(name, direction): (value, arg, far)} for the directions asked for.
 
-    The tails are sorted once by p(-1) slack, most first, by a stable sort,
-    so slice b1 = k1 step holds exactly the first counts[k1] of them.
-    AN(n) is scored exactly per tail (_an_sweep: an integer bound drops the
-    tails that cannot win, Horner tables score the rest).  The registry is
-    scored by evaluate on floats in blocks: the most slices that fit in
-    _SWEEP_BLOCK feasible points, or _SWEEP_BLOCK rows of one larger slice
-    (b1 a scalar).  A slot keeps its best score and the least k1 that
-    reaches it (a strict comparison keeps the earlier block's); slack order
-    is not lexicographic, so the winning slice is scored again and its
-    least tied tail wins: the least point overall.
-    """
-    def scores(fn: Functional, block: tuple) -> np.ndarray:
-        v = fn.evaluate(block)  # -0.0 == 0.0 in every comparison; a kept winner is cleared of it
-        # a functional of a one-slice block's scalar b1 alone; block[1] spans the block (width >= 4)
-        return v if np.ndim(v) else np.broadcast_to(v, block[1].shape)
-
-    def points(lo: int, hi: int, r0: int, r1: int) -> tuple:  # slices lo..hi-1 end to end, or rows r0..r1-1 of one
-        if hi - lo == 1:
-            return (lut[lo], *(c[r0:r1] for c in cols))
-        return (np.repeat(lut[lo:hi], counts[lo:hi]), *(np.concatenate([c[:m] for m in counts[lo:hi]]) for c in cols))
-
-    def result(fn: Functional, k1: int, tail: int, score=None) -> tuple[float, tuple[Fraction, ...]]:
-        arg = (k1 * step,) + tuple(int(t) * step for t in tails[tail]) + pad  # AN(n): one scalar evaluate
-        return float(score if fn.an is None else fn.evaluate(tuple(map(float, arg)))) + 0.0, arg
-
+    The tails are sorted once by p(-1) slack, most first, by a stable sort, so the tails feasible at b1 = k1 step are
+    a prefix of them, and each tail's last feasible k1 falls along them.  Every functional is scored exactly per tail
+    (_exact_sweep), the registry in one pass and AN(n), whose score is |P|, in another.  arg is the least point of
+    the exact extremum, valued by one scalar float evaluate, cleared of -0.0, and far the greatest (arg if alone)."""
     step = cfg.grid_step
     top, budget_units = int(1 / step), int(lam / step)
-    k1_max = top + budget_units  # the least key, -budget_units, puts the whole budget on b2
     tails = _tail_units(budget_units, tuple(range(1, cfg.dims)))
-    pad = (Fraction(0),) * (_width(cfg.dims) - cfg.dims)  # b_(dims+1)..b4
+    pad = (0,) * (_width(cfg.dims) - cfg.dims)  # b_(dims+1)..b4
     # p(-1) = 1 - b1 - key, key = -b2 + b3 - b4 + ... in step units; every partial sum is at most
     # sum k_j <= budget_units in modulus, so key is summed in the tails' dtype
     key = tails @ np.array([(-1) ** (j + 1) for j in range(cfg.dims - 1)], dtype=tails.dtype)
     # sorted row -> lexicographic row; numpy's stable sort of 16-bit ints is a radix sort
     order = np.argsort(key, kind="stable")
-    # the point is a member iff p(-1) >= 0, that is k1 + key <= floor(1/step)
-    counts = np.searchsorted(key[order], top - np.arange(k1_max + 1), side="right")
-    signs = {d: 1 if d == "max" else -1 for d in directions}
-    live = order[:counts[0]]  # the tails with a feasible k1, whose last is top - key
-    found = {(fn.name, d): result(fn, *hit) for fn in fns if fn.an for d, hit in _an_sweep(
-        fn.an, step, k1_max, tails, live, top - key[live].astype(np.int64), signs).items()}
-    registry = [fn for fn in fns if fn.an is None]
-    lut = _grid_values(step, k1_max + 1) if registry else None
-    cols = [lut[tails[order, j]] for j in range(cfg.dims - 1)] + [np.zeros(len(order)) for _ in pad] if registry else []
-    ends = np.cumsum(counts[:np.count_nonzero(counts)])  # points in slices 0..k1; b1 = 0 keeps the zero tail
-    best = {(fn, d): [-s * math.inf, None] for fn in registry for d, s in signs.items()}  # score, k1
-    lo = 0
-    while registry and lo < len(ends):
-        start, size = int(ends[lo] - counts[lo]), int(counts[lo])
-        hi = max(int(np.searchsorted(ends, start + _SWEEP_BLOCK, side="right")), lo + 1)  # one slice: row ranges
-        for r0 in range(0, size if hi == lo + 1 else 1, _SWEEP_BLOCK):
-            block = points(lo, hi, r0, min(r0 + _SWEEP_BLOCK, size))
-            for fn in registry:
-                v = scores(fn, block)
-                for d, s in signs.items():
-                    j, slot = int(np.argmax(v) if s > 0 else np.argmin(v)), best[fn, d]
-                    if s * v[j] > s * slot[0]:
-                        slot[:] = v[j], int(np.searchsorted(ends, start + r0 + j, side="right"))
-        lo = hi
-    for (fn, d), (score, k1) in best.items():
-        ties = np.flatnonzero(scores(fn, points(k1, k1 + 1, 0, int(counts[k1]))) == score)
-        found[fn.name, d] = result(fn, k1, order[ties].min(), score)
+    # the point is a member iff p(-1) >= 0, that is k1 + key <= floor(1/step); b1 = 0 keeps the zero tail
+    live = order[:np.searchsorted(key[order], top, side="right")]
+    signs, found = {d: 1 if d == "max" else -1 for d in directions}, {}
+    for absolute in (False, True):
+        group = [fn for fn in fns if bool(fn.an) == absolute]
+        if group:  # the least key, -budget_units, puts the whole budget on b2: k1 <= top + budget_units
+            caps = [top + budget_units] + [budget_units // w for w in range(1, cfg.dims)]
+            won = _exact_sweep(group, absolute, step, caps, tails, live, top - key[live].astype(np.int64), signs)
+            for (f, d), ends in won.items():
+                least, far = ((k1, *tails[tail].tolist(), *pad) for k1, tail in ends)
+                arg = tuple(k * step for k in least)  # float(k step) is k num / den, correctly rounded
+                value = float(group[f].evaluate(tuple(map(float, arg)))) + 0.0
+                found[group[f].name, d] = value, arg, arg if far == least else tuple(k * step for k in far)
     return {(fn.name, d): found[fn.name, d] for fn in fns for d in directions}
 
 
@@ -428,65 +421,69 @@ def _delta_table(dims: int, num: int) -> tuple[np.ndarray, np.ndarray]:
     return gates, lowers
 
 
-def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
-            arg: tuple[Fraction, ...], value: float) -> tuple[tuple[Fraction, ...], float, list[float]]:
+def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str, arg: tuple[Fraction, ...],
+            value: float, far: tuple[Fraction, ...] | None = None) -> tuple[tuple[Fraction, ...], float, list[float]]:
     """Shrinking-step local polish around the coarse incumbent.
 
-    Each round divides the step by 10 and makes up to six greedy passes
-    over the moves of _delta_table; a round ends at the first pass with
-    no accept.  Returns the round value history for monotonicity checks.
+    Each round divides the step by 10 and makes up to six greedy passes over the moves of _delta_table; a round ends
+    at the first pass with no accept.  Returns the round value history for monotonicity checks.
 
-    The incumbent is an int vector x over one denominator D (the point
-    x / D); each round multiplies x and D by 10.  A pass takes the gate
-    columns of its remaining moves d, scores x + d as w contiguous rows,
-    and keeps what improves (a better value, or an equal one at a smaller
-    point: the lowers flag) and passes the gate, reduced over axis 0:
-    every coordinate >= 0, the budget x_2 + 2 x_3 + ... within
-    floor(lambda D) and D p(-1) >= 0.  These imply the paper's b1 <= 1 +
-    lambda (x_1 <= D + x_2 + x_4 + ... <= D + floor(lambda D)), so no cap
-    is set.  With b >= 0 and budget <= lambda <= 1 the sign test is the
-    disk condition (rootcheck.nonvanishing_in_open_disk), so the gate only
-    re-checks the returned point, and a rejection raises.  The first hit
-    is accepted, its value cleared of -0.0, and the pass goes on from the
-    move after it: the first-improvement order of one move at a time.
-    The arrays are int64 while 2 D + max |d| < 2**53, where float64 c / D
-    is Python's correctly rounded int true division bit for bit, and hold
-    Python ints (dtype object) past that: the same loop over Fraction.
+    far is the greatest point of the sweep's exact tie, arg the least.  Where their midpoint does not tie them, they
+    are separate optima, and far is polished too, by strictly better moves only, to win only when strictly better
+    (Z24 min at lambda = 1/3, step 1/10).  A tie on a flat of the functional stays with the least point: polishing
+    the far ends of the default grid's 65 flat ties would add 30% and gain no row.
+
+    The incumbent is an int vector x over one denominator D (the point x / D); each round multiplies x and D by 10.
+    A pass takes the gate columns of its remaining moves d, scores x + d as w contiguous rows, and keeps what
+    improves (a better value, or from arg an equal one at a smaller point: the lowers flag) and passes the gate,
+    reduced over axis 0: every coordinate >= 0, the budget x_2 + 2 x_3 + ... within floor(lambda D) and
+    D p(-1) >= 0.  These imply the paper's b1 <= 1 + lambda (x_1 <= D + x_2 + x_4 + ... <= D + floor(lambda D)), so
+    no cap is set.  With b >= 0 and budget <= lambda <= 1 the sign test is the disk condition
+    (rootcheck.nonvanishing_in_open_disk), so the gate only re-checks the returned point, and a rejection raises.
+    The first hit is accepted, its value cleared of -0.0, and the pass goes on from the move after it: the
+    first-improvement order of one move at a time.  The arrays are int64 while 2 D + max |d| < 2**53, where
+    float64 c / D is Python's correctly rounded int true division bit for bit, and hold Python ints (dtype object)
+    past that: the same loop over Fraction.
     """
     if not cfg.refine_rounds:
         return arg, value, [value]  # the sweep's point, kept by the sign test
+    starts = [(arg, value, True)]
+    if far not in (None, arg) and fn.evaluate(tuple((x + y) / 2 for x, y in zip(arg, far))) != fn.evaluate(arg):
+        starts.append((far, float(fn.evaluate(tuple(float(c) for c in far))) + 0.0, False))
     table, lowers = _delta_table(cfg.dims, cfg.grid_step.numerator)
-    width = _width(cfg.dims)
+    width, results = _width(cfg.dims), []
     n, span = len(lowers), int(np.abs(table[:width]).max())
-    D = cfg.grid_step.denominator
-    x = [int(v * D) for v in arg]
-    history = [value]
-    for _ in range(cfg.refine_rounds):
-        D *= 10
-        x = [10 * c for c in x]
-        dtype = np.int64 if 2 * D + span < 2**53 else object
-        gates = table.astype(dtype, copy=False)
-        lam_units = lam.numerator * D // lam.denominator
-        bx = sum(i * c for i, c in enumerate(x))
-        ax = D + sum(c if i % 2 else -c for i, c in enumerate(x))
-        for _ in range(_REFINE_PASSES):
-            pos, improved = 0, False
-            while pos < n:
-                g, h = gates[:, pos:], np.array(x + [lam_units - bx, ax], dtype=dtype)[:, None]
-                cand = h[:width] - g[:width]
-                v = fn.evaluate(tuple(np.asarray(cand / D, dtype=float)))
-                better = v > value if direction == "max" else v < value
-                ok = (better | ((v == value) & lowers[pos:])) & (g <= h).all(axis=0)
-                j = int(ok.argmax())
-                if not ok[j]:
+    for start, value, equal in starts:
+        D, ties = cfg.grid_step.denominator, lowers & equal
+        x, history = [int(v * D) for v in start], [value]
+        for _ in range(cfg.refine_rounds):
+            D *= 10
+            x = [10 * c for c in x]
+            dtype = np.int64 if 2 * D + span < 2**53 else object
+            gates = table.astype(dtype, copy=False)
+            lam_units = lam.numerator * D // lam.denominator
+            bx = sum(i * c for i, c in enumerate(x))
+            ax = D + sum(c if i % 2 else -c for i, c in enumerate(x))
+            for _ in range(_REFINE_PASSES):
+                pos, improved = 0, False
+                while pos < n:
+                    g, h = gates[:, pos:], np.array(x + [lam_units - bx, ax], dtype=dtype)[:, None]
+                    cand = h[:width] - g[:width]
+                    v = fn.evaluate(tuple(np.asarray(cand / D, dtype=float)))
+                    better = v > value if direction == "max" else v < value
+                    ok = (better | ((v == value) & ties[pos:])) & (g <= h).all(axis=0)
+                    j = int(ok.argmax())
+                    if not ok[j]:
+                        break
+                    x, value = cand[:, j].tolist(), float(v[j]) + 0.0  # clears -0.0
+                    bx, ax = bx + int(g[width, j]), ax - int(g[width + 1, j])
+                    pos, improved = pos + j + 1, True
+                if not improved:
                     break
-                x, value = cand[:, j].tolist(), float(v[j]) + 0.0  # clears -0.0
-                bx, ax = bx + int(g[width, j]), ax - int(g[width + 1, j])
-                pos, improved = pos + j + 1, True
-            if not improved:
-                break
-        history.append(value)
-    point = tuple(Fraction(c, D) for c in x)
+            history.append(value)
+        results.append((tuple(Fraction(c, D) for c in x), value, history))
+    # far's result only where strictly better: max keeps the first of equal values
+    point, value, history = max(results, key=lambda r: r[1] if direction == "max" else -r[1])
     if not nonvanishing_in_open_disk((Fraction(1),) + point):
         raise RuntimeError(f"refined point {point} fails the disk gate")
     return point, value, history
@@ -496,9 +493,9 @@ def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
 
 
 def _certify_row(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
-                 value: float, arg: tuple[Fraction, ...]) -> BoundCertificate:
-    """Refine one coarse incumbent and certify it against the closed form."""
-    arg, value, _ = _refine(lam, cfg, fn, direction, arg, value)
+                 value: float, arg: tuple[Fraction, ...], far: tuple[Fraction, ...]) -> BoundCertificate:
+    """Refine one coarse incumbent, with the far end of its tie, and certify it against the closed form."""
+    arg, value, _ = _refine(lam, cfg, fn, direction, arg, value, far)
     return _certificate(fn, lam, direction, value, arg)
 
 
@@ -510,8 +507,7 @@ def optimize(fn: Union[Functional, str], lam: RationalIn, direction: str,
     fn = functional_by_name(fn) if isinstance(fn, str) else fn
     lam = lambda_in_range(lam)
     cfg = cfg or SearchConfig()
-    value, arg = _sweep(lam, cfg, [fn], (direction,))[(fn.name, direction)]
-    return _certify_row(lam, cfg, fn, direction, value, arg)
+    return _certify_row(lam, cfg, fn, direction, *_sweep(lam, cfg, [fn], (direction,))[(fn.name, direction)])
 
 
 def verify_bounds(lambda_grid: Sequence[RationalIn], cfg: SearchConfig | None = None) -> list[BoundCertificate]:

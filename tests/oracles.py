@@ -30,10 +30,11 @@ not a tautology:
   an_coefficient_by_recursion   a_n by the reciprocal recursion with its
                             signs unfolded, against the search's
                             sign-folded recursion
-  an_extremes_by_fractions  the least lattice points that maximize and
-                            minimize |a_n| over enumerate_feasible, in
-                            Fraction, against the sweep's integer Horner
-                            scores of each tail's polynomial in b1
+  extremes_by_fractions     the least and the greatest lattice points
+                            that maximize and minimize each functional over
+                            enumerate_feasible, in Fraction, against the
+                            sweep's integer Horner scores of each tail's
+                            polynomial in b1
 
 enumerate_feasible and refine_by_fractions keep the cap b1 <= 1 + lambda,
 which the search does not impose (the class's conditions imply it), so
@@ -302,34 +303,56 @@ def enumerate_feasible(lam, cfg: SearchConfig | None = None) -> Iterator[tuple[F
                 yield b
 
 
-def an_extremes_by_fractions(lam, cfg: SearchConfig, ns) -> dict:
-    """{n: (max, argmax, min, argmin)} of |a_n| over the feasible lattice,
-    exact.  The enumeration is lexicographic and only a strict improvement
-    replaces an incumbent, so each arg is the least point that attains."""
+def extremes_by_fractions(lam, cfg: SearchConfig, fns) -> dict:
+    """{(name, direction): (value, least, greatest)}: the max and min of
+    each functional over enumerate_feasible, exact, with the least and the
+    greatest point that attains it.  A registry row is its evaluate over
+    Fraction, AN(n) is |a_n| by an_coefficient_by_recursion.  The
+    enumeration is lexicographic, so the first point that attains is the
+    least and the last the greatest."""
     best = {}
     for b in enumerate_feasible(lam, cfg):
-        for n in ns:
-            v = abs(an_coefficient_by_recursion(b, n))
-            slot = best.setdefault(n, [(v, b), (v, b)])
-            if v > slot[0][0]:
-                slot[0] = (v, b)
-            if v < slot[1][0]:
-                slot[1] = (v, b)
-    return {n: (*hi, *lo) for n, (hi, lo) in best.items()}
+        for fn in fns:
+            v = abs(an_coefficient_by_recursion(b, fn.an)) if fn.an else fn.evaluate(b)
+            for direction, sign in (("max", 1), ("min", -1)):
+                old = best.setdefault((fn.name, direction), (v, b, b))
+                if sign * (v - old[0]) > 0:
+                    best[fn.name, direction] = (v, b, b)
+                elif v == old[0]:
+                    best[fn.name, direction] = (v, old[1], b)
+    return best
 
 
 # -- refinement over Fraction ---------------------------------------------
 
 
-def refine_by_fractions(lam, cfg: SearchConfig, fn, direction: str, arg, value: float):
-    """The refinement loop with Fraction points; returns (argmax, value,
-    round history) as the search's _refine does.
+def refine_by_fractions(lam, cfg: SearchConfig, fn, direction: str, arg, value: float, far=None):
+    """The refinement with Fraction points; returns (argmax, value, round
+    history) as the search's _refine does.
 
-    Each round divides the step by 10; every pass tries each move at
+    The polish runs from arg and, when far is another point and the
+    midpoint of the two does not tie them, from far with strictly better
+    moves only; far's result is taken only when its value is strictly
+    better.
+    """
+    if not cfg.refine_rounds:
+        return tuple(arg), value, [value]
+    got = _polish_by_fractions(lam, cfg, fn, direction, arg, value, True)
+    mid = tuple((x + y) / 2 for x, y in zip(arg, far or arg))
+    if far is not None and fn.evaluate(mid) != fn.evaluate(tuple(arg)):
+        start = fn.evaluate(tuple(float(x) for x in far)) + 0.0
+        other = _polish_by_fractions(lam, cfg, fn, direction, far, start, False)
+        if (1 if direction == "max" else -1) * (other[1] - got[1]) > 0:
+            got = other
+    return got
+
+
+def _polish_by_fractions(lam, cfg: SearchConfig, fn, direction: str, arg, value: float, equal: bool):
+    """Each round divides the step by 10; every pass tries each move at
     window scales 1..12 from the current incumbent and accepts a candidate
-    that stays in the box, scores strictly better (or ties and is the
-    lexicographically smaller point), keeps the budget and passes the
-    disk gate.  A round ends at the first pass with no accept.
+    that stays in the box, scores strictly better (or, where equal, ties
+    and is the lexicographically smaller point), keeps the budget and
+    passes the disk gate.  A round ends at the first pass with no accept.
     """
     lam = Fraction(lam)
     sign = 1 if direction == "max" else -1
@@ -349,7 +372,7 @@ def refine_by_fractions(lam, cfg: SearchConfig, fn, direction: str, arg, value: 
                     if cand[0] > cap or any(x < 0 for x in cand):
                         continue
                     v = fn.evaluate(tuple(float(x) for x in cand)) + 0.0
-                    if not (sign * (v - best_value) > 0 or (v == best_value and cand < best)):
+                    if not (sign * (v - best_value) > 0 or (equal and v == best_value and cand < best)):
                         continue
                     if sum(n * x for n, x in enumerate(cand)) > lam:
                         continue

@@ -1,5 +1,5 @@
-"""Extremal search: the vectorized sweep against a scalar reference,
-frozen bound values, certificate plumbing, refinement behavior, and the
+"""Extremal search: the exact sweep against an exact brute force, frozen
+bound values, certificate plumbing, refinement behavior, and the
 conjecture scan."""
 
 from __future__ import annotations
@@ -17,11 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ucv.model
 import ucv.search
 from oracles import (
     an_coefficient_by_recursion,
-    an_extremes_by_fractions,
     enumerate_feasible,
+    extremes_by_fractions,
     random_member,
     refine_by_fractions,
 )
@@ -29,6 +30,7 @@ from ucv.cli import CSV_HEADER, certificate_to_dict, certificates_to_csv
 from ucv.model import (
     AN_MAX,
     FUNCTIONAL_NAMES,
+    FUNCTIONALS,
     Functional,
     _an_coefficient,
     _Polynomial,
@@ -43,7 +45,6 @@ from ucv.search import (
     SearchConfig,
     _certificate,
     _delta_table,
-    _grid_values,
     _move_directions,
     _refine,
     _sweep,
@@ -57,34 +58,7 @@ from ucv.search import (
 F = Fraction
 
 
-# -- scalar reference for the vectorized sweep ------------------------------
-
-
-def brute_force_sweep(lam, cfg, names):
-    """Literal loop over enumerate_feasible with the same float conversion
-    the fast path uses; any disagreement at all is a bug."""
-
-    def better(value, arg, cur_value, cur_arg, sign):
-        # strict improvement, or an exact tie broken toward the smaller point
-        if cur_arg is None:
-            return True
-        if sign * (value - cur_value) > 0:
-            return True
-        return value == cur_value and arg < cur_arg
-
-    fns = [functional_by_name(n) for n in names]
-    best = {(n, d): (-math.inf if d == "max" else math.inf, None) for n in names for d in ("max", "min")}
-    for b in enumerate_feasible(lam, cfg):
-        bf = tuple(float(x) for x in b)
-        for fn in fns:
-            v = fn.evaluate(bf) + 0.0
-            cur = best[(fn.name, "max")]
-            if better(v, b, cur[0], cur[1], +1):
-                best[(fn.name, "max")] = (v, b)
-            cur = best[(fn.name, "min")]
-            if better(v, b, cur[0], cur[1], -1):
-                best[(fn.name, "min")] = (v, b)
-    return best
+# -- the sweep against an exact brute force ---------------------------------
 
 
 SWEEP_GRIDS = [
@@ -99,6 +73,9 @@ SWEEP_GRIDS = [
     # degree 7, the sweep of conjecture --n 8
     (F(1), SearchConfig(grid_step=F(1, 4), dims=7)),
 ]
+# three steps at every dims from 2 to 7, 1/step off the integers at 2/15
+DIMS_GRIDS = [(lam, SearchConfig(grid_step=step, dims=dims))
+              for lam, step in ((F(1), F(1, 6)), (F(3, 4), F(1, 7)), (F(1), F(2, 15))) for dims in range(2, 8)]
 
 
 SWEEP_NAMES = tuple(FUNCTIONAL_NAMES) + ("AN(5)",)
@@ -108,37 +85,23 @@ GRID5 = [F(1, 10), F(1, 4), F(1, 2), F(3, 4), F(1)]
 
 @functools.cache
 def sweep_reference(lam, cfg):
-    return brute_force_sweep(lam, cfg, SWEEP_NAMES)
+    return extremes_by_fractions(lam, cfg, [functional_by_name(n) for n in SWEEP_NAMES])
 
 
 def assert_sweep_matches_brute_force(lam, cfg):
-    got = _sweep(lam, cfg, [functional_by_name(n) for n in SWEEP_NAMES])
-    for key, (wv, wa) in sweep_reference(lam, cfg).items():
-        gv, ga = got[key]
-        assert gv == wv, (key, gv, wv)  # exact float equality, no tolerance
-        assert ga == wa, (key, ga, wa)
-
-
-def sweep_shape(lam, cfg):
-    """(number of tail rows, number of b1 slices) of the sweep's lattice:
-    b1 runs to floor(1/step) + budget."""
-    budget = int(lam / cfg.grid_step)
-    return len(_tail_units(budget, tuple(range(1, cfg.dims)))), int(1 / cfg.grid_step) + budget + 1
-
-
-def sweep_blocks(lam, cfg):
-    """(b1, points) of each b1 slice of each block the sweep scores, in
-    order: a recording functional logs every evaluate, and the last two
-    re-score the winning slices."""
-    log = []
-
-    def record(b):
-        b1 = np.broadcast_to(b[0], np.broadcast(*b).shape)
-        log.append(list(zip(*(a.tolist() for a in np.unique(b1, return_counts=True)))))  # b1 rises with the slice
-        return b[0] + b[1]
-
-    _sweep(lam, cfg, [Functional("REC", None, record, lambda lam: (None, None))])
-    return log[:-2]
+    """The sweep's winners against the exact brute force: the least and the
+    greatest point of each exact extremum, and as its value one float
+    evaluate at the least, cleared of -0.0."""
+    fns = [functional_by_name(n) for n in SWEEP_NAMES]
+    got = _sweep(lam, cfg, fns)
+    for fn in fns:
+        for direction in ("max", "min"):
+            exact, arg, far = sweep_reference(lam, cfg)[fn.name, direction]
+            value, point, last = got[fn.name, direction]
+            assert (point, last) == (arg, far), (fn.name, direction, point, last, arg, far)
+            assert value == fn.evaluate(tuple(float(x) for x in arg)) + 0.0
+            assert value or math.copysign(1.0, value) == 1.0
+            assert value == pytest.approx(float(exact), rel=1e-12, abs=1e-15)
 
 
 @functools.cache
@@ -147,8 +110,16 @@ def feasible_count(lam, cfg):
 
 
 # floor(1/step) = 1 at step 2/3: the sweep's b1 stops at 2, the oracle's cap at 3
-@pytest.mark.parametrize("lam,cfg", SWEEP_GRIDS + [(F(1), SearchConfig(grid_step=F(2, 3)))], ids=lambda v: str(v))
-def test_sweep_matches_brute_force_bit_for_bit(lam, cfg):
+@pytest.mark.parametrize("lam,cfg", SWEEP_GRIDS + [(F(1), SearchConfig(grid_step=F(2, 3)))] + DIMS_GRIDS,
+                         ids=lambda v: str(v))
+def test_sweep_matches_exact_brute_force(lam, cfg):
+    assert_sweep_matches_brute_force(lam, cfg)
+
+
+@pytest.mark.parametrize("lam,cfg", SWEEP_GRIDS, ids=lambda v: str(v))
+def test_sweep_forced_onto_python_ints_matches_exact_brute_force(monkeypatch, lam, cfg):
+    # a magnitude bound of 2**63 puts every functional's columns on Python ints
+    monkeypatch.setattr(ucv.search, "_bound", lambda table, monomials, caps: 2**63)
     assert_sweep_matches_brute_force(lam, cfg)
 
 
@@ -171,62 +142,47 @@ def test_class_conditions_imply_the_b1_cap(data):
     assert validate(lam, [F(c, D) for c in (x1, *tail)]).b[0] <= 1 + lam
 
 
-@pytest.mark.parametrize("per_block", ["one slice", "uneven"])
+@pytest.mark.parametrize("block", ["one cell", "7 cells", "40 cells", "150 cells", "a third", "one tail a chunk"])
 @pytest.mark.parametrize("lam,cfg", SWEEP_GRIDS, ids=lambda v: str(v))
-def test_sweep_ties_across_block_boundaries(monkeypatch, lam, cfg, per_block):
-    # the tie rule must hold at every block boundary: one b1 slice per
-    # block, or blocks of several slices that hold at most a third of the
-    # feasible points (plus one); the last block may be one slice
-    block = 1 if per_block == "one slice" else feasible_count(lam, cfg) // 3 + 1
-    monkeypatch.setattr(ucv.search, "_SWEEP_BLOCK", block)
-    slices = [len(cut) for cut in sweep_blocks(lam, cfg)]
-    assert len(slices) >= 2
-    assert all(s == 1 for s in slices) if per_block == "one slice" else all(s >= 2 for s in slices[:-1])
+def test_sweep_ties_across_block_boundaries(monkeypatch, lam, cfg, block):
+    # the tie rule must hold across table boundaries: tables of one cell
+    # (a bound table then holds one run's two ends), of 7, 40 or 150 cells,
+    # or of a third of the feasible points plus one; and across chunks and
+    # batches of one tail, each kept tail scored as soon as it is kept
+    sizes = {"one cell": 1, "7 cells": 7, "40 cells": 40, "150 cells": 150}
+    size = sizes.get(block, feasible_count(lam, cfg) // 3 + 1)
+    if block == "one tail a chunk":
+        monkeypatch.setattr(ucv.search, "_CHUNK", 1)
+        monkeypatch.setattr(ucv.search, "_BATCH", 1)
+        size = ucv.search._SWEEP_BLOCK
+    monkeypatch.setattr(ucv.search, "_SWEEP_BLOCK", size)
+    scored = spy_scoring(monkeypatch)
     assert_sweep_matches_brute_force(lam, cfg)
+    assert all(rows * tails <= max(size, 2) for rows, tails in scored["bounds"])
+    assert all(rows * tails <= size for rows, tails in scored["tables"])
 
 
-@pytest.mark.parametrize("block", [None, 1, 7, 40, 150], ids=["default", "1", "7", "40", "150"])
-@pytest.mark.parametrize("lam,cfg", SWEEP_GRIDS, ids=lambda v: str(v))
-def test_sweep_blocks_fill_with_feasible_points(monkeypatch, lam, cfg, block):
-    # a block takes the most slices that fit in _SWEEP_BLOCK feasible
-    # points, so a block of whole slices could not also take the first
-    # slice of the next; a larger slice is cut into ranges of _SWEEP_BLOCK
-    # rows, the last holding the rest.  No block holds more than
-    # _SWEEP_BLOCK points, and together they hold every feasible point once
-    if block:
-        monkeypatch.setattr(ucv.search, "_SWEEP_BLOCK", block)
-    size = ucv.search._SWEEP_BLOCK
-    cut = sweep_blocks(lam, cfg)
-    slices, pieces = collections.Counter(), collections.Counter()  # points and blocks per b1
-    for sl in cut:
-        slices.update(dict(sl))
-        pieces.update(b1 for b1, _ in sl)
-    assert all(sum(c for _, c in sl) <= size for sl in cut)
-    assert all(pieces[b1] == max(1, -(-slices[b1] // size)) for b1 in slices)
-    for sl, nxt in zip(cut, cut[1:]):
-        points = sum(c for _, c in sl)
-        if nxt[0][0] == sl[-1][0]:  # a range of a larger slice, with another after it
-            assert len(sl) == len(nxt) == 1 and points == size
-        elif slices[sl[-1][0]] <= size:  # whole slices
-            assert points + slices[nxt[0][0]] > size
-    assert sum(slices.values()) == feasible_count(lam, cfg)
-    assert_sweep_matches_brute_force(lam, cfg)
-
-
-@pytest.mark.parametrize("block", [None, 1, 3 * 41], ids=["default", "one slice", "uneven"])
+@pytest.mark.parametrize("block", [None, 1, 5], ids=["default", "one cell", "five cells"])
 def test_sweep_tie_along_a_segment_goes_to_the_least_point(monkeypatch, block):
-    # -|b1 + b2 - 1| peaks at 0 on a segment across many b1 slices (exact
-    # in floats at step 1/8); the least point (0, 1, 0, 0) must win, where
-    # a tail-major order within a block would pick (1, 0, 0, 0)
-    line = Functional("LINE", None, lambda b: -abs(b[0] + b[1] - 1), lambda lam: (None, None))
-    lam, cfg = F(1), SearchConfig(grid_step=F(1, 8))
+    # (b2 + 2 b3) - (b1 - b2/2 - 2 b3)^2 is at most lambda = 1, reached on
+    # the budget facet where b1 = b2/2 + 2 b3: at step 1/8 and dims 3 on
+    # four points, each inside its tail's range of b1 and in its own slice;
+    # the least point must win, where the least tail of the four would give
+    # (7/8, 1/4, 3/8, 0)
+    def evaluate(b):
+        off = b[0] - b[1] / 2 - 2 * b[2]
+        return b[1] + 2 * b[2] - off * off
+
+    segment = Functional("SEGMENT", None, evaluate, lambda lam: (None, None))
+    lam, cfg = F(1), SearchConfig(grid_step=F(1, 8), dims=3)
     if block:
         monkeypatch.setattr(ucv.search, "_SWEEP_BLOCK", block)
-    assert sweep_shape(lam, cfg) == (41, 17)  # at 123 points a block: blocks of 3, 3, 3 and 8 slices
-    assert _sweep(lam, cfg, [line])[("LINE", "max")] == (0.0, (F(0), F(1), F(0), F(0)))
+    ties = [b for b in enumerate_feasible(lam, cfg) if segment.evaluate(b) == 1]
+    assert ties == [(F(1, 2) + F(j, 8), 1 - F(j, 4), F(j, 8), F(0)) for j in range(4)]
+    assert _sweep(lam, cfg, [segment])[("SEGMENT", "max")] == (1.0, ties[0], ties[-1])
 
 
-@pytest.mark.parametrize("block", [None, 1, 3 * 41], ids=["default", "one slice", "uneven"])
+@pytest.mark.parametrize("block", [None, 1, 3 * 41], ids=["default", "one cell", "123 cells"])
 @pytest.mark.parametrize("lam,cfg", [(F(1), SearchConfig(grid_step=F(1, 8))),
                                      (F(1, 2), SearchConfig(grid_step=F(1, 10), dims=5))], ids=str)
 def test_sweep_tie_in_slack_order_goes_to_the_least_tail(monkeypatch, lam, cfg, block):
@@ -240,28 +196,94 @@ def test_sweep_tie_in_slack_order_goes_to_the_least_tail(monkeypatch, lam, cfg, 
            Functional("B3", None, lambda b: b[2], lambda lam: (None, None))]
     got = _sweep(lam, cfg, fns)
     zero = (F(0),) * max(4, cfg.dims)
-    assert got[("B1", "min")] == got[("B3", "min")] == (0.0, zero)
+    assert got[("B1", "min")][:2] == got[("B3", "min")][:2] == (0.0, zero)
 
 
-def test_sweep_spans_several_default_blocks():
-    # 34,126 feasible points in slices of at most 151: three blocks at the
-    # default block size
-    lam, cfg = F(1), SearchConfig(grid_step=F(1, 150), dims=2)
-    cut = sweep_blocks(lam, cfg)
-    assert len(cut) >= 3
-    assert all(sum(c for _, c in sl) <= ucv.search._SWEEP_BLOCK for sl in cut)
-    assert_sweep_matches_brute_force(lam, cfg)
+# exact ties whose floats differ by an ulp, so that a float score would
+# break them by rounding; the first point is the least: H2F max at
+# lambda = 1/2, step 1/7, H3F max at lambda = 3/4, step 1/20, dims 5 (it
+# ignores b1, so every b1 ties too) and Z24 min at lambda = 1/3, step 1/10
+EXACT_TIES = [
+    ("H2F", "max", F(1, 2), SearchConfig(grid_step=F(1, 7)), F(6, 49),
+     [(F(6, 7), F(0), F(1, 7), F(0)), (F(1), F(1, 7), F(1, 7), F(0))]),
+    ("H3F", "max", F(3, 4), SearchConfig(grid_step=F(1, 20), dims=5), F(9, 200),
+     [(F(0), F(3, 10), F(0), F(3, 20), F(0)), (F(0), F(9, 20), F(0), F(1, 10), F(0))]),
+    ("Z24", "min", F(1, 3), SearchConfig(grid_step=F(1, 10)), F(-9, 100),
+     [(F(0), F(3, 10), F(0), F(0)), (F(9, 10), F(0), F(1, 10), F(0))]),
+]
 
 
-@pytest.mark.parametrize("step", [F(1, 50), F(3, 20), F(1, 7), F(7, 3)], ids=str)
-def test_grid_values_are_correctly_rounded(step):
-    got = _grid_values(step, 2000)
-    assert got.tolist() == [float(k * step) for k in range(2000)]
-    # the float product is an ulp off somewhere, so the table is not it
-    assert got.tolist() != [k * float(step) for k in range(2000)]
+@pytest.mark.parametrize("name,direction,lam,cfg,value,points", EXACT_TIES, ids=lambda v: str(v))
+def test_sweep_takes_the_least_of_an_exact_tie(name, direction, lam, cfg, value, points):
+    fn = functional_by_name(name)
+    values = {b: fn.evaluate(b) for b in enumerate_feasible(lam, cfg)}
+    assert value == (max if direction == "max" else min)(values.values())
+    assert [values[b] for b in points] == [value] * 2 and min(b for b in values if values[b] == value) == points[0]
+    floats = [fn.evaluate(tuple(float(x) for x in b)) for b in points]
+    assert floats[0] != floats[1]
+    far = max(b for b in values if values[b] == value)
+    assert _sweep(lam, cfg, [fn], (direction,))[(name, direction)] == (floats[0] + 0.0, points[0], far)
 
 
-# -- the exact AN(n) sweep ---------------------------------------------------
+def test_refine_polishes_the_far_end_of_an_exact_tie():
+    # Z24 min at lambda = 1/3, step 1/10 ties at (0, 3/10, 0, 0) and
+    # (9/10, 0, 1/10, 0): the polish from the least point stops on the b2
+    # axis, from the greatest it follows b1 b3 down, and its value wins
+    fn, lam, cfg = functional_by_name("Z24"), F(1, 3), SearchConfig(grid_step=F(1, 10), refine_rounds=1)
+    value, arg, far = _sweep(lam, cfg, [fn], ("min",))[("Z24", "min")]
+    assert [arg, far] == EXACT_TIES[2][-1]
+    assert _refine(lam, cfg, fn, "min", arg, value)[:2] == ((F(0), F(33, 100), F(0), F(0)), -0.10890000000000001)
+    assert _refine(lam, cfg, fn, "min", arg, value, far)[:2] == ((F(21, 25), F(0), F(4, 25), F(0)), -0.1344)
+    assert optimize(fn, lam, "min", cfg).searched_value == -0.1344
+
+
+def spy_scoring(monkeypatch):
+    """Record what the sweep scores point by point: the (k1 rows, tails) of
+    each Horner table, and the (run ends, tails) of each table of run
+    bounds."""
+    horner, parts = ucv.search._horner, ucv.search._parts
+    scored, bounding = {"tables": [], "bounds": []}, []
+
+    def spy_horner(cols, x):
+        if not bounding:  # not a bound
+            assert np.ndim(x) == 2  # a table: the sweep scores no point alone
+            scored["tables"].append((*np.shape(x)[:1], cols.shape[1]))
+        return horner(cols, x)
+
+    def spy_parts(cols, x):
+        if np.ndim(x) == 2:  # not the per-tail parts at m
+            scored["bounds"].append(np.shape(x))
+        bounding.append(True)
+        try:
+            return parts(cols, x)
+        finally:
+            bounding.pop()
+
+    monkeypatch.setattr(ucv.search, "_horner", spy_horner)
+    monkeypatch.setattr(ucv.search, "_parts", spy_parts)
+    return scored
+
+
+def test_registry_sweep_scores_a_small_share_of_its_points(monkeypatch):
+    # the registry sweep at lambda = 1, step 1/200, dims 4: the whole-tail
+    # bound leaves only A4C and A5C tails to the runs, whose bounds take
+    # 5,343,250 ends, and the tables score 87,504 cells; with the tail
+    # filter off the run bounds would take twice as many ends as there are
+    # points
+    lam, cfg = F(1), SearchConfig(grid_step=F(1, 200))
+    tails = _tail_units(200, (1, 2, 3))
+    points = int(np.maximum(201 - tails.astype(int) @ np.array([-1, 1, -1]), 0).sum())
+    assert points == 56_855_021
+    scored = spy_scoring(monkeypatch)
+    got = _sweep(lam, cfg, FUNCTIONALS)
+    assert got[("A3", "max")][:2] == (5.0, (F(2), F(1), F(0), F(0)))
+    cells = {key: sum(math.prod(shape) for shape in shapes) for key, shapes in scored.items()}
+    assert 0 < cells["bounds"] <= points / 8
+    assert 0 < cells["tables"] <= points / 200
+    assert all(rows * tails <= ucv.search._SWEEP_BLOCK for rows, tails in scored["tables"] + scored["bounds"])
+
+
+# -- the AN(n) sweep ---------------------------------------------------------
 
 
 # every SWEEP_GRIDS grid at each n it covers (dims >= n - 1), step 3/20 and
@@ -275,91 +297,66 @@ AN_TIE = (F(1), SearchConfig(grid_step=F(3, 4), dims=5), 6)
 # that starts at the inner tie is bounded by exactly the best score
 AN_RUN_TIE = (F(1), SearchConfig(grid_step=F(2, 3), dims=3), 4)
 DIRECTIONS = [("max",), ("min",), ("max", "min")]
-# the default chunk, table and run sizes; a few tails per chunk and tables
-# of a few cells, which cut a tail's runs into several tables and hold
-# fewer cells than a run of the default size; runs of one k1 and of three
-AN_SIZES = {"default sizes": (None, None, None), "chunks of 7, tables of 5": (7, 5, None),
-            "tables of 40": (None, 40, None), "runs of 1": (None, None, 1), "runs of 3": (None, None, 3)}
+# the default chunk, batch, table and run sizes; chunks of 21 cells (one
+# to ten tails), batches of 3 kept tails and tables of a few cells, which
+# cut a tail's runs into several tables and hold fewer cells than a run of
+# the default size; runs of one k1 and of three
+AN_SIZES = {"default sizes": (None, None, None, None), "small chunks, tables of 5": (21, 3, 5, None),
+            "tables of 40": (None, None, 40, None), "runs of 1": (None, None, None, 1),
+            "runs of 3": (None, None, None, 3)}
 
 
 @functools.cache
-def an_reference(lam, cfg, ns):
-    return an_extremes_by_fractions(lam, cfg, ns)
+def an_reference(lam, cfg, n):
+    return extremes_by_fractions(lam, cfg, [an_functional(n)])
 
 
 def assert_an_sweep_is_exact(lam, cfg, n, directions):
     """The sweep's AN(n) winners in the directions asked for against the
-    exact brute force: the least exact argmax and argmin, each valued by
-    one float evaluate."""
+    exact brute force: the least and the greatest exact argmax and argmin,
+    each valued by one float evaluate at the least."""
     fn = an_functional(n)
     got = _sweep(lam, cfg, [fn], directions)
     assert list(got) == [(fn.name, d) for d in directions]
-    hi, arg_hi, lo, arg_lo = an_reference(lam, cfg, tuple(range(2, min(cfg.dims + 1, AN_MAX) + 1)))[n]
-    for direction, exact, arg in (("max", hi, arg_hi), ("min", lo, arg_lo)):
-        if direction not in directions:
-            continue
-        value, point = got[(fn.name, direction)]
-        assert point == arg, (direction, point, arg)
+    for direction in directions:
+        exact, arg, far = an_reference(lam, cfg, n)[fn.name, direction]
+        value, point, last = got[(fn.name, direction)]
+        assert (point, last) == (arg, far), (direction, point, last, arg, far)
         assert value == fn.evaluate(tuple(float(x) for x in arg)) + 0.0
         assert math.copysign(1.0, value) == 1.0  # cleared of -0.0
         assert value == pytest.approx(float(exact), rel=1e-12, abs=1e-15)
 
 
 def set_an_sizes(monkeypatch, sizes):
-    for name, size in zip(("_AN_CHUNK", "_SWEEP_BLOCK", "_RUN"), AN_SIZES[sizes]):
+    for name, size in zip(("_CHUNK", "_BATCH", "_SWEEP_BLOCK", "_RUN"), AN_SIZES[sizes]):
         if size:
             monkeypatch.setattr(ucv.search, name, size)
 
 
 def spy_an_build(monkeypatch, force_object=False):
     """Record the exact AN build: the expansions that _an_coefficient runs
-    over polynomials with Python-int coefficients, and the dtypes of the
-    tail columns that _an_columns multiplies per chunk.  The int64/object
-    bound is _an_coefficient on Python ints; with force_object it reads
-    2**63, which puts any grid on Python ints."""
-    coefficient, columns = ucv.search._an_coefficient, ucv.search._an_columns
+    over polynomials with Python-int coefficients (_integer_monomials),
+    and the dtypes of the tail columns that _columns multiplies per chunk.
+    With force_object the magnitude bound reads 2**63, which puts any grid
+    on Python ints."""
+    coefficient, columns = ucv.model._an_coefficient, ucv.search._columns
     build = {"expansions": 0, "dtypes": set()}
 
     def spy_coefficient(b, n):
-        if all(type(x) is int for x in b):
-            return 2**63 if force_object else coefficient(b, n)
-        assert all(type(c) is int for p in b for c in p.values())
-        build["expansions"] += 1
+        if isinstance(b[0], _Polynomial):  # not the value of a winner
+            assert all(type(c) is int for p in b for c in p.values())
+            build["expansions"] += 1
         return coefficient(b, n)
 
-    def spy_columns(part, steps, sums):
+    def spy_columns(part, steps, table):
         build["dtypes"].update(part[:, v].dtype for v in range(part.shape[1]))
-        return columns(part, steps, sums)
+        return columns(part, steps, table)
 
-    monkeypatch.setattr(ucv.search, "_an_coefficient", spy_coefficient)
-    monkeypatch.setattr(ucv.search, "_an_columns", spy_columns)
+    monkeypatch.setattr(ucv.model, "_an_coefficient", spy_coefficient)
+    monkeypatch.setattr(ucv.search, "_columns", spy_columns)
+    if force_object:
+        monkeypatch.setattr(ucv.search, "_bound", lambda table, monomials, caps: 2**63)
     return build
-
-
-def spy_an_scoring(monkeypatch):
-    """Record what _an_sweep scores point by point: the (k1 rows, tails)
-    of each Horner table, and the tails of each re-scan at one k1; and the
-    (run ends, tails) of each table of run bounds."""
-    horner, parts = ucv.search._horner, ucv.search._parts
-    scored, bounding = {"tables": [], "rescans": [], "bounds": []}, []
-
-    def spy_horner(cols, x, lead):
-        if not bounding and np.ndim(x) != 1:  # not a bound
-            scored["tables" if np.ndim(x) else "rescans"].append((*np.shape(x)[:1], cols.shape[1]))
-        return horner(cols, x, lead)
-
-    def spy_parts(cols, x, lead):
-        if np.ndim(x) == 2:  # not the per-tail parts at m
-            scored["bounds"].append(np.shape(x))
-        bounding.append(True)
-        try:
-            return parts(cols, x, lead)
-        finally:
-            bounding.pop()
-
-    monkeypatch.setattr(ucv.search, "_horner", spy_horner)
-    monkeypatch.setattr(ucv.search, "_parts", spy_parts)
-    return scored
 
 
 @pytest.mark.parametrize("directions", DIRECTIONS, ids="+".join)
@@ -374,7 +371,7 @@ def test_an_sweep_matches_exact_brute_force(monkeypatch, lam, cfg, n, sizes, dir
 
 
 @pytest.mark.parametrize("directions", DIRECTIONS, ids="+".join)
-@pytest.mark.parametrize("sizes", ["default sizes", "chunks of 7, tables of 5", "runs of 1", "runs of 3"])
+@pytest.mark.parametrize("sizes", ["default sizes", "small chunks, tables of 5", "runs of 1", "runs of 3"])
 @pytest.mark.parametrize("lam,cfg,n", AN_GRIDS + [AN_TIE, AN_RUN_TIE], ids=str)
 def test_an_sweep_forced_onto_python_ints(monkeypatch, lam, cfg, n, sizes, directions):
     set_an_sizes(monkeypatch, sizes)
@@ -411,35 +408,45 @@ def test_an_run_tie_grid_ties_inside_a_tail():
     assert _sweep(lam, cfg, [an_functional(n)], ("max",))[("AN(4)", "max")][1] == ties[0]
 
 
-@settings(deadline=None, max_examples=300)
-@given(st.data())
-def test_enclosure_holds_at_every_k1(data):
-    # P = lead x^r + C_(r-1) x^(r-1) + ... + C_0 per tail, a column of
-    # cols, with its own m: P and P- at 0 are C_0 and its negative part, as
-    # _an_sweep reads them, and at m exact; from them P+(0) - P-(m) <=
-    # P(k1) <= P+(m) - P-(0) at every k1 in [0, m], on Python ints past
-    # 2**63 and on int64 below it.  Inside the tail |P| stays strictly
-    # within the bounds this gives on |P|, but for a zero of P: _an_sweep
-    # drops a tail whose bound only ties
+def draw_columns(data):
+    """(cols, lead, terms) of P = lead x^r + cols[r-1] x^(r-1) + ... per
+    tail, the lead nonzero of either sign, so that P is not constant."""
     r, tails = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 4))
     big = data.draw(st.sampled_from([2**10, 2**40, 2**80]))
     cols = [[data.draw(st.integers(-big, big)) for _ in range(tails)] for _ in range(r)]
-    lead, m = data.draw(st.integers(1, big)), [data.draw(st.integers(0, 12)) for _ in range(tails)]
+    lead = [data.draw(st.integers(1, big)) * data.draw(st.sampled_from([1, -1])) for _ in range(tails)]
+    return cols, lead, cols + [lead]
 
-    def part(t, x, sign):  # the part of tail t's P whose coefficients have this sign, at x
-        return sum(c[t] * x**i for i, c in enumerate(cols + [[lead] * tails]) if sign * c[t] > 0)
 
-    # int64 holds every coefficient and partial sum when, as _an_sweep's caps do, x = max(m, 1) keeps this below 2**63
-    size = max(sum(abs(c[t]) * max(m[t], 1) ** i for i, c in enumerate(cols + [[lead] * tails])) for t in range(tails))
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_enclosure_holds_at_every_k1(data):
+    # P = cols[r] x^r + ... + cols[0] per tail, with its own m: P and N at
+    # 0 are C_0 and its negative part, as the sweep reads them, and at m
+    # exact; from them P+(0) + N(m) <= P(k1) <= P+(m) + N(0) at every k1 in
+    # [0, m], on Python ints past 2**63 and on int64 below it.  Inside the
+    # tail the score s P, or s |P|, stays strictly within the bound this
+    # gives on it, but for a zero of P: the sweep drops a tail whose bound
+    # only ties
+    cols, lead, terms = draw_columns(data)
+    tails = len(lead)
+    m = [data.draw(st.integers(0, 12)) for _ in range(tails)]
+
+    def part(t, x, sign):  # the sum of tail t's terms of this sign, at x
+        return sum(c[t] * x**i for i, c in enumerate(terms) if sign * c[t] > 0)
+
+    # int64 holds every coefficient and partial sum when, as the sweep's _bound does, x = max(m, 1) keeps this
+    # below 2**63
+    size = max(sum(abs(c[t]) * max(m[t], 1) ** i for i, c in enumerate(terms)) for t in range(tails))
     for dtype in [object] + [np.int64] * (size < 2**63):
-        columns = np.array(cols, dtype=dtype)
-        at, neg = ucv.search._parts(columns, np.array([[0] * tails, m], dtype=dtype), lead)
-        assert at[0].tolist() == cols[0] and neg[0].tolist() == [max(-c, 0) for c in cols[0]]
+        at, neg = ucv.search._parts(np.array(terms, dtype=dtype), np.array([[0] * tails, m], dtype=dtype))
+        assert at[0].tolist() == cols[0] and neg[0].tolist() == [min(c, 0) for c in cols[0]]
         lower, upper = ucv.search._enclosure(at, neg)
         at, lower, upper = at.tolist(), lower.tolist(), upper.tolist()
         for t in range(tails):
             values = [part(t, x, 1) + part(t, x, -1) for x in range(m[t] + 1)]
             assert lower[0][t] <= min(values) and max(values) <= upper[0][t]
+            assert all(lower[0][t] < v < upper[0][t] for v in values[1:-1])
             least = max(lower[0][t], -upper[0][t], 0)
             assert all(least < abs(v) < max(upper[0][t], -lower[0][t]) or v == least == 0 for v in values[1:-1])
             assert (lower[0][t], upper[0][t]) == (part(t, 0, 1) + part(t, m[t], -1), part(t, m[t], 1) + part(t, 0, -1))
@@ -450,33 +457,31 @@ def test_enclosure_holds_at_every_k1(data):
 @given(st.data())
 def test_enclosure_holds_on_every_run(data):
     # the bound of each run [a, b] of k1 between two neighbouring points,
-    # per tail, the points rising from 0 or more: P+(a) - P-(b) <= P(k1) <=
-    # P+(b) - P-(a) at every k1 in [a, b], and P exact at the points, on
+    # per tail, the points rising from 0 or more: P+(a) + N(b) <= P(k1) <=
+    # P+(b) + N(a) at every k1 in [a, b], and P exact at the points, on
     # Python ints past 2**63 and on int64 below it.  Strictly inside the
-    # run |P| stays strictly within the bounds this gives on |P|, but for a
-    # zero of P: a run's bound is reached only at a or b, which is why
-    # _an_sweep compares (bound, -a) with the best (score, -k1)
-    r, tails = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 4))
-    big = data.draw(st.sampled_from([2**10, 2**40, 2**80]))
-    cols = [[data.draw(st.integers(-big, big)) for _ in range(tails)] for _ in range(r)]
-    lead = data.draw(st.integers(1, big))
+    # run the score stays strictly within the bound this gives on it, but
+    # for a zero of P: a run's bound is reached only at a or b, which is
+    # why the sweep compares (bound, -a) with the best (score, -k1)
+    cols, lead, terms = draw_columns(data)
+    tails = len(lead)
     points = [[data.draw(st.integers(0, 12)) for _ in range(tails)]]
     for _ in range(data.draw(st.integers(1, 3))):
         points.append([x + data.draw(st.integers(0, 12)) for x in points[-1]])
-    terms = cols + [[lead] * tails]
 
-    def part(t, x, sign):  # the part of tail t's P whose coefficients have this sign, at x
+    def part(t, x, sign):  # the sum of tail t's terms of this sign, at x
         return sum(c[t] * x**i for i, c in enumerate(terms) if sign * c[t] > 0)
 
     size = max(sum(abs(c[t]) * max(points[-1][t], 1) ** i for i, c in enumerate(terms)) for t in range(tails))
     for dtype in [object] + [np.int64] * (size < 2**63):
-        at, neg = ucv.search._parts(np.array(cols, dtype=dtype), np.array(points, dtype=dtype), lead)
+        at, neg = ucv.search._parts(np.array(terms, dtype=dtype), np.array(points, dtype=dtype))
         lower, upper = (x.tolist() for x in ucv.search._enclosure(at, neg))
         at = at.tolist()
         for (i, a), t in itertools.product(enumerate(points[:-1]), range(tails)):
             b = points[i + 1][t]
             values = [part(t, x, 1) + part(t, x, -1) for x in range(a[t], b + 1)]
             assert lower[i][t] <= min(values) and max(values) <= upper[i][t]
+            assert all(lower[i][t] < v < upper[i][t] for v in values[1:-1])
             least = max(lower[i][t], -upper[i][t], 0)
             assert all(least < abs(v) < max(upper[i][t], -lower[i][t]) or v == least == 0 for v in values[1:-1])
             assert lower[i][t] == part(t, a[t], 1) + part(t, b, -1)
@@ -489,7 +494,7 @@ def test_enclosure_holds_on_every_run(data):
                          ids=str)
 def test_an_tables_hold_at_most_a_block(monkeypatch, lam, cfg, n, sizes):
     set_an_sizes(monkeypatch, sizes)
-    scored = spy_an_scoring(monkeypatch)
+    scored = spy_scoring(monkeypatch)
     _sweep(lam, cfg, [an_functional(n)], ("max",))
     # a run of one k1 is bounded by its value, so it is scored only where it beats the best end
     assert scored["bounds"] and (scored["tables"] or ucv.search._RUN == 1)
@@ -498,14 +503,14 @@ def test_an_tables_hold_at_most_a_block(monkeypatch, lam, cfg, n, sizes):
 
 def test_an_conjecture_sweep_scores_under_a_quarter_of_its_points(monkeypatch):
     # the sweep of conjecture --n 6: the bound drops the tails that cannot
-    # reach the maximum, so the run bounds, the tables and the re-scan at
-    # the winning b1 score at most a quarter of the lattice's feasible
-    # points; the run bounds leave the tables under one point in a hundred
+    # reach the maximum, so the run bounds and the tables score at most a
+    # quarter of the lattice's feasible points; the run bounds leave the
+    # tables under one point in a hundred
     lam, cfg = F(1), SearchConfig(dims=5)
     tails = _tail_units(50, (1, 2, 3, 4))
     points = int(np.maximum(51 - tails.astype(int) @ np.array([-1, 1, -1, 1]), 0).sum())
     assert points == 941_438
-    scored = spy_an_scoring(monkeypatch)
+    scored = spy_scoring(monkeypatch)
     assert _sweep(lam, cfg, [an_functional(6)], ("max",))[("AN(6)", "max")][0] == 6.0
     cells = {key: sum(math.prod(shape) for shape in shapes) for key, shapes in scored.items()}
     assert 0 < sum(cells.values()) <= points / 4
@@ -514,33 +519,51 @@ def test_an_conjecture_sweep_scores_under_a_quarter_of_its_points(monkeypatch):
 
 
 def test_an_sweep_runs_no_recursion_per_point(monkeypatch):
-    # _an_coefficient runs once per sweep on polynomials in (b1, b2..b_dims),
-    # once on the Python-int caps (the bound) and once per winner on floats,
-    # one per direction asked for: never on the points' arrays; each chunk of
-    # _AN_CHUNK tails reads its columns off the one expansion
+    # _an_coefficient runs once per sweep on polynomials in (b1, b2..b_dims)
+    # and once per winner on floats, one per direction asked for: never on
+    # the points' arrays; each chunk of tails (six coefficients each, in at
+    # most _CHUNK cells, and at most _BATCH tails) reads its columns off the
+    # one expansion
     calls = collections.Counter()
 
     def counting(real):
         def spy(b, n):
-            kind = ("build" if isinstance(b[0], _Polynomial) else "bound" if all(type(x) is int for x in b)
-                    else "scalar" if all(type(x) is float for x in b) else "array")
+            kind = ("build" if isinstance(b[0], _Polynomial) else "scalar" if all(type(x) is float for x in b)
+                    else "other")
             calls[kind] += 1
             return real(b, n)
         return spy
 
-    def columns(part, steps, sums):
+    def columns(part, steps, table):
         calls["chunk"] += 1
-        return real_columns(part, steps, sums)
+        return real_columns(part, steps, table)
 
-    real_columns = ucv.search._an_columns
+    real_columns = ucv.search._columns
     monkeypatch.setattr(ucv.model, "_an_coefficient", counting(ucv.model._an_coefficient))
-    monkeypatch.setattr(ucv.search, "_an_coefficient", counting(ucv.search._an_coefficient))
-    monkeypatch.setattr(ucv.search, "_an_columns", columns)
+    monkeypatch.setattr(ucv.search, "_columns", columns)
     lam, cfg = F(1), SearchConfig(dims=5)  # the sweep of conjecture --n 6
     tails = len(_tail_units(50, (1, 2, 3, 4)))  # every tail has a feasible b1 here
-    assert tails > 3 * ucv.search._AN_CHUNK
+    size = min(ucv.search._CHUNK // 6, ucv.search._BATCH)
+    assert tails > 2 * size
     _sweep(lam, cfg, [an_functional(6)], ("max",))
-    assert calls == {"build": 1, "chunk": -(-tails // ucv.search._AN_CHUNK), "bound": 1, "scalar": 1}
+    assert calls == {"build": 1, "chunk": -(-tails // size), "scalar": 1}
+
+
+def test_an_sweep_holds_no_column_past_its_batch():
+    # the sweep of conjecture --n 8 at step 1/80: 1,080,266 tails, 156,889
+    # of them kept past the whole-tail bound, with eight columns each.  Its
+    # traced peak, 41.1 MB, is the tail lattice and its slack order; holding
+    # every kept column until one join took it to 53.1 MB
+    lam, cfg = F(1), SearchConfig(grid_step=F(1, 80), dims=7)
+    tracemalloc.start()
+    try:
+        got = _sweep(lam, cfg, [an_functional(8)], ("max",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arg = (F(2), F(1)) + (F(0),) * 5
+    assert got == {("AN(8)", "max"): (8.0, arg, arg)}
+    assert peak < 46 * 10**6
 
 
 # -- feasible enumeration ----------------------------------------------------
@@ -830,11 +853,11 @@ def test_optimize_deterministic():
 def test_refinement_history_monotone():
     cfg = SearchConfig(grid_step=F(1, 20))
     a4, h2f = functional_by_name("A4"), functional_by_name("H2F")
-    coarse, arg = _sweep(F(37, 100), cfg, [a4])[("A4", "max")]
+    coarse, arg, _ = _sweep(F(37, 100), cfg, [a4])[("A4", "max")]
     up = _refine(F(37, 100), cfg, a4, "max", arg, coarse)[2]
     assert up[0] == coarse
     assert up == sorted(up)
-    coarse, arg = _sweep(F(61, 100), cfg, [h2f])[("H2F", "min")]
+    coarse, arg, _ = _sweep(F(61, 100), cfg, [h2f])[("H2F", "min")]
     down = _refine(F(61, 100), cfg, h2f, "min", arg, coarse)[2]
     assert down == sorted(down, reverse=True)
     # a history that stands still is sorted too, so each must also move
@@ -859,6 +882,8 @@ REFINE_CASES = [
     ("A2", "max", F(1, 2), SearchConfig(grid_step=F(1, 20))),
     ("G1", "min", F(3, 4), SearchConfig(grid_step=F(3, 20))),
     ("H3INV", "min", F(1, 4), SearchConfig(grid_step=F(1, 20))),
+    # an exact tie whose far end polishes to a better value than its least point
+    ("Z24", "min", F(1, 3), SearchConfig(grid_step=F(1, 10))),
     # D passes 2**53 mid-refinement: the pass moves from int64 to Python ints
     ("A3", "max", F(1, 2), SearchConfig(refine_rounds=15)),
     ("H2F", "max", F(1), SearchConfig(grid_step=F(1, 10), refine_rounds=15)),
@@ -870,9 +895,9 @@ REFINE_CASES = [
 @pytest.mark.parametrize("name,direction,lam,cfg", REFINE_CASES, ids=lambda v: str(v))
 def test_refine_matches_fraction_reference(name, direction, lam, cfg):
     fn = functional_by_name(name)
-    value, arg = _sweep(lam, cfg, [fn])[(fn.name, direction)]
-    got = _refine(lam, cfg, fn, direction, arg, value)
-    want = refine_by_fractions(lam, cfg, fn, direction, arg, value)
+    value, arg, far = _sweep(lam, cfg, [fn])[(fn.name, direction)]
+    got = _refine(lam, cfg, fn, direction, arg, value, far)
+    want = refine_by_fractions(lam, cfg, fn, direction, arg, value, far)
     assert got == want
     if cfg.refine_rounds == 0:
         assert got == (arg, value, [value])
@@ -903,8 +928,8 @@ def test_no_negative_zero_escapes(lam, cfg):
     incumbents = _sweep(lam, cfg, fns)
     for fn in fns:
         for direction in ("max", "min"):
-            value, arg = incumbents[(fn.name, direction)]
-            point, refined, history = _refine(lam, cfg, fn, direction, arg, value)
+            value, arg, far = incumbents[(fn.name, direction)]
+            point, refined, history = _refine(lam, cfg, fn, direction, arg, value, far)
             cert = _certificate(fn, lam, direction, refined, point)
             assert_no_negative_zero(value, refined, *history, cert.searched_value)
             if cert.gap is not None:
