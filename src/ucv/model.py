@@ -347,7 +347,7 @@ def _integer_monomials(fn: Functional, width: int = 4) -> tuple[int, int, tuple[
     return lcm, deg, tuple((int(c * lcm), (deg - sum(e),) + e) for e, c in poly.items() if c)
 
 
-@cache  # derived on the first report, so importing and searching never pay for it
+@cache  # derived on the first report or sweep of a registry row, so importing never pays for it
 def _report_terms() -> tuple:
     return tuple((fn.field, *_integer_monomials(fn)) for fn in FUNCTIONALS)
 

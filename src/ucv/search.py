@@ -11,7 +11,8 @@ no b1 cap: the three conditions imply b1 <= 1 + lambda (see _refine).
 Every objective here is a low-degree polynomial in (b1..b4) (the
 general coefficient objective AN(n) reads b1..b_{n-1}), so the search
 is a deterministic lattice sweep followed by shrinking-step local
-refinement; no gradients, no randomness.  A sweep scores the
+refinement, from the sweep's point or from a vertex of the class
+polytope that beats it exactly; no gradients, no randomness.  A sweep scores the
 directions its caller keeps: optimize and conjecture_scan one,
 verify_bounds both, one sweep per lambda in grid order.  Every
 functional is scored exactly per tail: its integer polynomial in the
@@ -45,6 +46,7 @@ from ucv.model import (
     Functional,
     _integer_monomials,
     _monomial_index,
+    _report_terms,
     an_functional,
     functional_by_name,
     lambda_in_range,
@@ -173,15 +175,23 @@ def _certificate(fn: Functional, lam: Fraction, direction: str, value: float,
 # -- sweep core ------------------------------------------------------------
 
 
-def _expansion(fns: Sequence[Functional], step: Fraction, dims: int) -> tuple:
-    """(steps, monomials, table) of the integer polynomial P = L den^deg f(step k) of each f of fns, step = num/den:
-    f's integer monomials (_integer_monomials) at N = num k, d = den, b_j past dims being 0.  table[f][i] lists the
+def _monomials(fn: Functional, width: int) -> tuple:
+    """fn's (L, deg, terms) of _integer_monomials over N1..N_width: a registry row's are the report's, their exponents
+    padded past width 4, so a sweep expands only AN(n) and functionals outside the registry."""
+    if fn in FUNCTIONALS:
+        lcm, deg, terms = _report_terms()[FUNCTIONALS.index(fn)][1:]
+        return lcm, deg, tuple((c, e + (0,) * (width - 4)) for c, e in terms)
+    return _integer_monomials(fn, width)
+
+
+def _expansion(monomials: Sequence[tuple], step: Fraction, dims: int) -> tuple:
+    """(steps, monomials, table) of the integer polynomial P = L den^deg f(step k) of each f, step = num/den: f's
+    (L, deg, terms) of _monomials at N = num k, d = den, b_j past dims being 0.  table[f][i] lists the
     (c, t) of k1^i's coefficient, sum c monomial_t, up to P's degree in k1, at least 1; monomials holds the tail
     exponents by index: monomial 0 is 1, and monomial i + 1 is monomial p times tail column v, (p, v) = steps[i]."""
     num, den = step.numerator, step.denominator
     index, steps, table = {(0,) * (dims - 1): 0}, [], []
-    for fn in fns:
-        _, deg, terms = _integer_monomials(fn, _width(dims))
+    for _, deg, terms in monomials:
         terms = [(c * num ** (deg - e0) * den**e0, e) for c, (e0, *e) in terms if not any(e[dims:])]
         sums = [[] for _ in range(max([e[0] for _, e in terms] + [1]) + 1)]
         for c, e in terms:
@@ -244,7 +254,7 @@ def _run_tables(cols: np.ndarray, m: np.ndarray, ranks: np.ndarray, hits: list, 
     along them.  Each tail is cut into runs of _RUN k1 from a (fewer at m, and no more than a table holds), bounded on
     [a, b], b = a + _RUN or m, so that neighbouring runs share their bound's ends: P and N at the ends in tables of at
     most _SWEEP_BLOCK ends x tails (or one run's two ends).  A run is scored, in tables of at most _SWEEP_BLOCK cells
-    (an infeasible cell scores floor), when its bound beats the best or ties it at k1 <= least or >= greatest."""
+    (an infeasible cell scores floor), when its bound beats the best or ties it at k1 <= the best's."""
     dtype = cols.dtype
     run = min(_RUN, _SWEEP_BLOCK)  # a run's cells fit in one table
     per, lo = _SWEEP_BLOCK // run, 0  # kept runs per table of their cells
@@ -257,29 +267,29 @@ def _run_tables(cols: np.ndarray, m: np.ndarray, ranks: np.ndarray, hits: list, 
             a = np.arange(r0 * run, (min(r0 + span, runs) + 1) * run, run, dtype=dtype)[:, None]
             lower, upper = _enclosure(*_parts(part, np.minimum(a, ms)))  # each run to the next one's a, or m
             a = a[:-1]
-            live, last = a <= ms, np.minimum(a + run - 1, ms)  # the runs that hold a point, and their last k1
+            live = a <= ms  # the runs that hold a point
             for i, (_, s) in enumerate(directions):
-                (score, least, _), (_, greatest, _) = hits[i]
+                score, least, _ = hits[i]
                 top = _reach(lower, upper, s, absolute)
-                ra, t = np.nonzero(live & ((top > score) | (top == score) & ((a <= -least) | (last >= greatest))))
+                ra, t = np.nonzero(live & ((top > score) | (top == score) & (a <= -least)))
                 for g in range(0, len(t), per):  # tables of the kept runs' cells
                     k1, tg = a[ra[g:g + per], 0] + np.arange(run)[:, None], t[g:g + per]
                     p = _horner(part[:, tg], np.minimum(k1, ms[tg]))
                     v = np.where(k1 > ms[tg], floor, s * (np.abs(p) if absolute else p))
                     best = v.max()
-                    if best >= hits[i][0][0]:
+                    if best >= hits[i][0]:
                         keys = (k1 * big + rs[tg])[v == best]  # the (k1, row) of each best cell as k1 big + row
-                        _raise(hits[i], int(best), int(keys.min()), int(keys.max()), big)
+                        _raise(hits, i, int(best), int(keys.min()), big)
 
 
-def _raise(pair: list, score: int, lo: int, hi: int, big: int) -> None:
-    # raise pair, the least and the greatest point as [(score, -k1, -row), (score, k1, row)], to divmod(lo or hi, big)
-    pair[:] = max(pair[0], (score, *(-x for x in divmod(lo, big)))), max(pair[1], (score, *divmod(hi, big)))
+def _raise(hits: list, i: int, score: int, key: int, big: int) -> None:
+    # raise hits[i], the best score and its least point as (score, -k1, -row), to score at (k1, row) = divmod(key, big)
+    hits[i] = max(hits[i], (score, *(-x for x in divmod(key, big))))
 
 
 def _ends(cols: np.ndarray, m: np.ndarray, ranks: np.ndarray, hits: list, directions: list, absolute: bool,
           big: int) -> np.ndarray:
-    """Raise hits[f][i], the least and the greatest point of the best score of functional f in directions[i], to the
+    """Raise hits[f][i], the best score of functional f in directions[i] and its least point, to the
     ends k1 = 0 and m of the tails ranks, P and N taken for every functional at once, stacked; big is above every k1
     and row.  Return whether each (functional, tail) can still beat or tie the best: not where its bound on the score
     (_enclosure on [0, m]) is at most the best score, as P+ or N moves strictly unless P is constant in k1, so the
@@ -291,37 +301,36 @@ def _ends(cols: np.ndarray, m: np.ndarray, ranks: np.ndarray, hits: list, direct
     ends = np.abs(ends) if absolute else ends
     keys = np.concatenate((ranks, m * big + ranks))  # the (k1, row) of each end as k1 big + row
     for i, (_, s) in enumerate(directions):
-        best = np.array([h[i][0][0] for h in hits], dtype=cols.dtype)
+        best = np.array([h[i][0] for h in hits], dtype=cols.dtype)
         e = ends.max(axis=-1) if s > 0 else ends.min(axis=-1)
         rise = np.flatnonzero(s * e >= best)  # the functionals whose best can rise to an end
         if rise.size:
-            at = ends[rise] == e[rise, None]
-            least, greatest = np.where(at, keys, big * big).min(axis=-1), np.where(at, keys, -1).max(axis=-1)
-            for f, score, lo, hi in zip(rise.tolist(), (s * e[rise]).tolist(), least.tolist(), greatest.tolist()):
-                _raise(hits[f][i], score, lo, hi, big)
+            least = np.where(ends[rise] == e[rise, None], keys, big * big).min(axis=-1)
+            for f, score, key in zip(rise.tolist(), (s * e[rise]).tolist(), least.tolist()):
+                _raise(hits[f], i, score, key, big)
             best[rise] = s * e[rise]
         # the score is at most the reach; integer scores, so reach > best - 1 keeps a tie, for -|P| only
         keep = keep | (_reach(lower, upper, s, absolute) > best[:, None] - (absolute and s < 0))
     return keep
 
 
-def _exact_sweep(fns: Sequence[Functional], absolute: bool, step: Fraction, caps: list, tails: np.ndarray,
+def _exact_sweep(monomials: Sequence[tuple], absolute: bool, step: Fraction, caps: list, tails: np.ndarray,
                  rank: np.ndarray, last: np.ndarray, signs: dict) -> dict:
-    """{(f, direction): ((k1, row of tails), (k1, row))}, the least and the greatest point of the exact extremum of
-    the score of fns[f], s P or s |P| where absolute, over the tails rank[i] (slack order), each feasible for k1 in
-    [0, m], m = last[i]; caps holds the largest k1 and k_j.  P = C_0 + C_1 k1 + ... + C_r k1^r is the integer
-    polynomial of _expansion.  Each chunk of at most _CHUNK cells and _BATCH tails reads every C_i off its tail
+    """{(f, direction): (score, (k1, row of tails))}, the exact extremum of the score of functional f, s P or s |P|
+    where absolute, and its least point, over the tails rank[i] (slack order), each feasible for k1 in [0, m],
+    m = last[i]; caps holds the largest k1 and k_j.  P = C_0 + C_1 k1 + ... + C_r k1^r is the integer polynomial of
+    _expansion of f's monomials[f].  Each chunk of at most _CHUNK cells and _BATCH tails reads every C_i off its tail
     monomials (_columns): int64 while _bound, at caps, is below 2**63, else Python ints.  _ends keeps the tails
     that can still win, and each functional's kept tails go to _run_tables once _BATCH of them gather."""
-    steps, monomials, table = _expansion(fns, step, tails.shape[1] + 1)
-    bound = _bound(table, monomials, [max(c, 1) for c in caps])
+    steps, tail_monomials, table = _expansion(monomials, step, tails.shape[1] + 1)
+    bound = _bound(table, tail_monomials, [max(c, 1) for c in caps])
     dtype = np.int64 if bound < 2**63 else object
     floor, big, directions = -bound - 1, caps[0] + len(tails), list(signs.items())  # below any score; past k1, row
-    hits = [[[(floor, 0, 0)] * 2 for _ in signs] for _ in fns]  # per functional and direction, as _raise keeps them
-    kept = [[] for _ in fns]  # per functional: the (cols, m, ranks) of kept tails not yet scored
-    size = max(min(_CHUNK // (len(fns) * max(map(len, table))), _BATCH), 1)  # tails per chunk
+    hits = [[(floor, 0, 0)] * len(signs) for _ in table]  # per functional and direction, as _raise keeps them
+    kept = [[] for _ in table]  # per functional: the (cols, m, ranks) of kept tails not yet scored
+    size = max(min(_CHUNK // (len(table) * max(map(len, table))), _BATCH), 1)  # tails per chunk
     for lo in range(0, len(last), size):
-        ranks, m = rank[lo:lo + size], last[lo:lo + size]
+        ranks, m = rank[lo:lo + size], last[lo:lo + size].astype(dtype)  # k1 in the columns' dtype
         # take gathers rows many times faster than fancy indexing does
         cols = _columns(tails.take(ranks, axis=0).astype(dtype), steps, table)
         keep = _ends(cols, m, ranks, hits, directions, absolute, big)
@@ -332,18 +341,34 @@ def _exact_sweep(fns: Sequence[Functional], absolute: bool, step: Fraction, caps
             if part and (lo + size >= len(last) or sum(len(r) for *_, r in part) >= _BATCH):
                 _run_tables(*(np.concatenate(a, -1) for a in zip(*part)), hits[f], directions, absolute, floor, big)
                 part.clear()
-    return {(f, d): ((-hit[i][0][1], -hit[i][0][2]), hit[i][1][1:]) for f, hit in enumerate(hits)
-            for i, (d, _) in enumerate(directions)}
+    return {(f, d): (h[i][0], (-h[i][1], -h[i][2])) for f, h in enumerate(hits) for i, (d, _) in enumerate(directions)}
+
+
+def _vertices(lam: Fraction, dims: int) -> tuple[int, list[tuple[int, ...]]]:
+    """(d, vertices): the vertices N / d, N sorted and padded to the search width, of the class polytope {b >= 0,
+    b2 + 2 b3 + ... <= lam, p(-1) >= 0} over b1..b_dims.  A vertex makes dims of these tight, so at least dims - 2
+    b_j are 0: the origin, b1 = 1 (p(-1) = 0), b_j = lam / (j - 1) alone (the budget), or that b_j with b1 =
+    1 + (-1)^j b_j (both tight; two tail coordinates cannot be, as p(-1) = 0 needs an odd b_j >= 1)."""
+    d = lam.denominator * math.lcm(*range(1, dims))
+    zero = (0,) * _width(dims)
+    points = {zero, (d,) + zero[1:]}
+    for j in range(1, dims):  # b_(j+1), of weight j
+        t = lam.numerator * d // (lam.denominator * j)
+        tail = zero[1:j] + (t,) + zero[j + 1:]
+        points |= {zero[:1] + tail, (d + (-1) ** (j + 1) * t,) + tail}
+    return d, sorted(points)
 
 
 def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional],
            directions: Sequence[str] = ("max", "min")) -> dict:
-    """Coarse lattice sweep; returns {(name, direction): (value, arg, far)} for the directions asked for.
+    """Coarse lattice sweep; returns {(name, direction): (value, arg, vertex)} for the directions asked for.
 
     The tails are sorted once by p(-1) slack, most first, by a stable sort, so the tails feasible at b1 = k1 step are
     a prefix of them, and each tail's last feasible k1 falls along them.  Every functional is scored exactly per tail
     (_exact_sweep), the registry in one pass and AN(n), whose score is |P|, in another.  arg is the least point of
-    the exact extremum, valued by one scalar float evaluate, cleared of -0.0, and far the greatest (arg if alone)."""
+    the exact extremum, valued by one scalar float evaluate, cleared of -0.0.  vertex is the best vertex (_vertices,
+    the least of a tie) where it strictly beats arg, else None: at each vertex, over one denominator dv, the
+    functional's integer monomials give L dv^deg f, which is compared with the sweep's score of L den^deg f at arg."""
     step = cfg.grid_step
     top, budget_units = int(1 / step), int(lam / step)
     tails = _tail_units(budget_units, tuple(range(1, cfg.dims)))
@@ -351,21 +376,31 @@ def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional],
     # p(-1) = 1 - b1 - key, key = -b2 + b3 - b4 + ... in step units; every partial sum is at most
     # sum k_j <= budget_units in modulus, so key is summed in the tails' dtype
     key = tails @ np.array([(-1) ** (j + 1) for j in range(cfg.dims - 1)], dtype=tails.dtype)
+    # the least key, -budget_units, puts the whole budget on b2: k1 <= top + budget_units
+    caps = [top + budget_units] + [budget_units // w for w in range(1, cfg.dims)]
+    small = np.int32 if max(caps[0], len(tails)) < 2**31 else np.int64  # holds every row and k1
     # sorted row -> lexicographic row; numpy's stable sort of 16-bit ints is a radix sort
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key, kind="stable").astype(small)
     # the point is a member iff p(-1) >= 0, that is k1 + key <= floor(1/step); b1 = 0 keeps the zero tail
     live = order[:np.searchsorted(key[order], top, side="right")]
+    last = np.subtract(top, key[live], dtype=small)
+    dv, vertices = _vertices(lam, cfg.dims)
+    at = [(dv, *v) for v in vertices]  # the exponent order of the monomials: d, then N1..N_width
     signs, found = {d: 1 if d == "max" else -1 for d in directions}, {}
     for absolute in (False, True):
         group = [fn for fn in fns if bool(fn.an) == absolute]
-        if group:  # the least key, -budget_units, puts the whole budget on b2: k1 <= top + budget_units
-            caps = [top + budget_units] + [budget_units // w for w in range(1, cfg.dims)]
-            won = _exact_sweep(group, absolute, step, caps, tails, live, top - key[live].astype(np.int64), signs)
-            for (f, d), ends in won.items():
-                least, far = ((k1, *tails[tail].tolist(), *pad) for k1, tail in ends)
-                arg = tuple(k * step for k in least)  # float(k step) is k num / den, correctly rounded
-                value = float(group[f].evaluate(tuple(map(float, arg)))) + 0.0
-                found[group[f].name, d] = value, arg, arg if far == least else tuple(k * step for k in far)
+        monomials = [_monomials(fn, _width(cfg.dims)) for fn in group]
+        won = _exact_sweep(monomials, absolute, step, caps, tails, live, last, signs) if group else {}
+        for f, (fn, (_, deg, terms)) in enumerate(zip(group, monomials)):
+            ps = [sum(c * math.prod(map(pow, n, e)) for c, e in terms) for n in at]  # L dv^deg f at each vertex
+            ps = [abs(p) for p in ps] if absolute else ps
+            for direction, s in signs.items():
+                score, (k1, tail) = won[f, direction]
+                arg = tuple(k * step for k in (k1, *tails[tail].tolist(), *pad))  # float(k step) is correctly rounded
+                value = float(fn.evaluate(tuple(map(float, arg)))) + 0.0
+                i = max(range(len(at)), key=lambda i: s * ps[i])  # the first, least, vertex of a tie
+                better = s * ps[i] * step.denominator**deg > score * dv**deg
+                found[fn.name, direction] = value, arg, tuple(Fraction(c, dv) for c in vertices[i]) if better else None
     return {(fn.name, d): found[fn.name, d] for fn in fns for d in directions}
 
 
@@ -422,20 +457,16 @@ def _delta_table(dims: int, num: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str, arg: tuple[Fraction, ...],
-            value: float, far: tuple[Fraction, ...] | None = None) -> tuple[tuple[Fraction, ...], float, list[float]]:
-    """Shrinking-step local polish around the coarse incumbent.
+            value: float) -> tuple[tuple[Fraction, ...], float, list[float]]:
+    """Shrinking-step local polish around the incumbent arg: the sweep's point, or the vertex that beats it.
 
     Each round divides the step by 10 and makes up to six greedy passes over the moves of _delta_table; a round ends
     at the first pass with no accept.  Returns the round value history for monotonicity checks.
 
-    far is the greatest point of the sweep's exact tie, arg the least.  Where their midpoint does not tie them, they
-    are separate optima, and far is polished too, by strictly better moves only, to win only when strictly better
-    (Z24 min at lambda = 1/3, step 1/10).  A tie on a flat of the functional stays with the least point: polishing
-    the far ends of the default grid's 65 flat ties would add 30% and gain no row.
-
-    The incumbent is an int vector x over one denominator D (the point x / D); each round multiplies x and D by 10.
-    A pass takes the gate columns of its remaining moves d, scores x + d as w contiguous rows, and keeps what
-    improves (a better value, or from arg an equal one at a smaller point: the lowers flag) and passes the gate,
+    The incumbent is an int vector x over one denominator D (the point x / D): first the lcm of the step's and arg's
+    denominators, where the moves of _delta_table, in units of 1 / den, scale by D / den; each round multiplies x
+    and D by 10.  A pass takes the gate columns of its remaining moves d, scores x + d as w contiguous rows, and
+    keeps what improves (a better value, or an equal one at a smaller point: the lowers flag) and passes the gate,
     reduced over axis 0: every coordinate >= 0, the budget x_2 + 2 x_3 + ... within floor(lambda D) and
     D p(-1) >= 0.  These imply the paper's b1 <= 1 + lambda (x_1 <= D + x_2 + x_4 + ... <= D + floor(lambda D)), so
     no cap is set.  With b >= 0 and budget <= lambda <= 1 the sign test is the disk condition
@@ -447,43 +478,38 @@ def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str, ar
     """
     if not cfg.refine_rounds:
         return arg, value, [value]  # the sweep's point, kept by the sign test
-    starts = [(arg, value, True)]
-    if far not in (None, arg) and fn.evaluate(tuple((x + y) / 2 for x, y in zip(arg, far))) != fn.evaluate(arg):
-        starts.append((far, float(fn.evaluate(tuple(float(c) for c in far))) + 0.0, False))
-    table, lowers = _delta_table(cfg.dims, cfg.grid_step.numerator)
-    width, results = _width(cfg.dims), []
-    n, span = len(lowers), int(np.abs(table[:width]).max())
-    for start, value, equal in starts:
-        D, ties = cfg.grid_step.denominator, lowers & equal
-        x, history = [int(v * D) for v in start], [value]
-        for _ in range(cfg.refine_rounds):
-            D *= 10
-            x = [10 * c for c in x]
-            dtype = np.int64 if 2 * D + span < 2**53 else object
-            gates = table.astype(dtype, copy=False)
-            lam_units = lam.numerator * D // lam.denominator
-            bx = sum(i * c for i, c in enumerate(x))
-            ax = D + sum(c if i % 2 else -c for i, c in enumerate(x))
-            for _ in range(_REFINE_PASSES):
-                pos, improved = 0, False
-                while pos < n:
-                    g, h = gates[:, pos:], np.array(x + [lam_units - bx, ax], dtype=dtype)[:, None]
-                    cand = h[:width] - g[:width]
-                    v = fn.evaluate(tuple(np.asarray(cand / D, dtype=float)))
-                    better = v > value if direction == "max" else v < value
-                    ok = (better | ((v == value) & ties[pos:])) & (g <= h).all(axis=0)
-                    j = int(ok.argmax())
-                    if not ok[j]:
-                        break
-                    x, value = cand[:, j].tolist(), float(v[j]) + 0.0  # clears -0.0
-                    bx, ax = bx + int(g[width, j]), ax - int(g[width + 1, j])
-                    pos, improved = pos + j + 1, True
-                if not improved:
+    table, ties = _delta_table(cfg.dims, cfg.grid_step.numerator)
+    D = math.lcm(cfg.grid_step.denominator, *(c.denominator for c in arg))
+    scale, width, n = D // cfg.grid_step.denominator, _width(cfg.dims), len(ties)
+    span = int(np.abs(table[:width]).max()) * scale
+    x, history = [int(c * D) for c in arg], [value]
+    for _ in range(cfg.refine_rounds):
+        D *= 10
+        x = [10 * c for c in x]
+        dtype = np.int64 if 2 * D + span < 2**53 else object
+        gates = table.astype(dtype, copy=False)
+        gates = gates * scale if scale > 1 else gates
+        lam_units = lam.numerator * D // lam.denominator
+        bx = sum(i * c for i, c in enumerate(x))
+        ax = D + sum(c if i % 2 else -c for i, c in enumerate(x))
+        for _ in range(_REFINE_PASSES):
+            pos, improved = 0, False
+            while pos < n:
+                g, h = gates[:, pos:], np.array(x + [lam_units - bx, ax], dtype=dtype)[:, None]
+                cand = h[:width] - g[:width]
+                v = fn.evaluate(tuple(np.asarray(cand / D, dtype=float)))
+                better = v > value if direction == "max" else v < value
+                ok = (better | ((v == value) & ties[pos:])) & (g <= h).all(axis=0)
+                j = int(ok.argmax())
+                if not ok[j]:
                     break
-            history.append(value)
-        results.append((tuple(Fraction(c, D) for c in x), value, history))
-    # far's result only where strictly better: max keeps the first of equal values
-    point, value, history = max(results, key=lambda r: r[1] if direction == "max" else -r[1])
+                x, value = cand[:, j].tolist(), float(v[j]) + 0.0  # clears -0.0
+                bx, ax = bx + int(g[width, j]), ax - int(g[width + 1, j])
+                pos, improved = pos + j + 1, True
+            if not improved:
+                break
+        history.append(value)
+    point = tuple(Fraction(c, D) for c in x)
     if not nonvanishing_in_open_disk((Fraction(1),) + point):
         raise RuntimeError(f"refined point {point} fails the disk gate")
     return point, value, history
@@ -492,10 +518,12 @@ def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str, ar
 # -- public search API -----------------------------------------------------
 
 
-def _certify_row(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
-                 value: float, arg: tuple[Fraction, ...], far: tuple[Fraction, ...]) -> BoundCertificate:
-    """Refine one coarse incumbent, with the far end of its tie, and certify it against the closed form."""
-    arg, value, _ = _refine(lam, cfg, fn, direction, arg, value, far)
+def _certify_row(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str, value: float,
+                 arg: tuple[Fraction, ...], vertex: tuple[Fraction, ...] | None) -> BoundCertificate:
+    """Refine one coarse incumbent, or the vertex that beats it, and certify it against the closed form."""
+    if vertex and cfg.refine_rounds:
+        arg, value = vertex, float(fn.evaluate(tuple(map(float, vertex)))) + 0.0
+    arg, value, _ = _refine(lam, cfg, fn, direction, arg, value)
     return _certificate(fn, lam, direction, value, arg)
 
 
@@ -513,11 +541,12 @@ def optimize(fn: Union[Functional, str], lam: RationalIn, direction: str,
 def verify_bounds(lambda_grid: Sequence[RationalIn], cfg: SearchConfig | None = None) -> list[BoundCertificate]:
     """Certify every named functional in both directions over a lambda grid.
 
-    Each lambda gets one shared coarse sweep that feeds its 32 rows (the
-    sweep itself is the pointwise never-exceed check: each incumbent
-    dominates every feasible grid point), which are then refined and
-    certified.  Every lambda is range-checked before any sweep starts.
-    Row order: grid order, then functional order, then max before min.
+    Each lambda gets one shared coarse sweep, with its vertex pass, that
+    feeds its 32 rows (the sweep itself is the pointwise never-exceed
+    check: each incumbent dominates every feasible grid point), which are
+    then refined and certified.  Every lambda is range-checked before any
+    sweep starts.  Row order: grid order, then functional order, then max
+    before min.
     """
     cfg = cfg or SearchConfig()
     certs = []

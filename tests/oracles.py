@@ -30,11 +30,15 @@ not a tautology:
   an_coefficient_by_recursion   a_n by the reciprocal recursion with its
                             signs unfolded, against the search's
                             sign-folded recursion
-  extremes_by_fractions     the least and the greatest lattice points
-                            that maximize and minimize each functional over
+  extremes_by_fractions     the least lattice point that maximizes and
+                            minimizes each functional over
                             enumerate_feasible, in Fraction, against the
                             sweep's integer Horner scores of each tail's
                             polynomial in b1
+  vertices_by_fractions     the vertices of the class polytope, each the
+                            solution of a choice of dims tight constraints
+                            by Gauss-Jordan elimination over Fraction,
+                            against the search's closed list
 
 enumerate_feasible and refine_by_fractions keep the cap b1 <= 1 + lambda,
 which the search does not impose (the class's conditions imply it), so
@@ -303,57 +307,80 @@ def enumerate_feasible(lam, cfg: SearchConfig | None = None) -> Iterator[tuple[F
                 yield b
 
 
+def exact_value(fn, b) -> Fraction:
+    """fn at b over Fraction: a registry row by its evaluate, AN(n) as
+    |a_n| by an_coefficient_by_recursion."""
+    return abs(an_coefficient_by_recursion(b, fn.an)) if fn.an else fn.evaluate(b)
+
+
 def extremes_by_fractions(lam, cfg: SearchConfig, fns) -> dict:
-    """{(name, direction): (value, least, greatest)}: the max and min of
-    each functional over enumerate_feasible, exact, with the least and the
-    greatest point that attains it.  A registry row is its evaluate over
-    Fraction, AN(n) is |a_n| by an_coefficient_by_recursion.  The
-    enumeration is lexicographic, so the first point that attains is the
-    least and the last the greatest."""
+    """{(name, direction): (value, least)}: the max and min of each
+    functional over enumerate_feasible, exact (exact_value), with the least
+    point that attains it.  The enumeration is lexicographic, so the first
+    point that attains is the least."""
     best = {}
     for b in enumerate_feasible(lam, cfg):
         for fn in fns:
-            v = abs(an_coefficient_by_recursion(b, fn.an)) if fn.an else fn.evaluate(b)
+            v = exact_value(fn, b)
             for direction, sign in (("max", 1), ("min", -1)):
-                old = best.setdefault((fn.name, direction), (v, b, b))
+                old = best.setdefault((fn.name, direction), (v, b))
                 if sign * (v - old[0]) > 0:
-                    best[fn.name, direction] = (v, b, b)
-                elif v == old[0]:
-                    best[fn.name, direction] = (v, old[1], b)
+                    best[fn.name, direction] = (v, b)
     return best
+
+
+# -- polytope vertices ---------------------------------------------------------
+
+
+def _solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction] | None:
+    """The unique x with rows x = rhs by Gauss-Jordan elimination over
+    Fraction, or None where the square system is singular."""
+    m = [list(map(Fraction, r)) + [Fraction(c)] for r, c in zip(rows, rhs)]
+    n = len(m)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                k = m[r][col] / m[col][col]
+                m[r] = [a - k * b for a, b in zip(m[r], m[col])]
+    return [m[r][n] / m[r][r] for r in range(n)]
+
+
+def vertices_by_fractions(lam, dims: int) -> list[tuple[Fraction, ...]]:
+    """The vertices of {b >= 0, b2 + 2 b3 + ... + (dims-1) b_dims <=
+    lambda, b1 - b2 + b3 - ... <= 1 (p(-1) >= 0)} over b1..b_dims, sorted
+    and padded to max(4, dims): every choice of dims of the dims + 2
+    constraints, made tight and solved (_solve), kept where the solution is
+    unique and meets all of them."""
+    lam = Fraction(lam)
+    constraints = [([-int(i == j) for j in range(dims)], 0) for i in range(dims)]
+    constraints += [(list(range(dims)), lam), ([(-1) ** j for j in range(dims)], 1)]
+    found = set()
+    for chosen in itertools.combinations(constraints, dims):
+        x = _solve(*zip(*chosen))
+        if x is not None and all(sum(a * v for a, v in zip(row, x)) <= c for row, c in constraints):
+            found.add(tuple(x) + (Fraction(0),) * (max(4, dims) - dims))
+    return sorted(found)
 
 
 # -- refinement over Fraction ---------------------------------------------
 
 
-def refine_by_fractions(lam, cfg: SearchConfig, fn, direction: str, arg, value: float, far=None):
-    """The refinement with Fraction points; returns (argmax, value, round
-    history) as the search's _refine does.
+def refine_by_fractions(lam, cfg: SearchConfig, fn, direction: str, arg, value: float):
+    """The refinement with Fraction points, from any rational arg;
+    returns (argmax, value, round history) as the search's _refine does.
 
-    The polish runs from arg and, when far is another point and the
-    midpoint of the two does not tie them, from far with strictly better
-    moves only; far's result is taken only when its value is strictly
-    better.
-    """
-    if not cfg.refine_rounds:
-        return tuple(arg), value, [value]
-    got = _polish_by_fractions(lam, cfg, fn, direction, arg, value, True)
-    mid = tuple((x + y) / 2 for x, y in zip(arg, far or arg))
-    if far is not None and fn.evaluate(mid) != fn.evaluate(tuple(arg)):
-        start = fn.evaluate(tuple(float(x) for x in far)) + 0.0
-        other = _polish_by_fractions(lam, cfg, fn, direction, far, start, False)
-        if (1 if direction == "max" else -1) * (other[1] - got[1]) > 0:
-            got = other
-    return got
-
-
-def _polish_by_fractions(lam, cfg: SearchConfig, fn, direction: str, arg, value: float, equal: bool):
-    """Each round divides the step by 10; every pass tries each move at
+    Each round divides the step by 10; every pass tries each move at
     window scales 1..12 from the current incumbent and accepts a candidate
     that stays in the box, scores strictly better (or, where equal, ties
     and is the lexicographically smaller point), keeps the budget and
     passes the disk gate.  A round ends at the first pass with no accept.
     """
+    if not cfg.refine_rounds:
+        return tuple(arg), value, [value]
     lam = Fraction(lam)
     sign = 1 if direction == "max" else -1
     cap = 1 + lam
@@ -372,7 +399,7 @@ def _polish_by_fractions(lam, cfg: SearchConfig, fn, direction: str, arg, value:
                     if cand[0] > cap or any(x < 0 for x in cand):
                         continue
                     v = fn.evaluate(tuple(float(x) for x in cand)) + 0.0
-                    if not (sign * (v - best_value) > 0 or (equal and v == best_value and cand < best)):
+                    if not (sign * (v - best_value) > 0 or (v == best_value and cand < best)):
                         continue
                     if sum(n * x for n, x in enumerate(cand)) > lam:
                         continue

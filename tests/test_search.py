@@ -5,6 +5,7 @@ conjecture scan."""
 from __future__ import annotations
 
 import collections
+import dataclasses
 import functools
 import itertools
 import math
@@ -22,9 +23,11 @@ import ucv.search
 from oracles import (
     an_coefficient_by_recursion,
     enumerate_feasible,
+    exact_value,
     extremes_by_fractions,
     random_member,
     refine_by_fractions,
+    vertices_by_fractions,
 )
 from ucv.cli import CSV_HEADER, certificate_to_dict, certificates_to_csv
 from ucv.model import (
@@ -49,6 +52,7 @@ from ucv.search import (
     _refine,
     _sweep,
     _tail_units,
+    _vertices,
     closed_form_bound,
     conjecture_scan,
     optimize,
@@ -88,17 +92,37 @@ def sweep_reference(lam, cfg):
     return extremes_by_fractions(lam, cfg, [functional_by_name(n) for n in SWEEP_NAMES])
 
 
+@functools.cache
+def oracle_vertices(lam, dims):
+    return vertices_by_fractions(lam, dims)
+
+
+def vertex_points(lam, dims):
+    d, vertices = _vertices(lam, dims)
+    return [tuple(F(c, d) for c in v) for v in vertices]
+
+
+def best_vertex(lam, cfg, fn, direction, exact):
+    """The least of the oracle's vertices with the best exact value of fn,
+    where that value strictly beats exact, else None."""
+    sign = 1 if direction == "max" else -1
+    vertices = oracle_vertices(lam, cfg.dims)
+    top = max(sign * exact_value(fn, v) for v in vertices)
+    return next(v for v in vertices if sign * exact_value(fn, v) == top) if top > sign * exact else None
+
+
 def assert_sweep_matches_brute_force(lam, cfg):
-    """The sweep's winners against the exact brute force: the least and the
-    greatest point of each exact extremum, and as its value one float
-    evaluate at the least, cleared of -0.0."""
+    """The sweep's winners against the exact brute force: the least point
+    of each exact extremum, as its value one float evaluate at it, cleared
+    of -0.0, and the vertex that strictly beats it (best_vertex)."""
     fns = [functional_by_name(n) for n in SWEEP_NAMES]
     got = _sweep(lam, cfg, fns)
     for fn in fns:
         for direction in ("max", "min"):
-            exact, arg, far = sweep_reference(lam, cfg)[fn.name, direction]
-            value, point, last = got[fn.name, direction]
-            assert (point, last) == (arg, far), (fn.name, direction, point, last, arg, far)
+            exact, arg = sweep_reference(lam, cfg)[fn.name, direction]
+            value, point, vertex = got[fn.name, direction]
+            assert point == arg, (fn.name, direction, point, arg)
+            assert vertex == best_vertex(lam, cfg, fn, direction, exact), (fn.name, direction, vertex)
             assert value == fn.evaluate(tuple(float(x) for x in arg)) + 0.0
             assert value or math.copysign(1.0, value) == 1.0
             assert value == pytest.approx(float(exact), rel=1e-12, abs=1e-15)
@@ -179,7 +203,7 @@ def test_sweep_tie_along_a_segment_goes_to_the_least_point(monkeypatch, block):
         monkeypatch.setattr(ucv.search, "_SWEEP_BLOCK", block)
     ties = [b for b in enumerate_feasible(lam, cfg) if segment.evaluate(b) == 1]
     assert ties == [(F(1, 2) + F(j, 8), 1 - F(j, 4), F(j, 8), F(0)) for j in range(4)]
-    assert _sweep(lam, cfg, [segment])[("SEGMENT", "max")] == (1.0, ties[0], ties[-1])
+    assert _sweep(lam, cfg, [segment])[("SEGMENT", "max")][:2] == (1.0, ties[0])
 
 
 @pytest.mark.parametrize("block", [None, 1, 3 * 41], ids=["default", "one cell", "123 cells"])
@@ -221,20 +245,94 @@ def test_sweep_takes_the_least_of_an_exact_tie(name, direction, lam, cfg, value,
     assert [values[b] for b in points] == [value] * 2 and min(b for b in values if values[b] == value) == points[0]
     floats = [fn.evaluate(tuple(float(x) for x in b)) for b in points]
     assert floats[0] != floats[1]
-    far = max(b for b in values if values[b] == value)
-    assert _sweep(lam, cfg, [fn], (direction,))[(name, direction)] == (floats[0] + 0.0, points[0], far)
+    assert _sweep(lam, cfg, [fn], (direction,))[(name, direction)][:2] == (floats[0] + 0.0, points[0])
 
 
-def test_refine_polishes_the_far_end_of_an_exact_tie():
+def test_refine_starts_at_the_vertex_that_beats_an_exact_tie():
     # Z24 min at lambda = 1/3, step 1/10 ties at (0, 3/10, 0, 0) and
-    # (9/10, 0, 1/10, 0): the polish from the least point stops on the b2
-    # axis, from the greatest it follows b1 b3 down, and its value wins
+    # (9/10, 0, 1/10, 0), -9/100; the vertex (1 - lambda/2, 0, lambda/2, 0)
+    # reaches -5/36, and no move improves it: the polish from the least
+    # point alone stops on the b2 axis at -0.1089
     fn, lam, cfg = functional_by_name("Z24"), F(1, 3), SearchConfig(grid_step=F(1, 10), refine_rounds=1)
-    value, arg, far = _sweep(lam, cfg, [fn], ("min",))[("Z24", "min")]
-    assert [arg, far] == EXACT_TIES[2][-1]
+    value, arg, vertex = _sweep(lam, cfg, [fn], ("min",))[("Z24", "min")]
+    assert arg == EXACT_TIES[2][-1][0] and vertex == (F(5, 6), F(0), F(1, 6), F(0))
+    assert fn.evaluate(vertex) == F(-5, 36)
     assert _refine(lam, cfg, fn, "min", arg, value)[:2] == ((F(0), F(33, 100), F(0), F(0)), -0.10890000000000001)
-    assert _refine(lam, cfg, fn, "min", arg, value, far)[:2] == ((F(21, 25), F(0), F(4, 25), F(0)), -0.1344)
-    assert optimize(fn, lam, "min", cfg).searched_value == -0.1344
+    c = optimize(fn, lam, "min", cfg)
+    assert c.argmax == vertex and c.searched_value == fn.evaluate(tuple(map(float, vertex))) == float(F(-5, 36))
+
+
+def test_one_third_table_rows_end_at_their_vertex():
+    # the rows of verify --lambda 1/3 --step 1/10 --refine 1 (the table
+    # golden): 1/3 is off the lattice, and every row but H3F max and A4C max
+    # ends at a vertex of the class polytope, with its exact value there: the
+    # closed form where there is one, 23 of them printed short of it when the
+    # polish started on the lattice; A5C min prints -1/9, above the -0.1361
+    # that the lattice start reached, on the edge towards -5/36
+    lam, cfg = F(1, 3), SearchConfig(grid_step=F(1, 10), refine_rounds=1)
+    open_rows = {("Z24", "min"): F(-5, 36), ("A5C", "max"): F(121, 81), ("A5C", "min"): F(-1, 9)}
+    certs = verify_bounds([lam], cfg)
+    at = [c for c in certs if c.argmax in vertex_points(lam, cfg.dims)]
+    assert [(c.functional, c.direction) for c in certs if c not in at] == [("H3F", "max"), ("A4C", "max")]
+    for c in at:
+        fn = functional_by_name(c.functional)
+        exact = open_rows.get((c.functional, c.direction), closed_form_bound(fn, lam, c.direction))
+        assert fn.evaluate(c.argmax) == exact, c
+        assert c.searched_value == fn.evaluate(tuple(map(float, c.argmax))) + 0.0
+
+
+@pytest.mark.parametrize("lam", [F(k, 12) for k in range(1, 13)] + [F(1, 10)], ids=str)
+@pytest.mark.parametrize("dims", range(1, 8))
+def test_vertices_match_the_oracle(dims, lam):
+    # the closed list against every choice of dims tight constraints out of
+    # dims + 2, solved over Fraction: 2 dims vertices, 2 at dims 1
+    d, got = _vertices(lam, dims)
+    assert d == lam.denominator * math.lcm(*range(1, dims)) and got == sorted(set(got))
+    assert vertex_points(lam, dims) == oracle_vertices(lam, dims)
+    assert len(got) == max(2 * dims, 2)
+
+
+DEFAULT_STEP_LAMBDAS = sorted({F(k, 12) for k in range(1, 13)} | {F(k, 7) for k in range(1, 8)}
+                              | {F(15, 100), F(35, 100), F(65, 100), F(9, 10)})
+
+
+@functools.cache
+def default_step_rows(lam, dims):
+    return {(c.functional, c.direction): c for c in verify_bounds([lam], SearchConfig(dims=dims))}
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_verify_rows_are_no_worse_than_the_polish_from_the_lattice(data):
+    # at the default step no verify row, which starts at the vertex that
+    # beats the sweep's point, ends worse than the polish from that point
+    lam = data.draw(st.sampled_from(DEFAULT_STEP_LAMBDAS))
+    dims = data.draw(st.integers(3, 5))
+    fn = data.draw(st.sampled_from(FUNCTIONALS))
+    direction = data.draw(st.sampled_from(["max", "min"]))
+    cfg = SearchConfig(dims=dims)
+    value, arg, _ = _sweep(lam, cfg, [fn], (direction,))[fn.name, direction]
+    polished = refine_by_fractions(lam, cfg, fn, direction, arg, value)[1]
+    got = default_step_rows(lam, dims)[fn.name, direction].searched_value
+    assert (got >= polished) if direction == "max" else (got <= polished)
+
+
+def test_refinement_scans_of_the_default_grid(monkeypatch):
+    # a deterministic count of the refinement's work: each scan of a pass is
+    # one array evaluate; the five-lambda grid at the defaults makes 674
+    # scans, and 1,288 when every polish started on the lattice
+    scans = collections.Counter()
+
+    def counted(fn):
+        def evaluate(b):
+            scans[fn.name] += isinstance(b[0], np.ndarray)
+            return fn.evaluate(b)
+        return dataclasses.replace(fn, evaluate=evaluate)
+
+    monkeypatch.setattr(ucv.search, "FUNCTIONALS", tuple(map(counted, FUNCTIONALS)))
+    certs = verify_bounds(GRID5)
+    assert len(certs) == 160 and set(scans) == set(FUNCTIONAL_NAMES)
+    assert sum(scans.values()) <= 700
 
 
 def spy_scoring(monkeypatch):
@@ -313,15 +411,16 @@ def an_reference(lam, cfg, n):
 
 def assert_an_sweep_is_exact(lam, cfg, n, directions):
     """The sweep's AN(n) winners in the directions asked for against the
-    exact brute force: the least and the greatest exact argmax and argmin,
-    each valued by one float evaluate at the least."""
+    exact brute force: the least exact argmax and argmin, each valued by
+    one float evaluate, and the vertex that strictly beats it."""
     fn = an_functional(n)
     got = _sweep(lam, cfg, [fn], directions)
     assert list(got) == [(fn.name, d) for d in directions]
     for direction in directions:
-        exact, arg, far = an_reference(lam, cfg, n)[fn.name, direction]
-        value, point, last = got[(fn.name, direction)]
-        assert (point, last) == (arg, far), (direction, point, last, arg, far)
+        exact, arg = an_reference(lam, cfg, n)[fn.name, direction]
+        value, point, vertex = got[(fn.name, direction)]
+        assert point == arg, (direction, point, arg)
+        assert vertex == best_vertex(lam, cfg, fn, direction, exact), (direction, vertex)
         assert value == fn.evaluate(tuple(float(x) for x in arg)) + 0.0
         assert math.copysign(1.0, value) == 1.0  # cleared of -0.0
         assert value == pytest.approx(float(exact), rel=1e-12, abs=1e-15)
@@ -552,8 +651,10 @@ def test_an_sweep_runs_no_recursion_per_point(monkeypatch):
 def test_an_sweep_holds_no_column_past_its_batch():
     # the sweep of conjecture --n 8 at step 1/80: 1,080,266 tails, 156,889
     # of them kept past the whole-tail bound, with eight columns each.  Its
-    # traced peak, 41.1 MB, is the tail lattice and its slack order; holding
-    # every kept column until one join took it to 53.1 MB
+    # traced peak, 30.3 MB, is the tail lattice and its slack order, with the
+    # order and each tail's last k1 in int32; the bound leaves 2.7 MB over
+    # that.  With both in int64 the peak was 41.1 MB, and holding every kept
+    # column until one join took it to 53.1 MB
     lam, cfg = F(1), SearchConfig(grid_step=F(1, 80), dims=7)
     tracemalloc.start()
     try:
@@ -562,8 +663,8 @@ def test_an_sweep_holds_no_column_past_its_batch():
     finally:
         tracemalloc.stop()
     arg = (F(2), F(1)) + (F(0),) * 5
-    assert got == {("AN(8)", "max"): (8.0, arg, arg)}
-    assert peak < 46 * 10**6
+    assert got == {("AN(8)", "max"): (8.0, arg, None)}
+    assert peak < 33 * 10**6
 
 
 # -- feasible enumeration ----------------------------------------------------
@@ -882,8 +983,12 @@ REFINE_CASES = [
     ("A2", "max", F(1, 2), SearchConfig(grid_step=F(1, 20))),
     ("G1", "min", F(3, 4), SearchConfig(grid_step=F(3, 20))),
     ("H3INV", "min", F(1, 4), SearchConfig(grid_step=F(1, 20))),
-    # an exact tie whose far end polishes to a better value than its least point
+    # the polish from a vertex over another denominator than the step's: 5/6 and 1/30
     ("Z24", "min", F(1, 3), SearchConfig(grid_step=F(1, 10))),
+    ("A5C", "min", F(1, 10), SearchConfig()),
+    ("A4", "max", F(3, 4), SearchConfig(dims=5)),
+    # and one whose polish moves off the vertex (5/8, 0, 3/8, 0), by moves scaled to D = 40 from the step's 10
+    ("H2F", "max", F(3, 4), SearchConfig(grid_step=F(1, 10), refine_rounds=1)),
     # D passes 2**53 mid-refinement: the pass moves from int64 to Python ints
     ("A3", "max", F(1, 2), SearchConfig(refine_rounds=15)),
     ("H2F", "max", F(1), SearchConfig(grid_step=F(1, 10), refine_rounds=15)),
@@ -892,15 +997,23 @@ REFINE_CASES = [
 ]
 
 
+# the cases where a vertex strictly beats the sweep's point
+VERTEX_STARTS = {("H3F", F(3, 4)), ("H3INV", F(1, 4)), ("Z24", F(1, 3)), ("A5C", F(1, 10)), ("A4", F(3, 4)),
+                 ("H2F", F(3, 4))}
+
+
 @pytest.mark.parametrize("name,direction,lam,cfg", REFINE_CASES, ids=lambda v: str(v))
 def test_refine_matches_fraction_reference(name, direction, lam, cfg):
+    # from the sweep's point, and from the vertex that beats it where one does
     fn = functional_by_name(name)
-    value, arg, far = _sweep(lam, cfg, [fn])[(fn.name, direction)]
-    got = _refine(lam, cfg, fn, direction, arg, value, far)
-    want = refine_by_fractions(lam, cfg, fn, direction, arg, value, far)
-    assert got == want
-    if cfg.refine_rounds == 0:
-        assert got == (arg, value, [value])
+    value, arg, vertex = _sweep(lam, cfg, [fn])[(fn.name, direction)]
+    starts = [(arg, value)] + ([(vertex, fn.evaluate(tuple(map(float, vertex))) + 0.0)] if vertex else [])
+    for start, at in starts:
+        got = _refine(lam, cfg, fn, direction, start, at)
+        assert got == refine_by_fractions(lam, cfg, fn, direction, start, at)
+        if cfg.refine_rounds == 0:
+            assert got == (start, at, [at])
+    assert (vertex is not None) == ((name, lam) in VERTEX_STARTS)
 
 
 def test_refine_exact_past_float_precision():
@@ -928,8 +1041,10 @@ def test_no_negative_zero_escapes(lam, cfg):
     incumbents = _sweep(lam, cfg, fns)
     for fn in fns:
         for direction in ("max", "min"):
-            value, arg, far = incumbents[(fn.name, direction)]
-            point, refined, history = _refine(lam, cfg, fn, direction, arg, value, far)
+            value, arg, vertex = incumbents[(fn.name, direction)]
+            if vertex:
+                arg, value = vertex, fn.evaluate(tuple(map(float, vertex))) + 0.0
+            point, refined, history = _refine(lam, cfg, fn, direction, arg, value)
             cert = _certificate(fn, lam, direction, refined, point)
             assert_no_negative_zero(value, refined, *history, cert.searched_value)
             if cert.gap is not None:
