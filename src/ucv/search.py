@@ -361,14 +361,14 @@ def _vertices(lam: Fraction, dims: int) -> tuple[int, list[tuple[int, ...]]]:
 
 def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional],
            directions: Sequence[str] = ("max", "min")) -> dict:
-    """Coarse lattice sweep; returns {(name, direction): (value, arg, vertex)} for the directions asked for.
+    """Coarse lattice sweep; returns {(name, direction): (point, vertex)} for the directions asked for, as (d, N).
 
     The tails are sorted once by p(-1) slack, most first, by a stable sort, so the tails feasible at b1 = k1 step are
     a prefix of them, and each tail's last feasible k1 falls along them.  Every functional is scored exactly per tail
-    (_exact_sweep), the registry in one pass and AN(n), whose score is |P|, in another.  arg is the least point of
-    the exact extremum, valued by one scalar float evaluate, cleared of -0.0.  vertex is the best vertex (_vertices,
-    the least of a tie) where it strictly beats arg, else None: at each vertex, over one denominator dv, the
-    functional's integer monomials give L dv^deg f, which is compared with the sweep's score of L den^deg f at arg."""
+    (_exact_sweep), the registry in one pass and AN(n), whose score is |P|, in another.  point is the least point of
+    the exact extremum, num k / den at step num / den.  vertex is the best vertex (_vertices, the least of a tie)
+    where it strictly beats point, else None: at each vertex, over one denominator dv, the functional's integer
+    monomials give L dv^deg f, which is compared with the sweep's score of L den^deg f at point."""
     step = cfg.grid_step
     top, budget_units = int(1 / step), int(lam / step)
     tails = _tail_units(budget_units, tuple(range(1, cfg.dims)))
@@ -396,12 +396,11 @@ def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional],
             ps = [abs(p) for p in ps] if absolute else ps
             for direction, s in signs.items():
                 score, (k1, tail) = won[f, direction]
-                arg = tuple(k * step for k in (k1, *tails[tail].tolist(), *pad))  # float(k step) is correctly rounded
-                value = float(fn.evaluate(tuple(map(float, arg)))) + 0.0
+                point = step.denominator, tuple(step.numerator * k for k in (k1, *tails[tail].tolist(), *pad))
                 i = max(range(len(at)), key=lambda i: s * ps[i])  # the first, least, vertex of a tie
                 better = s * ps[i] * step.denominator**deg > score * dv**deg
-                found[fn.name, direction] = value, arg, tuple(Fraction(c, dv) for c in vertices[i]) if better else None
-    return {(fn.name, d): found[fn.name, d] for fn in fns for d in directions}
+                found[fn.name, direction] = point, (dv, vertices[i]) if better else None
+    return found
 
 
 # -- refinement ------------------------------------------------------------
@@ -431,20 +430,20 @@ def _move_directions(dims: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _delta_table(dims: int, num: int) -> tuple[np.ndarray, np.ndarray]:
-    """The refinement's moves in trial order, as one gate matrix.
+def _delta_table(dims: int) -> tuple[np.ndarray, np.ndarray]:
+    """The refinement's moves in trial order, in steps, as one gate matrix.
 
-    The moves d are m k num for each move m of _move_directions at window
+    The moves d are m k for each move m of _move_directions at window
     scales k = 1..12, padded to the search width w.  Column i of the gate
     matrix G, C-contiguous of shape (w + 2, n), is (-d, budget(d),
     -alt(d)): budget(d) = sum i d_i is the change to the budget units and
-    alt(d) = -d_1 + d_2 - d_3 + ... the change to D p(-1).  So x + d is
-    feasible iff G[:, i] <= (x_1..x_w, lambda - budget(x), D p(-1))
-    entrywise.  lowers_i says the leading nonzero entry of d is negative,
-    which is x + d < x lexicographically.  Built once per (dims, num).
+    alt(d) = -d_1 + d_2 - d_3 + ... the change to D p(-1).  So x + d, d in
+    the point's units, is feasible iff G[:, i] <= h, the slack of _refine.
+    lowers_i says the leading nonzero entry of d is negative, which is
+    x + d < x lexicographically.  Built once per dims.
     """
     width = _width(dims)
-    rows = [tuple(m * k * num for m in move) + (0,) * (width - dims)
+    rows = [tuple(m * k for m in move) + (0,) * (width - dims)
             for move in _move_directions(dims) for k in range(1, _REFINE_WINDOW + 1)]
     d = np.array(rows, dtype=np.int64)
     budget = d @ np.arange(width, dtype=np.int64)
@@ -456,74 +455,75 @@ def _delta_table(dims: int, num: int) -> tuple[np.ndarray, np.ndarray]:
     return gates, lowers
 
 
-def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str, arg: tuple[Fraction, ...],
-            value: float) -> tuple[tuple[Fraction, ...], float, list[float]]:
-    """Shrinking-step local polish around the incumbent arg: the sweep's point, or the vertex that beats it.
+def _value(fn: Functional, point: tuple[int, tuple[int, ...]]) -> float:
+    # fn at N / d, point = (d, N), cleared of -0.0: int true division is correctly rounded, as is the polish's float64
+    return float(fn.evaluate(tuple(c / point[0] for c in point[1]))) + 0.0
 
-    Each round divides the step by 10 and makes up to six greedy passes over the moves of _delta_table; a round ends
-    at the first pass with no accept.  Returns the round value history for monotonicity checks.
 
-    The incumbent is an int vector x over one denominator D (the point x / D): first the lcm of the step's and arg's
-    denominators, where the moves of _delta_table, in units of 1 / den, scale by D / den; each round multiplies x
-    and D by 10.  A pass takes the gate columns of its remaining moves d, scores x + d as w contiguous rows, and
-    keeps what improves (a better value, or an equal one at a smaller point: the lowers flag) and passes the gate,
-    reduced over axis 0: every coordinate >= 0, the budget x_2 + 2 x_3 + ... within floor(lambda D) and
-    D p(-1) >= 0.  These imply the paper's b1 <= 1 + lambda (x_1 <= D + x_2 + x_4 + ... <= D + floor(lambda D)), so
-    no cap is set.  With b >= 0 and budget <= lambda <= 1 the sign test is the disk condition
-    (rootcheck.nonvanishing_in_open_disk), so the gate only re-checks the returned point, and a rejection raises.
-    The first hit is accepted, its value cleared of -0.0, and the pass goes on from the move after it: the
-    first-improvement order of one move at a time.  The arrays are int64 while 2 D + max |d| < 2**53, where
-    float64 c / D is Python's correctly rounded int true division bit for bit, and hold Python ints (dtype object)
-    past that: the same loop over Fraction.
+def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
+            start: tuple[int, tuple[int, ...]]) -> tuple[tuple[Fraction, ...], float]:
+    """Shrinking-step local polish from start = (d, N), the point N / d: the sweep's point, or the vertex that beats
+    it.  Returns the polished point as Fractions and its value.
+
+    Each round divides the step num / den by 10 and makes up to six greedy passes over the moves of _delta_table; a
+    round ends at the first pass with no accept.  A round whose step exceeds 2 is skipped: each move changes some
+    coordinate by more than 2, and the class keeps 0 <= b1 <= 1 + lambda <= 2 and 0 <= b_j <= lambda.
+
+    The point is an int vector x over one denominator D, first lcm(den, d), where a move in steps is num D / den
+    units; each round multiplies D by 10.  A round's whole state is one int column h = (x_1..x_w, floor(lambda D) -
+    (x_2 + 2 x_3 + ...), D p(-1)), the slack of the class polytope's constraints.  A pass scores the candidates
+    h[:w] - g[:w] of the gate columns g of its remaining moves as w contiguous rows, and keeps what improves (a
+    better value, or an equal one at a smaller point: the lowers flag) and passes the gate g <= h.  These imply
+    b1 <= 1 + lambda (x_1 <= D + x_2 + x_4 + ... <= D + floor(lambda D)).  With b >= 0 and budget <= lambda <= 1
+    the sign test is the disk condition (rootcheck.nonvanishing_in_open_disk), so the gate only re-checks the
+    returned point, with rounds, and a rejection raises.  The first hit is accepted, h -= g_j, and the pass goes on
+    from the move after it: first improvement, one move at a time.  The arrays are int64 while 2 D + max |d| < 2**53,
+    where float64 c / D is _value's correctly rounded c / D, and Python ints past that: the same loop over Fraction.
     """
-    if not cfg.refine_rounds:
-        return arg, value, [value]  # the sweep's point, kept by the sign test
-    table, ties = _delta_table(cfg.dims, cfg.grid_step.numerator)
-    D = math.lcm(cfg.grid_step.denominator, *(c.denominator for c in arg))
-    scale, width, n = D // cfg.grid_step.denominator, _width(cfg.dims), len(ties)
+    (d, N), value = start, _value(fn, start)
+    table, ties = _delta_table(cfg.dims)
+    num, den = cfg.grid_step.numerator, cfg.grid_step.denominator
+    D = math.lcm(den, d)
+    scale, width, n = num * D // den, _width(cfg.dims), len(ties)
     span = int(np.abs(table[:width]).max()) * scale
-    x, history = [int(c * D) for c in arg], [value]
-    for _ in range(cfg.refine_rounds):
-        D *= 10
-        x = [10 * c for c in x]
+    h = [c * (D // d) for c in N]
+    h += [0, D + sum(c if i % 2 else -c for i, c in enumerate(h))]
+    for r in range(1, cfg.refine_rounds + 1):
+        D, h = 10 * D, [10 * c for c in h]
+        h[width] = lam.numerator * D // lam.denominator - sum(i * c for i, c in enumerate(h[:width]))
+        if num > 2 * den * 10**r:
+            continue
         dtype = np.int64 if 2 * D + span < 2**53 else object
-        gates = table.astype(dtype, copy=False)
-        gates = gates * scale if scale > 1 else gates
-        lam_units = lam.numerator * D // lam.denominator
-        bx = sum(i * c for i, c in enumerate(x))
-        ax = D + sum(c if i % 2 else -c for i, c in enumerate(x))
+        gates = table.astype(dtype) * scale
+        h = np.array(h, dtype=dtype)[:, None]
         for _ in range(_REFINE_PASSES):
-            pos, improved = 0, False
+            pos = 0
             while pos < n:
-                g, h = gates[:, pos:], np.array(x + [lam_units - bx, ax], dtype=dtype)[:, None]
-                cand = h[:width] - g[:width]
-                v = fn.evaluate(tuple(np.asarray(cand / D, dtype=float)))
+                g = gates[:, pos:]
+                v = fn.evaluate(tuple(np.asarray((h[:width] - g[:width]) / D, dtype=float)))
                 better = v > value if direction == "max" else v < value
                 ok = (better | ((v == value) & ties[pos:])) & (g <= h).all(axis=0)
                 j = int(ok.argmax())
                 if not ok[j]:
                     break
-                x, value = cand[:, j].tolist(), float(v[j]) + 0.0  # clears -0.0
-                bx, ax = bx + int(g[width, j]), ax - int(g[width + 1, j])
-                pos, improved = pos + j + 1, True
-            if not improved:
+                h -= g[:, j, None]
+                value, pos = float(v[j]) + 0.0, pos + j + 1  # clears -0.0
+            if not pos:
                 break
-        history.append(value)
-    point = tuple(Fraction(c, D) for c in x)
-    if not nonvanishing_in_open_disk((Fraction(1),) + point):
+        h = h[:, 0].tolist()
+    point = tuple(Fraction(c, D) for c in h[:width])
+    if cfg.refine_rounds and not nonvanishing_in_open_disk((1, *point), (D, (D, *h[:width]))):
         raise RuntimeError(f"refined point {point} fails the disk gate")
-    return point, value, history
+    return point, value
 
 
 # -- public search API -----------------------------------------------------
 
 
-def _certify_row(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str, value: float,
-                 arg: tuple[Fraction, ...], vertex: tuple[Fraction, ...] | None) -> BoundCertificate:
+def _certify_row(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
+                 point: tuple[int, tuple[int, ...]], vertex: tuple[int, tuple[int, ...]] | None) -> BoundCertificate:
     """Refine one coarse incumbent, or the vertex that beats it, and certify it against the closed form."""
-    if vertex and cfg.refine_rounds:
-        arg, value = vertex, float(fn.evaluate(tuple(map(float, vertex)))) + 0.0
-    arg, value, _ = _refine(lam, cfg, fn, direction, arg, value)
+    arg, value = _refine(lam, cfg, fn, direction, vertex if vertex and cfg.refine_rounds else point)
     return _certificate(fn, lam, direction, value, arg)
 
 

@@ -371,7 +371,8 @@ def vertices_by_fractions(lam, dims: int) -> list[tuple[Fraction, ...]]:
 
 def refine_by_fractions(lam, cfg: SearchConfig, fn, direction: str, arg, value: float):
     """The refinement with Fraction points, from any rational arg;
-    returns (argmax, value, round history) as the search's _refine does.
+    returns (argmax, value, round history): the search's _refine returns
+    the first two, and the history holds its value after each round.
 
     Each round divides the step by 10; every pass tries each move at
     window scales 1..12 from the current incumbent and accepts a candidate

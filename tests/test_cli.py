@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from ucv.cli import CSV_HEADER, EXIT_FAIL, EXIT_NONMEMBER, EXIT_OK, EXIT_USAGE, _build_parser, main
+from ucv.model import functional_by_name
+from ucv.rootcheck import as_rational
 from ucv.search import SearchConfig
 
 F = Fraction
@@ -287,6 +289,19 @@ def test_verify_lambda_one_reports_the_violation(capsys):
     assert code == EXIT_FAIL
     fails = [line for line in out.strip().split("\n") if ",FAIL," in line]
     assert fails and all(line.split(",")[1] == "H2F" for line in fails)
+
+
+@pytest.mark.parametrize("step", ["2e17", "1e19", "1e400"])
+def test_verify_at_a_step_past_every_coordinate(capsys, step):
+    # moves past int64 (2e17, 1e19) or past the float range (1e400): every polish round's step exceeds 2, so no move
+    # can stay in the class and the round is skipped; each row is still valued at its argmax
+    code, out, err = run(capsys, "verify", "--lambda", "1", "--step", step, "--format", "csv")
+    assert code in (EXIT_OK, EXIT_FAIL) and err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 32
+    for _, name, _, searched, *_, argmax in rows:
+        exact = functional_by_name(name).evaluate(tuple(as_rational(x) for x in argmax.split(";")))
+        assert float(searched) == pytest.approx(float(exact), rel=1e-12, abs=1e-12)
 
 
 def test_verify_json_is_valid_and_ordered(capsys):

@@ -52,6 +52,7 @@ from ucv.search import (
     _refine,
     _sweep,
     _tail_units,
+    _value,
     _vertices,
     closed_form_bound,
     conjecture_scan,
@@ -97,6 +98,18 @@ def oracle_vertices(lam, dims):
     return vertices_by_fractions(lam, dims)
 
 
+def as_fractions(point):
+    """A search point (d, N), the point N / d, as Fractions; None stays None."""
+    return point and tuple(F(c, point[0]) for c in point[1])
+
+
+def swept(got, fn, direction):
+    """A row of _sweep's result as (its point's value by _value, the point,
+    the vertex that beats it or None), the points as Fractions."""
+    point, vertex = got[fn.name, direction]
+    return _value(fn, point), as_fractions(point), as_fractions(vertex)
+
+
 def vertex_points(lam, dims):
     d, vertices = _vertices(lam, dims)
     return [tuple(F(c, d) for c in v) for v in vertices]
@@ -120,7 +133,7 @@ def assert_sweep_matches_brute_force(lam, cfg):
     for fn in fns:
         for direction in ("max", "min"):
             exact, arg = sweep_reference(lam, cfg)[fn.name, direction]
-            value, point, vertex = got[fn.name, direction]
+            value, point, vertex = swept(got, fn, direction)
             assert point == arg, (fn.name, direction, point, arg)
             assert vertex == best_vertex(lam, cfg, fn, direction, exact), (fn.name, direction, vertex)
             assert value == fn.evaluate(tuple(float(x) for x in arg)) + 0.0
@@ -203,7 +216,7 @@ def test_sweep_tie_along_a_segment_goes_to_the_least_point(monkeypatch, block):
         monkeypatch.setattr(ucv.search, "_SWEEP_BLOCK", block)
     ties = [b for b in enumerate_feasible(lam, cfg) if segment.evaluate(b) == 1]
     assert ties == [(F(1, 2) + F(j, 8), 1 - F(j, 4), F(j, 8), F(0)) for j in range(4)]
-    assert _sweep(lam, cfg, [segment])[("SEGMENT", "max")][:2] == (1.0, ties[0])
+    assert swept(_sweep(lam, cfg, [segment]), segment, "max")[:2] == (1.0, ties[0])
 
 
 @pytest.mark.parametrize("block", [None, 1, 3 * 41], ids=["default", "one cell", "123 cells"])
@@ -220,7 +233,7 @@ def test_sweep_tie_in_slack_order_goes_to_the_least_tail(monkeypatch, lam, cfg, 
            Functional("B3", None, lambda b: b[2], lambda lam: (None, None))]
     got = _sweep(lam, cfg, fns)
     zero = (F(0),) * max(4, cfg.dims)
-    assert got[("B1", "min")][:2] == got[("B3", "min")][:2] == (0.0, zero)
+    assert swept(got, fns[0], "min")[:2] == swept(got, fns[1], "min")[:2] == (0.0, zero)
 
 
 # exact ties whose floats differ by an ulp, so that a float score would
@@ -245,7 +258,7 @@ def test_sweep_takes_the_least_of_an_exact_tie(name, direction, lam, cfg, value,
     assert [values[b] for b in points] == [value] * 2 and min(b for b in values if values[b] == value) == points[0]
     floats = [fn.evaluate(tuple(float(x) for x in b)) for b in points]
     assert floats[0] != floats[1]
-    assert _sweep(lam, cfg, [fn], (direction,))[(name, direction)][:2] == (floats[0] + 0.0, points[0])
+    assert swept(_sweep(lam, cfg, [fn], (direction,)), fn, direction)[:2] == (floats[0] + 0.0, points[0])
 
 
 def test_refine_starts_at_the_vertex_that_beats_an_exact_tie():
@@ -254,10 +267,11 @@ def test_refine_starts_at_the_vertex_that_beats_an_exact_tie():
     # reaches -5/36, and no move improves it: the polish from the least
     # point alone stops on the b2 axis at -0.1089
     fn, lam, cfg = functional_by_name("Z24"), F(1, 3), SearchConfig(grid_step=F(1, 10), refine_rounds=1)
-    value, arg, vertex = _sweep(lam, cfg, [fn], ("min",))[("Z24", "min")]
+    got = _sweep(lam, cfg, [fn], ("min",))
+    _, arg, vertex = swept(got, fn, "min")
     assert arg == EXACT_TIES[2][-1][0] and vertex == (F(5, 6), F(0), F(1, 6), F(0))
     assert fn.evaluate(vertex) == F(-5, 36)
-    assert _refine(lam, cfg, fn, "min", arg, value)[:2] == ((F(0), F(33, 100), F(0), F(0)), -0.10890000000000001)
+    assert _refine(lam, cfg, fn, "min", got["Z24", "min"][0]) == ((F(0), F(33, 100), F(0), F(0)), -0.10890000000000001)
     c = optimize(fn, lam, "min", cfg)
     assert c.argmax == vertex and c.searched_value == fn.evaluate(tuple(map(float, vertex))) == float(F(-5, 36))
 
@@ -311,7 +325,7 @@ def test_verify_rows_are_no_worse_than_the_polish_from_the_lattice(data):
     fn = data.draw(st.sampled_from(FUNCTIONALS))
     direction = data.draw(st.sampled_from(["max", "min"]))
     cfg = SearchConfig(dims=dims)
-    value, arg, _ = _sweep(lam, cfg, [fn], (direction,))[fn.name, direction]
+    value, arg, _ = swept(_sweep(lam, cfg, [fn], (direction,)), fn, direction)
     polished = refine_by_fractions(lam, cfg, fn, direction, arg, value)[1]
     got = default_step_rows(lam, dims)[fn.name, direction].searched_value
     assert (got >= polished) if direction == "max" else (got <= polished)
@@ -333,6 +347,23 @@ def test_refinement_scans_of_the_default_grid(monkeypatch):
     certs = verify_bounds(GRID5)
     assert len(certs) == 160 and set(scans) == set(FUNCTIONAL_NAMES)
     assert sum(scans.values()) <= 700
+
+
+def test_fractions_built_by_the_default_grid(monkeypatch):
+    # a deterministic count of the Fractions that one verify of the
+    # five-lambda grid builds once its caches are warm: 1,314, where
+    # rebuilding each point as Fractions between the sweep and the polish
+    # took 2,970
+    verify_bounds(GRID5)
+    built, new = [0], Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert len(verify_bounds(GRID5)) == 160
+    assert 0 < built[0] <= 1_600
 
 
 def spy_scoring(monkeypatch):
@@ -374,7 +405,7 @@ def test_registry_sweep_scores_a_small_share_of_its_points(monkeypatch):
     assert points == 56_855_021
     scored = spy_scoring(monkeypatch)
     got = _sweep(lam, cfg, FUNCTIONALS)
-    assert got[("A3", "max")][:2] == (5.0, (F(2), F(1), F(0), F(0)))
+    assert swept(got, functional_by_name("A3"), "max")[:2] == (5.0, (F(2), F(1), F(0), F(0)))
     cells = {key: sum(math.prod(shape) for shape in shapes) for key, shapes in scored.items()}
     assert 0 < cells["bounds"] <= points / 8
     assert 0 < cells["tables"] <= points / 200
@@ -418,7 +449,7 @@ def assert_an_sweep_is_exact(lam, cfg, n, directions):
     assert list(got) == [(fn.name, d) for d in directions]
     for direction in directions:
         exact, arg = an_reference(lam, cfg, n)[fn.name, direction]
-        value, point, vertex = got[(fn.name, direction)]
+        value, point, vertex = swept(got, fn, direction)
         assert point == arg, (direction, point, arg)
         assert vertex == best_vertex(lam, cfg, fn, direction, exact), (direction, vertex)
         assert value == fn.evaluate(tuple(float(x) for x in arg)) + 0.0
@@ -495,7 +526,7 @@ def test_an_tie_grid_ties_across_tails():
     assert hi == F(243, 1024)
     assert ties == [(F(3, 4),) + (F(0),) * 4, (F(3, 4), F(3, 4)) + (F(0),) * 3]
     # slack order puts b2 = 3/4 (key -1) ahead of the zero tail (key 0)
-    assert _sweep(lam, cfg, [an_functional(n)], ("max",))[("AN(6)", "max")][1] == ties[0]
+    assert as_fractions(_sweep(lam, cfg, [an_functional(n)], ("max",))[("AN(6)", "max")][0]) == ties[0]
 
 
 def test_an_run_tie_grid_ties_inside_a_tail():
@@ -504,7 +535,7 @@ def test_an_run_tie_grid_ties_inside_a_tail():
     ties = [b for b in enumerate_feasible(lam, cfg) if abs(an_coefficient_by_recursion(b, n)) == hi]
     assert hi == F(16, 27)
     assert ties == [(F(2, 3), F(2, 3), F(0), F(0)), (F(4, 3), F(2, 3), F(0), F(0))]
-    assert _sweep(lam, cfg, [an_functional(n)], ("max",))[("AN(4)", "max")][1] == ties[0]
+    assert as_fractions(_sweep(lam, cfg, [an_functional(n)], ("max",))[("AN(4)", "max")][0]) == ties[0]
 
 
 def draw_columns(data):
@@ -610,7 +641,8 @@ def test_an_conjecture_sweep_scores_under_a_quarter_of_its_points(monkeypatch):
     points = int(np.maximum(51 - tails.astype(int) @ np.array([-1, 1, -1, 1]), 0).sum())
     assert points == 941_438
     scored = spy_scoring(monkeypatch)
-    assert _sweep(lam, cfg, [an_functional(6)], ("max",))[("AN(6)", "max")][0] == 6.0
+    fn = an_functional(6)
+    assert swept(_sweep(lam, cfg, [fn], ("max",)), fn, "max")[0] == 6.0
     cells = {key: sum(math.prod(shape) for shape in shapes) for key, shapes in scored.items()}
     assert 0 < sum(cells.values()) <= points / 4
     assert 0 < cells["tables"] <= points / 100
@@ -618,9 +650,9 @@ def test_an_conjecture_sweep_scores_under_a_quarter_of_its_points(monkeypatch):
 
 
 def test_an_sweep_runs_no_recursion_per_point(monkeypatch):
-    # _an_coefficient runs once per sweep on polynomials in (b1, b2..b_dims)
-    # and once per winner on floats, one per direction asked for: never on
-    # the points' arrays; each chunk of tails (six coefficients each, in at
+    # _an_coefficient runs once per sweep on polynomials in (b1, b2..b_dims),
+    # and never on floats (the polish values the winner) nor on the points'
+    # arrays; each chunk of tails (six coefficients each, in at
     # most _CHUNK cells, and at most _BATCH tails) reads its columns off the
     # one expansion
     calls = collections.Counter()
@@ -645,7 +677,7 @@ def test_an_sweep_runs_no_recursion_per_point(monkeypatch):
     size = min(ucv.search._CHUNK // 6, ucv.search._BATCH)
     assert tails > 2 * size
     _sweep(lam, cfg, [an_functional(6)], ("max",))
-    assert calls == {"build": 1, "chunk": -(-tails // size), "scalar": 1}
+    assert calls == {"build": 1, "chunk": -(-tails // size)}
 
 
 def test_an_sweep_holds_no_column_past_its_batch():
@@ -662,8 +694,8 @@ def test_an_sweep_holds_no_column_past_its_batch():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arg = (F(2), F(1)) + (F(0),) * 5
-    assert got == {("AN(8)", "max"): (8.0, arg, None)}
+    assert list(got) == [("AN(8)", "max")]
+    assert swept(got, an_functional(8), "max") == (8.0, (F(2), F(1)) + (F(0),) * 5, None)
     assert peak < 33 * 10**6
 
 
@@ -951,19 +983,17 @@ def test_optimize_deterministic():
     assert a == b
 
 
-def test_refinement_history_monotone():
-    cfg = SearchConfig(grid_step=F(1, 20))
-    a4, h2f = functional_by_name("A4"), functional_by_name("H2F")
-    coarse, arg, _ = _sweep(F(37, 100), cfg, [a4])[("A4", "max")]
-    up = _refine(F(37, 100), cfg, a4, "max", arg, coarse)[2]
-    assert up[0] == coarse
-    assert up == sorted(up)
-    coarse, arg, _ = _sweep(F(61, 100), cfg, [h2f])[("H2F", "min")]
-    down = _refine(F(61, 100), cfg, h2f, "min", arg, coarse)[2]
-    assert down == sorted(down, reverse=True)
-    # a history that stands still is sorted too, so each must also move
-    assert up[-1] > up[0]
-    assert down[-1] < down[0]
+@pytest.mark.parametrize("name,direction,lam", [("A4", "max", F(37, 100)), ("H2F", "min", F(61, 100))], ids=str)
+def test_refinement_rounds_monotone(name, direction, lam):
+    # the values after 0, 1, 2 and 3 rounds from the sweep's point: the
+    # Fraction reference's round history, no round makes the value worse,
+    # and the polish does move it
+    fn, cfg = functional_by_name(name), SearchConfig(grid_step=F(1, 20))
+    point = _sweep(lam, cfg, [fn], (direction,))[fn.name, direction][0]
+    values = [_refine(lam, dataclasses.replace(cfg, refine_rounds=r), fn, direction, point)[1] for r in range(4)]
+    assert values == refine_by_fractions(lam, cfg, fn, direction, as_fractions(point), _value(fn, point))[2]
+    assert values == sorted(values, reverse=direction == "min")
+    assert values[-1] != values[0]
 
 
 REFINE_CASES = [
@@ -991,6 +1021,9 @@ REFINE_CASES = [
     ("H2F", "max", F(3, 4), SearchConfig(grid_step=F(1, 10), refine_rounds=1)),
     # D passes 2**53 mid-refinement: the pass moves from int64 to Python ints
     ("A3", "max", F(1, 2), SearchConfig(refine_rounds=15)),
+    # and from a vertex start: (0, 0, 0, lambda/3) over 6 10**13 beats the lattice point, and D passes 2**53 by
+    # round 3
+    ("A5C", "min", F(1, 10**13), SearchConfig()),
     ("H2F", "max", F(1), SearchConfig(grid_step=F(1, 10), refine_rounds=15)),
     # the 7-row gate table (width 5) on Python ints; the point nears 2/7 with b4 > 0
     ("H2F", "max", F(1), SearchConfig(grid_step=F(1, 10), dims=5, refine_rounds=15)),
@@ -999,20 +1032,19 @@ REFINE_CASES = [
 
 # the cases where a vertex strictly beats the sweep's point
 VERTEX_STARTS = {("H3F", F(3, 4)), ("H3INV", F(1, 4)), ("Z24", F(1, 3)), ("A5C", F(1, 10)), ("A4", F(3, 4)),
-                 ("H2F", F(3, 4))}
+                 ("H2F", F(3, 4)), ("A5C", F(1, 10**13))}
 
 
 @pytest.mark.parametrize("name,direction,lam,cfg", REFINE_CASES, ids=lambda v: str(v))
 def test_refine_matches_fraction_reference(name, direction, lam, cfg):
     # from the sweep's point, and from the vertex that beats it where one does
     fn = functional_by_name(name)
-    value, arg, vertex = _sweep(lam, cfg, [fn])[(fn.name, direction)]
-    starts = [(arg, value)] + ([(vertex, fn.evaluate(tuple(map(float, vertex))) + 0.0)] if vertex else [])
-    for start, at in starts:
-        got = _refine(lam, cfg, fn, direction, start, at)
-        assert got == refine_by_fractions(lam, cfg, fn, direction, start, at)
+    point, vertex = _sweep(lam, cfg, [fn])[(fn.name, direction)]
+    for start in [point] + [vertex] * bool(vertex):
+        got = _refine(lam, cfg, fn, direction, start)
+        assert got == refine_by_fractions(lam, cfg, fn, direction, as_fractions(start), _value(fn, start))[:2]
         if cfg.refine_rounds == 0:
-            assert got == (start, at, [at])
+            assert got == (as_fractions(start), _value(fn, start))
     assert (vertex is not None) == ((name, lam) in VERTEX_STARTS)
 
 
@@ -1041,12 +1073,11 @@ def test_no_negative_zero_escapes(lam, cfg):
     incumbents = _sweep(lam, cfg, fns)
     for fn in fns:
         for direction in ("max", "min"):
-            value, arg, vertex = incumbents[(fn.name, direction)]
-            if vertex:
-                arg, value = vertex, fn.evaluate(tuple(map(float, vertex))) + 0.0
-            point, refined, history = _refine(lam, cfg, fn, direction, arg, value)
-            cert = _certificate(fn, lam, direction, refined, point)
-            assert_no_negative_zero(value, refined, *history, cert.searched_value)
+            point, vertex = incumbents[(fn.name, direction)]
+            start = vertex or point
+            arg, refined = _refine(lam, cfg, fn, direction, start)
+            cert = _certificate(fn, lam, direction, refined, arg)
+            assert_no_negative_zero(_value(fn, point), _value(fn, start), refined, cert.searched_value)
             if cert.gap is not None:
                 assert_no_negative_zero(cert.gap)
     # the winner is b1 = 0, where A2C = -b1 evaluates to -0.0
@@ -1058,9 +1089,12 @@ def test_no_negative_zero_escapes(lam, cfg):
 def test_refine_tie_walk_at_zero_keeps_positive_zero():
     # every accepted move ties A2C = -b1 = 0 at a smaller point and evaluates to -0.0
     fn = functional_by_name("A2C")
-    point, value, history = _refine(F(1, 2), SearchConfig(), fn, "max", (F(0), F(1, 50), F(0), F(0)), 0.0)
-    assert point == (0, 0, 0, 0) and len(history) == 4
-    assert_no_negative_zero(value, *history)
+    start = (50, (0, 1, 0, 0))  # (0, 1/50, 0, 0)
+    assert _value(fn, start) == 0
+    for rounds in range(4):
+        point, value = _refine(F(1, 2), SearchConfig(refine_rounds=rounds), fn, "max", start)
+        assert point == ((0, 0, 0, 0) if rounds else (0, F(1, 50), 0, 0))
+        assert_no_negative_zero(value)
 
 
 @pytest.mark.parametrize("dims", range(1, 6))
@@ -1112,14 +1146,13 @@ def test_move_directions_shape():
     assert list(moves) == sorted(moves)
 
 
-@pytest.mark.parametrize("num", (1, 3))
 @pytest.mark.parametrize("dims", range(1, 7))
-def test_delta_table_layout(dims, num):
-    gates, lowers = _delta_table(dims, num)
+def test_delta_table_layout(dims):
+    gates, lowers = _delta_table(dims)
     width, moves = max(4, dims), _move_directions(dims)
     assert gates.flags.c_contiguous
     assert gates.shape == (width + 2, 12 * len(moves)) and lowers.shape == (gates.shape[1],)
-    columns = [[c * k * num for c in m] + [0] * (width - dims) for m in moves for k in range(1, 13)]
+    columns = [[c * k for c in m] + [0] * (width - dims) for m in moves for k in range(1, 13)]
     for i, d in enumerate(columns):
         budget = sum(j * c for j, c in enumerate(d))
         alt = sum(c if j % 2 else -c for j, c in enumerate(d))  # -d_1 + d_2 - d_3 + ...
