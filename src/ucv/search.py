@@ -460,45 +460,82 @@ def _value(fn: Functional, point: tuple[int, tuple[int, ...]]) -> float:
     return float(fn.evaluate(tuple(c / point[0] for c in point[1]))) + 0.0
 
 
+def _rounds(lam: Fraction, cfg: SearchConfig, start: tuple[int, tuple[int, ...]], first: int = 1):
+    """Yield (r, D, h, gates) for each round r >= first of a polish from start = (d, N), the rounds before it making
+    no move.  A round whose step num / (den 10^r) exceeds 2 is skipped: each move changes some coordinate by more
+    than 2, and the class keeps 0 <= b1 <= 1 + lambda <= 2 and 0 <= b_j <= lambda.
+
+    The point is an int vector x over D = lcm(den, d) 10^r, where a move in steps is num D / (den 10^r) units.  h is
+    the round's slack column (x_1..x_w, floor(lambda D) - (x_2 + 2 x_3 + ...), D p(-1)), the budget slack floored
+    again each round, and gates _delta_table's gate matrix in units: int64 while 2 D + max |d| < 2**53, where float64
+    c / D is _value's correctly rounded c / D, and Python ints past that.  A caller's moves on h, made in place, carry
+    into the later rounds."""
+    (d, N), width = start, _width(cfg.dims)
+    num, den = cfg.grid_step.numerator, cfg.grid_step.denominator
+    D, table, gates = math.lcm(den, d), _delta_table(cfg.dims)[0], None
+    scale, x = num * D // den, [c * (D // d) for c in N]
+    span = int(np.abs(table[:width]).max()) * scale
+    for r in range(1, cfg.refine_rounds + 1):
+        D, x = 10 * D, [10 * c for c in x]
+        if r < first or num > 2 * den * 10**r:
+            continue
+        dtype = np.int64 if 2 * D + span < 2**53 else object
+        if gates is None or gates.dtype != dtype:
+            gates = table.astype(dtype) * scale
+        slack = lam.numerator * D // lam.denominator - sum(i * c for i, c in enumerate(x))
+        h = np.array(x + [slack, D + sum(c if i % 2 else -c for i, c in enumerate(x))], dtype=dtype)[:, None]
+        yield r, D, h, gates
+        x = h[:width, 0].tolist()
+
+
+def _first_passes(lam: Fraction, cfg: SearchConfig, start: tuple[int, tuple[int, ...]]) -> tuple:
+    """(cand, gate, lowers, rounds, stop): the first scan of each int64 round of a polish from start with no move
+    before it, which does not depend on the functional.  The rounds' scans follow one another: cand holds the
+    candidates h[:w] - g[:w] over D as w float rows, gate the mask g <= h, lowers _delta_table's flags; rounds names
+    each scan's round, and stop is the first round not held, the first on Python ints or refine_rounds + 1."""
+    width, lowers = _width(cfg.dims), _delta_table(cfg.dims)[1]
+    cand, gate, rounds, stop = [np.empty((width, 0))], [np.empty(0, dtype=bool)], [], cfg.refine_rounds + 1
+    for r, D, h, gates in _rounds(lam, cfg, start):
+        if h.dtype == object:
+            stop = r
+            break
+        cand.append((h[:width] - gates[:width]) / D)
+        gate.append((gates <= h).all(axis=0))
+        rounds.append(r)
+    return tuple(np.hstack(cand)), np.concatenate(gate), np.tile(lowers, len(rounds)), rounds, stop
+
+
 def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
-            start: tuple[int, tuple[int, ...]]) -> tuple[tuple[Fraction, ...], float]:
+            start: tuple[int, tuple[int, ...]], blocks: dict) -> tuple[tuple[Fraction, ...], float]:
     """Shrinking-step local polish from start = (d, N), the point N / d: the sweep's point, or the vertex that beats
     it.  Returns the polished point as Fractions and its value.
 
-    Each round divides the step num / den by 10 and makes up to six greedy passes over the moves of _delta_table; a
-    round ends at the first pass with no accept.  A round whose step exceeds 2 is skipped: each move changes some
-    coordinate by more than 2, and the class keeps 0 <= b1 <= 1 + lambda <= 2 and 0 <= b_j <= lambda.
+    Each round (_rounds) divides the step num / den by 10 and makes up to six greedy passes over the moves of
+    _delta_table; a round ends at the first pass with no accept.  A pass scores the candidates h[:w] - g[:w] of the
+    gate columns g of its remaining moves as w contiguous rows, and keeps what improves (a better value, or an equal
+    one at a smaller point: the lowers flag) and passes the gate g <= h.  These imply b1 <= 1 + lambda (x_1 <= D +
+    x_2 + x_4 + ... <= D + floor(lambda D)).  With b >= 0 and budget <= lambda <= 1 the sign test is the disk
+    condition (rootcheck.nonvanishing_in_open_disk), so the gate only re-checks the returned point, with rounds, and
+    a rejection raises.  The first hit is accepted, h -= g_j, and the pass goes on from the move after it: first
+    improvement, one move at a time.
 
-    The point is an int vector x over one denominator D, first lcm(den, d), where a move in steps is num D / den
-    units; each round multiplies D by 10.  A round's whole state is one int column h = (x_1..x_w, floor(lambda D) -
-    (x_2 + 2 x_3 + ...), D p(-1)), the slack of the class polytope's constraints.  A pass scores the candidates
-    h[:w] - g[:w] of the gate columns g of its remaining moves as w contiguous rows, and keeps what improves (a
-    better value, or an equal one at a smaller point: the lowers flag) and passes the gate g <= h.  These imply
-    b1 <= 1 + lambda (x_1 <= D + x_2 + x_4 + ... <= D + floor(lambda D)).  With b >= 0 and budget <= lambda <= 1
-    the sign test is the disk condition (rootcheck.nonvanishing_in_open_disk), so the gate only re-checks the
-    returned point, with rounds, and a rejection raises.  The first hit is accepted, h -= g_j, and the pass goes on
-    from the move after it: first improvement, one move at a time.  The arrays are int64 while 2 D + max |d| < 2**53,
-    where float64 c / D is _value's correctly rounded c / D, and Python ints past that: the same loop over Fraction.
+    No round moves before some first pass has a hit, so the start, in lowest terms, keys its _first_passes block in
+    blocks, shared by every row that starts there.  One evaluate on the block finds the first round with a hit; the
+    passes run from that round, else from the block's stop, and the start comes back when there is no such round.
     """
-    (d, N), value = start, _value(fn, start)
-    table, ties = _delta_table(cfg.dims)
-    num, den = cfg.grid_step.numerator, cfg.grid_step.denominator
-    D = math.lcm(den, d)
-    scale, width, n = num * D // den, _width(cfg.dims), len(ties)
-    span = int(np.abs(table[:width]).max()) * scale
-    h = [c * (D // d) for c in N]
-    h += [0, D + sum(c if i % 2 else -c for i, c in enumerate(h))]
-    for r in range(1, cfg.refine_rounds + 1):
-        D, h = 10 * D, [10 * c for c in h]
-        h[width] = lam.numerator * D // lam.denominator - sum(i * c for i, c in enumerate(h[:width]))
-        if num > 2 * den * 10**r:
-            continue
-        dtype = np.int64 if 2 * D + span < 2**53 else object
-        gates = table.astype(dtype) * scale
-        h = np.array(h, dtype=dtype)[:, None]
+    g = math.gcd(start[0], *start[1])
+    start = start[0] // g, tuple(c // g for c in start[1])
+    value, width, ties = _value(fn, start), _width(cfg.dims), _delta_table(cfg.dims)[1]
+    cand, gate, lowers, rounds, first = blocks[start] = blocks.get(start) or _first_passes(lam, cfg, start)
+    if rounds:
+        v = fn.evaluate(cand)
+        ok = ((v > value if direction == "max" else v < value) | ((v == value) & lowers)) & gate
+        first = rounds[int(ok.argmax()) // len(ties)] if ok.any() else first
+    D, x = start  # returned as it is when no round is left to run
+    for _, D, h, gates in _rounds(lam, cfg, start, first) if first <= cfg.refine_rounds else ():
         for _ in range(_REFINE_PASSES):
             pos = 0
-            while pos < n:
+            while pos < len(ties):
                 g = gates[:, pos:]
                 v = fn.evaluate(tuple(np.asarray((h[:width] - g[:width]) / D, dtype=float)))
                 better = v > value if direction == "max" else v < value
@@ -510,9 +547,9 @@ def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
                 value, pos = float(v[j]) + 0.0, pos + j + 1  # clears -0.0
             if not pos:
                 break
-        h = h[:, 0].tolist()
-    point = tuple(Fraction(c, D) for c in h[:width])
-    if cfg.refine_rounds and not nonvanishing_in_open_disk((1, *point), (D, (D, *h[:width]))):
+        x = h[:width, 0].tolist()
+    point = tuple(Fraction(c, D) for c in x)
+    if cfg.refine_rounds and not nonvanishing_in_open_disk((1, *point), (D, (D, *x))):
         raise RuntimeError(f"refined point {point} fails the disk gate")
     return point, value
 
@@ -520,10 +557,11 @@ def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
 # -- public search API -----------------------------------------------------
 
 
-def _certify_row(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
+def _certify_row(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str, blocks: dict,
                  point: tuple[int, tuple[int, ...]], vertex: tuple[int, tuple[int, ...]] | None) -> BoundCertificate:
-    """Refine one coarse incumbent, or the vertex that beats it, and certify it against the closed form."""
-    arg, value = _refine(lam, cfg, fn, direction, vertex if vertex and cfg.refine_rounds else point)
+    """Refine one coarse incumbent, or the vertex that beats it, and certify it against the closed form; blocks
+    holds the first-pass blocks of lam's starts (_refine)."""
+    arg, value = _refine(lam, cfg, fn, direction, vertex if vertex and cfg.refine_rounds else point, blocks)
     return _certificate(fn, lam, direction, value, arg)
 
 
@@ -535,7 +573,7 @@ def optimize(fn: Union[Functional, str], lam: RationalIn, direction: str,
     fn = functional_by_name(fn) if isinstance(fn, str) else fn
     lam = lambda_in_range(lam)
     cfg = cfg or SearchConfig()
-    return _certify_row(lam, cfg, fn, direction, *_sweep(lam, cfg, [fn], (direction,))[(fn.name, direction)])
+    return _certify_row(lam, cfg, fn, direction, {}, *_sweep(lam, cfg, [fn], (direction,))[(fn.name, direction)])
 
 
 def verify_bounds(lambda_grid: Sequence[RationalIn], cfg: SearchConfig | None = None) -> list[BoundCertificate]:
@@ -544,15 +582,17 @@ def verify_bounds(lambda_grid: Sequence[RationalIn], cfg: SearchConfig | None = 
     Each lambda gets one shared coarse sweep, with its vertex pass, that
     feeds its 32 rows (the sweep itself is the pointwise never-exceed
     check: each incumbent dominates every feasible grid point), which are
-    then refined and certified.  Every lambda is range-checked before any
-    sweep starts.  Row order: grid order, then functional order, then max
-    before min.
+    then refined and certified.  The rows of a lambda that start at one
+    point share that point's first-pass block (_refine), which lives
+    until the lambda's last row.  Every lambda is range-checked before
+    any sweep starts.  Row order: grid order, then functional order, then
+    max before min.
     """
     cfg = cfg or SearchConfig()
     certs = []
     for lam in [lambda_in_range(raw) for raw in lambda_grid]:
-        incumbents = _sweep(lam, cfg, FUNCTIONALS, ("max", "min"))
-        certs += [_certify_row(lam, cfg, fn, direction, *incumbents[(fn.name, direction)])
+        incumbents, blocks = _sweep(lam, cfg, FUNCTIONALS, ("max", "min")), {}
+        certs += [_certify_row(lam, cfg, fn, direction, blocks, *incumbents[(fn.name, direction)])
                   for fn in FUNCTIONALS for direction in ("max", "min")]
     return certs
 

@@ -397,12 +397,12 @@ def refine_by_fractions(lam, cfg: SearchConfig, fn, direction: str, arg, value: 
             for move in moves:
                 for k in range(1, _REFINE_WINDOW + 1):
                     cand = tuple(x + m * k * step for x, m in zip(best, move))
-                    if cand[0] > cap or any(x < 0 for x in cand):
+                    # the box and the budget first: past them no coordinate exceeds 2, so the floats of a
+                    # step such as 10**399 are never formed
+                    if cand[0] > cap or any(x < 0 for x in cand) or sum(n * x for n, x in enumerate(cand)) > lam:
                         continue
                     v = fn.evaluate(tuple(float(x) for x in cand)) + 0.0
                     if not (sign * (v - best_value) > 0 or (v == best_value and cand < best)):
-                        continue
-                    if sum(n * x for n, x in enumerate(cand)) > lam:
                         continue
                     if nonvanishing_in_open_disk((Fraction(1),) + cand):
                         best, best_value, improved = cand, v, True

@@ -271,7 +271,7 @@ def test_refine_starts_at_the_vertex_that_beats_an_exact_tie():
     _, arg, vertex = swept(got, fn, "min")
     assert arg == EXACT_TIES[2][-1][0] and vertex == (F(5, 6), F(0), F(1, 6), F(0))
     assert fn.evaluate(vertex) == F(-5, 36)
-    assert _refine(lam, cfg, fn, "min", got["Z24", "min"][0]) == ((F(0), F(33, 100), F(0), F(0)), -0.10890000000000001)
+    assert _refine(lam, cfg, fn, "min", got["Z24", "min"][0], {}) == ((F(0), F(33, 100), F(0), F(0)), -0.10890000000000001)
     c = optimize(fn, lam, "min", cfg)
     assert c.argmax == vertex and c.searched_value == fn.evaluate(tuple(map(float, vertex))) == float(F(-5, 36))
 
@@ -332,10 +332,15 @@ def test_verify_rows_are_no_worse_than_the_polish_from_the_lattice(data):
 
 
 def test_refinement_scans_of_the_default_grid(monkeypatch):
-    # a deterministic count of the refinement's work: each scan of a pass is
-    # one array evaluate; the five-lambda grid at the defaults makes 674
-    # scans, and 1,288 when every polish started on the lattice
-    scans = collections.Counter()
+    # a deterministic count of the refinement's work: each row's evaluate on
+    # its start's first-pass block, and each scan of a pass after it, is one
+    # array evaluate; the five-lambda grid at the defaults makes 402, where a
+    # scan of every round's first pass per row made 674, and 1,288 when every
+    # polish started on the lattice.  Its 160 rows start at 40 distinct
+    # (lambda, point) pairs, one block each: none is built twice, and no
+    # lambda reads another's
+    scans, blocks = collections.Counter(), []
+    first_passes = ucv.search._first_passes
 
     def counted(fn):
         def evaluate(b):
@@ -343,10 +348,16 @@ def test_refinement_scans_of_the_default_grid(monkeypatch):
             return fn.evaluate(b)
         return dataclasses.replace(fn, evaluate=evaluate)
 
+    def built(lam, cfg, start):
+        blocks.append((lam, start))
+        return first_passes(lam, cfg, start)
+
     monkeypatch.setattr(ucv.search, "FUNCTIONALS", tuple(map(counted, FUNCTIONALS)))
+    monkeypatch.setattr(ucv.search, "_first_passes", built)
     certs = verify_bounds(GRID5)
     assert len(certs) == 160 and set(scans) == set(FUNCTIONAL_NAMES)
-    assert sum(scans.values()) <= 700
+    assert sum(scans.values()) <= 420
+    assert len(blocks) == len(set(blocks)) == 40
 
 
 def test_fractions_built_by_the_default_grid(monkeypatch):
@@ -990,7 +1001,7 @@ def test_refinement_rounds_monotone(name, direction, lam):
     # and the polish does move it
     fn, cfg = functional_by_name(name), SearchConfig(grid_step=F(1, 20))
     point = _sweep(lam, cfg, [fn], (direction,))[fn.name, direction][0]
-    values = [_refine(lam, dataclasses.replace(cfg, refine_rounds=r), fn, direction, point)[1] for r in range(4)]
+    values = [_refine(lam, dataclasses.replace(cfg, refine_rounds=r), fn, direction, point, {})[1] for r in range(4)]
     assert values == refine_by_fractions(lam, cfg, fn, direction, as_fractions(point), _value(fn, point))[2]
     assert values == sorted(values, reverse=direction == "min")
     assert values[-1] != values[0]
@@ -1027,12 +1038,18 @@ REFINE_CASES = [
     ("H2F", "max", F(1), SearchConfig(grid_step=F(1, 10), refine_rounds=15)),
     # the 7-row gate table (width 5) on Python ints; the point nears 2/7 with b4 > 0
     ("H2F", "max", F(1), SearchConfig(grid_step=F(1, 10), dims=5, refine_rounds=15)),
+    # the narrowest and a wide search: dims 2 (width 4) and dims 6, both polishes moving
+    ("A5C", "min", F(1, 3), SearchConfig(grid_step=F(1, 7), dims=2)),
+    ("A5C", "min", F(3, 4), SearchConfig(grid_step=F(1, 10), dims=6)),
+    # steps past int64 and past the float range: every round is skipped, from the origin and from a vertex
+    ("A4", "max", F(1), SearchConfig(grid_step=F(10**19))),
+    ("H3F", "min", F(1, 2), SearchConfig(grid_step=F(10**400))),
 ]
 
 
 # the cases where a vertex strictly beats the sweep's point
 VERTEX_STARTS = {("H3F", F(3, 4)), ("H3INV", F(1, 4)), ("Z24", F(1, 3)), ("A5C", F(1, 10)), ("A4", F(3, 4)),
-                 ("H2F", F(3, 4)), ("A5C", F(1, 10**13))}
+                 ("H2F", F(3, 4)), ("A5C", F(1, 10**13)), ("A4", F(1)), ("H3F", F(1, 2))}
 
 
 @pytest.mark.parametrize("name,direction,lam,cfg", REFINE_CASES, ids=lambda v: str(v))
@@ -1041,11 +1058,68 @@ def test_refine_matches_fraction_reference(name, direction, lam, cfg):
     fn = functional_by_name(name)
     point, vertex = _sweep(lam, cfg, [fn])[(fn.name, direction)]
     for start in [point] + [vertex] * bool(vertex):
-        got = _refine(lam, cfg, fn, direction, start)
+        got = _refine(lam, cfg, fn, direction, start, {})
         assert got == refine_by_fractions(lam, cfg, fn, direction, as_fractions(start), _value(fn, start))[:2]
         if cfg.refine_rounds == 0:
             assert got == (as_fractions(start), _value(fn, start))
     assert (vertex is not None) == ((name, lam) in VERTEX_STARTS)
+
+
+# verify grids whose rows share starts: the defaults and the golden grid of tests/expected (lambda = 1/3, step 1/10,
+# --refine 1), then no rounds, 15 rounds, dims 2 and 6, Python-int rounds from round 3 and two steps that skip
+# every round
+SHARED_GRIDS = [
+    (GRID5, SearchConfig()),
+    ([F(1, 3)], SearchConfig(grid_step=F(1, 10), refine_rounds=1)),
+    ([F(1, 2)], SearchConfig(refine_rounds=0)),
+    ([F(1, 2)], SearchConfig(grid_step=F(1, 10), refine_rounds=15)),
+    ([F(3, 4)], SearchConfig(dims=2)),
+    ([F(3, 4)], SearchConfig(grid_step=F(1, 10), dims=6)),
+    ([F(1, 10**13)], SearchConfig()),
+    ([F(1)], SearchConfig(grid_step=F(10**19))),
+    ([F(1)], SearchConfig(grid_step=F(10**400))),
+]
+
+
+@pytest.mark.parametrize("lams,cfg", SHARED_GRIDS, ids=str)
+def test_rows_that_share_a_start_match_their_polish_alone(lams, cfg):
+    # a verify row reads the first-pass block of its start, which the lambda's other rows from that start share:
+    # each row is the polish of its row alone, and the rows of the largest group that share a start (its first
+    # three) are the Fraction reference's
+    certs = iter(verify_bounds(lams, cfg))
+    for lam in lams:
+        incumbents, groups = _sweep(lam, cfg, FUNCTIONALS), collections.defaultdict(list)
+        for fn, direction in itertools.product(FUNCTIONALS, ("max", "min")):
+            point, vertex = incumbents[fn.name, direction]
+            start, cert = vertex if vertex and cfg.refine_rounds else point, next(certs)
+            got = cert.argmax, cert.searched_value
+            assert got == _refine(lam, cfg, fn, direction, start, {}), (lam, fn.name, direction)
+            groups[as_fractions(start)].append((fn, direction, start, got))
+        shared = max(groups.values(), key=len)
+        assert len(shared) > 1
+        for fn, direction, start, got in shared[:3]:
+            assert got == refine_by_fractions(lam, cfg, fn, direction, as_fractions(start), _value(fn, start))[:2]
+
+
+def test_polish_starts_in_lowest_terms(monkeypatch):
+    # _vertices gives A5C min's vertex at lambda = 1/10**13 over 6 10**13, as (0, 0, 0, 2); in lowest terms, over
+    # 3 10**13, round 2's D = 3 10**15 keeps it on int64, so one scan (round 3's) runs on Python ints, where the
+    # unreduced D = 6 10**15 took two
+    lam, cfg, fn = F(1, 10**13), SearchConfig(), functional_by_name("A5C")
+    vertex = _sweep(lam, cfg, [fn], ("min",))[fn.name, "min"][1]
+    assert vertex == (6 * 10**13, (0, 0, 0, 2))
+    dtypes, asarray = [], np.asarray
+
+    def spy(a, *args, **kwargs):
+        dtypes.append(getattr(a, "dtype", None))
+        return asarray(a, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "asarray", spy)
+        got = _refine(lam, cfg, fn, "min", vertex, {})
+    assert dtypes.count(np.dtype(object)) == 1
+    assert got == _refine(lam, cfg, fn, "min", (3 * 10**13, (0, 0, 0, 1)), {})
+    assert got == refine_by_fractions(lam, cfg, fn, "min", as_fractions(vertex), _value(fn, vertex))[:2]
 
 
 def test_refine_exact_past_float_precision():
@@ -1075,7 +1149,7 @@ def test_no_negative_zero_escapes(lam, cfg):
         for direction in ("max", "min"):
             point, vertex = incumbents[(fn.name, direction)]
             start = vertex or point
-            arg, refined = _refine(lam, cfg, fn, direction, start)
+            arg, refined = _refine(lam, cfg, fn, direction, start, {})
             cert = _certificate(fn, lam, direction, refined, arg)
             assert_no_negative_zero(_value(fn, point), _value(fn, start), refined, cert.searched_value)
             if cert.gap is not None:
@@ -1092,7 +1166,7 @@ def test_refine_tie_walk_at_zero_keeps_positive_zero():
     start = (50, (0, 1, 0, 0))  # (0, 1/50, 0, 0)
     assert _value(fn, start) == 0
     for rounds in range(4):
-        point, value = _refine(F(1, 2), SearchConfig(refine_rounds=rounds), fn, "max", start)
+        point, value = _refine(F(1, 2), SearchConfig(refine_rounds=rounds), fn, "max", start, {})
         assert point == ((0, 0, 0, 0) if rounds else (0, F(1, 50), 0, 0))
         assert_no_negative_zero(value)
 
