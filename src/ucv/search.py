@@ -438,7 +438,7 @@ def _delta_table(dims: int) -> tuple[np.ndarray, np.ndarray]:
     matrix G, C-contiguous of shape (w + 2, n), is (-d, budget(d),
     -alt(d)): budget(d) = sum i d_i is the change to the budget units and
     alt(d) = -d_1 + d_2 - d_3 + ... the change to D p(-1).  So x + d, d in
-    the point's units, is feasible iff G[:, i] <= h, the slack of _refine.
+    the point's units, is feasible iff G[:, i] <= h, the slack of _state.
     lowers_i says the leading nonzero entry of d is negative, which is
     x + d < x lexicographically.  Built once per dims.
     """
@@ -460,49 +460,42 @@ def _value(fn: Functional, point: tuple[int, tuple[int, ...]]) -> float:
     return float(fn.evaluate(tuple(c / point[0] for c in point[1]))) + 0.0
 
 
-def _rounds(lam: Fraction, cfg: SearchConfig, start: tuple[int, tuple[int, ...]], first: int = 1):
-    """Yield (r, D, h, gates) for each round r >= first of a polish from start = (d, N), the rounds before it making
-    no move.  A round whose step num / (den 10^r) exceeds 2 is skipped: each move changes some coordinate by more
-    than 2, and the class keeps 0 <= b1 <= 1 + lambda <= 2 and 0 <= b_j <= lambda.
+def _state(lam: Fraction, cfg: SearchConfig, point: tuple[int, tuple[int, ...]], r: int) -> tuple | None:
+    """The polish's state at point = (d, N) for a run of its rounds from r on, or None when no round is left: (D, h,
+    gates, ties, end, scan).  A round whose step num / (den 10^r) exceeds 2 is left out: each move changes some
+    coordinate by more than 2, and the class keeps 0 <= b1 <= 1 + lambda <= 2 and 0 <= b_j <= lambda.
 
-    The point is an int vector x over D = lcm(den, d) 10^r, where a move in steps is num D / (den 10^r) units.  h is
-    the round's slack column (x_1..x_w, floor(lambda D) - (x_2 + 2 x_3 + ...), D p(-1)), the budget slack floored
-    again each round, and gates _delta_table's gate matrix in units: int64 while 2 D + max |d| < 2**53, where float64
-    c / D is _value's correctly rounded c / D, and Python ints past that.  A caller's moves on h, made in place, carry
-    into the later rounds."""
-    (d, N), width = start, _width(cfg.dims)
+    The point is an int vector x over one D = lcm(den 10^q, d), q the run's last round, where a move of round r is
+    num D / (den 10^r) units.  h is the slack column (x_1..x_w, floor(lambda D) - (x_2 + 2 x_3 + ...), D p(-1)),
+    gates the run's gate matrices of _delta_table in units, side by side in round order, and ties their flags; end
+    is the first round after the run.  The run is the longest whose D keeps 2 D + max |d| < 2**53, grown from r, so
+    that float64 c / D is _value's correctly rounded c / D on int64; a round past that is a run of its own on Python
+    ints.  scan is the first scan of every column (_scan)."""
+    (d, N), (table, lowers) = point, _delta_table(cfg.dims)
     num, den = cfg.grid_step.numerator, cfg.grid_step.denominator
-    D, table, gates = math.lcm(den, d), _delta_table(cfg.dims)[0], None
-    scale, x = num * D // den, [c * (D // d) for c in N]
-    span = int(np.abs(table[:width]).max()) * scale
-    for r in range(1, cfg.refine_rounds + 1):
-        D, x = 10 * D, [10 * c for c in x]
-        if r < first or num > 2 * den * 10**r:
-            continue
-        dtype = np.int64 if 2 * D + span < 2**53 else object
-        if gates is None or gates.dtype != dtype:
-            gates = table.astype(dtype) * scale
-        slack = lam.numerator * D // lam.denominator - sum(i * c for i, c in enumerate(x))
-        h = np.array(x + [slack, D + sum(c if i % 2 else -c for i, c in enumerate(x))], dtype=dtype)[:, None]
-        yield r, D, h, gates
-        x = h[:width, 0].tolist()
+    while r <= cfg.refine_rounds and num > 2 * den * 10**r:
+        r += 1
+    if r > cfg.refine_rounds:
+        return None
+    span = int(np.abs(table[:-2]).max()) * num  # max |d| is span D / (den 10^r), the coarsest round's
+
+    def fits(D):
+        return 2 * D + span * D // (den * 10**r) < 2**53
+
+    D, end = math.lcm(den * 10**r, d), r + 1
+    while end <= cfg.refine_rounds and fits(math.lcm(den * 10**end, d)):
+        D, end = math.lcm(den * 10**end, d), end + 1
+    dtype = np.int64 if fits(D) else object
+    gates = np.hstack([table.astype(dtype) * (num * D // (den * 10**q)) for q in range(r, end)])
+    x = [c * (D // d) for c in N]
+    slack = lam.numerator * D // lam.denominator - sum(i * c for i, c in enumerate(x))
+    h = np.array(x + [slack, D + sum(c if i % 2 else -c for i, c in enumerate(x))], dtype=dtype)[:, None]
+    return D, h, gates, np.tile(lowers, end - r), end, _scan(D, h, gates)
 
 
-def _first_passes(lam: Fraction, cfg: SearchConfig, start: tuple[int, tuple[int, ...]]) -> tuple:
-    """(cand, gate, lowers, rounds, stop): the first scan of each int64 round of a polish from start with no move
-    before it, which does not depend on the functional.  The rounds' scans follow one another: cand holds the
-    candidates h[:w] - g[:w] over D as w float rows, gate the mask g <= h, lowers _delta_table's flags; rounds names
-    each scan's round, and stop is the first round not held, the first on Python ints or refine_rounds + 1."""
-    width, lowers = _width(cfg.dims), _delta_table(cfg.dims)[1]
-    cand, gate, rounds, stop = [np.empty((width, 0))], [np.empty(0, dtype=bool)], [], cfg.refine_rounds + 1
-    for r, D, h, gates in _rounds(lam, cfg, start):
-        if h.dtype == object:
-            stop = r
-            break
-        cand.append((h[:width] - gates[:width]) / D)
-        gate.append((gates <= h).all(axis=0))
-        rounds.append(r)
-    return tuple(np.hstack(cand)), np.concatenate(gate), np.tile(lowers, len(rounds)), rounds, stop
+def _scan(D: int, h: np.ndarray, gates: np.ndarray) -> tuple:
+    # the candidates h[:w] - g[:w] over D of the gate columns g, as w float rows, and the gate mask g <= h
+    return tuple(np.asarray((h[:-2] - gates[:-2]) / D, dtype=float)), (gates <= h).all(axis=0)
 
 
 def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
@@ -510,44 +503,47 @@ def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
     """Shrinking-step local polish from start = (d, N), the point N / d: the sweep's point, or the vertex that beats
     it.  Returns the polished point as Fractions and its value.
 
-    Each round (_rounds) divides the step num / den by 10 and makes up to six greedy passes over the moves of
-    _delta_table; a round ends at the first pass with no accept.  A pass scores the candidates h[:w] - g[:w] of the
-    gate columns g of its remaining moves as w contiguous rows, and keeps what improves (a better value, or an equal
-    one at a smaller point: the lowers flag) and passes the gate g <= h.  These imply b1 <= 1 + lambda (x_1 <= D +
-    x_2 + x_4 + ... <= D + floor(lambda D)).  With b >= 0 and budget <= lambda <= 1 the sign test is the disk
-    condition (rootcheck.nonvanishing_in_open_disk), so the gate only re-checks the returned point, with rounds, and
-    a rejection raises.  The first hit is accepted, h -= g_j, and the pass goes on from the move after it: first
+    Each round divides the step num / den by 10 and makes up to six greedy passes over the moves of _delta_table; a
+    round ends at the first pass with no accept.  A pass scores the candidates h[:w] - g[:w] of the gate columns g
+    of its remaining moves as w contiguous rows, and keeps what improves (a better value, or an equal one at a
+    smaller point: the ties flag) and passes the gate g <= h.  These imply b1 <= 1 + lambda (x_1 <= D + x_2 + x_4 +
+    ... <= D + floor(lambda D)).  With b >= 0 and budget <= lambda <= 1 the sign test is the disk condition
+    (rootcheck.nonvanishing_in_open_disk), so the gate only re-checks the returned point, with rounds, and a
+    rejection raises.  The first hit is accepted, h - g_j, and the pass goes on from the move after it: first
     improvement, one move at a time.
 
-    No round moves before some first pass has a hit, so the start, in lowest terms, keys its _first_passes block in
-    blocks, shared by every row that starts there.  One evaluate on the block finds the first round with a hit; the
-    passes run from that round, else from the block's stop, and the start comes back when there is no such round.
+    The rounds of a run share one state (_state), a round's moves being the same table at a smaller scale.  A round
+    whose first pass accepts nothing leaves the state as it was, so a round's first pass scans the columns of every
+    round of the run left, and its first hit is the next accept, in the round it falls in.  The start, in lowest
+    terms, keys its state and that state's first scan in blocks, shared by every row that starts there.
     """
     g = math.gcd(start[0], *start[1])
     start = start[0] // g, tuple(c // g for c in start[1])
-    value, width, ties = _value(fn, start), _width(cfg.dims), _delta_table(cfg.dims)[1]
-    cand, gate, lowers, rounds, first = blocks[start] = blocks.get(start) or _first_passes(lam, cfg, start)
-    if rounds:
-        v = fn.evaluate(cand)
-        ok = ((v > value if direction == "max" else v < value) | ((v == value) & lowers)) & gate
-        first = rounds[int(ok.argmax()) // len(ties)] if ok.any() else first
+    if start not in blocks:
+        blocks[start] = _state(lam, cfg, start, 1)
+    state, value, moves = blocks[start], _value(fn, start), len(_delta_table(cfg.dims)[1])
     D, x = start  # returned as it is when no round is left to run
-    for _, D, h, gates in _rounds(lam, cfg, start, first) if first <= cfg.refine_rounds else ():
-        for _ in range(_REFINE_PASSES):
-            pos = 0
-            while pos < len(ties):
-                g = gates[:, pos:]
-                v = fn.evaluate(tuple(np.asarray((h[:width] - g[:width]) / D, dtype=float)))
+    while state:
+        D, h, gates, ties, end, scan = state
+        lo, hi, passes = 0, len(ties), 0  # a pass scans columns lo..hi-1: a round's, or all left from lo on
+        while lo < len(ties):
+            pos = lo
+            while pos < hi:
+                cand, gate = scan or _scan(D, h, gates[:, pos:hi])
+                v, scan = fn.evaluate(cand), None
                 better = v > value if direction == "max" else v < value
-                ok = (better | ((v == value) & ties[pos:])) & (g <= h).all(axis=0)
+                ok = (better | ((v == value) & ties[pos:hi])) & gate
                 j = int(ok.argmax())
                 if not ok[j]:
                     break
-                h -= g[:, j, None]
-                value, pos = float(v[j]) + 0.0, pos + j + 1  # clears -0.0
-            if not pos:
-                break
-        x = h[:width, 0].tolist()
+                pos += j
+                h, value = h - gates[:, pos, None], float(v[j]) + 0.0  # clears -0.0
+                lo, hi, pos = pos - pos % moves, pos - pos % moves + moves, pos + 1
+            passes += 1
+            if pos == lo or passes == _REFINE_PASSES:  # the round ends
+                lo, hi, passes = hi, len(ties), 0
+        x = h[:-2, 0].tolist()
+        state = _state(lam, cfg, (D, x), end)
     point = tuple(Fraction(c, D) for c in x)
     if cfg.refine_rounds and not nonvanishing_in_open_disk((1, *point), (D, (D, *x))):
         raise RuntimeError(f"refined point {point} fails the disk gate")
@@ -560,7 +556,7 @@ def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
 def _certify_row(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str, blocks: dict,
                  point: tuple[int, tuple[int, ...]], vertex: tuple[int, tuple[int, ...]] | None) -> BoundCertificate:
     """Refine one coarse incumbent, or the vertex that beats it, and certify it against the closed form; blocks
-    holds the first-pass blocks of lam's starts (_refine)."""
+    holds the polish states of lam's starts (_refine)."""
     arg, value = _refine(lam, cfg, fn, direction, vertex if vertex and cfg.refine_rounds else point, blocks)
     return _certificate(fn, lam, direction, value, arg)
 
@@ -583,8 +579,8 @@ def verify_bounds(lambda_grid: Sequence[RationalIn], cfg: SearchConfig | None = 
     feeds its 32 rows (the sweep itself is the pointwise never-exceed
     check: each incumbent dominates every feasible grid point), which are
     then refined and certified.  The rows of a lambda that start at one
-    point share that point's first-pass block (_refine), which lives
-    until the lambda's last row.  Every lambda is range-checked before
+    point share that point's polish state and its first scan (_refine),
+    which live until the lambda's last row.  Every lambda is range-checked before
     any sweep starts.  Row order: grid order, then functional order, then
     max before min.
     """

@@ -332,6 +332,16 @@ def test_verify_grid_csv_matches_benchmark_expected(capsys):
     assert out == "".join(lines)
 
 
+def test_verify_grid_refine6_csv_golden(capsys):
+    # the five-lambda grid with six polish rounds, byte for byte: each row's six rounds share one int64 state, and a
+    # row whose rounds accept nothing ahead of one that moves (H3INV max at 0.1: rounds 2 and 3) finds its next
+    # accept by one scan of every round left
+    expected = Path(__file__).resolve().parent / "expected" / "verify_grid_refine6.csv"
+    code, out, _ = run(capsys, "verify", "--grid", "0.1,0.25,0.5,0.75,1", "--refine", "6", "--format", "csv")
+    assert code == EXIT_FAIL
+    assert out == expected.read_text()
+
+
 def test_verify_table_renders(capsys):
     code, out, _ = run(capsys, "verify", "--lambda", "1/3", "--step", "1/10",
                        "--refine", "1")

@@ -331,16 +331,42 @@ def test_verify_rows_are_no_worse_than_the_polish_from_the_lattice(data):
     assert (got >= polished) if direction == "max" else (got <= polished)
 
 
+def spy_scans(monkeypatch):
+    """Record the dtype of the state each scan of the polish reads."""
+    scan, dtypes = ucv.search._scan, []
+
+    def spy(D, h, gates):
+        dtypes.append(h.dtype)
+        return scan(D, h, gates)
+
+    monkeypatch.setattr(ucv.search, "_scan", spy)
+    return dtypes
+
+
+def spy_states(monkeypatch):
+    """Record the (lambda, point, first round, D, end) of each state the polish builds, None where no round is
+    left."""
+    state, states = ucv.search._state, []
+
+    def built(lam, cfg, point, r):
+        got = state(lam, cfg, point, r)
+        states.append(got and (lam, point, r, got[0], got[4]))
+        return got
+
+    monkeypatch.setattr(ucv.search, "_state", built)
+    return states
+
+
 def test_refinement_scans_of_the_default_grid(monkeypatch):
     # a deterministic count of the refinement's work: each row's evaluate on
-    # its start's first-pass block, and each scan of a pass after it, is one
-    # array evaluate; the five-lambda grid at the defaults makes 402, where a
-    # scan of every round's first pass per row made 674, and 1,288 when every
-    # polish started on the lattice.  Its 160 rows start at 40 distinct
-    # (lambda, point) pairs, one block each: none is built twice, and no
-    # lambda reads another's
-    scans, blocks = collections.Counter(), []
-    first_passes = ucv.search._first_passes
+    # its start's first scan, and each scan after it, is one array evaluate;
+    # the five-lambda grid at the defaults makes 384, where scanning a
+    # round's first pass again after the scan of every round that found its
+    # hit made 402, a scan of every round's first pass per row made 674, and
+    # 1,288 when every polish started on the lattice.  Its 160 rows start at
+    # 40 distinct (lambda, point) pairs, one state each, which serves all
+    # three rounds: none is built twice, and no lambda reads another's
+    scans, states = collections.Counter(), spy_states(monkeypatch)
 
     def counted(fn):
         def evaluate(b):
@@ -348,16 +374,13 @@ def test_refinement_scans_of_the_default_grid(monkeypatch):
             return fn.evaluate(b)
         return dataclasses.replace(fn, evaluate=evaluate)
 
-    def built(lam, cfg, start):
-        blocks.append((lam, start))
-        return first_passes(lam, cfg, start)
-
     monkeypatch.setattr(ucv.search, "FUNCTIONALS", tuple(map(counted, FUNCTIONALS)))
-    monkeypatch.setattr(ucv.search, "_first_passes", built)
     certs = verify_bounds(GRID5)
     assert len(certs) == 160 and set(scans) == set(FUNCTIONAL_NAMES)
-    assert sum(scans.values()) <= 420
-    assert len(blocks) == len(set(blocks)) == 40
+    assert sum(scans.values()) <= 390
+    built = [s for s in states if s]
+    assert len(built) == len(set(built)) == 40
+    assert {(r, end) for *_, r, _, end in built} == {(1, 4)}
 
 
 def test_fractions_built_by_the_default_grid(monkeypatch):
@@ -1041,6 +1064,13 @@ REFINE_CASES = [
     # the narrowest and a wide search: dims 2 (width 4) and dims 6, both polishes moving
     ("A5C", "min", F(1, 3), SearchConfig(grid_step=F(1, 7), dims=2)),
     ("A5C", "min", F(3, 4), SearchConfig(grid_step=F(1, 10), dims=6)),
+    # rounds that accept nothing ahead of one that moves (test_flat_rounds_accept_nothing): H3INV max's rounds 2 and
+    # 3, A5C min's round 4
+    ("H3INV", "max", F(1, 10), SearchConfig(refine_rounds=6)),
+    ("A5C", "min", F(3, 4), SearchConfig(refine_rounds=6)),
+    # a first pass whose hit falls rounds ahead at step 1/10, fifteen rounds: the passes after it are that round's
+    ("A4C", "max", F(1, 10), SearchConfig(grid_step=F(1, 10), refine_rounds=15)),
+    ("H2F", "max", F(1, 2), SearchConfig(grid_step=F(1, 10), refine_rounds=15)),
     # steps past int64 and past the float range: every round is skipped, from the origin and from a vertex
     ("A4", "max", F(1), SearchConfig(grid_step=F(10**19))),
     ("H3F", "min", F(1, 2), SearchConfig(grid_step=F(10**400))),
@@ -1049,7 +1079,7 @@ REFINE_CASES = [
 
 # the cases where a vertex strictly beats the sweep's point
 VERTEX_STARTS = {("H3F", F(3, 4)), ("H3INV", F(1, 4)), ("Z24", F(1, 3)), ("A5C", F(1, 10)), ("A4", F(3, 4)),
-                 ("H2F", F(3, 4)), ("A5C", F(1, 10**13)), ("A4", F(1)), ("H3F", F(1, 2))}
+                 ("H2F", F(3, 4)), ("A5C", F(1, 10**13)), ("A4", F(1)), ("H3F", F(1, 2)), ("H2F", F(1, 2))}
 
 
 @pytest.mark.parametrize("name,direction,lam,cfg", REFINE_CASES, ids=lambda v: str(v))
@@ -1065,9 +1095,24 @@ def test_refine_matches_fraction_reference(name, direction, lam, cfg):
     assert (vertex is not None) == ((name, lam) in VERTEX_STARTS)
 
 
+@pytest.mark.parametrize("name,direction,lam,flat", [("H3INV", "max", F(1, 10), [2, 3]), ("A5C", "min", F(3, 4), [4])],
+                         ids=str)
+def test_flat_rounds_accept_nothing(name, direction, lam, flat):
+    # the polish of one to six rounds from the sweep's point: the rounds in flat leave the point as it was, and the
+    # round after them moves it to a strictly better value, so a round's first pass that scans every round left
+    # finds its hit past the flat ones
+    fn, cfg = functional_by_name(name), SearchConfig()
+    start = _sweep(lam, cfg, [fn], (direction,))[fn.name, direction][0]
+    got = [_refine(lam, dataclasses.replace(cfg, refine_rounds=r), fn, direction, start, {}) for r in range(1, 7)]
+    for r in flat:
+        assert got[r - 1] == got[r - 2]
+    (before, low), (after, high) = got[flat[-1] - 1], got[flat[-1]]
+    assert before != after and (high > low if direction == "max" else high < low)
+
+
 # verify grids whose rows share starts: the defaults and the golden grid of tests/expected (lambda = 1/3, step 1/10,
-# --refine 1), then no rounds, 15 rounds, dims 2 and 6, Python-int rounds from round 3 and two steps that skip
-# every round
+# --refine 1), then no rounds, 15 rounds, dims 2 and 6, a vertex over 3 10**13 whose one int64 state serves three
+# rounds, states on Python ints from round 1 (D >= 10**17), and two steps that skip every round
 SHARED_GRIDS = [
     (GRID5, SearchConfig()),
     ([F(1, 3)], SearchConfig(grid_step=F(1, 10), refine_rounds=1)),
@@ -1076,6 +1121,7 @@ SHARED_GRIDS = [
     ([F(3, 4)], SearchConfig(dims=2)),
     ([F(3, 4)], SearchConfig(grid_step=F(1, 10), dims=6)),
     ([F(1, 10**13)], SearchConfig()),
+    ([F(1, 10**17)], SearchConfig()),
     ([F(1)], SearchConfig(grid_step=F(10**19))),
     ([F(1)], SearchConfig(grid_step=F(10**400))),
 ]
@@ -1083,7 +1129,7 @@ SHARED_GRIDS = [
 
 @pytest.mark.parametrize("lams,cfg", SHARED_GRIDS, ids=str)
 def test_rows_that_share_a_start_match_their_polish_alone(lams, cfg):
-    # a verify row reads the first-pass block of its start, which the lambda's other rows from that start share:
+    # a verify row reads the state and first scan of its start, which the lambda's other rows from that start share:
     # each row is the polish of its row alone, and the rows of the largest group that share a start (its first
     # three) are the Fraction reference's
     certs = iter(verify_bounds(lams, cfg))
@@ -1103,23 +1149,27 @@ def test_rows_that_share_a_start_match_their_polish_alone(lams, cfg):
 
 def test_polish_starts_in_lowest_terms(monkeypatch):
     # _vertices gives A5C min's vertex at lambda = 1/10**13 over 6 10**13, as (0, 0, 0, 2); in lowest terms, over
-    # 3 10**13, round 2's D = 3 10**15 keeps it on int64, so one scan (round 3's) runs on Python ints, where the
-    # unreduced D = 6 10**15 took two
+    # 3 10**13, one D = lcm(50 10**3, 3 10**13) = 3 10**13 serves all three rounds on int64, so no scan runs on
+    # Python ints, where re-expressing the point over lcm(50, 3 10**13) 10**r in each round r put round 3 on them
     lam, cfg, fn = F(1, 10**13), SearchConfig(), functional_by_name("A5C")
     vertex = _sweep(lam, cfg, [fn], ("min",))[fn.name, "min"][1]
     assert vertex == (6 * 10**13, (0, 0, 0, 2))
-    dtypes, asarray = [], np.asarray
-
-    def spy(a, *args, **kwargs):
-        dtypes.append(getattr(a, "dtype", None))
-        return asarray(a, *args, **kwargs)
-
     with monkeypatch.context() as m:
-        m.setattr(np, "asarray", spy)
+        dtypes, states = spy_scans(m), spy_states(m)
         got = _refine(lam, cfg, fn, "min", vertex, {})
-    assert dtypes.count(np.dtype(object)) == 1
+    assert states == [(lam, (3 * 10**13, (0, 0, 0, 1)), 1, 3 * 10**13, 4), None]
+    assert dtypes and set(dtypes) == {np.dtype(np.int64)}
     assert got == _refine(lam, cfg, fn, "min", (3 * 10**13, (0, 0, 0, 1)), {})
     assert got == refine_by_fractions(lam, cfg, fn, "min", as_fractions(vertex), _value(fn, vertex))[:2]
+
+
+def test_polish_leaves_int64_once(monkeypatch):
+    # A3 max at lambda = 1/2, fifteen rounds: the rounds from 1 share one int64 state while 2 D + max |d| < 2**53,
+    # and each round past it is a state of its own on Python ints; a later round never returns to int64
+    dtypes = spy_scans(monkeypatch)
+    optimize("A3", F(1, 2), "max", SearchConfig(refine_rounds=15))
+    kinds = [k for k, _ in itertools.groupby(dtypes)]
+    assert kinds == [np.dtype(np.int64), np.dtype(object)]
 
 
 def test_refine_exact_past_float_precision():
