@@ -72,7 +72,8 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--step", type=_fraction, default=SearchConfig.grid_step,
                    help="grid step (default %(default)s)")
     p.add_argument("--refine", type=int, default=SearchConfig.refine_rounds,
-                   help="refinement rounds (default %(default)s)")
+                   help="0 prints the lattice sweep's point; any N >= 1 runs the one exact vertex + edge pass, "
+                        "and the output does not depend on N (default %(default)s)")
     p.add_argument("--dims", type=int, default=SearchConfig.dims,
                    help="searched b-coordinates (default %(default)s)")
 

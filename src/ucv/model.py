@@ -186,12 +186,9 @@ class Functional:
     """One coefficient functional of f as a polynomial in (b1, b2, ...).
 
     `evaluate` is ring generic: run once over _Polynomial it yields the
-    integer monomials of the exact report and of the sweep's scores, on
-    numpy arrays it is the refinement's objective, and on floats the
-    printed value.  It avoids `**`, so equal rationals give bit-equal
-    floats on the scalar and the vectorised route.  `name` is
-    the search and CSV name, `field` the CoefficientReport field (None
-    for AN(n)), and `bounds(lam)` the class's closed-form (max, min),
+    integer monomials of the exact report, the sweep and the edge pass.
+    `name` is the search and CSV name, `field` the CoefficientReport field
+    (None for AN(n)), and `bounds(lam)` the class's closed-form (max, min),
     None in a direction with no known closed form.
     """
 
@@ -253,20 +250,14 @@ AN_MIN, AN_MAX = 2, 8
 
 
 def _an_coefficient(b: Sequence, n: int):
-    """e_(n-1) = (-1)^(n-1) a_n, a_n the coefficient of z^(n-1) in
-    1/(1 + sum b_j z^j): e_0 = 1, e_k = b1 e_(k-1) - b2 e_(k-2) + ...
-    Ring generic, with no branch on values: it runs on floats and arrays
-    (rounding is sign-symmetric, so |e_(n-1)| has the bits of |a_n| by the
-    unfolded recursion, up to a zero's sign), on Fractions, and on
-    polynomials over N1..N_width (_integer_monomials, for the sweep).  The
-    j = k term b_k e_0 is read as b_k: x * 1 == x exactly, so no bit
-    changes."""
+    """e_(n-1) = (-1)^(n-1) a_n, a_n the coefficient of z^(n-1) in 1/(1 + sum b_j z^j): e_0 = 1, e_k = b1 e_(k-1) -
+    b2 e_(k-2) + ...  Ring generic, with no branch on values: on floats and arrays (rounding is sign-symmetric, so
+    |e_(n-1)| has the bits of |a_n|), on Fractions, and on polynomials (_integer_monomials)."""
     e = [1]
     for k in range(1, n):
-        s = b[0] * e[k - 1] if k > 1 else b[0]
+        s = b[0] * e[k - 1]
         for j in range(2, min(k, len(b)) + 1):
-            t = b[j - 1] * e[k - j] if j < k else b[j - 1]
-            s = s + t if j % 2 else s - t
+            s = s + b[j - 1] * e[k - j] if j % 2 else s - b[j - 1] * e[k - j]
         e.append(s)
     return e[n - 1]
 

@@ -3,30 +3,20 @@
 The feasible set is the b-lattice of the membership model: b_n >= 0,
 sum (n-1) b_n <= lambda, denominator nonvanishing in the open disk.
 With b >= 0 and a budget lambda <= 1 the disk condition is exactly
-p(-1) = 1 - b1 + b2 - b3 + ... >= 0 (the theorem at
-rootcheck.nonvanishing_in_open_disk), so the sweep keeps a lattice
-point by one exact integer comparison and computes no root.  It sets
-no b1 cap: the three conditions imply b1 <= 1 + lambda (see _refine).
+p(-1) = 1 - b1 + b2 - ... >= 0 (rootcheck.nonvanishing_in_open_disk),
+so the sweep keeps a point by one integer comparison; the three
+conditions imply b1 <= 1 + lambda, so it sets no b1 cap.
 
-Every objective here is a low-degree polynomial in (b1..b4) (the
-general coefficient objective AN(n) reads b1..b_{n-1}), so the search
-is a deterministic lattice sweep followed by shrinking-step local
-refinement, from the sweep's point or from a vertex of the class
-polytope that beats it exactly; no gradients, no randomness.  A sweep scores the
-directions its caller keeps: optimize and conjecture_scan one,
-verify_bounds both, one sweep per lambda in grid order.  Every
-functional is scored exactly per tail: its integer polynomial in the
-lattice units is expanded once, an integer enclosure of it over the
-tail's feasible b1 drops each tail that cannot win, the same enclosure
-on runs of consecutive b1 drops each run that cannot win, and the cells
-of the rest are scored by integer Horner.
-
-Certification compares the searched extremum against the closed-form
-bound for the class when one exists.  A certificate FAILs only if the
-search strictly beats the bound beyond a small floating slack; a WARN
-flag marks bounds the grid did not get close to (sharpness not
-reproduced at this resolution).  A BoundCertificate is a value;
-ucv.cli renders it as a table, JSON or CSV.
+The search is a deterministic, exact lattice sweep, then one exact pass
+over the vertices and edges of the class polytope {b >= 0, budget,
+p(-1) >= 0}, where the sharp extremals sit; no float decides anything.
+The sweep scores each functional per tail: its integer polynomial in the
+lattice units, an integer enclosure that drops the tails and the runs of
+b1 that cannot win, and integer Horner on the rest.  Along an edge a
+functional is an integer polynomial in t, stationary at the points that
+_roots finds exactly.  A FAIL is a member whose exact value is strictly
+beyond the closed-form bound; a WARN flags a bound the search did not
+get close to.  ucv.cli renders each BoundCertificate.
 """
 
 from __future__ import annotations
@@ -53,18 +43,16 @@ from ucv.model import (
 )
 from ucv.rootcheck import RationalIn, as_rational, nonvanishing_in_open_disk
 
-# floating slack separating a genuine bound violation from the rounding
-# of the float objectives, vs the much looser grid-sharpness warning
-# threshold
-FAIL_SLACK = 1e-7
+# the grid-sharpness warning threshold: a heuristic, not a claim
 WARN_GAP = 5e-3
+# the table's one irrational closed form, A4C max at lambda = 1, 4 sqrt(6)/9, by its square: compared exactly
+_SQUARED_BOUNDS = {4 * math.sqrt(6) / 9: Fraction(96, 81)}
 
 _SWEEP_BLOCK = 2**13  # most cells (k1 or run ends x tails) in one table of the sweep
 _CHUNK = 2**15  # most cells (tails x functionals x coefficients) in one build of the sweep's exact columns
 _BATCH = 2**12  # most tails in a chunk, and the kept tails a functional gathers before they are scored
 _RUN = 8  # k1 per run that the sweep bounds before it scores the run's cells
-_REFINE_WINDOW = 12
-_REFINE_PASSES = 6
+_ROOT_BITS = 44  # the pass gives an irrational root by two points at most 2**-43 apart around it
 
 
 # -- closed-form bounds ----------------------------------------------------
@@ -105,22 +93,11 @@ class SearchConfig:
         return 1 + lam
 
 
-def _width(dims: int) -> int:
-    return max(4, dims)
-
-
 def _tail_units(budget: int, weights: tuple[int, ...]) -> np.ndarray:
-    """Every (k_2, ..., k_dims) >= 0 with sum w_j k_j <= budget, as rows
-    in lexicographic order; one empty row when there are no weights.  The
-    rows are int16 while budget < 2**15, which bounds every entry, and
-    int64 past that.
-
-    Built column by column into one array.  fits[j][u] counts the rows of
-    the weights from j on in a budget u.  The prefixes (k_2..k_(j+1)), in
-    lexicographic order, are kept as the budgets they leave: each is
-    followed by k = 0..left // w, and each k repeats once per row of the
-    later weights that fits in what is left then.
-    """
+    """Every (k_2, ..., k_dims) >= 0 with sum w_j k_j <= budget, as rows in lexicographic order (one empty row with no
+    weights), int16 while budget < 2**15, else int64.  Built column by column: fits[j][u] counts the rows of the
+    weights from j on in a budget u, and each prefix, kept as the budget it leaves, is followed by k = 0..left // w,
+    each k repeated once per row of the later weights that fits in what is left then."""
     dtype = np.int16 if budget < 2**15 else np.int64
     fits = [np.ones(budget + 1, dtype=np.int64)]
     for w in reversed(weights):  # fit[u] = sum of the later fit[u - k w], k >= 0: a running sum per residue mod w
@@ -157,19 +134,18 @@ class BoundCertificate:
     warn: bool
 
 
-def _certificate(fn: Functional, lam: Fraction, direction: str, value: float,
+def _certificate(fn: Functional, lam: Fraction, direction: str, value: Fraction,
                  arg: tuple[Fraction, ...]) -> BoundCertificate:
-    bound = closed_form_bound(fn, lam, direction)
+    # FAIL iff the exact value is strictly beyond the bound (a float bound is sqrt(q), q = _SQUARED_BOUNDS[bound],
+    # compared by squares); searched is the value correctly rounded, and closed_form and gap are floats
+    searched, bound, s = float(value), closed_form_bound(fn, lam, direction), 1 if direction == "max" else -1
     if bound is None:
-        return BoundCertificate(lam, fn.name, direction, value, arg, None, None, "NO_CLOSED_FORM", False)
-    closed = float(bound)
-    gap = closed - value
-    if direction == "max":
-        beats, shortfall = value > closed + FAIL_SLACK, gap
-    else:
-        beats, shortfall = value < closed - FAIL_SLACK, -gap
-    status = "FAIL" if beats else "PASS"
-    return BoundCertificate(lam, fn.name, direction, value, arg, closed, gap, status, shortfall > WARN_GAP)
+        return BoundCertificate(lam, fn.name, direction, searched, arg, None, None, "NO_CLOSED_FORM", False)
+    q = _SQUARED_BOUNDS[bound] if isinstance(bound, float) else None
+    beyond = (value > bound) - (value < bound) if q is None else -1 if value <= 0 else (value**2 > q) - (value**2 < q)
+    gap = float(bound) - searched
+    return BoundCertificate(lam, fn.name, direction, searched, arg, float(bound), gap,
+                            "FAIL" if s * beyond > 0 else "PASS", s * gap > WARN_GAP)
 
 
 # -- sweep core ------------------------------------------------------------
@@ -250,11 +226,10 @@ def _reach(lower, upper, s: int, absolute: bool):
 
 def _run_tables(cols: np.ndarray, m: np.ndarray, ranks: np.ndarray, hits: list, directions: list, absolute: bool,
                 floor: int, big: int) -> None:
-    """Raise hits[i], as _ends does, to the best cells of the tails ranks, with columns cols and last k1 m falling
-    along them.  Each tail is cut into runs of _RUN k1 from a (fewer at m, and no more than a table holds), bounded on
-    [a, b], b = a + _RUN or m, so that neighbouring runs share their bound's ends: P and N at the ends in tables of at
-    most _SWEEP_BLOCK ends x tails (or one run's two ends).  A run is scored, in tables of at most _SWEEP_BLOCK cells
-    (an infeasible cell scores floor), when its bound beats the best or ties it at k1 <= the best's."""
+    """Raise hits[i], as _ends does, to the best cells of the tails ranks (columns cols, last k1 m falling along
+    them).  Each tail is cut into runs of _RUN k1, each bounded on [a, a + _RUN or m] from P and N at its ends, in
+    tables of at most _SWEEP_BLOCK ends x tails; a run whose bound beats the best, or ties it at k1 <= the best's, is
+    scored in tables of at most _SWEEP_BLOCK cells (an infeasible cell scores floor)."""
     dtype = cols.dtype
     run = min(_RUN, _SWEEP_BLOCK)  # a run's cells fit in one table
     per, lo = _SWEEP_BLOCK // run, 0  # kept runs per table of their cells
@@ -289,11 +264,10 @@ def _raise(hits: list, i: int, score: int, key: int, big: int) -> None:
 
 def _ends(cols: np.ndarray, m: np.ndarray, ranks: np.ndarray, hits: list, directions: list, absolute: bool,
           big: int) -> np.ndarray:
-    """Raise hits[f][i], the best score of functional f in directions[i] and its least point, to the
-    ends k1 = 0 and m of the tails ranks, P and N taken for every functional at once, stacked; big is above every k1
-    and row.  Return whether each (functional, tail) can still beat or tie the best: not where its bound on the score
-    (_enclosure on [0, m]) is at most the best score, as P+ or N moves strictly unless P is constant in k1, so the
-    bound is reached only at the tail's ends, counted here; but |P| = 0 inside a tail ties a best 0 of -|P|."""
+    """Raise hits[f][i], the best score of functional f in directions[i] and its least point, to the ends k1 = 0 and m
+    of the tails ranks, for every functional at once; big is above every k1 and row.  Return whether each (functional,
+    tail) can still beat or tie the best: its bound (_enclosure on [0, m]) is reached only at the ends, counted here,
+    unless P is constant in k1, but |P| = 0 inside a tail ties a best 0 of -|P|."""
     p_m, neg_m = _parts(cols, m.astype(cols.dtype, copy=False))
     # _enclosure on [0, m], with P(0) = C_0 and N(0) = min(C_0, 0)
     lower, upper = np.maximum(cols[0], 0) + neg_m, p_m - neg_m + np.minimum(cols[0], 0)
@@ -316,12 +290,11 @@ def _ends(cols: np.ndarray, m: np.ndarray, ranks: np.ndarray, hits: list, direct
 
 def _exact_sweep(monomials: Sequence[tuple], absolute: bool, step: Fraction, caps: list, tails: np.ndarray,
                  rank: np.ndarray, last: np.ndarray, signs: dict) -> dict:
-    """{(f, direction): (score, (k1, row of tails))}, the exact extremum of the score of functional f, s P or s |P|
-    where absolute, and its least point, over the tails rank[i] (slack order), each feasible for k1 in [0, m],
-    m = last[i]; caps holds the largest k1 and k_j.  P = C_0 + C_1 k1 + ... + C_r k1^r is the integer polynomial of
-    _expansion of f's monomials[f].  Each chunk of at most _CHUNK cells and _BATCH tails reads every C_i off its tail
-    monomials (_columns): int64 while _bound, at caps, is below 2**63, else Python ints.  _ends keeps the tails
-    that can still win, and each functional's kept tails go to _run_tables once _BATCH of them gather."""
+    """{(f, direction): (score, (k1, row of tails))}: the exact extremum of s P, or s |P| where absolute, P = C_0 +
+    ... + C_r k1^r of _expansion, and its least point, over the tails rank[i] (slack order), feasible for k1 in [0,
+    last[i]]; caps holds the largest k1 and k_j.  Each chunk of at most _CHUNK cells and _BATCH tails reads its C_i
+    off its tail monomials (_columns), int64 while _bound < 2**63, and _ends keeps the tails that can still win for
+    _run_tables, once _BATCH of them gather."""
     steps, tail_monomials, table = _expansion(monomials, step, tails.shape[1] + 1)
     bound = _bound(table, tail_monomials, [max(c, 1) for c in caps])
     dtype = np.int64 if bound < 2**63 else object
@@ -346,11 +319,10 @@ def _exact_sweep(monomials: Sequence[tuple], absolute: bool, step: Fraction, cap
 
 def _vertices(lam: Fraction, dims: int) -> tuple[int, list[tuple[int, ...]]]:
     """(d, vertices): the vertices N / d, N sorted and padded to the search width, of the class polytope {b >= 0,
-    b2 + 2 b3 + ... <= lam, p(-1) >= 0} over b1..b_dims.  A vertex makes dims of these tight, so at least dims - 2
-    b_j are 0: the origin, b1 = 1 (p(-1) = 0), b_j = lam / (j - 1) alone (the budget), or that b_j with b1 =
-    1 + (-1)^j b_j (both tight; two tail coordinates cannot be, as p(-1) = 0 needs an odd b_j >= 1)."""
+    b2 + 2 b3 + ... <= lam, p(-1) >= 0} over b1..b_dims: the origin, b1 = 1, b_j = lam / (j - 1) alone, and that
+    b_j with b1 = 1 + (-1)^j b_j (p(-1) = 0 on two tail coordinates would need an odd b_j >= 1)."""
     d = lam.denominator * math.lcm(*range(1, dims))
-    zero = (0,) * _width(dims)
+    zero = (0,) * max(4, dims)  # the search width
     points = {zero, (d,) + zero[1:]}
     for j in range(1, dims):  # b_(j+1), of weight j
         t = lam.numerator * d // (lam.denominator * j)
@@ -359,20 +331,155 @@ def _vertices(lam: Fraction, dims: int) -> tuple[int, list[tuple[int, ...]]]:
     return d, sorted(points)
 
 
+@functools.cache
+def _edges(dims: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dims^2 edges of the class polytope as index arrays (i, j), i < j, into the list of _vertices: the pairs
+    that share dims - 1 tight constraints.  For lambda in (0, 1] the polytope is simple and the list's order does not
+    depend on lambda, so one pair of arrays, read off at lambda = 1, serves every lambda."""
+    d, vertices = _vertices(Fraction(1), dims)
+    tight = [{*(j for j in range(dims) if not v[j]), *("budget",) * (sum(j * c for j, c in enumerate(v)) == d),
+              *("p(-1)",) * (d + sum(c if j % 2 else -c for j, c in enumerate(v)) == 0)} for v in vertices]
+    pairs = [(i, j) for j in range(len(tight)) for i in range(j) if len(tight[i] & tight[j]) == dims - 1]
+    return tuple(np.array(x, dtype=np.intp) for x in zip(*pairs))
+
+
+@functools.cache
+def _edge_plan(monomials: tuple, width: int) -> tuple[list, np.ndarray]:
+    """(levels, weights): the monomials over (d, N1..N_width), each an earlier one times a coordinate, grouped by
+    degree as (monomials, parents, coordinates) index arrays; weights[f, m] is f's coefficient of monomial m."""
+    index, steps = {tuple(int(i == v) for i in range(width + 1)): v for v in range(width + 1)}, []
+    rows = [[(c, _monomial_index(index, steps, e)) for c, e in terms] for _, _, terms in monomials]
+    degree = [1] * (width + 1)
+    for p, _ in steps:
+        degree.append(degree[p] + 1)
+    levels = []
+    for level in range(2, max(degree) + 1):
+        new = [i for i in range(width + 1, len(index)) if degree[i] == level]
+        levels.append([np.array(x, dtype=np.intp) for x in (new, *zip(*(steps[i - width - 1] for i in new)))])
+    return levels, np.array([[dict((m, c) for c, m in row).get(m, 0) for m in range(len(index))] for row in rows],
+                            dtype=object)
+
+
+def _edge_columns(monomials: Sequence[tuple], dv: int, vertices: list, edges: tuple) -> np.ndarray:
+    """(K, F, E): the coefficients of t^0..t^(K-1) of P = L dv^deg f along each edge N = a + b t, a = v0, b = v1 - v0,
+    for each f's (L, deg, terms), K = the largest deg + 1 >= 2; one product per degree builds the monomials of
+    _edge_plan for all edges.  int64 where 4^(K-1) sum |c| M^deg < 2**63, M = 2 max N >= |a| + |b|, which bounds
+    every value of P and of _bernstein's products."""
+    size, k = max(dv, 2 * max(map(max, vertices))), max(2, *(deg + 1 for _, deg, _ in monomials))
+    bound = max(sum(abs(c) for c, _ in t) * size**deg for _, deg, t in monomials) << 2 * (k - 1)
+    dtype = np.int64 if bound < 2**63 else object
+    levels, weights = _edge_plan(tuple(monomials), len(vertices[0]))
+    points = np.array(vertices, dtype=dtype)
+    polys = np.zeros((weights.shape[1], k, len(edges[0])), dtype=dtype)
+    polys[0, 0] = dv
+    polys[1:points.shape[1] + 1, 0] = points[edges[0]].T
+    polys[1:points.shape[1] + 1, 1] = (points[edges[1]] - points[edges[0]]).T
+    for new, parent, v in levels:
+        polys[new] = polys[parent] * polys[v, :1]
+        polys[new, 1:] += polys[parent, :-1] * polys[v, 1:2]
+    return np.tensordot(weights.astype(dtype), polys, axes=(1, 0)).transpose(1, 0, 2)
+
+
+@functools.cache
+def _bernstein(m: int) -> np.ndarray:
+    # (2, m + 1, m + 1): row k of matrix h maps P's coefficients to T_k, sum T_k u^k = 2^m (1 + u)^m P((h + 1 /
+    # (1 + u)) / 2); u > 0 covers t in the half (h/2, (h + 1)/2), so there P <= max_k T_k / (2^m C(m, k))
+    return np.array([[[sum(math.comb(m - i, k) * math.comb(r, i) * h ** (r - i) for i in range(r + 1)) << (m - r)
+                       for r in range(m + 1)] for k in range(m + 1)] for h in (0, 1)], dtype=object)
+
+
+def _at(poly: list[int], p: int, q: int) -> int:
+    # q^m poly(p / q), m = len(poly) - 1, by homogeneous Horner over the ints
+    acc, qk = 0, 1
+    for c in reversed(poly):
+        acc, qk = acc * p + c * qk, qk * q
+    return acc
+
+
+def _roots(poly: list[int]) -> list[tuple[int, int]]:
+    """Points p / q of [0, 1] in ascending order, q > 0, such that every root in (0, 1) where the integer poly changes
+    sign is one of them or lies between two neighbours at most 2**(1 - _ROOT_BITS) apart.  Degree 1 gives its root,
+    degree 2 its roots exactly, by math.isqrt on an irrational one; a higher degree is monotone between the points
+    of its derivative and bisects there on exact signs at the grid points k / 2**_ROOT_BITS."""
+    poly = poly[:max((k + 1 for k, c in enumerate(poly) if c), default=0)]
+    poly, m, grid = [-c for c in poly] if poly and poly[-1] < 0 else poly, len(poly) - 1, 1 << _ROOT_BITS
+    if m == 1:
+        return [(-poly[0], poly[1])] if 0 < -poly[0] < poly[1] else []
+    if m == 2:
+        c, b, a = poly
+        disc = b * b - 4 * a * c
+        r = math.isqrt(max(disc, 0))
+        z = math.isqrt(disc << 2 * _ROOT_BITS) if disc > 0 and r * r != disc else None  # sqrt(disc) grid in [z, z+1)
+        ends = [(-b - r, 2 * a), (-b + r, 2 * a)] if z is None else [
+            (-b * grid + x, 2 * a * grid) for x in (-z - 1, -z, z, z + 1)]
+        return [(p, q) for p, q in ends if 0 <= p <= q] if disc > 0 else []  # a double root keeps the sign
+    marks, found = [(0, 1), *_roots([k * c for k, c in enumerate(poly)][1:]), (1, 1)] if m > 2 else [], []
+    for lo, hi in zip(marks, marks[1:]):
+        if not (s := _at(poly, *lo)) and 0 < lo[0] < lo[1]:
+            found.append(lo)
+        elif s * _at(poly, *hi) < 0:
+            while (k := (lo[0] * hi[1] + hi[0] * lo[1]) * grid // (2 * lo[1] * hi[1])) * lo[1] > lo[0] * grid \
+                    and k * hi[1] < hi[0] * grid:  # bisect at the grid point at or below the midpoint
+                if not (v := _at(poly, k, grid)):
+                    lo = hi = (k, grid)
+                    break
+                lo, hi = ((k, grid), hi) if (v > 0) == (s > 0) else (lo, (k, grid))
+            found += [lo, hi] if lo != hi else [lo]
+    return found
+
+
+def _polytope_best(monomials: Sequence[tuple], absolute: bool, signs: dict, dv: int, vertices: list,
+                   dims: int) -> dict:
+    """{(f, direction): (num, den, point)}: f's best over the vertices and edges of the class polytope, f = num /
+    (L den) at point = (d, N), a tie going to the least point; the score is s f, or s |f| where absolute (AN(n),
+    whose minimum 0 is at the origin).  Each edge's P = L dv^deg f in t (_edge_columns) gives its vertices' values;
+    an edge whose Bernstein bound on each half (_bernstein) cannot beat the best vertex is dropped, and the
+    candidates on the others are the points of _roots for P', valued exactly."""
+    i, j = _edges(dims)
+    cols = _edge_columns(monomials, dv, vertices, (i, j))
+    m = cols.shape[0] - 1
+    bernstein = np.tensordot(_bernstein(m).astype(cols.dtype), cols, axes=(2, 0))  # (half, k, f, edge)
+    cap = np.array([math.comb(m, k) << m for k in range(m + 1)], dtype=cols.dtype)[:, None, None]
+    ends = np.empty((len(monomials), len(vertices)), dtype=cols.dtype)
+    ends[:, i], ends[:, j] = cols[0], cols.sum(axis=0)
+    best = {}
+    for direction, s in signs.items():
+        scores = s * (np.abs(ends) if absolute else ends)
+        top = scores.argmax(axis=1)  # the first, least, vertex of a tie
+        reach = s * (np.abs(bernstein) if absolute else bernstein)
+        live = (reach > scores[np.arange(len(monomials)), top][:, None] * cap).any(axis=(0, 1))
+        for f, (_, deg, _) in enumerate(monomials):
+            num, den, point = s * int(scores[f, top[f]]), 1, (dv, vertices[top[f]])
+            for e in np.flatnonzero(live[f]).tolist():
+                poly, v0, v1 = cols[:, f, e].tolist(), vertices[i[e]], vertices[j[e]]
+                for p, q in _roots([k * c for k, c in enumerate(poly)][1:]):
+                    value = _at(poly, p, q)
+                    cand = (abs(value) if absolute else value, q**m,
+                            (dv * q, tuple(x * (q - p) + y * p for x, y in zip(v0, v1))))
+                    if _wins(s, cand, (num, den, point)):
+                        num, den, point = cand
+            best[f, direction] = num, den * dv**deg, point
+    return best
+
+
+def _wins(s: int, a: tuple, b: tuple) -> bool:
+    # a = (num, den, (d, N)) strictly beats b: a larger s num / den, or the same value at a smaller point N / d
+    x, y = s * a[0] * b[1], s * b[0] * a[1]
+    (da, na), (db, nb) = a[2], b[2]
+    return x > y or x == y and [c * db for c in na] < [c * da for c in nb]
+
+
 def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional],
            directions: Sequence[str] = ("max", "min")) -> dict:
-    """Coarse lattice sweep; returns {(name, direction): (point, vertex)} for the directions asked for, as (d, N).
-
-    The tails are sorted once by p(-1) slack, most first, by a stable sort, so the tails feasible at b1 = k1 step are
-    a prefix of them, and each tail's last feasible k1 falls along them.  Every functional is scored exactly per tail
-    (_exact_sweep), the registry in one pass and AN(n), whose score is |P|, in another.  point is the least point of
-    the exact extremum, num k / den at step num / den.  vertex is the best vertex (_vertices, the least of a tie)
-    where it strictly beats point, else None: at each vertex, over one denominator dv, the functional's integer
-    monomials give L dv^deg f, which is compared with the sweep's score of L den^deg f at point."""
+    """{(name, direction): (value, point)}, f's exact value at point = (d, N): the best of the lattice's least exact
+    extremum and, where cfg.refine_rounds is not 0, the vertex + edge pass's (_polytope_best), a tie going to the
+    least point.  The tails are sorted once by p(-1) slack, most first (stable), so the tails feasible at b1 = k1 step
+    are a prefix of them; the registry is scored in one _exact_sweep and AN(n), whose score is |P|, in another."""
     step = cfg.grid_step
     top, budget_units = int(1 / step), int(lam / step)
     tails = _tail_units(budget_units, tuple(range(1, cfg.dims)))
-    pad = (0,) * (_width(cfg.dims) - cfg.dims)  # b_(dims+1)..b4
+    width = max(4, cfg.dims)
+    pad = (0,) * (width - cfg.dims)  # b_(dims+1)..b4
     # p(-1) = 1 - b1 - key, key = -b2 + b3 - b4 + ... in step units; every partial sum is at most
     # sum k_j <= budget_units in modulus, so key is summed in the tails' dtype
     key = tails @ np.array([(-1) ** (j + 1) for j in range(cfg.dims - 1)], dtype=tails.dtype)
@@ -384,223 +491,63 @@ def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional],
     # the point is a member iff p(-1) >= 0, that is k1 + key <= floor(1/step); b1 = 0 keeps the zero tail
     live = order[:np.searchsorted(key[order], top, side="right")]
     last = np.subtract(top, key[live], dtype=small)
-    dv, vertices = _vertices(lam, cfg.dims)
-    at = [(dv, *v) for v in vertices]  # the exponent order of the monomials: d, then N1..N_width
+    polytope = cfg.refine_rounds and _vertices(lam, cfg.dims)
     signs, found = {d: 1 if d == "max" else -1 for d in directions}, {}
     for absolute in (False, True):
         group = [fn for fn in fns if bool(fn.an) == absolute]
-        monomials = [_monomials(fn, _width(cfg.dims)) for fn in group]
-        won = _exact_sweep(monomials, absolute, step, caps, tails, live, last, signs) if group else {}
-        for f, (fn, (_, deg, terms)) in enumerate(zip(group, monomials)):
-            ps = [sum(c * math.prod(map(pow, n, e)) for c, e in terms) for n in at]  # L dv^deg f at each vertex
-            ps = [abs(p) for p in ps] if absolute else ps
+        if not group:
+            continue
+        monomials = [_monomials(fn, width) for fn in group]
+        won = _exact_sweep(monomials, absolute, step, caps, tails, live, last, signs)
+        best = _polytope_best(monomials, absolute, signs, *polytope, cfg.dims) if polytope else {}
+        for f, (fn, (lcm, deg, _)) in enumerate(zip(group, monomials)):
             for direction, s in signs.items():
                 score, (k1, tail) = won[f, direction]
                 point = step.denominator, tuple(step.numerator * k for k in (k1, *tails[tail].tolist(), *pad))
-                i = max(range(len(at)), key=lambda i: s * ps[i])  # the first, least, vertex of a tie
-                better = s * ps[i] * step.denominator**deg > score * dv**deg
-                found[fn.name, direction] = point, (dv, vertices[i]) if better else None
+                row = s * score, step.denominator**deg, point
+                num, den, point = best[f, direction] if polytope and _wins(s, best[f, direction], row) else row
+                found[fn.name, direction] = Fraction(num, lcm * den), point
     return found
-
-
-# -- refinement ------------------------------------------------------------
-
-
-def _move_directions(dims: int) -> tuple[tuple[int, ...], ...]:
-    """Integer step directions for the local polish.
-
-    Besides single-coordinate and diagonal pair moves, the set carries the
-    null-space lattice of the two constraints that saturate at extremal
-    points: the weighted budget sum and the p(-1) >= 0 facet.  Coordinate
-    index i holds b_{i+1} with budget weight i and sign (-1)^(i+1) in
-    p(-1); the pair (b_{i+1}, b_{j+1}) moves by (j, -i)/gcd to stay on the
-    budget, and the matching triple adds the b1 component that keeps
-    p(-1) fixed as well.  Without these, a point with both constraints
-    tight can be a local optimum of every axis or diagonal move while the
-    true extremum sits further along the intersection.
-    """
-    moves = [{i: 1} for i in range(dims)]  # {index: entry}, zero elsewhere
-    moves += [{i: 1, j: sj} for i in range(dims) for j in range(i + 1, dims) for sj in (1, -1)]
-    for i in range(1, dims):
-        for j in range(i + 1, dims):
-            vi, vj = j // math.gcd(i, j), -(i // math.gcd(i, j))
-            moves += [{i: vi, j: vj}, {0: vi * (-1) ** (i + 1) + vj * (-1) ** (j + 1), i: vi, j: vj}]
-    vectors = [tuple(m.get(i, 0) for i in range(dims)) for m in moves]
-    return tuple(sorted({v for u in vectors for v in (u, tuple(-x for x in u))}))
-
-
-@functools.lru_cache(maxsize=None)
-def _delta_table(dims: int) -> tuple[np.ndarray, np.ndarray]:
-    """The refinement's moves in trial order, in steps, as one gate matrix.
-
-    The moves d are m k for each move m of _move_directions at window
-    scales k = 1..12, padded to the search width w.  Column i of the gate
-    matrix G, C-contiguous of shape (w + 2, n), is (-d, budget(d),
-    -alt(d)): budget(d) = sum i d_i is the change to the budget units and
-    alt(d) = -d_1 + d_2 - d_3 + ... the change to D p(-1).  So x + d, d in
-    the point's units, is feasible iff G[:, i] <= h, the slack of _state.
-    lowers_i says the leading nonzero entry of d is negative, which is
-    x + d < x lexicographically.  Built once per dims.
-    """
-    width = _width(dims)
-    rows = [tuple(m * k for m in move) + (0,) * (width - dims)
-            for move in _move_directions(dims) for k in range(1, _REFINE_WINDOW + 1)]
-    d = np.array(rows, dtype=np.int64)
-    budget = d @ np.arange(width, dtype=np.int64)
-    alt = d @ np.array([(-1) ** (i + 1) for i in range(width)], dtype=np.int64)
-    gates = np.ascontiguousarray(np.vstack((-d.T, budget, -alt)))  # vstack of d.T is in Fortran order
-    lowers = np.array([next(c for c in row if c) < 0 for row in rows])
-    for a in (gates, lowers):
-        a.setflags(write=False)
-    return gates, lowers
-
-
-def _value(fn: Functional, point: tuple[int, tuple[int, ...]]) -> float:
-    # fn at N / d, point = (d, N), cleared of -0.0: int true division is correctly rounded, as is the polish's float64
-    return float(fn.evaluate(tuple(c / point[0] for c in point[1]))) + 0.0
-
-
-def _state(lam: Fraction, cfg: SearchConfig, point: tuple[int, tuple[int, ...]], r: int) -> tuple | None:
-    """The polish's state at point = (d, N) for a run of its rounds from r on, or None when no round is left: (D, h,
-    gates, ties, end, scan).  A round whose step num / (den 10^r) exceeds 2 is left out: each move changes some
-    coordinate by more than 2, and the class keeps 0 <= b1 <= 1 + lambda <= 2 and 0 <= b_j <= lambda.
-
-    The point is an int vector x over one D = lcm(den 10^q, d), q the run's last round, where a move of round r is
-    num D / (den 10^r) units.  h is the slack column (x_1..x_w, floor(lambda D) - (x_2 + 2 x_3 + ...), D p(-1)),
-    gates the run's gate matrices of _delta_table in units, side by side in round order, and ties their flags; end
-    is the first round after the run.  The run is the longest whose D keeps 2 D + max |d| < 2**53, grown from r, so
-    that float64 c / D is _value's correctly rounded c / D on int64; a round past that is a run of its own on Python
-    ints.  scan is the first scan of every column (_scan)."""
-    (d, N), (table, lowers) = point, _delta_table(cfg.dims)
-    num, den = cfg.grid_step.numerator, cfg.grid_step.denominator
-    while r <= cfg.refine_rounds and num > 2 * den * 10**r:
-        r += 1
-    if r > cfg.refine_rounds:
-        return None
-    span = int(np.abs(table[:-2]).max()) * num  # max |d| is span D / (den 10^r), the coarsest round's
-
-    def fits(D):
-        return 2 * D + span * D // (den * 10**r) < 2**53
-
-    D, end = math.lcm(den * 10**r, d), r + 1
-    while end <= cfg.refine_rounds and fits(math.lcm(den * 10**end, d)):
-        D, end = math.lcm(den * 10**end, d), end + 1
-    dtype = np.int64 if fits(D) else object
-    gates = np.hstack([table.astype(dtype) * (num * D // (den * 10**q)) for q in range(r, end)])
-    x = [c * (D // d) for c in N]
-    slack = lam.numerator * D // lam.denominator - sum(i * c for i, c in enumerate(x))
-    h = np.array(x + [slack, D + sum(c if i % 2 else -c for i, c in enumerate(x))], dtype=dtype)[:, None]
-    return D, h, gates, np.tile(lowers, end - r), end, _scan(D, h, gates)
-
-
-def _scan(D: int, h: np.ndarray, gates: np.ndarray) -> tuple:
-    # the candidates h[:w] - g[:w] over D of the gate columns g, as w float rows, and the gate mask g <= h
-    return tuple(np.asarray((h[:-2] - gates[:-2]) / D, dtype=float)), (gates <= h).all(axis=0)
-
-
-def _refine(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str,
-            start: tuple[int, tuple[int, ...]], blocks: dict) -> tuple[tuple[Fraction, ...], float]:
-    """Shrinking-step local polish from start = (d, N), the point N / d: the sweep's point, or the vertex that beats
-    it.  Returns the polished point as Fractions and its value.
-
-    Each round divides the step num / den by 10 and makes up to six greedy passes over the moves of _delta_table; a
-    round ends at the first pass with no accept.  A pass scores the candidates h[:w] - g[:w] of the gate columns g
-    of its remaining moves as w contiguous rows, and keeps what improves (a better value, or an equal one at a
-    smaller point: the ties flag) and passes the gate g <= h.  These imply b1 <= 1 + lambda (x_1 <= D + x_2 + x_4 +
-    ... <= D + floor(lambda D)).  With b >= 0 and budget <= lambda <= 1 the sign test is the disk condition
-    (rootcheck.nonvanishing_in_open_disk), so the gate only re-checks the returned point, with rounds, and a
-    rejection raises.  The first hit is accepted, h - g_j, and the pass goes on from the move after it: first
-    improvement, one move at a time.
-
-    The rounds of a run share one state (_state), a round's moves being the same table at a smaller scale.  A round
-    whose first pass accepts nothing leaves the state as it was, so a round's first pass scans the columns of every
-    round of the run left, and its first hit is the next accept, in the round it falls in.  The start, in lowest
-    terms, keys its state and that state's first scan in blocks, shared by every row that starts there.
-    """
-    g = math.gcd(start[0], *start[1])
-    start = start[0] // g, tuple(c // g for c in start[1])
-    if start not in blocks:
-        blocks[start] = _state(lam, cfg, start, 1)
-    state, value, moves = blocks[start], _value(fn, start), len(_delta_table(cfg.dims)[1])
-    D, x = start  # returned as it is when no round is left to run
-    while state:
-        D, h, gates, ties, end, scan = state
-        lo, hi, passes = 0, len(ties), 0  # a pass scans columns lo..hi-1: a round's, or all left from lo on
-        while lo < len(ties):
-            pos = lo
-            while pos < hi:
-                cand, gate = scan or _scan(D, h, gates[:, pos:hi])
-                v, scan = fn.evaluate(cand), None
-                better = v > value if direction == "max" else v < value
-                ok = (better | ((v == value) & ties[pos:hi])) & gate
-                j = int(ok.argmax())
-                if not ok[j]:
-                    break
-                pos += j
-                h, value = h - gates[:, pos, None], float(v[j]) + 0.0  # clears -0.0
-                lo, hi, pos = pos - pos % moves, pos - pos % moves + moves, pos + 1
-            passes += 1
-            if pos == lo or passes == _REFINE_PASSES:  # the round ends
-                lo, hi, passes = hi, len(ties), 0
-        x = h[:-2, 0].tolist()
-        state = _state(lam, cfg, (D, x), end)
-    point = tuple(Fraction(c, D) for c in x)
-    if cfg.refine_rounds and not nonvanishing_in_open_disk((1, *point), (D, (D, *x))):
-        raise RuntimeError(f"refined point {point} fails the disk gate")
-    return point, value
 
 
 # -- public search API -----------------------------------------------------
 
 
-def _certify_row(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str, blocks: dict,
-                 point: tuple[int, tuple[int, ...]], vertex: tuple[int, tuple[int, ...]] | None) -> BoundCertificate:
-    """Refine one coarse incumbent, or the vertex that beats it, and certify it against the closed form; blocks
-    holds the polish states of lam's starts (_refine)."""
-    arg, value = _refine(lam, cfg, fn, direction, vertex if vertex and cfg.refine_rounds else point, blocks)
+def _certify_row(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str, value: Fraction,
+                 point: tuple[int, tuple[int, ...]]) -> BoundCertificate:
+    # certify a winner of _sweep; the disk gate re-checks the pass's argmax, and a rejection raises
+    (d, n), arg = point, tuple(Fraction(c, point[0]) for c in point[1])
+    if cfg.refine_rounds and not nonvanishing_in_open_disk((1, *arg), (d, (d, *n))):
+        raise RuntimeError(f"argmax {arg} fails the disk gate")
     return _certificate(fn, lam, direction, value, arg)
 
 
 def optimize(fn: Union[Functional, str], lam: RationalIn, direction: str,
              cfg: SearchConfig | None = None) -> BoundCertificate:
-    """Grid sweep plus refinement for one (functional, direction) pair."""
+    """Grid sweep plus the vertex + edge pass for one (functional, direction) pair."""
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
     fn = functional_by_name(fn) if isinstance(fn, str) else fn
     lam = lambda_in_range(lam)
     cfg = cfg or SearchConfig()
-    return _certify_row(lam, cfg, fn, direction, {}, *_sweep(lam, cfg, [fn], (direction,))[(fn.name, direction)])
+    return _certify_row(lam, cfg, fn, direction, *_sweep(lam, cfg, [fn], (direction,))[(fn.name, direction)])
 
 
 def verify_bounds(lambda_grid: Sequence[RationalIn], cfg: SearchConfig | None = None) -> list[BoundCertificate]:
-    """Certify every named functional in both directions over a lambda grid.
-
-    Each lambda gets one shared coarse sweep, with its vertex pass, that
-    feeds its 32 rows (the sweep itself is the pointwise never-exceed
-    check: each incumbent dominates every feasible grid point), which are
-    then refined and certified.  The rows of a lambda that start at one
-    point share that point's polish state and its first scan (_refine),
-    which live until the lambda's last row.  Every lambda is range-checked before
-    any sweep starts.  Row order: grid order, then functional order, then
-    max before min.
-    """
+    """Certify every named functional in both directions over a lambda grid: one sweep, with its vertex + edge pass,
+    per lambda, each range-checked before any sweep starts; rows in grid, then functional order, max before min."""
     cfg = cfg or SearchConfig()
     certs = []
     for lam in [lambda_in_range(raw) for raw in lambda_grid]:
-        incumbents, blocks = _sweep(lam, cfg, FUNCTIONALS, ("max", "min")), {}
-        certs += [_certify_row(lam, cfg, fn, direction, blocks, *incumbents[(fn.name, direction)])
+        winners = _sweep(lam, cfg, FUNCTIONALS, ("max", "min"))
+        certs += [_certify_row(lam, cfg, fn, direction, *winners[(fn.name, direction)])
                   for fn in FUNCTIONALS for direction in ("max", "min")]
     return certs
 
 
 def conjecture_scan(n: int, lam: RationalIn, cfg: SearchConfig | None = None) -> BoundCertificate:
-    """Maximize |a_n| and compare against 1 + lambda + ... + lambda^(n-1).
-
-    A FAIL marks a counterexample candidate for the coefficient growth
-    conjecture (to be re-checked at finer resolution, never trusted raw).
-    Search dimensionality grows to n-1 so the coefficient recursion sees
-    every coordinate it reads.
-    """
+    """Maximize |a_n| over dims >= n - 1, the coordinates a_n reads, against 1 + lambda + ... + lambda^(n-1); a FAIL
+    marks a counterexample candidate for the coefficient growth conjecture."""
     fn = an_functional(n)
     cfg = cfg or SearchConfig()
     cfg = replace(cfg, dims=max(cfg.dims, n - 1))

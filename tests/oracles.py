@@ -24,9 +24,6 @@ not a tautology:
                             disk condition decided by the exact gcd /
                             Schur-Cohn / Sturm routine, not by the p(-1)
                             sign test the sweep and validate() apply
-  refine_by_fractions       the refinement polish with every point a tuple
-                            of Fraction, against the search's integer
-                            vectors over one denominator
   an_coefficient_by_recursion   a_n by the reciprocal recursion with its
                             signs unfolded, against the search's
                             sign-folded recursion
@@ -39,18 +36,23 @@ not a tautology:
                             solution of a choice of dims tight constraints
                             by Gauss-Jordan elimination over Fraction,
                             against the search's closed list
+  edges_by_fractions        the edges: the pairs of those vertices whose
+                            common tight constraints have rank dims - 1,
+                            by the same elimination, against the search's
+                            rule
+  edge_polynomial_by_fractions  a functional along an edge, interpolated
+                            over Fraction from its exact values, against
+                            the search's integer polynomials in t
 
-enumerate_feasible and refine_by_fractions keep the cap b1 <= 1 + lambda,
-which the search does not impose (the class's conditions imply it), so
-agreement also checks that implication wherever they go.
+enumerate_feasible keeps the cap b1 <= 1 + lambda, which the search does
+not impose (the class's conditions imply it), so agreement also checks
+that implication wherever it goes.
 
-All arithmetic is exact rational, except for the float objective;
-nothing here imports the modules whose answers it is checking beyond
-the shared series container, the member gate validate() (for
-random_member), the series route f_series (for u_residual), the disk
-gate's exact routine _no_zero_in_open_disk and the gate itself (for
-refine_by_fractions), and the search's configuration record and move
-set.
+All arithmetic is exact rational; nothing here imports the modules whose
+answers it is checking beyond the shared series container, the member
+gate validate() (for random_member), the series route f_series (for
+u_residual), the disk gate's exact routine _no_zero_in_open_disk, and
+the search's configuration record.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from ucv.model import ClassMember, NonMember, f_series, validate
-from ucv.rootcheck import _no_zero_in_open_disk, nonvanishing_in_open_disk
-from ucv.search import _REFINE_PASSES, _REFINE_WINDOW, SearchConfig, _move_directions
+from ucv.rootcheck import _no_zero_in_open_disk
+from ucv.search import SearchConfig
 from ucv.series import TruncatedSeries, series_from_polynomial
 
 
@@ -349,15 +351,19 @@ def _solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[
     return [m[r][n] / m[r][r] for r in range(n)]
 
 
+def _constraints(lam: Fraction, dims: int) -> list[tuple[list, Fraction]]:
+    # rows a, bounds c of a b <= c over b1..b_dims: -b_j <= 0, the budget, and b1 - b2 + b3 - ... <= 1 (p(-1) >= 0)
+    rows = [([-int(i == j) for j in range(dims)], Fraction(0)) for i in range(dims)]
+    return rows + [(list(range(dims)), lam), ([(-1) ** j for j in range(dims)], Fraction(1))]
+
+
 def vertices_by_fractions(lam, dims: int) -> list[tuple[Fraction, ...]]:
     """The vertices of {b >= 0, b2 + 2 b3 + ... + (dims-1) b_dims <=
     lambda, b1 - b2 + b3 - ... <= 1 (p(-1) >= 0)} over b1..b_dims, sorted
     and padded to max(4, dims): every choice of dims of the dims + 2
     constraints, made tight and solved (_solve), kept where the solution is
     unique and meets all of them."""
-    lam = Fraction(lam)
-    constraints = [([-int(i == j) for j in range(dims)], 0) for i in range(dims)]
-    constraints += [(list(range(dims)), lam), ([(-1) ** j for j in range(dims)], 1)]
+    constraints = _constraints(Fraction(lam), dims)
     found = set()
     for chosen in itertools.combinations(constraints, dims):
         x = _solve(*zip(*chosen))
@@ -366,47 +372,39 @@ def vertices_by_fractions(lam, dims: int) -> list[tuple[Fraction, ...]]:
     return sorted(found)
 
 
-# -- refinement over Fraction ---------------------------------------------
+def edges_by_fractions(lam, dims: int) -> set[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]:
+    """The edges (v, w), v < w, of the polytope of vertices_by_fractions:
+    the pairs of vertices whose common tight constraints have rank
+    dims - 1.  Both vertices are tight on those rows, so w - v spans their
+    null space; the rank is dims - 1 iff some dims - 1 of the rows, with
+    w - v as one more row, make a nonsingular system (_solve)."""
+    constraints = _constraints(Fraction(lam), dims)
+    vertices = vertices_by_fractions(lam, dims)
+    edges = set()
+    for v, w in itertools.combinations(vertices, 2):
+        common = [row for row, c in constraints
+                  if sum(a * x for a, x in zip(row, v)) == c == sum(a * x for a, x in zip(row, w))]
+        step = [y - x for x, y in zip(v[:dims], w[:dims])]
+        if any(_solve(list(rows) + [step], [0] * dims) is not None
+               for rows in itertools.combinations(common, dims - 1)):
+            edges.add((v, w))
+    return edges
 
 
-def refine_by_fractions(lam, cfg: SearchConfig, fn, direction: str, arg, value: float):
-    """The refinement with Fraction points, from any rational arg;
-    returns (argmax, value, round history): the search's _refine returns
-    the first two, and the history holds its value after each round.
-
-    Each round divides the step by 10; every pass tries each move at
-    window scales 1..12 from the current incumbent and accepts a candidate
-    that stays in the box, scores strictly better (or, where equal, ties
-    and is the lexicographically smaller point), keeps the budget and
-    passes the disk gate.  A round ends at the first pass with no accept.
-    """
-    if not cfg.refine_rounds:
-        return tuple(arg), value, [value]
-    lam = Fraction(lam)
-    sign = 1 if direction == "max" else -1
-    cap = 1 + lam
-    width = max(4, cfg.dims)
-    moves = [m + (0,) * (width - cfg.dims) for m in _move_directions(cfg.dims)]
-    step = cfg.grid_step
-    best, best_value = tuple(arg), value
-    history = [value]
-    for _ in range(cfg.refine_rounds):
-        step = step / 10
-        for _ in range(_REFINE_PASSES):
-            improved = False
-            for move in moves:
-                for k in range(1, _REFINE_WINDOW + 1):
-                    cand = tuple(x + m * k * step for x, m in zip(best, move))
-                    # the box and the budget first: past them no coordinate exceeds 2, so the floats of a
-                    # step such as 10**399 are never formed
-                    if cand[0] > cap or any(x < 0 for x in cand) or sum(n * x for n, x in enumerate(cand)) > lam:
-                        continue
-                    v = fn.evaluate(tuple(float(x) for x in cand)) + 0.0
-                    if not (sign * (v - best_value) > 0 or (v == best_value and cand < best)):
-                        continue
-                    if nonvanishing_in_open_disk((Fraction(1),) + cand):
-                        best, best_value, improved = cand, v, True
-            if not improved:
-                break
-        history.append(best_value)
-    return best, best_value, history
+def edge_polynomial_by_fractions(fn, v, w) -> list[Fraction]:
+    """The coefficients, ascending, of exact_value(fn, v + t (w - v)) as a
+    polynomial in t, by Lagrange interpolation over Fraction at t = 0..8,
+    more points than any registry row's or AN(n)'s degree needs."""
+    ts = list(range(9))
+    ys = [exact_value(fn, tuple(x + t * (y - x) for x, y in zip(v, w))) for t in ts]
+    coeffs = [Fraction(0)] * len(ts)
+    for i, ti in enumerate(ts):
+        basis = [Fraction(1)]  # prod over j != i of (t - tj) / (ti - tj)
+        for j, tj in enumerate(ts):
+            if j != i:
+                basis = [a - tj * b for a, b in zip([Fraction(0)] + basis, basis + [Fraction(0)])]
+                basis = [c / (ti - tj) for c in basis]
+        coeffs = [c + ys[i] * b for c, b in zip(coeffs, basis)]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs

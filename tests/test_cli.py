@@ -258,13 +258,14 @@ def test_search_csv_single_row(capsys):
 
 
 def test_search_table_golden_float_closed_form(capsys):
-    # A4C's maximum at lambda = 1 is (4/3)sqrt(2/3), a float closed form
+    # A4C's maximum at lambda = 1 is (4/3)sqrt(2/3), a float closed form; the edge pass prints a rational point
+    # within 1e-12 of the irrational argmax, whose value rounds to the closed form's float
     code, out, _ = run(capsys, "search", "--functional", "A4C", "--direction", "max",
                        "--lambda", "1", "--step", "1/10")
     assert code == EXIT_OK
     assert out == "\n".join([
         "  lambda  functional dir           searched        closed_form          gap status         warn",
-        "       1  A4C        max      1.08866210788       1.0886621079     2.86e-11 PASS           ",
+        "       1  A4C        max       1.0886621079       1.0886621079            0 PASS           ",
     ]) + "\n"
 
 
@@ -293,8 +294,8 @@ def test_verify_lambda_one_reports_the_violation(capsys):
 
 @pytest.mark.parametrize("step", ["2e17", "1e19", "1e400"])
 def test_verify_at_a_step_past_every_coordinate(capsys, step):
-    # moves past int64 (2e17, 1e19) or past the float range (1e400): every polish round's step exceeds 2, so no move
-    # can stay in the class and the round is skipped; each row is still valued at its argmax
+    # a lattice of the origin alone, its step past int64 (2e17, 1e19) or past the float range (1e400): the vertex +
+    # edge pass does not read the step, and each row is valued at its argmax
     code, out, err = run(capsys, "verify", "--lambda", "1", "--step", step, "--format", "csv")
     assert code in (EXIT_OK, EXIT_FAIL) and err == ""
     rows = [line.split(",") for line in out.splitlines()[1:]]
@@ -318,28 +319,66 @@ def test_verify_json_is_valid_and_ordered(capsys):
     }
 
 
-def test_verify_grid_csv_matches_benchmark_expected(capsys):
-    # the benchmark's pinned CSV for the five-lambda grid at the defaults, byte for byte but for two rows: A5C min
-    # at lambda 1/10 and 1/4 starts its polish at the vertex (0, 0, 0, lambda/3) and prints its exact value -lambda/3
-    # there, which the file's rows, from a polish that started on the lattice, stop short of
+GRID_CSV = Path(__file__).resolve().parent / "expected" / "verify_grid.csv"
+# the rows of the five-lambda grid CSV that differ from the benchmark's pinned file
+# (perfbench/expected/verify_grid.csv, from before the vertex start and the edge pass):
+# the vertex start's two (A5C min at 0.1 and 0.25), then the edge pass's
+# exact rows: 15 whose argmax moved onto an edge, and 15 at the same argmax
+# whose value is now the correctly rounded exact one, 1 or 2 ulps away
+CHANGED_GRID_ROWS = {
+    ("0.1", "A5C", "min"), ("0.25", "A5C", "min"),
+    ("0.1", "H3F", "max"), ("0.1", "H3INV", "max"), ("0.1", "A4C", "max"), ("0.25", "H3F", "max"),
+    ("0.25", "A4C", "max"), ("0.5", "H3F", "max"), ("0.5", "A4C", "max"), ("0.5", "A5C", "min"),
+    ("0.75", "H2F", "max"), ("0.75", "A4C", "max"), ("0.75", "A5C", "min"), ("1", "H2F", "max"),
+    ("1", "H3F", "max"), ("1", "A4C", "max"), ("1", "A5C", "min"),
+    ("0.1", "A3", "max"), ("0.1", "A4", "max"), ("0.1", "G2", "max"), ("0.1", "G3", "max"), ("0.1", "H2F", "min"),
+    ("0.1", "H3F", "min"), ("0.1", "H2INV", "max"), ("0.1", "H2INV", "min"), ("0.1", "H3INV", "min"),
+    ("0.1", "Z23", "min"), ("0.1", "Z24", "max"), ("0.1", "A4C", "min"), ("0.1", "A5C", "max"),
+    ("0.25", "G3", "max"), ("1", "G3", "max"),
+}
+
+
+def test_verify_grid_csv_golden(capsys):
+    # the five-lambda grid at the defaults, byte for byte, and every --refine from 1 on runs the same one vertex +
+    # edge pass: --refine 6 prints the same bytes
+    outs = []
+    for refine in ((), ("--refine", "6")):
+        code, out, _ = run(capsys, "verify", "--grid", "0.1,0.25,0.5,0.75,1", *refine, "--format", "csv")
+        assert code == EXIT_FAIL
+        outs.append(out)
+    assert outs == [GRID_CSV.read_text()] * 2
+
+
+def test_verify_grid_csv_matches_benchmark_expected():
+    # the program's CSV against the benchmark's pinned file: the same rows, differing in exactly CHANGED_GRID_ROWS
     expected = Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "verify_grid.csv"
-    code, out, _ = run(capsys, "verify", "--grid", "0.1,0.25,0.5,0.75,1", "--format", "csv")
-    assert code == EXIT_FAIL
-    lines = expected.read_text().splitlines(keepends=True)
-    for lam in (Fraction(1, 10), Fraction(1, 4)):
-        i = next(i for i, line in enumerate(lines) if line.startswith(f"{float(lam)},A5C,min,"))
-        lines[i] = f"{float(lam)},A5C,min,{float(-lam / 3)},,,NO_CLOSED_FORM,0;0;0;{lam / 3}\n"
-    assert out == "".join(lines)
+    bench, ours = (path.read_text().splitlines() for path in (expected, GRID_CSV))
+    assert len(bench) == len(ours) == 161 and bench[0] == ours[0]
+    assert [line.split(",")[:3] for line in bench] == [line.split(",")[:3] for line in ours]
+    assert {tuple(a.split(",")[:3]) for a, b in zip(bench, ours) if a != b} == CHANGED_GRID_ROWS
 
 
-def test_verify_grid_refine6_csv_golden(capsys):
-    # the five-lambda grid with six polish rounds, byte for byte: each row's six rounds share one int64 state, and a
-    # row whose rounds accept nothing ahead of one that moves (H3INV max at 0.1: rounds 2 and 3) finds its next
-    # accept by one scan of every round left
-    expected = Path(__file__).resolve().parent / "expected" / "verify_grid_refine6.csv"
-    code, out, _ = run(capsys, "verify", "--grid", "0.1,0.25,0.5,0.75,1", "--refine", "6", "--format", "csv")
-    assert code == EXIT_FAIL
-    assert out == expected.read_text()
+def test_verify_grid_statuses_follow_the_exact_values():
+    # each row's status from its exact value at its argmax against the exact bound, and the FAIL set: the table's
+    # one irrational bound, 4 sqrt(6)/9 for A4C max at lambda = 1, by squares, 81 v^2 against 96 for v >= 0
+    fails = set()
+    for line in GRID_CSV.read_text().splitlines()[1:]:
+        lam, name, direction, searched, closed, _, status, argmax = line.split(",")
+        fn, lam = functional_by_name(name), as_rational(lam)
+        value = fn.evaluate(tuple(as_rational(x) for x in argmax.split(";")))
+        assert float(searched) == float(value)
+        bound = fn.bounds(lam)[direction == "min"]
+        if bound is None:
+            assert status == "NO_CLOSED_FORM" and closed == ""
+            continue
+        if isinstance(bound, float):
+            assert (name, direction, lam) == ("A4C", "max", 1)
+            beats = value > 0 and 81 * value**2 > 96
+        else:
+            beats = value > bound if direction == "max" else value < bound
+        assert status == ("FAIL" if beats else "PASS"), line
+        fails |= {(lam, name, direction)} if beats else set()
+    assert fails == {(F(1, 10), "H3INV", "max"), (F(3, 4), "H2F", "max"), (F(1), "H2F", "max")}
 
 
 def test_verify_table_renders(capsys):
@@ -351,9 +390,9 @@ def test_verify_table_renders(capsys):
 
 
 def test_verify_table_golden(capsys):
-    # every table column byte for byte, with NO_CLOSED_FORM and WARN rows; 1/3 is off the lattice, and 30 rows
-    # start their polish at a vertex of the class polytope, where each prints its exact value
-    # (test_search.py::test_one_third_table_rows_end_at_their_vertex)
+    # every table column byte for byte, with NO_CLOSED_FORM and WARN rows; 1/3 is off the lattice, and 29 rows end at
+    # a vertex of the class polytope and three on an edge, each at its exact value or, for A4C max and A5C min, within
+    # 1e-12 of an irrational argmax (test_search.py::test_one_third_table_rows_end_at_a_vertex_or_on_an_edge)
     code, out, _ = run(capsys, "verify", "--lambda", "1/3", "--step", "1/10", "--refine", "1")
     assert code == EXIT_OK
     assert out == "\n".join([
@@ -362,17 +401,17 @@ def test_verify_table_golden(capsys):
         "     1/3  A2         min                  0                  0            0 PASS           ",
         "     1/3  A3         max      2.11111111111      2.11111111111            0 PASS           ",
         "     1/3  A3         min                  0                  0            0 PASS           ",
-        "     1/3  A4         max       3.7037037037       3.7037037037     4.44e-16 PASS           ",
+        "     1/3  A4         max       3.7037037037       3.7037037037            0 PASS           ",
         "     1/3  A4         min                  0                  0            0 PASS           ",
         "     1/3  G1         max     0.666666666667     0.666666666667            0 PASS           ",
         "     1/3  G1         min                  0                  0            0 PASS           ",
-        "     1/3  G2         max     0.611111111111     0.611111111111     1.11e-16 PASS           ",
+        "     1/3  G2         max     0.611111111111     0.611111111111            0 PASS           ",
         "     1/3  G2         min                  0                  0            0 PASS           ",
         "     1/3  G3         max      0.83950617284      0.83950617284            0 PASS           ",
         "     1/3  G3         min                  0                  0            0 PASS           ",
         "     1/3  H2F        max     0.138888888889     0.138888888889            0 PASS           ",
         "     1/3  H2F        min    -0.111111111111    -0.111111111111            0 PASS           ",
-        "     1/3  H3F        max              0.009   0.00925925925926     0.000259 PASS           ",
+        "     1/3  H3F        max   0.00925925925926   0.00925925925926            0 PASS           ",
         "     1/3  H3F        min   -0.0277777777778   -0.0277777777778            0 PASS           ",
         "     1/3  H2INV      max     0.481481481481     0.481481481481            0 PASS           ",
         "     1/3  H2INV      min    -0.111111111111    -0.111111111111            0 PASS           ",
@@ -386,10 +425,10 @@ def test_verify_table_golden(capsys):
         "     1/3  A2C        min     -1.33333333333     -1.33333333333            0 PASS           ",
         "     1/3  A3C        max      1.44444444444      1.44444444444            0 PASS           ",
         "     1/3  A3C        min    -0.333333333333    -0.333333333333            0 PASS           ",
-        "     1/3  A4C        max           0.206377                                 NO_CLOSED_FORM ",
+        "     1/3  A4C        max     0.209513120352                                 NO_CLOSED_FORM ",
         "     1/3  A4C        min     -1.48148148148     -1.48148148148            0 PASS           ",
         "     1/3  A5C        max      1.49382716049                                 NO_CLOSED_FORM ",
-        "     1/3  A5C        min    -0.111111111111                                 NO_CLOSED_FORM ",
+        "     1/3  A5C        min    -0.138888888889                                 NO_CLOSED_FORM ",
     ]) + "\n"
 
 
