@@ -14,21 +14,21 @@ Only finitely many b_n are stored (default window b1..b4); that window
 carries every functional treated here, and all known extremal
 denominators have degree <= 4.
 
-Functionals (the FUNCTIONALS registry), all exact in the rationals:
+Functionals (the FUNCTIONALS registry, then AN(n)), each by its definition
+over the Taylor coefficients a_k of f (a_1 = 1), A_k of f^-1 (A_1 = 1) and
+gamma_k, the logarithmic coefficients log(f^-1(w)/w) = 2 sum gamma_k w^k,
+with H_q(n) = det [c_(n+i+j)], i, j < q, the Hankel determinant of c:
 
-  a2..a5        Taylor coefficients of f
-  A2..A4        Taylor coefficients of the compositional inverse
-  gamma1..3     logarithmic coefficients: log(f^-1(w)/w) = 2 sum gamma_n w^n
-  h2f, h3f      second/third Hankel determinants of f
-  h2inv, h3inv  the same for the inverse
-  z23, z24      Zalcman expressions a2 a3 - a4 and a2 a4 - a5
+  A2..A4     A_k                    H2F, H3F      H_2(2), H_3(1) of a
+  G1..G3     gamma_k                H2INV, H3INV  H_2(2), H_3(1) of A
+  A2C..A5C   a_k                    Z23, Z24      a2 a3 - a4, a2 a4 - a5
+  AN(n)      |a_n|, 2 <= n <= 8
 
-The exact layers work over the ints, on the member's integer form
-(d = lcm of the b denominators, N = d b), one Fraction per returned value:
-the gates compare ints, the report builds each monomial of (d, N) once, from
-an earlier one, and the series route checks it by the reciprocal recurrence
-(f) and Lagrange inversion (A_n = [z^(n-1)] u^n / n, gamma_n = [z^n] u^n / 2n).
-A CoefficientReport holds exact values only; ucv.cli renders them.
+Each definition runs once over polynomials in b, giving the integer
+monomials that the report, the sweep and the edge pass read.  The exact
+layers work over the ints, on the member's integer form (d = lcm of the b
+denominators, N = d b), one Fraction per returned value.  A
+CoefficientReport holds exact values only; ucv.cli renders them.
 """
 
 from __future__ import annotations
@@ -129,12 +129,13 @@ def f_series(member: ClassMember, order: int) -> TruncatedSeries:
     return TruncatedSeries((_ZERO, _ONE) + tuple(map(Fraction, qs[1:], dk[1:])))
 
 
-def _denominator_powers(member: ClassMember, count: int, order: int) -> list[list[int]]:
-    """[P^1, ..., P^count] through at least z^order, P = d u over the ints from
-    the member's integer form, so u^n = P^n / d^n with d^n the row's constant
-    term.  Each row is the one before times P, one loop over P's nonzero terms.
-    The rows are kept on the member and regrown only for a larger count or
-    order: a truncation is exact, so no value depends on the order of calls."""
+def _denominator_powers(member, count: int, order: int) -> list[list]:
+    """[P^1, ..., P^count] through at least z^order, P = d u from the integer
+    form (d, N) of a member, or of _Coefficients (d = 1, N = b over any ring),
+    so u^n = P^n / d^n with d^n the row's constant term.  Each row is the one
+    before times P, one loop over P's nonzero terms.  The rows are kept on the
+    member and regrown only for a larger count or order: a truncation is
+    exact, so no value depends on the order of calls."""
     d, ns = member.integer_form
     powers = getattr(member, "_powers", [[]])
     if len(powers) < count or len(powers[0]) <= order:
@@ -155,7 +156,8 @@ def inverse_series(member: ClassMember, order: int) -> TruncatedSeries:
     """Expansion of the compositional inverse through w^order.
 
     Lagrange inversion: f = z/u gives A_n = [z^(n-1)] u^n / n, read off
-    the integer powers of d u that log_inverse_halved shares."""
+    the integer powers of d u that log_inverse_halved and the definitions
+    share."""
     if order < 1:
         raise ValueError("order must be >= 1")
     powers = _denominator_powers(member, order, order - 1)
@@ -183,70 +185,20 @@ BoundValue = Union[Fraction, float, None]
 
 @dataclass(frozen=True)
 class Functional:
-    """One coefficient functional of f as a polynomial in (b1, b2, ...).
-
-    `evaluate` is ring generic: run once over _Polynomial it yields the
-    integer monomials of the exact report, the sweep and the edge pass.
-    `name` is the search and CSV name, `field` the CoefficientReport field
-    (None for AN(n)), and `bounds(lam)` the class's closed-form (max, min),
-    None in a direction with no known closed form.
-    """
+    """One coefficient functional of f, by its definition over the _Coefficients c of b: c.a(k), c.A(k), c.gamma(k),
+    or b itself as c.b.  `evaluate(b)` is ring generic: run once over _Polynomial it yields the integer monomials of the exact
+    report, the sweep and the edge pass.  `name` is the search and CSV name, `field` the CoefficientReport field
+    (None for AN(n)), and `bounds(lam)` the class's closed-form (max, min), None in a direction with no known closed
+    form."""
 
     name: str
     field: str | None
-    evaluate: Callable[[Sequence], object]
+    definition: Callable[[_Coefficients], object]
     bounds: Callable[[Fraction], tuple[BoundValue, BoundValue]]
     an: int | None = None  # n of AN(n), |e_(n-1)|: the sweep scores its polynomial e_(n-1) in modulus
 
-
-FUNCTIONALS = (
-    Functional("A2", "A2", lambda b: b[0],
-               lambda lam: (1 + lam, _ZERO)),
-    Functional("A3", "A3", lambda b: b[1] + b[0] * b[0],
-               lambda lam: (1 + 3 * lam + lam**2, _ZERO)),
-    Functional("A4", "A4", lambda b: b[2] + 3 * b[0] * b[1] + b[0] * b[0] * b[0],
-               lambda lam: ((1 + lam) * (1 + 5 * lam + lam**2), _ZERO)),
-    Functional("G1", "gamma1", lambda b: b[0] / 2,
-               lambda lam: ((1 + lam) / 2, _ZERO)),
-    Functional("G2", "gamma2", lambda b: (b[1] + b[0] * b[0] / 2) / 2,
-               lambda lam: ((1 + 4 * lam + lam**2) / 4, _ZERO)),
-    Functional("G3", "gamma3", lambda b: (b[2] + 2 * b[0] * b[1] + b[0] * b[0] * b[0] / 3) / 2,
-               lambda lam: ((1 + lam) * (1 + 8 * lam + lam**2) / 6, _ZERO)),
-    # Hankel determinants h2f = a2 a4 - a3^2 and
-    # h3f = a3(a2 a4 - a3^2) - a4(a4 - a2 a3) + a5(a3 - a2^2) of f, and the
-    # same in A2..A5 for f^-1; h3inv = h3f - (a3 - a2^2)^3
-    Functional("H2F", "h2f", lambda b: b[0] * b[2] - b[1] * b[1],
-               lambda lam: ((1 - lam / 2) * (lam / 2), -(lam**2))),
-    Functional("H3F", "h3f", lambda b: b[1] * b[3] - b[2] * b[2],
-               lambda lam: (lam**2 / 12, -(lam**2) / 4)),
-    Functional("H2INV", "h2inv", lambda b: b[0] * b[2] + b[0] * b[0] * b[1] - b[1] * b[1],
-               lambda lam: (lam * (1 + lam + lam**2), -(lam**2))),
-    Functional("H3INV", "h3inv", lambda b: b[1] * b[3] - b[2] * b[2] + b[1] * b[1] * b[1],
-               lambda lam: (lam**3, -(lam**2) / 4)),
-    # Zalcman expressions a2 a3 - a4 and a2 a4 - a5; only
-    # |a2 a4 - a5| <= lam + lam^2 + lam^3 is known, attained on the
-    # positive side, so z24 has no separate lower closed form
-    Functional("Z23", "z23", lambda b: b[2] - b[0] * b[1],
-               lambda lam: (lam / 2, -(1 + lam) * lam)),
-    Functional("Z24", "z24", lambda b: b[0] * b[0] * b[1] - b[0] * b[2] - b[1] * b[1] + b[3],
-               lambda lam: (lam + lam**2 + lam**3, None)),
-    Functional("A2C", "a2", lambda b: -b[0],
-               lambda lam: (_ZERO, -(1 + lam))),
-    Functional("A3C", "a3", lambda b: b[0] * b[0] - b[1],
-               lambda lam: (1 + lam + lam**2, -lam)),
-    # |a4| <= 1 + lam + lam^2 + lam^3 is attained only on the minus side;
-    # the sharp maximum (4/3)sqrt(2/3) is known at lam = 1 only
-    Functional("A4C", "a4", lambda b: -b[2] + 2 * b[0] * b[1] - b[0] * b[0] * b[0],
-               lambda lam: (4 * math.sqrt(6) / 9 if lam == 1 else None,
-                            -(1 + lam + lam**2 + lam**3))),
-    Functional("A5C", "a5", lambda b: -b[3] + b[1] * b[1] + 2 * b[0] * b[2] - 3 * b[0] * b[0] * b[1]
-               + b[0] * b[0] * b[0] * b[0],
-               lambda lam: (Fraction(5), Fraction(-9, 4)) if lam == 1 else (None, None)),
-)
-FUNCTIONAL_NAMES = tuple(fn.name for fn in FUNCTIONALS)
-_BY_NAME = {fn.name: fn for fn in FUNCTIONALS}
-
-AN_MIN, AN_MAX = 2, 8
+    def evaluate(self, b: Sequence):
+        return self.definition(_Coefficients(b))
 
 
 def _an_coefficient(b: Sequence, n: int):
@@ -262,12 +214,71 @@ def _an_coefficient(b: Sequence, n: int):
     return e[n - 1]
 
 
+class _Coefficients:
+    """The a_k, A_k and gamma_k of the f with z / f = u = 1 + b1 z + b2 z^2 + ..., over the ring of b (Fractions,
+    floats or _Polynomial): a_k = (-1)^(k-1) e_(k-1) of _an_coefficient, and A_k = [z^(k-1)] u^k / k and gamma_k =
+    [z^k] u^k / 2k off the powers of u that inverse_series and log_inverse_halved read, as N / d at d = 1."""
+
+    def __init__(self, b: Sequence):
+        self.b, self.integer_form = b, (1, b)
+
+    def a(self, k: int):
+        return (-1) ** (k - 1) * _an_coefficient(self.b, k)
+
+    def A(self, k: int):
+        return Fraction(1, k) * _denominator_powers(self, k, k - 1)[k - 1][k - 1]
+
+    def gamma(self, k: int):
+        return Fraction(1, 2 * k) * _denominator_powers(self, k, k)[k - 1][k]
+
+
+def _det(m: list[list]):
+    # by cofactors along the first row, ring generic
+    return m[0][0] if len(m) == 1 else sum((-1) ** j * m[0][j] * _det([r[:j] + r[j + 1:] for r in m[1:]])
+                                           for j in range(len(m)))
+
+
+def _hankel(x: Callable[[int], object], q: int, n: int):
+    # H_q(n) = det [x(n + i + j)], i, j < q
+    xs = [x(k) for k in range(n, n + 2 * q - 1)]
+    return _det([xs[i:i + q] for i in range(q)])
+
+
+FUNCTIONALS = (
+    Functional("A2", "A2", lambda c: c.A(2), lambda lam: (1 + lam, _ZERO)),
+    Functional("A3", "A3", lambda c: c.A(3), lambda lam: (1 + 3 * lam + lam**2, _ZERO)),
+    Functional("A4", "A4", lambda c: c.A(4), lambda lam: ((1 + lam) * (1 + 5 * lam + lam**2), _ZERO)),
+    Functional("G1", "gamma1", lambda c: c.gamma(1), lambda lam: ((1 + lam) / 2, _ZERO)),
+    Functional("G2", "gamma2", lambda c: c.gamma(2), lambda lam: ((1 + 4 * lam + lam**2) / 4, _ZERO)),
+    Functional("G3", "gamma3", lambda c: c.gamma(3), lambda lam: ((1 + lam) * (1 + 8 * lam + lam**2) / 6, _ZERO)),
+    Functional("H2F", "h2f", lambda c: _hankel(c.a, 2, 2), lambda lam: ((1 - lam / 2) * (lam / 2), -(lam**2))),
+    Functional("H3F", "h3f", lambda c: _hankel(c.a, 3, 1), lambda lam: (lam**2 / 12, -(lam**2) / 4)),
+    Functional("H2INV", "h2inv", lambda c: _hankel(c.A, 2, 2), lambda lam: (lam * (1 + lam + lam**2), -(lam**2))),
+    Functional("H3INV", "h3inv", lambda c: _hankel(c.A, 3, 1), lambda lam: (lam**3, -(lam**2) / 4)),
+    Functional("Z23", "z23", lambda c: c.a(2) * c.a(3) - c.a(4), lambda lam: (lam / 2, -(1 + lam) * lam)),
+    # only |a2 a4 - a5| <= lam + lam^2 + lam^3 is known, attained on the positive side
+    Functional("Z24", "z24", lambda c: c.a(2) * c.a(4) - c.a(5), lambda lam: (lam + lam**2 + lam**3, None)),
+    Functional("A2C", "a2", lambda c: c.a(2), lambda lam: (_ZERO, -(1 + lam))),
+    Functional("A3C", "a3", lambda c: c.a(3), lambda lam: (1 + lam + lam**2, -lam)),
+    # |a4| <= 1 + lam + lam^2 + lam^3 is attained only on the minus side; the sharp maximum (4/3)sqrt(2/3) is known
+    # at lam = 1 only
+    Functional("A4C", "a4", lambda c: c.a(4),
+               lambda lam: (4 * math.sqrt(6) / 9 if lam == 1 else None, -(1 + lam + lam**2 + lam**3))),
+    Functional("A5C", "a5", lambda c: c.a(5), lambda lam: (Fraction(5), Fraction(-9, 4)) if lam == 1 else (None, None)),
+)
+FUNCTIONAL_NAMES = tuple(fn.name for fn in FUNCTIONALS)
+_BY_NAME = {fn.name: fn for fn in FUNCTIONALS}
+
+AN_MIN, AN_MAX = 2, 8
+
+
+@cache  # one object per n, so its integer monomials are derived once per process
 def an_functional(n: int) -> Functional:
     """|a_n| of f, bounded above by 1 + lambda + ... + lambda^(n-1);
     defined for 2 <= n <= 8.  Its `an` is n: the sweep scores e_(n-1)."""
     if not AN_MIN <= n <= AN_MAX:
         raise ValueError(f"n must be in [{AN_MIN}, {AN_MAX}], got {n}")
-    return Functional(f"AN({n})", None, lambda b: abs(_an_coefficient(b, n)),  # |a_n| = |e_(n-1)|
+    return Functional(f"AN({n})", None, lambda c: abs(c.a(n)),
                       lambda lam: (sum((lam**k for k in range(n)), _ZERO), None), n)
 
 
@@ -310,8 +321,8 @@ def extremal_catalog(name: str, lam: RationalIn) -> ClassMember:
 
 
 class _Polynomial(dict):
-    """{exponent tuple: coefficient} with the operations `evaluate` and _an_coefficient use: over N1..N_width,
-    with int coefficients (Fractions where a functional divides), it gives the report's and the sweep's monomials."""
+    """{exponent tuple: coefficient} with the operations the definitions use: over N1..N_width, with int coefficients
+    (Fractions where a definition divides), it gives the report's, the sweep's and the edge pass's monomials."""
 
     def __add__(self, other):  # a term of one side alone is shared, not copied
         return _Polynomial({**self, **other, **{e: self[e] + other[e] for e in self.keys() & other.keys()}})
@@ -322,25 +333,23 @@ class _Polynomial(dict):
         return sum((_Polynomial({tuple(map(sum, zip(e, f))): c * k for f, k in other.items()})
                     for e, c in self.items()), _Polynomial())
 
+    __radd__ = lambda self, other: self if other == 0 else NotImplemented  # the 0 that sums and power rows start from
     __rmul__ = __mul__
     __neg__ = lambda self: self * -1
     __sub__ = lambda self, other: self + -other
     __truediv__ = lambda self, k: self * Fraction(1, k)
 
 
-def _integer_monomials(fn: Functional, width: int = 4) -> tuple[int, int, tuple[tuple[int, tuple[int, ...]], ...]]:
+@cache  # per functional and width, on the first report or sweep that reads it, so importing never pays for it
+def _integer_monomials(fn: Functional, width: int) -> tuple[int, int, tuple[tuple[int, tuple[int, ...]], ...]]:
     """(L, deg, terms) with fn(N / d) = sum c d^e0 N^e / (L d^deg) over the
     terms (c, (e0, e)), each of total degree deg, N = (N1..N_width); AN(n)
-    is read as e_(n-1)."""
+    is read as e_(n-1).  A term that cancels (H2F's b1^4) counts for neither
+    deg nor L."""
     b = [_Polynomial({tuple(int(i == j) for j in range(width)): 1}) for i in range(width)]
-    poly = _an_coefficient(b, fn.an) if fn.an else fn.evaluate(b)
+    poly = {e: c for e, c in (_an_coefficient(b, fn.an) if fn.an else fn.evaluate(b)).items() if c}
     deg, lcm = max(map(sum, poly)), math.lcm(*(c.denominator for c in poly.values()))
-    return lcm, deg, tuple((int(c * lcm), (deg - sum(e),) + e) for e, c in poly.items() if c)
-
-
-@cache  # derived on the first report or sweep of a registry row, so importing never pays for it
-def _report_terms() -> tuple:
-    return tuple((fn.field, *_integer_monomials(fn)) for fn in FUNCTIONALS)
+    return lcm, deg, tuple((int(c * lcm), (deg - sum(e),) + e) for e, c in poly.items())
 
 
 def _monomial_index(index: dict[tuple[int, ...], int], steps: list[tuple[int, int]], e: tuple[int, ...]) -> int:
@@ -353,14 +362,15 @@ def _monomial_index(index: dict[tuple[int, ...], int], steps: list[tuple[int, in
     return index[e]
 
 
-@cache  # built with _report_terms, at the first report
+@cache  # at the first report: a sweep reads the registry's monomials, not this table
 def _report_table() -> tuple[list[tuple[int, ...]], list[tuple[int, int]], tuple]:
     """(monomials, steps, fields): d, N1..N4, then each monomial a report reads as monomials[5 + i] =
-    monomials[p] * monomials[v], (p, v) = steps[i]; fields as _report_terms, d^deg and monomials by index."""
+    monomials[p] * monomials[v], (p, v) = steps[i]; fields holds (field, L, d^deg, terms) of each registry row's
+    _integer_monomials, d^deg and the terms' monomials by index."""
     index, steps = {tuple(int(i == v) for i in range(5)): v for v in range(5)}, []
     add = partial(_monomial_index, index, steps)
-    fields = tuple((field, lcm, add((deg, 0, 0, 0, 0)), tuple((c, add(e)) for c, e in terms))
-                   for field, lcm, deg, terms in _report_terms())
+    fields = tuple((fn.field, lcm, add((deg, 0, 0, 0, 0)), tuple((c, add(e)) for c, e in terms))
+                   for fn in FUNCTIONALS for lcm, deg, terms in [_integer_monomials(fn, 4)])
     return list(index), steps, fields
 
 

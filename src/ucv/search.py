@@ -36,7 +36,6 @@ from ucv.model import (
     Functional,
     _integer_monomials,
     _monomial_index,
-    _report_terms,
     an_functional,
     functional_by_name,
     lambda_in_range,
@@ -151,18 +150,9 @@ def _certificate(fn: Functional, lam: Fraction, direction: str, value: Fraction,
 # -- sweep core ------------------------------------------------------------
 
 
-def _monomials(fn: Functional, width: int) -> tuple:
-    """fn's (L, deg, terms) of _integer_monomials over N1..N_width: a registry row's are the report's, their exponents
-    padded past width 4, so a sweep expands only AN(n) and functionals outside the registry."""
-    if fn in FUNCTIONALS:
-        lcm, deg, terms = _report_terms()[FUNCTIONALS.index(fn)][1:]
-        return lcm, deg, tuple((c, e + (0,) * (width - 4)) for c, e in terms)
-    return _integer_monomials(fn, width)
-
-
 def _expansion(monomials: Sequence[tuple], step: Fraction, dims: int) -> tuple:
     """(steps, monomials, table) of the integer polynomial P = L den^deg f(step k) of each f, step = num/den: f's
-    (L, deg, terms) of _monomials at N = num k, d = den, b_j past dims being 0.  table[f][i] lists the
+    (L, deg, terms) of _integer_monomials at N = num k, d = den, b_j past dims being 0.  table[f][i] lists the
     (c, t) of k1^i's coefficient, sum c monomial_t, up to P's degree in k1, at least 1; monomials holds the tail
     exponents by index: monomial 0 is 1, and monomial i + 1 is monomial p times tail column v, (p, v) = steps[i]."""
     num, den = step.numerator, step.denominator
@@ -497,7 +487,7 @@ def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional],
         group = [fn for fn in fns if bool(fn.an) == absolute]
         if not group:
             continue
-        monomials = [_monomials(fn, width) for fn in group]
+        monomials = [_integer_monomials(fn, width) for fn in group]
         won = _exact_sweep(monomials, absolute, step, caps, tails, live, last, signs)
         best = _polytope_best(monomials, absolute, signs, *polytope, cfg.dims) if polytope else {}
         for f, (fn, (lcm, deg, _)) in enumerate(zip(group, monomials)):

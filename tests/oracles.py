@@ -14,6 +14,9 @@ not a tautology:
                             -sum (n-1) b_n z^n
   hankel2_from / hankel3_from   determinants straight from the definition,
                             fed with series-route Taylor coefficients
+  EXPANSIONS                each registry row expanded by hand into a
+                            polynomial in b, against the row's definition
+                            over a_k, A_k and gamma_k
   inside_unit_count         exact zero count in the open unit disk by the
                             Schur-Cohn reduction over Fractions
   sign_test_by_fractions    the disk gate's exact decisions (positive sum,
@@ -146,6 +149,29 @@ def hankel3_from(c: Sequence[Fraction]) -> Fraction:
         - c2 * (c2 * c5 - c3 * c4)
         + c3 * (c2 * c4 - c3 * c3)
     )
+
+
+# each registry row expanded by hand into a polynomial in b = (b1, b2, b3, b4),
+# its Hankel determinant or Zalcman expression multiplied out; H3INV is
+# h3f - (a3 - a2^2)^3 with a3 - a2^2 = -b2
+EXPANSIONS = {
+    "A2": lambda b: b[0],
+    "A3": lambda b: b[1] + b[0] * b[0],
+    "A4": lambda b: b[2] + 3 * b[0] * b[1] + b[0] * b[0] * b[0],
+    "G1": lambda b: b[0] / 2,
+    "G2": lambda b: (b[1] + b[0] * b[0] / 2) / 2,
+    "G3": lambda b: (b[2] + 2 * b[0] * b[1] + b[0] * b[0] * b[0] / 3) / 2,
+    "H2F": lambda b: b[0] * b[2] - b[1] * b[1],
+    "H3F": lambda b: b[1] * b[3] - b[2] * b[2],
+    "H2INV": lambda b: b[0] * b[2] + b[0] * b[0] * b[1] - b[1] * b[1],
+    "H3INV": lambda b: b[1] * b[3] - b[2] * b[2] + b[1] * b[1] * b[1],
+    "Z23": lambda b: b[2] - b[0] * b[1],
+    "Z24": lambda b: b[0] * b[0] * b[1] - b[0] * b[2] - b[1] * b[1] + b[3],
+    "A2C": lambda b: -b[0],
+    "A3C": lambda b: b[0] * b[0] - b[1],
+    "A4C": lambda b: -b[2] + 2 * b[0] * b[1] - b[0] * b[0] * b[0],
+    "A5C": lambda b: -b[3] + b[1] * b[1] + 2 * b[0] * b[2] - 3 * b[0] * b[0] * b[1] + b[0] * b[0] * b[0] * b[0],
+}
 
 
 # -- Schur-Cohn zero counting ---------------------------------------------
@@ -310,9 +336,12 @@ def enumerate_feasible(lam, cfg: SearchConfig | None = None) -> Iterator[tuple[F
 
 
 def exact_value(fn, b) -> Fraction:
-    """fn at b over Fraction: a registry row by its evaluate, AN(n) as
-    |a_n| by an_coefficient_by_recursion."""
-    return abs(an_coefficient_by_recursion(b, fn.an)) if fn.an else fn.evaluate(b)
+    """fn at b over Fraction: a registry row by its hand expansion
+    (EXPANSIONS), AN(n) as |a_n| by an_coefficient_by_recursion, any other
+    functional by its evaluate."""
+    if fn.an:
+        return abs(an_coefficient_by_recursion(b, fn.an))
+    return EXPANSIONS.get(fn.name, fn.evaluate)(b)
 
 
 def extremes_by_fractions(lam, cfg: SearchConfig, fns) -> dict:

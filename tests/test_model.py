@@ -3,6 +3,7 @@ extremal catalog, and report serialization."""
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -16,16 +17,28 @@ from hypothesis import strategies as st
 
 import ucv.model
 import ucv.rootcheck
-from oracles import hankel2_from, hankel3_from, random_member, reciprocal_by_geometric, u_residual
+from oracles import (
+    EXPANSIONS,
+    hankel2_from,
+    hankel3_from,
+    random_member,
+    reciprocal_by_geometric,
+    revert_by_lagrange,
+    u_residual,
+)
 from ucv.cli import REPORT_FIELDS, decimal_str
 from ucv.model import (
+    _integer_monomials,
+    _Polynomial,
     _report_table,
-    _report_terms,
+    AN_MAX,
+    AN_MIN,
     CATALOG_NAMES,
     FUNCTIONALS,
     ClassMember,
     CoefficientReport,
     NonMember,
+    an_functional,
     extremal_catalog,
     f_series,
     inverse_series,
@@ -200,20 +213,60 @@ def test_integer_routes_on_large_coprime_denominators(member):
     _check_f_series_against_reciprocals(member)
 
 
-def test_derived_monomials_reproduce_evaluate():
-    rng = random.Random(5)
-    points = [tuple(F(rng.randrange(-60, 61), rng.randrange(1, 50)) for _ in range(4)) for _ in range(30)]
-    assert [field for field, *_ in _report_terms()] == [fn.field for fn in FUNCTIONALS]
-    for fn, (_, lcm, deg, terms) in zip(FUNCTIONALS, _report_terms()):
-        assert terms and all(e[0] >= 0 and sum(e) == deg for _, e in terms), fn.name
-        for x in points:
-            value = sum(F(c, lcm) * x[0] ** e1 * x[1] ** e2 * x[2] ** e3 * x[3] ** e4
-                        for c, (_, e1, e2, e3, e4) in terms)
-            assert value == fn.evaluate(x), (fn.name, x)
+def test_each_definition_equals_its_hand_expansion():
+    # each registry row's definition over a_k, A_k and gamma_k, run over polynomials in b1..b4, is its hand expansion
+    # as a polynomial, and so are its integer monomials, at every search width: the b1^4 terms of H2F's definition
+    # cancel, and no cancelled term is left to raise deg, which is reached at e0 = 0, or L, the least denominator
+    b = [_Polynomial({tuple(int(i == j) for j in range(4)): 1}) for i in range(4)]
+    assert list(EXPANSIONS) == [fn.name for fn in FUNCTIONALS]
+    for fn in FUNCTIONALS:
+        want = {e: c for e, c in EXPANSIONS[fn.name](b).items() if c}
+        assert {e: c for e, c in fn.evaluate(b).items() if c} == want, fn.name
+        lcm, deg, terms = _integer_monomials(fn, 4)
+        assert {e[1:]: F(c, lcm) for c, e in terms} == want and len(terms) == len(want), fn.name
+        assert all(sum(e) == deg for _, e in terms) and min(e[0] for _, e in terms) == 0, fn.name
+        assert lcm == math.lcm(*(c.denominator for c in map(F, want.values()))), fn.name
+        for width in range(5, 8):
+            assert sorted(_integer_monomials(fn, width)[2]) == sorted((c, e + (0,) * (width - 4)) for c, e in terms)
+
+
+@st.composite
+def window_members(draw):
+    """Random exact members over b1..b6: b1 <= 1/2 and b_n <= 1/(2n(n-1))
+    for n >= 2 keep the budget below 3/4 and the coefficient sum below 1,
+    so every draw is a member at lambda = 1."""
+    size = draw(st.integers(min_value=1, max_value=6))
+    b = [draw(st.fractions(min_value=0, max_value=F(1, 2), max_denominator=10**6))]
+    b += [draw(st.fractions(min_value=0, max_value=F(1, 2 * n * (n - 1)), max_denominator=10**6))
+          for n in range(2, size + 1)]
+    return validate(1, b)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.one_of(window_members(), coprime_members(), st.randoms(use_true_random=False).map(random_member)))
+def test_definitions_match_the_truncated_series_route(member):
+    # every registry row and AN(n) against TruncatedSeries arithmetic, which shares no code with the definitions:
+    # a_k by the reciprocal of u = z/f, A_k by back-substitution reversion and by the oracle's Lagrange formula,
+    # gamma_k by log_unit of f^-1(w)/w, and the Hankel determinants from their definition
+    order = AN_MAX
+    u = series_from_polynomial((F(1),) + member.b, order - 1)
+    f = TruncatedSeries((F(0),) + u.reciprocal().coeffs)  # a_0..a_order
+    g = f.revert()
+    assert g == revert_by_lagrange(f)
+    a, A = f.coeffs, g.coeffs
+    gamma = [c / 2 for c in TruncatedSeries(A[1:]).log_unit().coeffs]
+    want = {"A2": A[2], "A3": A[3], "A4": A[4], "G1": gamma[1], "G2": gamma[2], "G3": gamma[3],
+            "H2F": hankel2_from(a[1:]), "H3F": hankel3_from(a[1:]), "H2INV": hankel2_from(A[1:]),
+            "H3INV": hankel3_from(A[1:]), "Z23": a[2] * a[3] - a[4], "Z24": a[2] * a[4] - a[5],
+            "A2C": a[2], "A3C": a[3], "A4C": a[4], "A5C": a[5]}
+    assert {fn.name: fn.evaluate(member.b) for fn in FUNCTIONALS} == want
+    for n in range(AN_MIN, AN_MAX + 1):
+        assert an_functional(n).evaluate(member.b) == abs(a[n]), n
 
 
 def test_report_table_builds_each_monomial_from_an_earlier_one():
     monomials, steps, fields = _report_table()
+    rows = [(fn.field, *_integer_monomials(fn, 4)) for fn in FUNCTIONALS]
     units = [tuple(int(i == v) for i in range(5)) for v in range(5)]
     assert monomials[:5] == units
     assert len(steps) == len(monomials) - 5 and len(set(monomials)) == len(monomials)
@@ -221,20 +274,21 @@ def test_report_table_builds_each_monomial_from_an_earlier_one():
         assert parent < at
         assert tuple(x + y for x, y in zip(monomials[parent], units[v])) == e
     # the terms' monomials and each d^deg, their parents, and nothing else
-    read = {e for *_, terms in _report_terms() for _, e in terms}
-    read |= {(deg, 0, 0, 0, 0) for _, _, deg, _ in _report_terms()}
+    read = {e for *_, terms in rows for _, e in terms}
+    read |= {(deg, 0, 0, 0, 0) for _, _, deg, _ in rows}
     assert read <= set(monomials)
     assert set(monomials) == read | {monomials[p] for p, _ in steps} | set(units)
-    for (field, lcm, deg, terms), (name, table_lcm, den, indexed) in zip(_report_terms(), fields):
+    for (field, lcm, deg, terms), (name, table_lcm, den, indexed) in zip(rows, fields):
         assert (name, table_lcm, monomials[den]) == (field, lcm, (deg, 0, 0, 0, 0))
         assert tuple((c, monomials[i]) for c, i in indexed) == terms
 
 
 def test_import_and_search_leave_the_report_table_unbuilt():
-    # the sweep reads the registry's terms, which the report shares, but not the report's monomial table
-    code = ("import ucv, ucv.model as m\n"
+    # importing the CLI derives no definition; the sweep derives the registry's monomials, which the report shares,
+    # but not the report's monomial table
+    code = ("import ucv.cli, ucv.model as m\n"
             "from ucv.search import SearchConfig, verify_bounds\n"
-            "sizes = lambda: print(m._report_terms.cache_info().currsize, m._report_table.cache_info().currsize)\n"
+            "sizes = lambda: print(m._integer_monomials.cache_info().currsize, m._report_table.cache_info().currsize)\n"
             "sizes()\n"
             "verify_bounds(['1/2'], SearchConfig(grid_step='1/10', refine_rounds=0))\n"
             "sizes()\n"
@@ -245,7 +299,7 @@ def test_import_and_search_leave_the_report_table_unbuilt():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": pythonpath}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:3] == ["0 0", "1 0", "1 1"]  # the table is built by the first report
+    assert proc.stdout.split("\n")[:3] == ["0 0", "16 0", "16 1"]  # the table is built by the first report
 
 
 def log_by_reversion(member, order):

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import ucv.model
 import ucv.search
 from oracles import (
+    EXPANSIONS,
     an_coefficient_by_recursion,
     edge_polynomial_by_fractions,
     edges_by_fractions,
@@ -214,7 +215,7 @@ def test_sweep_tie_along_a_segment_goes_to_the_least_point(monkeypatch, block):
         off = b[0] - b[1] / 2 - 2 * b[2]
         return b[1] + 2 * b[2] - off * off
 
-    segment = Functional("SEGMENT", None, evaluate, lambda lam: (None, None))
+    segment = Functional("SEGMENT", None, lambda c: evaluate(c.b), lambda lam: (None, None))
     lam, cfg = F(1), SearchConfig(grid_step=F(1, 8), dims=3)
     if block:
         monkeypatch.setattr(ucv.search, "_SWEEP_BLOCK", block)
@@ -233,15 +234,16 @@ def test_sweep_tie_in_slack_order_goes_to_the_least_tail(monkeypatch, lam, cfg, 
     # the least point, the zero tail, must win all the same
     if block:
         monkeypatch.setattr(ucv.search, "_SWEEP_BLOCK", block)
-    fns = [Functional("B1", None, lambda b: b[0], lambda lam: (None, None)),
-           Functional("B3", None, lambda b: b[2], lambda lam: (None, None))]
+    fns = [Functional("B1", None, lambda c: c.b[0], lambda lam: (None, None)),
+           Functional("B3", None, lambda c: c.b[2], lambda lam: (None, None))]
     got = _sweep(lam, lattice(cfg), fns)
     zero = (F(0),) * max(4, cfg.dims)
     assert swept(got, fns[0], "min") == swept(got, fns[1], "min") == (0, zero)
 
 
-# exact ties whose floats differ by an ulp, so that a float score would
-# break them by rounding; the first point is the least: H2F max at
+# exact ties whose floats differ by an ulp in the hand expansion
+# (EXPANSIONS), so that a float score would break them by rounding; the
+# first point is the least: H2F max at
 # lambda = 1/2, step 1/7, H3F max at lambda = 3/4, step 1/20, dims 5 (it
 # ignores b1, so every b1 ties too) and Z24 min at lambda = 1/3, step 1/10
 EXACT_TIES = [
@@ -260,7 +262,7 @@ def test_sweep_takes_the_least_of_an_exact_tie(name, direction, lam, cfg, value,
     values = {b: fn.evaluate(b) for b in enumerate_feasible(lam, cfg)}
     assert value == (max if direction == "max" else min)(values.values())
     assert [values[b] for b in points] == [value] * 2 and min(b for b in values if values[b] == value) == points[0]
-    floats = [fn.evaluate(tuple(float(x) for x in b)) for b in points]
+    floats = [EXPANSIONS[name](tuple(float(x) for x in b)) for b in points]
     assert floats[0] != floats[1]
     assert swept(_sweep(lam, lattice(cfg), [fn], (direction,)), fn, direction) == (value, points[0])
 
@@ -346,7 +348,7 @@ def test_edge_candidates_match_fractions(name, lam, dims):
     # 2**-44 across which it changes sign, and they hold every sign change
     # that the derivative shows at t = k/256
     fn = functional_by_name(name)
-    monomials = [ucv.search._monomials(fn, max(4, dims))]
+    monomials = [ucv.model._integer_monomials(fn, max(4, dims))]
     lcm, deg, _ = monomials[0]
     dv, vertices = _vertices(lam, dims)
     i, j = _edges(dims)
@@ -357,7 +359,7 @@ def test_edge_candidates_match_fractions(name, lam, dims):
         want = edge_polynomial_by_fractions(fn, points[a], points[b])
         if fn.an:  # P is e_(n-1) = (-1)^(n-1) a_n, which exact_value reads as |a_n|
             want = [(-1) ** (fn.an - 1) * c for c in edge_polynomial_by_fractions(
-                dataclasses.replace(fn, an=None, evaluate=lambda x: an_coefficient_by_recursion(x, fn.an)),
+                dataclasses.replace(fn, an=None, definition=lambda c: an_coefficient_by_recursion(c.b, fn.an)),
                 points[a], points[b])]
         got = [F(c, lcm * dv**deg) for c in cols[:, 0, e].tolist()]
         assert got == want + [0] * (len(got) - len(want)), (e, got, want)
@@ -555,10 +557,12 @@ def set_an_sizes(monkeypatch, sizes):
 
 def spy_an_build(monkeypatch, force_object=False):
     """Record the exact AN build: the expansions that _an_coefficient runs
-    over polynomials with Python-int coefficients (_integer_monomials),
-    and the dtypes of the tail columns that _columns multiplies per chunk.
+    over polynomials with Python-int coefficients (_integer_monomials,
+    emptied first, so that its cache holds no earlier test's build), and
+    the dtypes of the tail columns that _columns multiplies per chunk.
     With force_object the magnitude bound reads 2**63, which puts any grid
     on Python ints."""
+    ucv.model._integer_monomials.cache_clear()
     coefficient, columns = ucv.model._an_coefficient, ucv.search._columns
     build = {"expansions": 0, "dtypes": set()}
 
@@ -586,7 +590,7 @@ def test_an_sweep_matches_exact_brute_force(monkeypatch, lam, cfg, n, sizes, dir
     set_an_sizes(monkeypatch, sizes)
     build = spy_an_build(monkeypatch)
     assert_an_sweep_is_exact(lam, cfg, n, directions)
-    assert build["expansions"] == 2  # one per sweep: the lattice alone, then with the pass
+    assert build["expansions"] == 1  # by the first of the two sweeps, the lattice alone; the second reads the cache
     assert build["dtypes"] == ({np.dtype(np.int64)} if cfg.dims > 1 else set())  # no tail column at dims 1
 
 
@@ -597,7 +601,7 @@ def test_an_sweep_forced_onto_python_ints(monkeypatch, lam, cfg, n, sizes, direc
     set_an_sizes(monkeypatch, sizes)
     build = spy_an_build(monkeypatch, force_object=True)
     assert_an_sweep_is_exact(lam, cfg, n, directions)
-    assert build["expansions"] == 2  # one per sweep: the lattice alone, then with the pass
+    assert build["expansions"] == 1  # by the first of the two sweeps, the lattice alone; the second reads the cache
     assert build["dtypes"] == ({np.dtype(object)} if cfg.dims > 1 else set())  # no tail column at dims 1
 
 
@@ -606,7 +610,7 @@ def test_an_sweep_past_int64_runs_on_python_ints(monkeypatch):
     # about 10k points
     build = spy_an_build(monkeypatch)
     assert_an_sweep_is_exact(F(1, 5000), SearchConfig(grid_step=F(1, 5000), dims=7), 8, ("max", "min"))
-    assert build == {"expansions": 2, "dtypes": {np.dtype(object)}}
+    assert build == {"expansions": 1, "dtypes": {np.dtype(object)}}
 
 
 def test_an_tie_grid_ties_across_tails():
@@ -740,7 +744,7 @@ def test_an_conjecture_sweep_scores_under_a_quarter_of_its_points(monkeypatch):
 
 
 def test_an_sweep_runs_no_recursion_per_point(monkeypatch):
-    # _an_coefficient runs once per sweep on polynomials in (b1, b2..b_dims),
+    # _an_coefficient runs once per process on polynomials in (b1, b2..b_dims),
     # and never on floats (the polish values the winner) nor on the points'
     # arrays; each chunk of tails (six coefficients each, in at
     # most _CHUNK cells, and at most _BATCH tails) reads its columns off the
@@ -760,6 +764,7 @@ def test_an_sweep_runs_no_recursion_per_point(monkeypatch):
         return real_columns(part, steps, table)
 
     real_columns = ucv.search._columns
+    ucv.model._integer_monomials.cache_clear()
     monkeypatch.setattr(ucv.model, "_an_coefficient", counting(ucv.model._an_coefficient))
     monkeypatch.setattr(ucv.search, "_columns", columns)
     lam, cfg = F(1), SearchConfig(dims=5)  # the sweep of conjecture --n 6
@@ -856,6 +861,7 @@ def test_max_bounds_nondecreasing_in_lambda():
 def test_functional_lookup():
     assert functional_by_name("H3INV").field == "h3inv"
     assert functional_by_name("AN(4)").name == "AN(4)"
+    assert functional_by_name("AN(6)") is an_functional(6)  # one object, so one derivation of its monomials
     with pytest.raises(KeyError):
         functional_by_name("B7")
     with pytest.raises(ValueError):
