@@ -219,11 +219,13 @@ class _Coefficients:
     floats or _Polynomial): a_k = (-1)^(k-1) e_(k-1) of _an_coefficient, and A_k = [z^(k-1)] u^k / k and gamma_k =
     [z^k] u^k / 2k off the powers of u that inverse_series and log_inverse_halved read, as N / d at d = 1."""
 
-    def __init__(self, b: Sequence):
-        self.b, self.integer_form = b, (1, b)
+    def __init__(self, b: Sequence):  # each a_k is derived once per object, and the powers are kept on it
+        self.b, self.integer_form, self._a = b, (1, b), {}
 
     def a(self, k: int):
-        return (-1) ** (k - 1) * _an_coefficient(self.b, k)
+        if k not in self._a:
+            self._a[k] = (-1) ** (k - 1) * _an_coefficient(self.b, k)
+        return self._a[k]
 
     def A(self, k: int):
         return Fraction(1, k) * _denominator_powers(self, k, k - 1)[k - 1][k - 1]
@@ -340,14 +342,19 @@ class _Polynomial(dict):
     __truediv__ = lambda self, k: self * Fraction(1, k)
 
 
+@cache  # one per width, so the rows of a width share each a_k and the powers of u
+def _polynomial_coefficients(width: int) -> _Coefficients:
+    return _Coefficients([_Polynomial({tuple(int(i == j) for j in range(width)): 1}) for i in range(width)])
+
+
 @cache  # per functional and width, on the first report or sweep that reads it, so importing never pays for it
 def _integer_monomials(fn: Functional, width: int) -> tuple[int, int, tuple[tuple[int, tuple[int, ...]], ...]]:
     """(L, deg, terms) with fn(N / d) = sum c d^e0 N^e / (L d^deg) over the
     terms (c, (e0, e)), each of total degree deg, N = (N1..N_width); AN(n)
     is read as e_(n-1).  A term that cancels (H2F's b1^4) counts for neither
     deg nor L."""
-    b = [_Polynomial({tuple(int(i == j) for j in range(width)): 1}) for i in range(width)]
-    poly = {e: c for e, c in (_an_coefficient(b, fn.an) if fn.an else fn.evaluate(b)).items() if c}
+    ring = _polynomial_coefficients(width)
+    poly = {e: c for e, c in (_an_coefficient(ring.b, fn.an) if fn.an else fn.definition(ring)).items() if c}
     deg, lcm = max(map(sum, poly)), math.lcm(*(c.denominator for c in poly.values()))
     return lcm, deg, tuple((int(c * lcm), (deg - sum(e),) + e) for e, c in poly.items())
 

@@ -7,9 +7,9 @@ p(-1) = 1 - b1 + b2 - ... >= 0 (rootcheck.nonvanishing_in_open_disk),
 so the sweep keeps a point by one integer comparison; the three
 conditions imply b1 <= 1 + lambda, so it sets no b1 cap.
 
-The search is a deterministic, exact lattice sweep, then one exact pass
-over the vertices and edges of the class polytope {b >= 0, budget,
-p(-1) >= 0}, where the sharp extremals sit; no float decides anything.
+The search is one exact pass over the vertices and edges of the class
+polytope {b >= 0, budget, p(-1) >= 0}, where the sharp extremals sit, then
+an exact lattice sweep seeded with its optimum; no float decides anything.
 The sweep scores each functional per tail: its integer polynomial in the
 lattice units, an integer enclosure that drops the tails and the runs of
 b1 that cannot win, and integer Horner on the rest.  Along an edge a
@@ -279,17 +279,20 @@ def _ends(cols: np.ndarray, m: np.ndarray, ranks: np.ndarray, hits: list, direct
 
 
 def _exact_sweep(monomials: Sequence[tuple], absolute: bool, step: Fraction, caps: list, tails: np.ndarray,
-                 rank: np.ndarray, last: np.ndarray, signs: dict) -> dict:
+                 rank: np.ndarray, last: np.ndarray, signs: dict, seeds: dict) -> dict:
     """{(f, direction): (score, (k1, row of tails))}: the exact extremum of s P, or s |P| where absolute, P = C_0 +
     ... + C_r k1^r of _expansion, and its least point, over the tails rank[i] (slack order), feasible for k1 in [0,
     last[i]]; caps holds the largest k1 and k_j.  Each chunk of at most _CHUNK cells and _BATCH tails reads its C_i
     off its tail monomials (_columns), int64 while _bound < 2**63, and _ends keeps the tails that can still win for
-    _run_tables, once _BATCH of them gather."""
+    _run_tables, once _BATCH of them gather.  seeds[f, direction] = (num, den, _), _polytope_best's s num / (L den),
+    starts the best at the least score that ties or beats it, at a sentinel point (big, big) that any cell beats."""
     steps, tail_monomials, table = _expansion(monomials, step, tails.shape[1] + 1)
     bound = _bound(table, tail_monomials, [max(c, 1) for c in caps])
     dtype = np.int64 if bound < 2**63 else object
     floor, big, directions = -bound - 1, caps[0] + len(tails), list(signs.items())  # below any score; past k1, row
-    hits = [[(floor, 0, 0)] * len(signs) for _ in table]  # per functional and direction, as _raise keeps them
+    # per functional and direction, as _raise keeps them; a seed past bound, which no cell passes, fits dtype at bound
+    hits = [[(min(-(-s * seeds[f, d][0] * step.denominator**deg // seeds[f, d][1]), bound), -big, -big)
+             if (f, d) in seeds else (floor, 0, 0) for d, s in directions] for f, (_, deg, _) in enumerate(monomials)]
     kept = [[] for _ in table]  # per functional: the (cols, m, ranks) of kept tails not yet scored
     size = max(min(_CHUNK // (len(table) * max(map(len, table))), _BATCH), 1)  # tails per chunk
     for lo in range(0, len(last), size):
@@ -353,10 +356,10 @@ def _edge_plan(monomials: tuple, width: int) -> tuple[list, np.ndarray]:
 def _edge_columns(monomials: Sequence[tuple], dv: int, vertices: list, edges: tuple) -> np.ndarray:
     """(K, F, E): the coefficients of t^0..t^(K-1) of P = L dv^deg f along each edge N = a + b t, a = v0, b = v1 - v0,
     for each f's (L, deg, terms), K = the largest deg + 1 >= 2; one product per degree builds the monomials of
-    _edge_plan for all edges.  int64 where 4^(K-1) sum |c| M^deg < 2**63, M = 2 max N >= |a| + |b|, which bounds
-    every value of P and of _bernstein's products."""
+    _edge_plan for all edges.  int64 where sum |c| M^deg < 2**63, M = 2 max N >= |a| + |b| (every partial sum of P),
+    and the largest coefficients built bound _bernstein's products and the vertex values times 2^m C(m, k) below it."""
     size, k = max(dv, 2 * max(map(max, vertices))), max(2, *(deg + 1 for _, deg, _ in monomials))
-    bound = max(sum(abs(c) for c, _ in t) * size**deg for _, deg, t in monomials) << 2 * (k - 1)
+    bound = max(sum(abs(c) for c, _ in t) * size**deg for _, deg, t in monomials)
     dtype = np.int64 if bound < 2**63 else object
     levels, weights = _edge_plan(tuple(monomials), len(vertices[0]))
     points = np.array(vertices, dtype=dtype)
@@ -367,7 +370,11 @@ def _edge_columns(monomials: Sequence[tuple], dv: int, vertices: list, edges: tu
     for new, parent, v in levels:
         polys[new] = polys[parent] * polys[v, :1]
         polys[new, 1:] += polys[parent, :-1] * polys[v, 1:2]
-    return np.tensordot(weights.astype(dtype), polys, axes=(1, 0)).transpose(1, 0, 2)
+    cols = np.tensordot(weights.astype(dtype), polys, axes=(1, 0)).transpose(1, 0, 2)
+    top = np.abs(cols).max(axis=(1, 2)).tolist()  # per power of t
+    vertex = sum(top) * (math.comb(k - 1, (k - 1) // 2) << k - 1)  # |P| at t = 0 or 1, times 2^m C(m, k)
+    products = max(sum(c * x for c, x in zip(row, top)) for half in _bernstein(k - 1) for row in half)
+    return cols if max(vertex, products) < 2**63 else cols.astype(object)
 
 
 @functools.cache
@@ -463,8 +470,10 @@ def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional],
            directions: Sequence[str] = ("max", "min")) -> dict:
     """{(name, direction): (value, point)}, f's exact value at point = (d, N): the best of the lattice's least exact
     extremum and, where cfg.refine_rounds is not 0, the vertex + edge pass's (_polytope_best), a tie going to the
-    least point.  The tails are sorted once by p(-1) slack, most first (stable), so the tails feasible at b1 = k1 step
-    are a prefix of them; the registry is scored in one _exact_sweep and AN(n), whose score is |P|, in another."""
+    least point.  The pass runs first and seeds each row of the sweep, which then finds only the lattice points that
+    tie or beat it: a row that keeps the seed's sentinel is the pass's.  The tails are sorted once by p(-1) slack,
+    most first (stable), so the tails feasible at b1 = k1 step are a prefix of them; the registry is scored in one
+    _exact_sweep and AN(n), whose score is |P|, in another."""
     step = cfg.grid_step
     top, budget_units = int(1 / step), int(lam / step)
     tails = _tail_units(budget_units, tuple(range(1, cfg.dims)))
@@ -488,14 +497,17 @@ def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional],
         if not group:
             continue
         monomials = [_integer_monomials(fn, width) for fn in group]
-        won = _exact_sweep(monomials, absolute, step, caps, tails, live, last, signs)
         best = _polytope_best(monomials, absolute, signs, *polytope, cfg.dims) if polytope else {}
+        won = _exact_sweep(monomials, absolute, step, caps, tails, live, last, signs, best)
         for f, (fn, (lcm, deg, _)) in enumerate(zip(group, monomials)):
             for direction, s in signs.items():
                 score, (k1, tail) = won[f, direction]
-                point = step.denominator, tuple(step.numerator * k for k in (k1, *tails[tail].tolist(), *pad))
-                row = s * score, step.denominator**deg, point
-                num, den, point = best[f, direction] if polytope and _wins(s, best[f, direction], row) else row
+                row = best.get((f, direction))  # the pass's, kept where the sweep keeps the seed's sentinel
+                if tail < len(tails):
+                    point = step.denominator, tuple(step.numerator * k for k in (k1, *tails[tail].tolist(), *pad))
+                    lattice = s * score, step.denominator**deg, point
+                    row = row if row and _wins(s, row, lattice) else lattice
+                num, den, point = row
                 found[fn.name, direction] = Fraction(num, lcm * den), point
     return found
 

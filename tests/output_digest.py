@@ -1,0 +1,65 @@
+"""One sha256 over a fixed battery of CLI outputs, to show that a change
+leaves every output byte-identical.
+
+    python3 tests/output_digest.py
+
+Run it in the tree before a change and in the tree after it: the two
+digests match iff every output below matches.  The battery runs in one
+interpreter, through ucv.cli.main, and hashes each call's argv, exit code
+and stdout:
+
+- verify --format csv over ten lambdas, dims 3-5, five grid steps and
+  --refine 0 and 1 (30 calls of 320 rows each);
+- conjecture --format json for n = 2..8 at four lambdas (28 calls);
+- report --format json on 300 seeded draws of (lambda, b1..b4) within
+  the budget, about one in seven with p(-1) < 0, so rejected.
+
+pytest does not collect this file, and it takes no options.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from ucv.cli import main  # noqa: E402
+
+LAMBDAS = "1/10,1/5,1/4,1/3,1/2,3/5,2/3,3/4,9/10,1"
+STEPS = ("1/10", "1/14", "1/20", "3/20", "1/25")
+SEED = 20261020
+
+
+def battery() -> list[list[str]]:
+    calls = [["verify", "--grid", LAMBDAS, "--step", step, "--dims", str(dims), "--refine", str(refine),
+              "--format", "csv"] for dims in (3, 4, 5) for step in STEPS for refine in (0, 1)]
+    calls += [["conjecture", "--n", str(n), "--lambda", lam, "--format", "json"]
+              for n in range(2, 9) for lam in ("1/4", "1/2", "3/4", "1")]
+    rng = random.Random(SEED)
+    for _ in range(300):
+        lam, w = Fraction(rng.randint(1, 12), 12), [rng.randint(0, 4) for _ in range(3)]
+        scale = lam * Fraction(rng.randint(0, 8), 8) / max(w[0] + 2 * w[1] + 3 * w[2], 1)  # within the budget
+        tail = [x * scale for x in w]
+        b = [Fraction(rng.randint(0, 14), 12) * (1 + tail[0] - tail[1] + tail[2])] + tail  # p(-1) < 0 past 12/12
+        calls.append(["report", "--lambda", str(lam), "--b", ",".join(map(str, b)), "--format", "json"])
+    return calls
+
+
+def digest() -> str:
+    h = hashlib.sha256()
+    for argv in battery():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        h.update(f"{' '.join(argv)}\n{code}\n{out.getvalue()}".encode())
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    print(digest())

@@ -230,6 +230,36 @@ def test_each_definition_equals_its_hand_expansion():
             assert sorted(_integer_monomials(fn, width)[2]) == sorted((c, e + (0,) * (width - 4)) for c, e in terms)
 
 
+def test_registry_rows_share_one_derivation_per_width(monkeypatch):
+    # the 16 rows at width 4 read a1..a5, A1..A5 and gamma1..gamma3 off one _Coefficients over polynomials: one
+    # _an_coefficient call per a_k, and four builds of the powers of u, regrown for A2, A3, A4 and A5, where a fresh
+    # _Coefficients per row took 18 calls and 14 builds; each row keeps the (L, deg, terms) of a fresh derivation
+    calls = {"a_k": 0, "powers": 0}
+    an, powers = ucv.model._an_coefficient, ucv.model._denominator_powers
+
+    def counted_an(b, n):
+        calls["a_k"] += 1
+        return an(b, n)
+
+    def counted_powers(member, count, order):
+        before = getattr(member, "_powers", None)
+        out = powers(member, count, order)
+        calls["powers"] += getattr(member, "_powers") is not before
+        return out
+
+    ucv.model._integer_monomials.cache_clear()
+    ucv.model._polynomial_coefficients.cache_clear()
+    monkeypatch.setattr(ucv.model, "_an_coefficient", counted_an)
+    monkeypatch.setattr(ucv.model, "_denominator_powers", counted_powers)
+    rows = [_integer_monomials(fn, 4) for fn in FUNCTIONALS]
+    assert calls == {"a_k": 5, "powers": 4}
+    b = [_Polynomial({tuple(int(i == j) for j in range(4)): 1}) for i in range(4)]
+    for fn, (lcm, deg, terms) in zip(FUNCTIONALS, rows):
+        fresh = {e: c for e, c in fn.evaluate(b).items() if c}  # a _Coefficients of its own
+        assert {e[1:]: F(c, lcm) for c, e in terms} == fresh, fn.name
+        assert deg == max(map(sum, fresh)) and lcm == math.lcm(*(F(c).denominator for c in fresh.values()))
+
+
 @st.composite
 def window_members(draw):
     """Random exact members over b1..b6: b1 <= 1/2 and b_n <= 1/(2n(n-1))

@@ -50,10 +50,12 @@ from ucv.search import (
     SearchConfig,
     _edge_columns,
     _edges,
+    _polytope_best,
     _roots,
     _sweep,
     _tail_units,
     _vertices,
+    _wins,
     closed_form_bound,
     conjecture_scan,
     optimize,
@@ -333,11 +335,12 @@ def test_edges_match_the_oracle(dims, lam):
 
 
 # a sample of functionals, lambdas and dims for the edge polynomials: the registry rows of degree 3 and 4 in b,
-# whose derivatives along an edge are quadratic or cubic, and AN(n) of degree up to 7; lambda = 1/10**13 and AN(8)'s
-# degree put the columns on Python ints
+# whose derivatives along an edge are quadratic or cubic, and AN(n) of degree up to 7; lambda = 1/10**13 and AN(8)
+# at lambda = 1/2 put the columns on Python ints
 EDGE_SAMPLE = [(name, lam, dims) for name in ("A4C", "A5C", "H3INV", "Z24", "H2F")
                for lam, dims in ((F(1, 10), 4), (F(1, 3), 5), (F(3, 4), 4), (F(1), 4))]
-EDGE_SAMPLE += [("AN(5)", F(1, 2), 4), ("AN(6)", F(1), 5), ("AN(8)", F(1), 7), ("A5C", F(1, 10**13), 4)]
+EDGE_SAMPLE += [("AN(5)", F(1, 2), 4), ("AN(6)", F(1), 5), ("AN(8)", F(1), 7), ("AN(8)", F(1, 2), 7),
+                ("A5C", F(1, 10**13), 4)]
 
 
 @pytest.mark.parametrize("name,lam,dims", EDGE_SAMPLE, ids=str)
@@ -353,7 +356,7 @@ def test_edge_candidates_match_fractions(name, lam, dims):
     dv, vertices = _vertices(lam, dims)
     i, j = _edges(dims)
     cols = _edge_columns(monomials, dv, vertices, (i, j))
-    assert cols.dtype == (object if lam.denominator > 10**6 or name == "AN(8)" else np.int64)
+    assert cols.dtype == (object if lam.denominator > 10**6 or (name, lam) == ("AN(8)", F(1, 2)) else np.int64)
     points = vertex_points(lam, dims)
     for e, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
         want = edge_polynomial_by_fractions(fn, points[a], points[b])
@@ -376,6 +379,23 @@ def test_edge_candidates_match_fractions(name, lam, dims):
         for lo, hi in zip(grid, grid[1:]):
             if at(lo) * at(hi) < 0:
                 assert any(lo <= t <= hi for t in marks), (e, lo)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_edge_columns_of_high_an_stay_int64(n):
+    # AN(7) and AN(8) at lambda = 1: the built coefficients take 42 and 49 bits, and their Bernstein products and
+    # vertex values times 2^m C(m, k) stay below 2**63, so the columns are int64, equal to the Python-int build that a
+    # companion row with a coefficient of 2**63 forces; the pass then gives the same best on both
+    lam, dims = F(1), n - 1
+    monomials = [ucv.model._integer_monomials(an_functional(n), max(4, dims))]
+    forcing = monomials + [(1, 1, ((2**63, (1,) + (0,) * max(4, dims)),))]  # 2**63 d
+    dv, vertices = _vertices(lam, dims)
+    cols, wide = (_edge_columns(m, dv, vertices, _edges(dims)) for m in (monomials, forcing))
+    assert (cols.dtype, wide.dtype) == (np.int64, object)
+    assert cols.tolist() == wide[:, :1].tolist()
+    signs = {"max": 1, "min": -1}
+    best, forced = (_polytope_best(m, True, signs, dv, vertices, dims) for m in (monomials, forcing))
+    assert all(best[0, d] == forced[0, d] for d in signs)
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -404,19 +424,81 @@ SAMPLE_LAMBDAS = [F(1, 10), F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1)]
 SAMPLE_STEPS = [F(1, 50), F(1, 7), F(1, 10), F(3, 20)]
 
 
+def pass_or_lattice(lam, cfg, fns, grid):
+    """The rows of an unseeded search: the lattice's winner grid (_sweep at
+    refine_rounds = 0) and the vertex + edge pass's alone (_polytope_best),
+    the better of the two by _wins, a tie to the least point."""
+    (dv, vertices), found = _vertices(lam, cfg.dims), {}
+    signs = {"max": 1, "min": -1}
+    for group in ([fn for fn in fns if not fn.an], [fn for fn in fns if fn.an]):
+        monomials = [ucv.model._integer_monomials(fn, max(4, cfg.dims)) for fn in group]
+        best = _polytope_best(monomials, bool(group[0].an), signs, dv, vertices, cfg.dims) if group else {}
+        for f, (fn, (lcm, _, _)) in enumerate(zip(group, monomials)):
+            for direction, s in signs.items():
+                value, point = grid[fn.name, direction]
+                num, den, at = best[f, direction]
+                wins = _wins(s, (num, lcm * den, at), (value.numerator, value.denominator, point))
+                found[fn.name, direction] = (F(num, lcm * den), at) if wins else (value, point)
+    return found
+
+
 @pytest.mark.parametrize("step", SAMPLE_STEPS, ids=str)
 @pytest.mark.parametrize("dims", [3, 4, 5])
 @pytest.mark.parametrize("lam", SAMPLE_LAMBDAS, ids=str)
 def test_pass_is_no_worse_than_the_lattice_or_any_vertex(lam, dims, step):
     # every row of the pass, the registry's and AN(5)'s, is a member whose
     # exact value is no worse than the lattice's winner or any vertex of the
-    # class polytope, and no larger a point than a rival it ties
+    # class polytope, and no larger a point than a rival it ties.  The pass
+    # seeds the sweep, which then scores only what ties or beats it: every
+    # row, value and point (d, N) alike, is the unseeded search's
     cfg, fns = SearchConfig(dims=dims, grid_step=step), [functional_by_name(n) for n in SWEEP_NAMES]
     grid, passed = _sweep(lam, lattice(cfg), fns), _sweep(lam, cfg, fns)
+    assert passed == pass_or_lattice(lam, cfg, fns, grid)
     for fn in fns:
         for direction in ("max", "min"):
             exact, arg = swept(grid, fn, direction)
             assert_pass_is_no_worse(lam, dims, fn, direction, swept(passed, fn, direction), exact, arg)
+
+
+def bump(b, lam):
+    """b1 - b1^2 + (lam/2) b2 - b2^2 = 1/4 + lam^2/16 - (b1 - 1/2)^2 - (b2 -
+    lam/4)^2, with no constant term, as the definitions are written: it
+    ignores b3, and its least argmax, (1/2, lam/4, 0, ...), is inside a
+    2-face of the class polytope, on no edge."""
+    return b[0] - b[0] * b[0] + b[1] * (lam / 2) - b[1] * b[1]
+
+
+def test_the_lattice_beats_the_seed_at_an_interior_maximum():
+    # the pass's best, on an edge, is below the maximum 5/16; the seed is its score rounded up to the lattice's
+    # units, and the lattice's 5/16 at (1/2, 1/4, 0, 0) beats it
+    lam, cfg = F(1), SearchConfig(grid_step=F(1, 8), dims=3)
+    fn = Functional("BUMP", None, lambda c: bump(c.b, lam), lambda lam: (None, None))
+    monomials = [ucv.model._integer_monomials(fn, 4)]
+    num, den, _ = _polytope_best(monomials, False, {"max": 1}, *_vertices(lam, 3), 3)[0, "max"]
+    assert F(num, monomials[0][0] * den) < F(5, 16)
+    top = (F(5, 16), (F(1, 2), F(1, 4), F(0), F(0)))
+    assert swept(_sweep(lam, cfg, [fn], ("max",)), fn, "max") == top
+    assert swept(_sweep(lam, lattice(cfg), [fn], ("max",)), fn, "max") == top
+
+
+def test_the_lattice_ties_the_seed_at_a_smaller_point():
+    # m + (BUMP - m) |b - (1, 0, 0)|^2, m = 5/16 the maximum of BUMP, reaches its maximum m at the vertex (1, 0, 0),
+    # which the pass finds, and at the smaller lattice points (1/2, 1/4, b3): the seed is the pass's score, which
+    # the lattice ties, and the least point wins
+    lam, cfg, top = F(1), SearchConfig(grid_step=F(1, 8), dims=3), F(5, 16)
+
+    def evaluate(c):
+        b1, b2, b3 = c.b[:3]
+        far = b1 * b1 - 2 * b1 + b2 * b2 + b3 * b3  # |b - (1, 0, 0)|^2 - 1
+        return bump(c.b, lam) * far + bump(c.b, lam) - far * top
+
+    fn = Functional("TWO", None, evaluate, lambda lam: (None, None))
+    monomials = [ucv.model._integer_monomials(fn, 4)]
+    num, den, point = _polytope_best(monomials, False, {"max": 1}, *_vertices(lam, 3), 3)[0, "max"]
+    assert (F(num, monomials[0][0] * den), as_fractions(point)) == (top, (F(1), F(0), F(0), F(0)))
+    ties = [b for b in enumerate_feasible(lam, cfg) if fn.evaluate(b) == top]
+    assert ties[0] == (F(1, 2), F(1, 4), F(0), F(0)) and (F(1), F(0), F(0), F(0)) in ties
+    assert swept(_sweep(lam, cfg, [fn], ("max",)), fn, "max") == (top, ties[0])
 
 
 def test_the_pass_runs_the_same_for_any_round_count():
@@ -442,6 +524,16 @@ def test_edge_pass_work_on_the_default_grid(monkeypatch):
     monkeypatch.setattr(ucv.search, "_roots", counted)
     assert len(verify_bounds(GRID5)) == 160
     assert calls == {4: 25, 3: 5}
+
+
+def test_seeded_sweep_work_on_the_default_grid(monkeypatch):
+    # a deterministic count of the sweep's work on the five-lambda grid: the pass's optimum seeds each row, so
+    # the run bounds take 53,916 ends and the tables score 10,480 cells; the sweep from an empty best took 111,600
+    # and 129,536
+    scored = spy_scoring(monkeypatch)
+    assert len(verify_bounds(GRID5)) == 160
+    cells = {key: sum(math.prod(shape) for shape in shapes) for key, shapes in scored.items()}
+    assert 0 < cells["tables"] <= 12_000 and 0 < cells["bounds"] <= 60_000
 
 
 def test_fractions_built_by_the_default_grid(monkeypatch):
