@@ -17,6 +17,7 @@ them into table, JSON and CSV text.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -82,6 +83,7 @@ def _add_format_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv", "table"), default="table")
 
 
+@functools.cache  # once per process: parsing leaves no state on the parser
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ucv", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

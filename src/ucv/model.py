@@ -22,13 +22,15 @@ with H_q(n) = det [c_(n+i+j)], i, j < q, the Hankel determinant of c:
   A2..A4     A_k                    H2F, H3F      H_2(2), H_3(1) of a
   G1..G3     gamma_k                H2INV, H3INV  H_2(2), H_3(1) of A
   A2C..A5C   a_k                    Z23, Z24      a2 a3 - a4, a2 a4 - a5
-  AN(n)      |a_n|, 2 <= n <= 8
+  AN(n)      a_n, valued by its modulus |a_n|, 2 <= n <= 8
 
-Each definition runs once over polynomials in b, giving the integer
-monomials that the report, the sweep and the edge pass read.  The exact
-layers work over the ints, on the member's integer form (d = lcm of the b
-denominators, N = d b), one Fraction per returned value.  A
-CoefficientReport holds exact values only; ucv.cli renders them.
+Each value has one derivation: every a_k, f_series's too, comes from one
+recursion, and each definition runs once over polynomials in b, giving the
+integer monomials that the report, the sweep and the edge pass read, with
+one monomial plan for the report and the edge pass.  The exact layers work
+over the ints, on the member's integer form (d = lcm of the b denominators,
+N = d b), one Fraction per returned value.  A CoefficientReport holds
+exact values only; ucv.cli renders them.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from typing import Callable, Sequence, Union
 
 from ucv.rootcheck import RationalIn, as_rational, nonvanishing_in_open_disk, over_common_denominator
@@ -116,39 +118,35 @@ def validate(lam: RationalIn, b: Sequence[RationalIn]) -> ClassMember:
 
 
 def f_series(member: ClassMember, order: int) -> TruncatedSeries:
-    """Taylor expansion of f = z / (1 + sum b_n z^n) through z^order, by
-    Q_k = -sum_j N_j d^(j-1) Q_(k-j) over the ints and a_(k+1) = Q_k / d^k."""
+    """Taylor expansion of f = z / (1 + sum b_n z^n) through z^order: _reciprocal, run over the ints on the weights
+    N_j d^(j-1), gives d^k e_k, so a_(k+1) = (-1)^k e_k / d^k."""
     if order < 1:
         raise ValueError("order must be >= 1")
     d, ns = member.integer_form
-    dk = [d**k for k in range(order)]
-    weights = [x * p for x, p in zip(ns, dk)]  # N_j d^(j-1)
-    qs = [1]  # Q_0 = 1, so a_1 = 1
-    for _ in range(1, order):
-        qs.append(-sum(w * q for w, q in zip(weights, reversed(qs))))
-    return TruncatedSeries((_ZERO, _ONE) + tuple(map(Fraction, qs[1:], dk[1:])))
+    e = _reciprocal([x * d**j for j, x in enumerate(ns)], [1], order)
+    return TruncatedSeries((_ZERO,) + tuple(Fraction(-x if k % 2 else x, d**k) for k, x in enumerate(e)))
 
 
 def _denominator_powers(member, count: int, order: int) -> list[list]:
-    """[P^1, ..., P^count] through at least z^order, P = d u from the integer
-    form (d, N) of a member, or of _Coefficients (d = 1, N = b over any ring),
-    so u^n = P^n / d^n with d^n the row's constant term.  Each row is the one
-    before times P, one loop over P's nonzero terms.  The rows are kept on the
-    member and regrown only for a larger count or order: a truncation is
-    exact, so no value depends on the order of calls."""
+    """[P^1, ..., P^count] through at least z^order, P = d u from the integer form (d, N) of a member, or of
+    _Coefficients (d = 1, N = b over any ring), so u^n = P^n / d^n with d^n the row's constant term.  Each row is the
+    one before times P, one loop over P's nonzero terms.  The rows are kept on the member, and a call that asks for
+    more rows or a higher order extends them in place: a truncation is exact, so no value depends on the call order."""
+    powers = vars(member).setdefault("_powers", [])  # kept on the member, past a frozen dataclass's fields
+    if len(powers) >= count and (not powers or len(powers[0]) > order):
+        return powers[:count]
     d, ns = member.integer_form
-    powers = getattr(member, "_powers", [[]])
-    if len(powers) < count or len(powers[0]) <= order:
-        count, top = max(count, len(powers)), max(order, len(powers[0]) - 1)
-        powers = [([d, *ns] + [0] * top)[: top + 1]]
-        terms = [(j, c) for j, c in enumerate(powers[0]) if c]
-        for _ in range(count - 1):
-            power, row = powers[-1], [0] * (top + 1)
-            for j, c in terms:
-                for k in range(j, top + 1):
-                    row[k] += c * power[k - j]
-            powers.append(row)
-        object.__setattr__(member, "_powers", powers)
+    top = max(order, len(powers[0]) - 1) if powers else order
+    unit = ([d, *ns] + [0] * top)[: top + 1]
+    terms = [(j, c) for j, c in enumerate(unit) if c]
+    powers += [[] for _ in range(count - len(powers))]
+    powers[0] += unit[len(powers[0]):]
+    for prev, row in zip(powers, powers[1:]):  # the new terms of P^n = P^(n-1) P, P^(n-1) = prev already grown
+        start = len(row)
+        row += [0] * (top + 1 - start)
+        for j, c in terms:
+            for k in range(j if j > start else start, top + 1):
+                row[k] += c * prev[k - j]
     return powers[:count]
 
 
@@ -186,46 +184,44 @@ BoundValue = Union[Fraction, float, None]
 @dataclass(frozen=True)
 class Functional:
     """One coefficient functional of f, by its definition over the _Coefficients c of b: c.a(k), c.A(k), c.gamma(k),
-    or b itself as c.b.  `evaluate(b)` is ring generic: run once over _Polynomial it yields the integer monomials of the exact
-    report, the sweep and the edge pass.  `name` is the search and CSV name, `field` the CoefficientReport field
-    (None for AN(n)), and `bounds(lam)` the class's closed-form (max, min), None in a direction with no known closed
-    form."""
+    or b itself as c.b.  The definition is ring generic: run once over _Polynomial it yields the integer monomials of
+    the exact report, the sweep and the edge pass.  `name` is the search and CSV name, `field` the CoefficientReport
+    field (None for AN(n)), and `bounds(lam)` the class's closed-form (max, min), None in a direction with no known
+    closed form."""
 
     name: str
     field: str | None
     definition: Callable[[_Coefficients], object]
     bounds: Callable[[Fraction], tuple[BoundValue, BoundValue]]
-    an: int | None = None  # n of AN(n), |e_(n-1)|: the sweep scores its polynomial e_(n-1) in modulus
+    an: int | None = None  # n of AN(n), defined as a_n and valued as |a_n|: evaluate and the search take the modulus
 
     def evaluate(self, b: Sequence):
-        return self.definition(_Coefficients(b))
+        value = self.definition(_Coefficients(b))
+        return abs(value) if self.an else value
 
 
-def _an_coefficient(b: Sequence, n: int):
-    """e_(n-1) = (-1)^(n-1) a_n, a_n the coefficient of z^(n-1) in 1/(1 + sum b_j z^j): e_0 = 1, e_k = b1 e_(k-1) -
-    b2 e_(k-2) + ...  Ring generic, with no branch on values: on floats and arrays (rounding is sign-symmetric, so
-    |e_(n-1)| has the bits of |a_n|), on Fractions, and on polynomials (_integer_monomials)."""
-    e = [1]
-    for k in range(1, n):
+def _reciprocal(b: Sequence, e: list, count: int) -> list:
+    """e extended in place to e_0..e_(count-1), e_k = (-1)^k a_(k+1), a_(k+1) = [z^k] 1/(1 + sum b_j z^j): e_0 = 1,
+    e_k = b1 e_(k-1) - b2 e_(k-2) + ...  Ring generic, with no branch on values: on floats and arrays (rounding is
+    sign-symmetric, so |e_k| has the bits of |a_(k+1)|), Fractions, polynomials and f_series's integer weights."""
+    for k in range(len(e), count):
         s = b[0] * e[k - 1]
         for j in range(2, min(k, len(b)) + 1):
             s = s + b[j - 1] * e[k - j] if j % 2 else s - b[j - 1] * e[k - j]
         e.append(s)
-    return e[n - 1]
+    return e
 
 
 class _Coefficients:
     """The a_k, A_k and gamma_k of the f with z / f = u = 1 + b1 z + b2 z^2 + ..., over the ring of b (Fractions,
-    floats or _Polynomial): a_k = (-1)^(k-1) e_(k-1) of _an_coefficient, and A_k = [z^(k-1)] u^k / k and gamma_k =
+    floats or _Polynomial): a_k = (-1)^(k-1) e_(k-1) of _reciprocal, and A_k = [z^(k-1)] u^k / k and gamma_k =
     [z^k] u^k / 2k off the powers of u that inverse_series and log_inverse_halved read, as N / d at d = 1."""
 
-    def __init__(self, b: Sequence):  # each a_k is derived once per object, and the powers are kept on it
-        self.b, self.integer_form, self._a = b, (1, b), {}
+    def __init__(self, b: Sequence):  # the e_k and the powers of u are kept on the object and grown as read
+        self.b, self.integer_form, self._e = b, (1, b), [1]
 
     def a(self, k: int):
-        if k not in self._a:
-            self._a[k] = (-1) ** (k - 1) * _an_coefficient(self.b, k)
-        return self._a[k]
+        return (-1) ** (k - 1) * _reciprocal(self.b, self._e, k)[k - 1]
 
     def A(self, k: int):
         return Fraction(1, k) * _denominator_powers(self, k, k - 1)[k - 1][k - 1]
@@ -276,11 +272,11 @@ AN_MIN, AN_MAX = 2, 8
 
 @cache  # one object per n, so its integer monomials are derived once per process
 def an_functional(n: int) -> Functional:
-    """|a_n| of f, bounded above by 1 + lambda + ... + lambda^(n-1);
-    defined for 2 <= n <= 8.  Its `an` is n: the sweep scores e_(n-1)."""
+    """|a_n| of f, bounded above by 1 + lambda + ... + lambda^(n-1); defined for 2 <= n <= 8.  Its definition is
+    a_n, and its `an`, n, makes evaluate and the search take the modulus."""
     if not AN_MIN <= n <= AN_MAX:
         raise ValueError(f"n must be in [{AN_MIN}, {AN_MAX}], got {n}")
-    return Functional(f"AN({n})", None, lambda c: abs(c.a(n)),
+    return Functional(f"AN({n})", None, lambda c: c.a(n),
                       lambda lam: (sum((lam**k for k in range(n)), _ZERO), None), n)
 
 
@@ -349,12 +345,10 @@ def _polynomial_coefficients(width: int) -> _Coefficients:
 
 @cache  # per functional and width, on the first report or sweep that reads it, so importing never pays for it
 def _integer_monomials(fn: Functional, width: int) -> tuple[int, int, tuple[tuple[int, tuple[int, ...]], ...]]:
-    """(L, deg, terms) with fn(N / d) = sum c d^e0 N^e / (L d^deg) over the
-    terms (c, (e0, e)), each of total degree deg, N = (N1..N_width); AN(n)
-    is read as e_(n-1).  A term that cancels (H2F's b1^4) counts for neither
-    deg nor L."""
-    ring = _polynomial_coefficients(width)
-    poly = {e: c for e, c in (_an_coefficient(ring.b, fn.an) if fn.an else fn.definition(ring)).items() if c}
+    """(L, deg, terms) with fn's definition at N / d = sum c d^e0 N^e / (L d^deg) over the terms (c, (e0, e)), each of
+    total degree deg, N = (N1..N_width); for AN(n) that is a_n, whose modulus the search takes.  A term that cancels
+    (H2F's b1^4) counts for neither deg nor L."""
+    poly = {e: c for e, c in fn.definition(_polynomial_coefficients(width)).items() if c}
     deg, lcm = max(map(sum, poly)), math.lcm(*(c.denominator for c in poly.values()))
     return lcm, deg, tuple((int(c * lcm), (deg - sum(e),) + e) for e, c in poly.items())
 
@@ -369,16 +363,22 @@ def _monomial_index(index: dict[tuple[int, ...], int], steps: list[tuple[int, in
     return index[e]
 
 
-@cache  # at the first report: a sweep reads the registry's monomials, not this table
-def _report_table() -> tuple[list[tuple[int, ...]], list[tuple[int, int]], tuple]:
-    """(monomials, steps, fields): d, N1..N4, then each monomial a report reads as monomials[5 + i] =
-    monomials[p] * monomials[v], (p, v) = steps[i]; fields holds (field, L, d^deg, terms) of each registry row's
-    _integer_monomials, d^deg and the terms' monomials by index."""
-    index, steps = {tuple(int(i == v) for i in range(5)): v for v in range(5)}, []
-    add = partial(_monomial_index, index, steps)
-    fields = tuple((fn.field, lcm, add((deg, 0, 0, 0, 0)), tuple((c, add(e)) for c, e in terms))
-                   for fn in FUNCTIONALS for lcm, deg, terms in [_integer_monomials(fn, 4)])
-    return list(index), steps, fields
+@cache  # per rows and width, so the report and the edge pass share the registry's plan at width 4
+def _monomial_plan(rows: tuple, width: int) -> tuple[list[tuple[int, int]], list[list[tuple[int, int]]], list[int]]:
+    """(steps, terms, dens) of rows of _integer_monomials: after d, N1..N_width, monomial width + 1 + i is monomial p
+    times coordinate v, (p, v) = steps[i], an earlier one; terms[f] holds row f's terms as (c, monomial index), and
+    dens[f] the index of its d^deg."""
+    index, steps = {tuple(int(i == v) for i in range(width + 1)): v for v in range(width + 1)}, []
+    terms = [[(c, _monomial_index(index, steps, e)) for c, e in row] for _, _, row in rows]
+    return steps, terms, [_monomial_index(index, steps, (deg,) + (0,) * width) for _, deg, _ in rows]
+
+
+@cache  # at the first report, with no argument, so a report hashes no rows; a sweep alone never builds it
+def _report_plan() -> tuple[list[tuple[int, int]], tuple]:
+    # the registry's _monomial_plan at width 4: its steps, and (field, L, d^deg, terms) per row, by monomial index
+    rows = tuple(_integer_monomials(fn, 4) for fn in FUNCTIONALS)
+    steps, terms, dens = _monomial_plan(rows, 4)
+    return steps, tuple((fn.field, lcm, den, t) for fn, (lcm, _, _), den, t in zip(FUNCTIONALS, rows, dens, terms))
 
 
 @dataclass(frozen=True)
@@ -393,7 +393,7 @@ class CoefficientReport:
     def from_member(cls, member: ClassMember) -> "CoefficientReport":
         """Each field's integer monomials on the member's integer form, each built once."""
         d, (n1, n2, n3, n4, *_) = member.integer_form  # b1..b4: validate pads b to four
-        _, steps, fields = _report_table()
+        steps, fields = _report_plan()
         m = [d, n1, n2, n3, n4]
         for p, v in steps:
             m.append(m[p] * m[v])

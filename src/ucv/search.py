@@ -26,7 +26,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from ucv.model import (
     Functional,
     _integer_monomials,
     _monomial_index,
+    _monomial_plan,
     an_functional,
     functional_by_name,
     lambda_in_range,
@@ -133,18 +134,24 @@ class BoundCertificate:
     warn: bool
 
 
-def _certificate(fn: Functional, lam: Fraction, direction: str, value: Fraction,
-                 arg: tuple[Fraction, ...]) -> BoundCertificate:
-    # FAIL iff the exact value is strictly beyond the bound (a float bound is sqrt(q), q = _SQUARED_BOUNDS[bound],
-    # compared by squares); searched is the value correctly rounded, and closed_form and gap are floats
-    searched, bound, s = float(value), closed_form_bound(fn, lam, direction), 1 if direction == "max" else -1
-    if bound is None:
-        return BoundCertificate(lam, fn.name, direction, searched, arg, None, None, "NO_CLOSED_FORM", False)
-    q = _SQUARED_BOUNDS[bound] if isinstance(bound, float) else None
-    beyond = (value > bound) - (value < bound) if q is None else -1 if value <= 0 else (value**2 > q) - (value**2 < q)
-    gap = float(bound) - searched
-    return BoundCertificate(lam, fn.name, direction, searched, arg, float(bound), gap,
-                            "FAIL" if s * beyond > 0 else "PASS", s * gap > WARN_GAP)
+def _certify(lam: Fraction, cfg: SearchConfig, fn: Functional, directions: Sequence[str],
+             winners: dict) -> Iterator[BoundCertificate]:
+    """The certificates of fn's winners of _sweep in directions, against fn.bounds(lam), read once; the disk gate
+    re-checks the pass's argmax, and a rejection raises.  FAIL iff the exact value is strictly beyond the bound (a float
+    bound is sqrt(q), q = _SQUARED_BOUNDS[bound]: value |value| is compared with q); searched is the value rounded."""
+    bounds = dict(zip(("max", "min"), fn.bounds(lam)))
+    for direction in directions:
+        value, (d, n) = winners[fn.name, direction]
+        arg, bound, s = tuple(Fraction(c, d) for c in n), bounds[direction], 1 if direction == "max" else -1
+        if cfg.refine_rounds and not nonvanishing_in_open_disk((1, *arg), (d, (d, *n))):
+            raise RuntimeError(f"argmax {arg} fails the disk gate")
+        if bound is None:
+            yield BoundCertificate(lam, fn.name, direction, float(value), arg, None, None, "NO_CLOSED_FORM", False)
+            continue
+        x, y = (value * abs(value), _SQUARED_BOUNDS[bound]) if isinstance(bound, float) else (value, bound)
+        gap = float(bound) - float(value)
+        yield BoundCertificate(lam, fn.name, direction, float(value), arg, float(bound), gap,
+                               "FAIL" if s * (x - y) > 0 else "PASS", s * gap > WARN_GAP)
 
 
 # -- sweep core ------------------------------------------------------------
@@ -338,18 +345,17 @@ def _edges(dims: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _edge_plan(monomials: tuple, width: int) -> tuple[list, np.ndarray]:
-    """(levels, weights): the monomials over (d, N1..N_width), each an earlier one times a coordinate, grouped by
-    degree as (monomials, parents, coordinates) index arrays; weights[f, m] is f's coefficient of monomial m."""
-    index, steps = {tuple(int(i == v) for i in range(width + 1)): v for v in range(width + 1)}, []
-    rows = [[(c, _monomial_index(index, steps, e)) for c, e in terms] for _, _, terms in monomials]
+    """(levels, weights) of the rows' _monomial_plan: its products grouped by degree as (monomials, parents,
+    coordinates) index arrays, and weights[f, m], row f's coefficient of monomial m."""
+    steps, terms, _ = _monomial_plan(monomials, width)
     degree = [1] * (width + 1)
     for p, _ in steps:
         degree.append(degree[p] + 1)
     levels = []
     for level in range(2, max(degree) + 1):
-        new = [i for i in range(width + 1, len(index)) if degree[i] == level]
+        new = [i for i in range(width + 1, len(degree)) if degree[i] == level]
         levels.append([np.array(x, dtype=np.intp) for x in (new, *zip(*(steps[i - width - 1] for i in new)))])
-    return levels, np.array([[dict((m, c) for c, m in row).get(m, 0) for m in range(len(index))] for row in rows],
+    return levels, np.array([[dict((m, c) for c, m in row).get(m, 0) for m in range(len(degree))] for row in terms],
                             dtype=object)
 
 
@@ -515,15 +521,6 @@ def _sweep(lam: Fraction, cfg: SearchConfig, fns: Sequence[Functional],
 # -- public search API -----------------------------------------------------
 
 
-def _certify_row(lam: Fraction, cfg: SearchConfig, fn: Functional, direction: str, value: Fraction,
-                 point: tuple[int, tuple[int, ...]]) -> BoundCertificate:
-    # certify a winner of _sweep; the disk gate re-checks the pass's argmax, and a rejection raises
-    (d, n), arg = point, tuple(Fraction(c, point[0]) for c in point[1])
-    if cfg.refine_rounds and not nonvanishing_in_open_disk((1, *arg), (d, (d, *n))):
-        raise RuntimeError(f"argmax {arg} fails the disk gate")
-    return _certificate(fn, lam, direction, value, arg)
-
-
 def optimize(fn: Union[Functional, str], lam: RationalIn, direction: str,
              cfg: SearchConfig | None = None) -> BoundCertificate:
     """Grid sweep plus the vertex + edge pass for one (functional, direction) pair."""
@@ -532,7 +529,7 @@ def optimize(fn: Union[Functional, str], lam: RationalIn, direction: str,
     fn = functional_by_name(fn) if isinstance(fn, str) else fn
     lam = lambda_in_range(lam)
     cfg = cfg or SearchConfig()
-    return _certify_row(lam, cfg, fn, direction, *_sweep(lam, cfg, [fn], (direction,))[(fn.name, direction)])
+    return next(_certify(lam, cfg, fn, (direction,), _sweep(lam, cfg, [fn], (direction,))))
 
 
 def verify_bounds(lambda_grid: Sequence[RationalIn], cfg: SearchConfig | None = None) -> list[BoundCertificate]:
@@ -542,8 +539,7 @@ def verify_bounds(lambda_grid: Sequence[RationalIn], cfg: SearchConfig | None = 
     certs = []
     for lam in [lambda_in_range(raw) for raw in lambda_grid]:
         winners = _sweep(lam, cfg, FUNCTIONALS, ("max", "min"))
-        certs += [_certify_row(lam, cfg, fn, direction, *winners[(fn.name, direction)])
-                  for fn in FUNCTIONALS for direction in ("max", "min")]
+        certs += [cert for fn in FUNCTIONALS for cert in _certify(lam, cfg, fn, ("max", "min"), winners)]
     return certs
 
 

@@ -3,8 +3,10 @@ leaves every output byte-identical.
 
     python3 tests/output_digest.py
 
-Run it in the tree before a change and in the tree after it: the two
-digests match iff every output below matches.  The battery runs in one
+Run it in the tree before a change and in the tree after it: the last
+lines of the two runs match iff every output below matches.  The lines
+before it hold one digest per subcommand (verify, conjecture, report),
+so a mismatch names the section it is in.  The battery runs in one
 interpreter, through ucv.cli.main, and hashes each call's argv, exit code
 and stdout:
 
@@ -51,15 +53,22 @@ def battery() -> list[list[str]]:
     return calls
 
 
-def digest() -> str:
-    h = hashlib.sha256()
+def digests() -> tuple[dict[str, str], str]:
+    """({section: sha256}, sha256 of the whole battery): a section is a
+    subcommand, hashed over its own calls in battery order."""
+    total, sections = hashlib.sha256(), {}
     for argv in battery():
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
-        h.update(f"{' '.join(argv)}\n{code}\n{out.getvalue()}".encode())
-    return h.hexdigest()
+        record = f"{' '.join(argv)}\n{code}\n{out.getvalue()}".encode()
+        total.update(record)
+        sections.setdefault(argv[0], hashlib.sha256()).update(record)
+    return {name: h.hexdigest() for name, h in sections.items()}, total.hexdigest()
 
 
 if __name__ == "__main__":
-    print(digest())
+    sections, total = digests()
+    for name, hexdigest in sections.items():
+        print(f"{name:<10} {hexdigest}")
+    print(total)

@@ -117,6 +117,16 @@ def test_search_flag_defaults_are_the_config_defaults(argv):
     assert (args.dims, args.step, args.refine) == (cfg.dims, cfg.grid_step, cfg.refine_rounds)
 
 
+def test_main_builds_one_parser_per_process(capsys):
+    # the parser is built by the first call and reused: a usage error leaves no state on it, so the next call runs
+    _build_parser.cache_clear()
+    assert run(capsys, "report", "--lambda", "1")[0] == EXIT_USAGE  # --b is required
+    code, out, _ = run(capsys, "report", "--lambda", "1", "--b", "2,1", "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["a2"] == "-2"
+    info = _build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 # -- report ------------------------------------------------------------------
 
 

@@ -19,6 +19,7 @@ import ucv.model
 import ucv.rootcheck
 from oracles import (
     EXPANSIONS,
+    an_coefficient_by_recursion,
     hankel2_from,
     hankel3_from,
     random_member,
@@ -28,9 +29,11 @@ from oracles import (
 )
 from ucv.cli import REPORT_FIELDS, decimal_str
 from ucv.model import (
+    _Coefficients,
     _integer_monomials,
+    _monomial_plan,
     _Polynomial,
-    _report_table,
+    _report_plan,
     AN_MAX,
     AN_MIN,
     CATALOG_NAMES,
@@ -231,33 +234,57 @@ def test_each_definition_equals_its_hand_expansion():
 
 
 def test_registry_rows_share_one_derivation_per_width(monkeypatch):
-    # the 16 rows at width 4 read a1..a5, A1..A5 and gamma1..gamma3 off one _Coefficients over polynomials: one
-    # _an_coefficient call per a_k, and four builds of the powers of u, regrown for A2, A3, A4 and A5, where a fresh
-    # _Coefficients per row took 18 calls and 14 builds; each row keeps the (L, deg, terms) of a fresh derivation
-    calls = {"a_k": 0, "powers": 0}
-    an, powers = ucv.model._an_coefficient, ucv.model._denominator_powers
+    # the 16 rows at width 4 read a1..a5, A1..A5 and gamma1..gamma3 off one _Coefficients over polynomials, which
+    # grows its e_k and its powers of u in place as the rows ask: e_1..e_4 each once, and the powers built from P^1
+    # once, then grown for A3, A4 and A5 to 5 rows through z^4, each of their 25 entries computed once (a rebuild per
+    # larger request took four builds and 54 entries, a fresh _Coefficients per row 14 builds); each row keeps the
+    # (L, deg, terms) of a fresh derivation
+    calls = {"e_k": 0, "builds": 0, "entries": 0}
+    recursion, powers = ucv.model._reciprocal, ucv.model._denominator_powers
 
-    def counted_an(b, n):
-        calls["a_k"] += 1
-        return an(b, n)
+    def counted_recursion(b, e, count):
+        before = len(e)
+        out = recursion(b, e, count)
+        calls["e_k"] += len(out) - before
+        return out
 
     def counted_powers(member, count, order):
-        before = getattr(member, "_powers", None)
+        before = [(row, len(row)) for row in getattr(member, "_powers", [])]
         out = powers(member, count, order)
-        calls["powers"] += getattr(member, "_powers") is not before
+        after = member._powers
+        calls["builds"] += not before or after[0] is not before[0][0]  # P^1 built anew
+        calls["entries"] += sum(map(len, after)) - sum(n for (row, n), now in zip(before, after) if now is row)
         return out
 
     ucv.model._integer_monomials.cache_clear()
     ucv.model._polynomial_coefficients.cache_clear()
-    monkeypatch.setattr(ucv.model, "_an_coefficient", counted_an)
+    monkeypatch.setattr(ucv.model, "_reciprocal", counted_recursion)
     monkeypatch.setattr(ucv.model, "_denominator_powers", counted_powers)
     rows = [_integer_monomials(fn, 4) for fn in FUNCTIONALS]
-    assert calls == {"a_k": 5, "powers": 4}
+    assert calls == {"e_k": 4, "builds": 1, "entries": 25}
+    assert [len(row) for row in ucv.model._polynomial_coefficients(4)._powers] == [5] * 5
     b = [_Polynomial({tuple(int(i == j) for j in range(4)): 1}) for i in range(4)]
     for fn, (lcm, deg, terms) in zip(FUNCTIONALS, rows):
         fresh = {e: c for e, c in fn.evaluate(b).items() if c}  # a _Coefficients of its own
         assert {e[1:]: F(c, lcm) for c, e in terms} == fresh, fn.name
         assert deg == max(map(sum, fresh)) and lcm == math.lcm(*(F(c).denominator for c in fresh.values()))
+
+
+@pytest.mark.parametrize("n", range(AN_MIN, AN_MAX + 1))
+def test_an_monomials_are_its_definition(n):
+    # AN(n) is defined as a_n, sign included: at every search width its integer monomials are that definition run over
+    # polynomials, they give the reference recursion's a_n at rational points, and evaluate gives the modulus |a_n|
+    fn, rng = an_functional(n), random.Random(n)
+    for width in range(4, 8):
+        b = [_Polynomial({tuple(int(i == j) for j in range(width)): 1}) for i in range(width)]
+        want = {e: c for e, c in fn.definition(_Coefficients(b)).items() if c}
+        lcm, deg, terms = _integer_monomials(fn, width)
+        assert {e[1:]: F(c, lcm) for c, e in terms} == want and len(terms) == len(want), width
+        for _ in range(5):
+            point = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(width)]
+            value = sum(F(c, lcm) * math.prod(x**k for x, k in zip(point, e[1:])) for c, e in terms)
+            assert value == an_coefficient_by_recursion(point, n), (width, point)
+            assert fn.evaluate(point) == abs(value)
 
 
 @st.composite
@@ -295,30 +322,31 @@ def test_definitions_match_the_truncated_series_route(member):
 
 
 def test_report_table_builds_each_monomial_from_an_earlier_one():
-    monomials, steps, fields = _report_table()
-    rows = [(fn.field, *_integer_monomials(fn, 4)) for fn in FUNCTIONALS]
+    # the report reads the registry's _monomial_plan at width 4, the one the edge pass reads: after d, N1..N4 each
+    # monomial is an earlier one times d or one N_n, and the 32 monomials are the terms', each row's d^deg and their
+    # parents
+    steps, fields = _report_plan()
+    rows = tuple(_integer_monomials(fn, 4) for fn in FUNCTIONALS)
+    assert _monomial_plan(rows, 4)[0] is steps
     units = [tuple(int(i == v) for i in range(5)) for v in range(5)]
-    assert monomials[:5] == units
-    assert len(steps) == len(monomials) - 5 and len(set(monomials)) == len(monomials)
-    for at, (e, (parent, v)) in enumerate(zip(monomials[5:], steps), start=5):
-        assert parent < at
-        assert tuple(x + y for x, y in zip(monomials[parent], units[v])) == e
-    # the terms' monomials and each d^deg, their parents, and nothing else
-    read = {e for *_, terms in rows for _, e in terms}
-    read |= {(deg, 0, 0, 0, 0) for _, _, deg, _ in rows}
-    assert read <= set(monomials)
+    monomials = list(units)
+    for p, v in steps:
+        assert p < len(monomials)
+        monomials.append(tuple(x + y for x, y in zip(monomials[p], units[v])))
+    assert len(set(monomials)) == len(monomials) == 32
+    read = {e for *_, terms in rows for _, e in terms} | {(deg, 0, 0, 0, 0) for _, deg, _ in rows}
     assert set(monomials) == read | {monomials[p] for p, _ in steps} | set(units)
-    for (field, lcm, deg, terms), (name, table_lcm, den, indexed) in zip(rows, fields):
-        assert (name, table_lcm, monomials[den]) == (field, lcm, (deg, 0, 0, 0, 0))
+    for fn, (lcm, deg, terms), (field, plan_lcm, den, indexed) in zip(FUNCTIONALS, rows, fields, strict=True):
+        assert (field, plan_lcm, monomials[den]) == (fn.field, lcm, (deg, 0, 0, 0, 0))
         assert tuple((c, monomials[i]) for c, i in indexed) == terms
 
 
 def test_import_and_search_leave_the_report_table_unbuilt():
     # importing the CLI derives no definition; the sweep derives the registry's monomials, which the report shares,
-    # but not the report's monomial table
+    # but not the report's monomial plan
     code = ("import ucv.cli, ucv.model as m\n"
             "from ucv.search import SearchConfig, verify_bounds\n"
-            "sizes = lambda: print(m._integer_monomials.cache_info().currsize, m._report_table.cache_info().currsize)\n"
+            "sizes = lambda: print(m._integer_monomials.cache_info().currsize, m._report_plan.cache_info().currsize)\n"
             "sizes()\n"
             "verify_bounds(['1/2'], SearchConfig(grid_step='1/10', refine_rounds=0))\n"
             "sizes()\n"
@@ -329,7 +357,7 @@ def test_import_and_search_leave_the_report_table_unbuilt():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": pythonpath}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:3] == ["0 0", "16 0", "16 1"]  # the table is built by the first report
+    assert proc.stdout.split("\n")[:3] == ["0 0", "16 0", "16 1"]  # the plan is built by the first report
 
 
 def log_by_reversion(member, order):

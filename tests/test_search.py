@@ -37,8 +37,8 @@ from ucv.model import (
     FUNCTIONAL_NAMES,
     FUNCTIONALS,
     Functional,
-    _an_coefficient,
     _Polynomial,
+    _reciprocal,
     an_functional,
     f_series,
     functional_by_name,
@@ -352,6 +352,9 @@ def test_edge_candidates_match_fractions(name, lam, dims):
     # that the derivative shows at t = k/256
     fn = functional_by_name(name)
     monomials = [ucv.model._integer_monomials(fn, max(4, dims))]
+    # P of AN(n) is a_n, whose modulus exact_value reads, so a_n by the reference recursion is interpolated
+    signed = dataclasses.replace(fn, an=None, definition=lambda c: an_coefficient_by_recursion(c.b, fn.an)) \
+        if fn.an else fn
     lcm, deg, _ = monomials[0]
     dv, vertices = _vertices(lam, dims)
     i, j = _edges(dims)
@@ -359,11 +362,7 @@ def test_edge_candidates_match_fractions(name, lam, dims):
     assert cols.dtype == (object if lam.denominator > 10**6 or (name, lam) == ("AN(8)", F(1, 2)) else np.int64)
     points = vertex_points(lam, dims)
     for e, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
-        want = edge_polynomial_by_fractions(fn, points[a], points[b])
-        if fn.an:  # P is e_(n-1) = (-1)^(n-1) a_n, which exact_value reads as |a_n|
-            want = [(-1) ** (fn.an - 1) * c for c in edge_polynomial_by_fractions(
-                dataclasses.replace(fn, an=None, definition=lambda c: an_coefficient_by_recursion(c.b, fn.an)),
-                points[a], points[b])]
+        want = edge_polynomial_by_fractions(signed, points[a], points[b])
         got = [F(c, lcm * dv**deg) for c in cols[:, 0, e].tolist()]
         assert got == want + [0] * (len(got) - len(want)), (e, got, want)
         slope = [k * c for k, c in enumerate(want)][1:] or [F(0)]
@@ -648,27 +647,28 @@ def set_an_sizes(monkeypatch, sizes):
 
 
 def spy_an_build(monkeypatch, force_object=False):
-    """Record the exact AN build: the expansions that _an_coefficient runs
-    over polynomials with Python-int coefficients (_integer_monomials,
-    emptied first, so that its cache holds no earlier test's build), and
-    the dtypes of the tail columns that _columns multiplies per chunk.
-    With force_object the magnitude bound reads 2**63, which puts any grid
-    on Python ints."""
+    """Record the exact AN build: the expansions that _reciprocal runs
+    over polynomials with Python-int coefficients (_integer_monomials and
+    the polynomial ring, emptied first, so that neither holds an earlier
+    test's build), and the dtypes of the tail columns that _columns
+    multiplies per chunk.  With force_object the magnitude bound reads
+    2**63, which puts any grid on Python ints."""
     ucv.model._integer_monomials.cache_clear()
-    coefficient, columns = ucv.model._an_coefficient, ucv.search._columns
+    ucv.model._polynomial_coefficients.cache_clear()
+    recursion, columns = ucv.model._reciprocal, ucv.search._columns
     build = {"expansions": 0, "dtypes": set()}
 
-    def spy_coefficient(b, n):
+    def spy_recursion(b, e, count):
         if isinstance(b[0], _Polynomial):  # not the value of a winner
             assert all(type(c) is int for p in b for c in p.values())
             build["expansions"] += 1
-        return coefficient(b, n)
+        return recursion(b, e, count)
 
     def spy_columns(part, steps, table):
         build["dtypes"].update(part[:, v].dtype for v in range(part.shape[1]))
         return columns(part, steps, table)
 
-    monkeypatch.setattr(ucv.model, "_an_coefficient", spy_coefficient)
+    monkeypatch.setattr(ucv.model, "_reciprocal", spy_recursion)
     monkeypatch.setattr(ucv.search, "_columns", spy_columns)
     if force_object:
         monkeypatch.setattr(ucv.search, "_bound", lambda table, monomials, caps: 2**63)
@@ -836,7 +836,7 @@ def test_an_conjecture_sweep_scores_under_a_quarter_of_its_points(monkeypatch):
 
 
 def test_an_sweep_runs_no_recursion_per_point(monkeypatch):
-    # _an_coefficient runs once per process on polynomials in (b1, b2..b_dims),
+    # _reciprocal runs once per process on polynomials in (b1, b2..b_dims),
     # and never on floats (the polish values the winner) nor on the points'
     # arrays; each chunk of tails (six coefficients each, in at
     # most _CHUNK cells, and at most _BATCH tails) reads its columns off the
@@ -844,11 +844,11 @@ def test_an_sweep_runs_no_recursion_per_point(monkeypatch):
     calls = collections.Counter()
 
     def counting(real):
-        def spy(b, n):
+        def spy(b, e, count):
             kind = ("build" if isinstance(b[0], _Polynomial) else "scalar" if all(type(x) is float for x in b)
                     else "other")
             calls[kind] += 1
-            return real(b, n)
+            return real(b, e, count)
         return spy
 
     def columns(part, steps, table):
@@ -857,7 +857,8 @@ def test_an_sweep_runs_no_recursion_per_point(monkeypatch):
 
     real_columns = ucv.search._columns
     ucv.model._integer_monomials.cache_clear()
-    monkeypatch.setattr(ucv.model, "_an_coefficient", counting(ucv.model._an_coefficient))
+    ucv.model._polynomial_coefficients.cache_clear()
+    monkeypatch.setattr(ucv.model, "_reciprocal", counting(ucv.model._reciprocal))
     monkeypatch.setattr(ucv.search, "_columns", columns)
     lam, cfg = F(1), SearchConfig(dims=5)  # the sweep of conjecture --n 6
     tails = len(_tail_units(50, (1, 2, 3, 4)))  # every tail has a feasible b1 here
@@ -993,6 +994,9 @@ def test_an_coefficient_keeps_the_bits_of_the_unfolded_recursion(n):
     # sign-symmetric, so |a_n| keeps its bits and abs removes a zero's sign
     rng = np.random.default_rng(2400 + n)
 
+    def folded(b):  # e_(n-1) = (-1)^(n-1) a_n
+        return _reciprocal(b, [1], n)[n - 1]
+
     def bits(x):
         return np.asarray(abs(x) + 0.0, dtype=np.float64).view(np.int64)
 
@@ -1001,18 +1005,20 @@ def test_an_coefficient_keeps_the_bits_of_the_unfolded_recursion(n):
 
     for width in (max(4, n - 1), 7, 3):
         b = _an_columns(rng, width, 4000)
-        assert np.array_equal(bits(_an_coefficient(b, n)), bits(an_coefficient_by_recursion(b, n)))
+        assert np.array_equal(bits(folded(b)), bits(an_coefficient_by_recursion(b, n)))
         for x in (0.0, -0.0, *b[0][:8]):  # a one-slice block of the sweep: b1 a numpy scalar
             scalar, column = (np.float64(x), *b[1:]), (np.full(4000, x), *b[1:])
-            got = wide(_an_coefficient(scalar, n))
-            assert np.array_equal(got.view(np.int64), wide(_an_coefficient(column, n)).view(np.int64))
+            got = wide(folded(scalar))
+            assert np.array_equal(got.view(np.int64), wide(folded(column)).view(np.int64))
             assert np.array_equal(bits(got), bits(wide(an_coefficient_by_recursion(scalar, n))))
         for row in list(zip(*b))[:300]:  # the same values as Python float scalars
             row = tuple(float(x) for x in row)
-            assert bits(_an_coefficient(row, n)) == bits(an_coefficient_by_recursion(row, n))
-    for _ in range(200):  # and exactly over Fraction, sign included
+            assert bits(folded(row)) == bits(an_coefficient_by_recursion(row, n))
+    for _ in range(200):  # and exactly over Fraction, sign included, every e_k, grown in place in two calls
         b = tuple(F(int(rng.integers(-60, 61)), int(rng.integers(1, 60))) for _ in range(7))
-        assert _an_coefficient(b, n) == (-1) ** (n - 1) * an_coefficient_by_recursion(b, n)
+        e = _reciprocal(b, [1], n // 2)
+        assert _reciprocal(b, e, n) is e
+        assert e == [(-1) ** k * an_coefficient_by_recursion(b, k + 1) for k in range(n)]
 
 
 # -- configuration -----------------------------------------------------------
@@ -1288,6 +1294,27 @@ def test_verify_lambda_rows_independent_of_grid():
     cfg = SearchConfig(grid_step=F(1, 10), refine_rounds=1)
     grid = [F(1), F(1, 4), F(1, 2)]
     assert verify_bounds(grid, cfg) == [c for lam in grid for c in verify_bounds([lam], cfg)]
+
+
+def test_verify_reads_each_bound_pair_once(monkeypatch):
+    # a lambda's 32 rows take each functional's (max, min) from one bounds(lam) call, and none calls
+    # closed_form_bound; the certificates are those of the unpatched registry
+    cfg, grid = SearchConfig(grid_step=F(1, 10), refine_rounds=1), [F(1, 4), F(1)]
+    want, calls = verify_bounds(grid, cfg), collections.Counter()
+
+    def counted(fn):
+        def bounds(lam):
+            calls[fn.name, lam] += 1
+            return fn.bounds(lam)
+        return dataclasses.replace(fn, bounds=bounds)
+
+    def refused(*args):
+        raise AssertionError("a row called closed_form_bound")
+
+    monkeypatch.setattr(ucv.search, "FUNCTIONALS", tuple(map(counted, FUNCTIONALS)))
+    monkeypatch.setattr(ucv.search, "closed_form_bound", refused)
+    assert verify_bounds(grid, cfg) == want
+    assert calls == {(fn.name, lam): 1 for fn in FUNCTIONALS for lam in grid}
 
 
 def test_verify_deterministic_small():
