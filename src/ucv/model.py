@@ -178,7 +178,17 @@ def log_inverse_halved(member: ClassMember, order: int) -> tuple[Fraction, ...]:
 
 # -- functional registry -------------------------------------------------
 
-BoundValue = Union[Fraction, float, None]
+
+class SquareRoot(float):
+    """math.sqrt(square) of a positive rational square, kept: an irrational bound that compares exactly by squares."""
+
+    def __new__(cls, square: Fraction) -> SquareRoot:
+        root = super().__new__(cls, math.sqrt(square))
+        root.square = square
+        return root
+
+
+BoundValue = Union[Fraction, SquareRoot, None]
 
 
 @dataclass(frozen=True)
@@ -258,10 +268,10 @@ FUNCTIONALS = (
     Functional("Z24", "z24", lambda c: c.a(2) * c.a(4) - c.a(5), lambda lam: (lam + lam**2 + lam**3, None)),
     Functional("A2C", "a2", lambda c: c.a(2), lambda lam: (_ZERO, -(1 + lam))),
     Functional("A3C", "a3", lambda c: c.a(3), lambda lam: (1 + lam + lam**2, -lam)),
-    # |a4| <= 1 + lam + lam^2 + lam^3 is attained only on the minus side; the sharp maximum (4/3)sqrt(2/3) is known
-    # at lam = 1 only
+    # |a4| <= 1 + lam + lam^2 + lam^3 is attained only on the minus side; the sharp maximum (4/3)sqrt(2/3) =
+    # sqrt(96/81) is known at lam = 1 only
     Functional("A4C", "a4", lambda c: c.a(4),
-               lambda lam: (4 * math.sqrt(6) / 9 if lam == 1 else None, -(1 + lam + lam**2 + lam**3))),
+               lambda lam: (SquareRoot(Fraction(96, 81)) if lam == 1 else None, -(1 + lam + lam**2 + lam**3))),
     Functional("A5C", "a5", lambda c: c.a(5), lambda lam: (Fraction(5), Fraction(-9, 4)) if lam == 1 else (None, None)),
 )
 FUNCTIONAL_NAMES = tuple(fn.name for fn in FUNCTIONALS)

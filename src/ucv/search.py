@@ -32,8 +32,8 @@ import numpy as np
 
 from ucv.model import (
     FUNCTIONALS,
-    BoundValue,
     Functional,
+    SquareRoot,
     _integer_monomials,
     _monomial_index,
     _monomial_plan,
@@ -45,12 +45,9 @@ from ucv.rootcheck import RationalIn, as_rational, nonvanishing_in_open_disk
 
 # the grid-sharpness warning threshold: a heuristic, not a claim
 WARN_GAP = 5e-3
-# the table's one irrational closed form, A4C max at lambda = 1, 4 sqrt(6)/9, by its square: compared exactly
-_SQUARED_BOUNDS = {4 * math.sqrt(6) / 9: Fraction(96, 81)}
 
-_SWEEP_BLOCK = 2**13  # most cells (k1 or run ends x tails) in one table of the sweep
+_SWEEP_BLOCK = 2**13  # most run ends x tails in one bound table of the sweep, but for a single tail
 _CHUNK = 2**15  # most cells (tails x functionals x coefficients) in one build of the sweep's exact columns
-_BATCH = 2**12  # most tails in a chunk, and the kept tails a functional gathers before they are scored
 _RUN = 8  # k1 per run that the sweep bounds before it scores the run's cells
 _ROOT_BITS = 44  # the pass gives an irrational root by two points at most 2**-43 apart around it
 
@@ -58,7 +55,7 @@ _ROOT_BITS = 44  # the pass gives an irrational root by two points at most 2**-4
 # -- closed-form bounds ----------------------------------------------------
 
 
-def closed_form_bound(fn: Union[Functional, str], lam: RationalIn, direction: str) -> BoundValue:
+def closed_form_bound(fn: Union[Functional, str], lam: RationalIn, direction: str) -> Fraction | SquareRoot | None:
     """Closed-form class bound, or None where no closed form exists.
     Raises NonMember("lambda out of range") outside (0, 1]."""
     if direction not in ("max", "min"):
@@ -137,8 +134,8 @@ class BoundCertificate:
 def _certify(lam: Fraction, cfg: SearchConfig, fn: Functional, directions: Sequence[str],
              winners: dict) -> Iterator[BoundCertificate]:
     """The certificates of fn's winners of _sweep in directions, against fn.bounds(lam), read once; the disk gate
-    re-checks the pass's argmax, and a rejection raises.  FAIL iff the exact value is strictly beyond the bound (a float
-    bound is sqrt(q), q = _SQUARED_BOUNDS[bound]: value |value| is compared with q); searched is the value rounded."""
+    re-checks the pass's argmax, and a rejection raises.  FAIL iff the exact value is strictly beyond the bound (a
+    SquareRoot bound by squares: value |value| against its square); searched is the value rounded."""
     bounds = dict(zip(("max", "min"), fn.bounds(lam)))
     for direction in directions:
         value, (d, n) = winners[fn.name, direction]
@@ -148,7 +145,7 @@ def _certify(lam: Fraction, cfg: SearchConfig, fn: Functional, directions: Seque
         if bound is None:
             yield BoundCertificate(lam, fn.name, direction, float(value), arg, None, None, "NO_CLOSED_FORM", False)
             continue
-        x, y = (value * abs(value), _SQUARED_BOUNDS[bound]) if isinstance(bound, float) else (value, bound)
+        x, y = (value * abs(value), bound.square) if isinstance(bound, SquareRoot) else (value, bound)
         gap = float(bound) - float(value)
         yield BoundCertificate(lam, fn.name, direction, float(value), arg, float(bound), gap,
                                "FAIL" if s * (x - y) > 0 else "PASS", s * gap > WARN_GAP)
@@ -225,33 +222,29 @@ def _run_tables(cols: np.ndarray, m: np.ndarray, ranks: np.ndarray, hits: list, 
                 floor: int, big: int) -> None:
     """Raise hits[i], as _ends does, to the best cells of the tails ranks (columns cols, last k1 m falling along
     them).  Each tail is cut into runs of _RUN k1, each bounded on [a, a + _RUN or m] from P and N at its ends, in
-    tables of at most _SWEEP_BLOCK ends x tails; a run whose bound beats the best, or ties it at k1 <= the best's, is
-    scored in tables of at most _SWEEP_BLOCK cells (an infeasible cell scores floor)."""
-    dtype = cols.dtype
-    run = min(_RUN, _SWEEP_BLOCK)  # a run's cells fit in one table
-    per, lo = _SWEEP_BLOCK // run, 0  # kept runs per table of their cells
-    while lo < len(m):  # bound tables of the runs a = r0 run.. by tails lo..hi-1
-        runs = int(m[lo]) // run + 1
-        span = min(runs, max(_SWEEP_BLOCK - 1, 1))  # runs per bound table, which holds their span + 1 ends
-        hi = lo + max(_SWEEP_BLOCK // (span + 1), 1)
+    one table per group of tails whose first tail's ends times their count fit _SWEEP_BLOCK, or per tail past it; a
+    run whose bound beats the best, or ties it at k1 <= the best's, is scored with the group's other kept runs in one
+    table of _RUN k1 per run (an infeasible cell scores floor)."""
+    lo = 0
+    while lo < len(m):  # the bound table of tails lo..hi-1, their runs a = 0, _RUN, .. up to the first tail's m
+        runs = int(m[lo]) // _RUN + 1
+        hi = lo + max(_SWEEP_BLOCK // (runs + 1), 1)
         part, ms, rs, lo = cols[:, lo:hi], m[lo:hi], ranks[lo:hi], hi
-        for r0 in range(0, runs, span):
-            a = np.arange(r0 * run, (min(r0 + span, runs) + 1) * run, run, dtype=dtype)[:, None]
-            lower, upper = _enclosure(*_parts(part, np.minimum(a, ms)))  # each run to the next one's a, or m
-            a = a[:-1]
-            live = a <= ms  # the runs that hold a point
-            for i, (_, s) in enumerate(directions):
-                score, least, _ = hits[i]
-                top = _reach(lower, upper, s, absolute)
-                ra, t = np.nonzero(live & ((top > score) | (top == score) & (a <= -least)))
-                for g in range(0, len(t), per):  # tables of the kept runs' cells
-                    k1, tg = a[ra[g:g + per], 0] + np.arange(run)[:, None], t[g:g + per]
-                    p = _horner(part[:, tg], np.minimum(k1, ms[tg]))
-                    v = np.where(k1 > ms[tg], floor, s * (np.abs(p) if absolute else p))
-                    best = v.max()
-                    if best >= hits[i][0]:
-                        keys = (k1 * big + rs[tg])[v == best]  # the (k1, row) of each best cell as k1 big + row
-                        _raise(hits, i, int(best), int(keys.min()), big)
+        a = np.arange(0, (runs + 1) * _RUN, _RUN, dtype=cols.dtype)[:, None]
+        lower, upper = _enclosure(*_parts(part, np.minimum(a, ms)))  # each run to the next one's a, or m
+        a = a[:-1]
+        live = a <= ms  # the runs that hold a point
+        for i, (_, s) in enumerate(directions):
+            score, least, _ = hits[i]
+            top = _reach(lower, upper, s, absolute)
+            ra, t = np.nonzero(live & ((top > score) | (top == score) & (a <= -least)))
+            if t.size:
+                k1 = a[ra, 0] + np.arange(_RUN)[:, None]
+                p = _horner(part[:, t], np.minimum(k1, ms[t]))
+                v = np.where(k1 > ms[t], floor, s * (np.abs(p) if absolute else p))
+                best = v.max()
+                keys = (k1 * big + rs[t])[v == best]  # the (k1, row) of each best cell as k1 big + row
+                _raise(hits, i, int(best), int(keys.min()), big)
 
 
 def _raise(hits: list, i: int, score: int, key: int, big: int) -> None:
@@ -289,10 +282,11 @@ def _exact_sweep(monomials: Sequence[tuple], absolute: bool, step: Fraction, cap
                  rank: np.ndarray, last: np.ndarray, signs: dict, seeds: dict) -> dict:
     """{(f, direction): (score, (k1, row of tails))}: the exact extremum of s P, or s |P| where absolute, P = C_0 +
     ... + C_r k1^r of _expansion, and its least point, over the tails rank[i] (slack order), feasible for k1 in [0,
-    last[i]]; caps holds the largest k1 and k_j.  Each chunk of at most _CHUNK cells and _BATCH tails reads its C_i
-    off its tail monomials (_columns), int64 while _bound < 2**63, and _ends keeps the tails that can still win for
-    _run_tables, once _BATCH of them gather.  seeds[f, direction] = (num, den, _), _polytope_best's s num / (L den),
-    starts the best at the least score that ties or beats it, at a sentinel point (big, big) that any cell beats."""
+    last[i]]; caps holds the largest k1 and k_j.  Each chunk of at most _CHUNK cells reads its C_i off its tail
+    monomials (_columns), int64 while _bound < 2**63, and _ends keeps the tails that can still win, which
+    _run_tables scores per functional within the chunk: no column outlives its chunk.  seeds[f, direction] = (num,
+    den, _), _polytope_best's s num / (L den), starts the best at the least score that ties or beats it, at a
+    sentinel point (big, big) that any cell beats."""
     steps, tail_monomials, table = _expansion(monomials, step, tails.shape[1] + 1)
     bound = _bound(table, tail_monomials, [max(c, 1) for c in caps])
     dtype = np.int64 if bound < 2**63 else object
@@ -300,20 +294,15 @@ def _exact_sweep(monomials: Sequence[tuple], absolute: bool, step: Fraction, cap
     # per functional and direction, as _raise keeps them; a seed past bound, which no cell passes, fits dtype at bound
     hits = [[(min(-(-s * seeds[f, d][0] * step.denominator**deg // seeds[f, d][1]), bound), -big, -big)
              if (f, d) in seeds else (floor, 0, 0) for d, s in directions] for f, (_, deg, _) in enumerate(monomials)]
-    kept = [[] for _ in table]  # per functional: the (cols, m, ranks) of kept tails not yet scored
-    size = max(min(_CHUNK // (len(table) * max(map(len, table))), _BATCH), 1)  # tails per chunk
+    size = max(_CHUNK // (len(table) * max(map(len, table))), 1)  # tails per chunk
     for lo in range(0, len(last), size):
         ranks, m = rank[lo:lo + size], last[lo:lo + size].astype(dtype)  # k1 in the columns' dtype
         # take gathers rows many times faster than fancy indexing does
         cols = _columns(tails.take(ranks, axis=0).astype(dtype), steps, table)
         keep = _ends(cols, m, ranks, hits, directions, absolute, big)
         for f in np.flatnonzero(keep.any(axis=-1)):
-            kept[f].append((cols[:len(table[f]), f][:, keep[f]], m[keep[f]], ranks[keep[f]]))
-        del cols  # before the tables
-        for f, part in enumerate(kept):
-            if part and (lo + size >= len(last) or sum(len(r) for *_, r in part) >= _BATCH):
-                _run_tables(*(np.concatenate(a, -1) for a in zip(*part)), hits[f], directions, absolute, floor, big)
-                part.clear()
+            k = keep[f]
+            _run_tables(cols[:len(table[f]), f][:, k], m[k], ranks[k], hits[f], directions, absolute, floor, big)
     return {(f, d): (h[i][0], (-h[i][1], -h[i][2])) for f, h in enumerate(hits) for i, (d, _) in enumerate(directions)}
 
 

@@ -5,16 +5,22 @@ leaves every output byte-identical.
 
 Run it in the tree before a change and in the tree after it: the last
 lines of the two runs match iff every output below matches.  The lines
-before it hold one digest per subcommand (verify, conjecture, report),
-so a mismatch names the section it is in.  The battery runs in one
-interpreter, through ucv.cli.main, and hashes each call's argv, exit code
-and stdout:
+before it hold one digest per subcommand (verify, conjecture, report,
+search, expand), so a mismatch names the section it is in.  The battery
+runs in one interpreter, through ucv.cli.main, and hashes each call's
+argv, exit code and stdout:
 
 - verify --format csv over ten lambdas, dims 3-5, five grid steps and
   --refine 0 and 1 (30 calls of 320 rows each);
 - conjecture --format json for n = 2..8 at four lambdas (28 calls);
 - report --format json on 300 seeded draws of (lambda, b1..b4) within
-  the budget, about one in seven with p(-1) < 0, so rejected.
+  the budget, about one in seven with p(-1) < 0, so rejected;
+- search --format json for every registry row and AN(2..8), both
+  directions, at lambda = 1/3 and 1 (92 calls); and every registry row,
+  both directions, at lambda = 1, --dims 1 --step 1/70000, where one tail
+  holds 70,001 values of b1, at --refine 0 and 1 (64 calls);
+- expand --format json for each catalog name at lambda = 1/3 and 1, with
+  and without --inverse (24 calls).
 
 pytest does not collect this file, and it takes no options.
 """
@@ -32,6 +38,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ucv.cli import main  # noqa: E402
+from ucv.model import AN_MAX, AN_MIN, CATALOG_NAMES, FUNCTIONAL_NAMES  # noqa: E402
 
 LAMBDAS = "1/10,1/5,1/4,1/3,1/2,3/5,2/3,3/4,9/10,1"
 STEPS = ("1/10", "1/14", "1/20", "3/20", "1/25")
@@ -50,6 +57,14 @@ def battery() -> list[list[str]]:
         tail = [x * scale for x in w]
         b = [Fraction(rng.randint(0, 14), 12) * (1 + tail[0] - tail[1] + tail[2])] + tail  # p(-1) < 0 past 12/12
         calls.append(["report", "--lambda", str(lam), "--b", ",".join(map(str, b)), "--format", "json"])
+    names = FUNCTIONAL_NAMES + tuple(f"AN({n})" for n in range(AN_MIN, AN_MAX + 1))
+    calls += [["search", "--functional", name, "--direction", direction, "--lambda", lam, "--format", "json"]
+              for lam in ("1/3", "1") for name in names for direction in ("max", "min")]
+    calls += [["search", "--functional", name, "--direction", direction, "--lambda", "1", "--dims", "1",
+               "--step", "1/70000", "--refine", str(refine), "--format", "json"]
+              for refine in (0, 1) for name in FUNCTIONAL_NAMES for direction in ("max", "min")]
+    calls += [["expand", "--name", name, "--lambda", lam, *inverse, "--format", "json"]
+              for name in CATALOG_NAMES for lam in ("1/3", "1") for inverse in ((), ("--inverse",))]
     return calls
 
 

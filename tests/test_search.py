@@ -189,21 +189,18 @@ def test_class_conditions_imply_the_b1_cap(data):
 @pytest.mark.parametrize("block", ["one cell", "7 cells", "40 cells", "150 cells", "a third", "one tail a chunk"])
 @pytest.mark.parametrize("lam,cfg", SWEEP_GRIDS, ids=lambda v: str(v))
 def test_sweep_ties_across_block_boundaries(monkeypatch, lam, cfg, block):
-    # the tie rule must hold across table boundaries: tables of one cell
-    # (a bound table then holds one run's two ends), of 7, 40 or 150 cells,
-    # or of a third of the feasible points plus one; and across chunks and
-    # batches of one tail, each kept tail scored as soon as it is kept
+    # the tie rule must hold across table boundaries: bound tables of one
+    # cell (each then holds one tail), of 7, 40 or 150 cells, or of a third
+    # of the feasible points plus one; and across chunks of one tail
     sizes = {"one cell": 1, "7 cells": 7, "40 cells": 40, "150 cells": 150}
     size = sizes.get(block, feasible_count(lam, cfg) // 3 + 1)
     if block == "one tail a chunk":
         monkeypatch.setattr(ucv.search, "_CHUNK", 1)
-        monkeypatch.setattr(ucv.search, "_BATCH", 1)
         size = ucv.search._SWEEP_BLOCK
     monkeypatch.setattr(ucv.search, "_SWEEP_BLOCK", size)
     scored = spy_scoring(monkeypatch)
     assert_sweep_matches_brute_force(lam, cfg)
-    assert all(rows * tails <= max(size, 2) for rows, tails in scored["bounds"])
-    assert all(rows * tails <= size for rows, tails in scored["tables"])
+    assert_table_sizes(scored)
 
 
 @pytest.mark.parametrize("block", [None, 1, 5], ids=["default", "one cell", "five cells"])
@@ -500,6 +497,18 @@ def test_the_lattice_ties_the_seed_at_a_smaller_point():
     assert swept(_sweep(lam, cfg, [fn], ("max",)), fn, "max") == (top, ties[0])
 
 
+@pytest.mark.parametrize("rounds", [0, 3])
+def test_one_bound_table_holds_a_tail_past_a_block(monkeypatch, rounds):
+    # dims 1 at step 1/70000: one tail of 70,001 values of k1 in 8,751 runs, whose 8,752 ends pass _SWEEP_BLOCK and
+    # sit in one bound table; b1 - b1^2 peaks at 1/4 at b1 = 1/2, inside the tail
+    lam, cfg = F(1), SearchConfig(dims=1, grid_step=F(1, 70_000), refine_rounds=rounds)
+    fn = Functional("BUMP", None, lambda c: bump(c.b, lam), lambda lam: (None, None))
+    scored = spy_scoring(monkeypatch)
+    assert swept(_sweep(lam, cfg, [fn], ("max",)), fn, "max") == (F(1, 4), (F(1, 2), F(0), F(0), F(0)))
+    ends = 70_000 // ucv.search._RUN + 2
+    assert ends > ucv.search._SWEEP_BLOCK and (ends, 1) in scored["bounds"]
+
+
 def test_the_pass_runs_the_same_for_any_round_count():
     # --refine N >= 1 runs one pass, whatever N is; 0 prints the lattice's winner
     lam, fns = F(3, 4), [functional_by_name(n) for n in SWEEP_NAMES]
@@ -527,7 +536,7 @@ def test_edge_pass_work_on_the_default_grid(monkeypatch):
 
 def test_seeded_sweep_work_on_the_default_grid(monkeypatch):
     # a deterministic count of the sweep's work on the five-lambda grid: the pass's optimum seeds each row, so
-    # the run bounds take 53,916 ends and the tables score 10,480 cells; the sweep from an empty best took 111,600
+    # the run bounds take 51,800 ends and the tables score 10,480 cells; the sweep from an empty best took 111,600
     # and 129,536
     scored = spy_scoring(monkeypatch)
     assert len(verify_bounds(GRID5)) == 160
@@ -579,10 +588,16 @@ def spy_scoring(monkeypatch):
     return scored
 
 
+def assert_table_sizes(scored):
+    # a bound table holds at most _SWEEP_BLOCK cells, or one tail; a cell table has _RUN rows
+    assert all(rows * tails <= ucv.search._SWEEP_BLOCK or tails == 1 for rows, tails in scored["bounds"])
+    assert all(rows == ucv.search._RUN for rows, _ in scored["tables"])
+
+
 def test_registry_sweep_scores_a_small_share_of_its_points(monkeypatch):
     # the registry sweep at lambda = 1, step 1/200, dims 4: the whole-tail
     # bound leaves only A4C and A5C tails to the runs, whose bounds take
-    # 5,343,250 ends, and the tables score 87,504 cells; with the tail
+    # 5,342,437 ends, and the tables score 95,128 cells; with the tail
     # filter off the run bounds would take twice as many ends as there are
     # points
     lam, cfg = F(1), SearchConfig(grid_step=F(1, 200))
@@ -595,7 +610,7 @@ def test_registry_sweep_scores_a_small_share_of_its_points(monkeypatch):
     cells = {key: sum(math.prod(shape) for shape in shapes) for key, shapes in scored.items()}
     assert 0 < cells["bounds"] <= points / 8
     assert 0 < cells["tables"] <= points / 200
-    assert all(rows * tails <= ucv.search._SWEEP_BLOCK for rows, tails in scored["tables"] + scored["bounds"])
+    assert_table_sizes(scored)
 
 
 # -- the AN(n) sweep ---------------------------------------------------------
@@ -612,13 +627,11 @@ AN_TIE = (F(1), SearchConfig(grid_step=F(3, 4), dims=5), 6)
 # that starts at the inner tie is bounded by exactly the best score
 AN_RUN_TIE = (F(1), SearchConfig(grid_step=F(2, 3), dims=3), 4)
 DIRECTIONS = [("max",), ("min",), ("max", "min")]
-# the default chunk, batch, table and run sizes; chunks of 21 cells (one
-# to ten tails), batches of 3 kept tails and tables of a few cells, which
-# cut a tail's runs into several tables and hold fewer cells than a run of
-# the default size; runs of one k1 and of three
-AN_SIZES = {"default sizes": (None, None, None, None), "small chunks, tables of 5": (21, 3, 5, None),
-            "tables of 40": (None, None, 40, None), "runs of 1": (None, None, None, 1),
-            "runs of 3": (None, None, None, 3)}
+# the default chunk, table and run sizes; chunks of 21 cells (one to ten
+# tails) and bound tables of 5 or 40 cells, which cut the kept tails into
+# groups of one or a few; runs of one k1 and of three
+AN_SIZES = {"default sizes": (None, None, None), "small chunks, tables of 5": (21, 5, None),
+            "tables of 40": (None, 40, None), "runs of 1": (None, None, 1), "runs of 3": (None, None, 3)}
 
 
 @functools.cache
@@ -641,7 +654,7 @@ def assert_an_sweep_is_exact(lam, cfg, n, directions):
 
 
 def set_an_sizes(monkeypatch, sizes):
-    for name, size in zip(("_CHUNK", "_BATCH", "_SWEEP_BLOCK", "_RUN"), AN_SIZES[sizes]):
+    for name, size in zip(("_CHUNK", "_SWEEP_BLOCK", "_RUN"), AN_SIZES[sizes]):
         if size:
             monkeypatch.setattr(ucv.search, name, size)
 
@@ -814,7 +827,7 @@ def test_an_tables_hold_at_most_a_block(monkeypatch, lam, cfg, n, sizes):
     _sweep(lam, cfg, [an_functional(n)], ("max",))
     # a run of one k1 is bounded by its value, so it is scored only where it beats the best end
     assert scored["bounds"] and (scored["tables"] or ucv.search._RUN == 1)
-    assert all(rows * tails <= ucv.search._SWEEP_BLOCK for rows, tails in scored["tables"] + scored["bounds"])
+    assert_table_sizes(scored)
 
 
 def test_an_conjecture_sweep_scores_under_a_quarter_of_its_points(monkeypatch):
@@ -832,15 +845,14 @@ def test_an_conjecture_sweep_scores_under_a_quarter_of_its_points(monkeypatch):
     cells = {key: sum(math.prod(shape) for shape in shapes) for key, shapes in scored.items()}
     assert 0 < sum(cells.values()) <= points / 4
     assert 0 < cells["tables"] <= points / 100
-    assert all(rows * tails <= ucv.search._SWEEP_BLOCK for rows, tails in scored["tables"] + scored["bounds"])
+    assert_table_sizes(scored)
 
 
 def test_an_sweep_runs_no_recursion_per_point(monkeypatch):
     # _reciprocal runs once per process on polynomials in (b1, b2..b_dims),
     # and never on floats (the polish values the winner) nor on the points'
     # arrays; each chunk of tails (six coefficients each, in at
-    # most _CHUNK cells, and at most _BATCH tails) reads its columns off the
-    # one expansion
+    # most _CHUNK cells) reads its columns off the one expansion
     calls = collections.Counter()
 
     def counting(real):
@@ -862,13 +874,13 @@ def test_an_sweep_runs_no_recursion_per_point(monkeypatch):
     monkeypatch.setattr(ucv.search, "_columns", columns)
     lam, cfg = F(1), SearchConfig(dims=5)  # the sweep of conjecture --n 6
     tails = len(_tail_units(50, (1, 2, 3, 4)))  # every tail has a feasible b1 here
-    size = min(ucv.search._CHUNK // 6, ucv.search._BATCH)
+    size = ucv.search._CHUNK // 6
     assert tails > 2 * size
     _sweep(lam, cfg, [an_functional(6)], ("max",))
     assert calls == {"build": 1, "chunk": -(-tails // size)}
 
 
-def test_an_sweep_holds_no_column_past_its_batch():
+def test_an_sweep_holds_no_column_past_its_chunk():
     # the sweep of conjecture --n 8 at step 1/80: 1,080,266 tails, 156,889
     # of them kept past the whole-tail bound, with eight columns each.  Its
     # traced peak, 30.3 MB, is the tail lattice and its slack order, with the
@@ -933,6 +945,20 @@ def test_closed_form_absences():
     assert closed_form_bound("A5C", F(1, 2), "min") is None
     assert closed_form_bound("A5C", 1, "min") == F(-9, 4)
     assert closed_form_bound("AN(6)", 1, "min") is None
+
+
+def test_the_irrational_bound_compares_by_its_exact_square():
+    # A4C max at lambda = 1 is sqrt(96/81), the double of 4 sqrt(6)/9 with its square kept: the rationals within
+    # 1e-20 above and below it round to that double, and the one above FAILs, the one below PASSes
+    bound = closed_form_bound("A4C", 1, "max")
+    assert bound == 4 * math.sqrt(6) / 9 and bound.square == F(96, 81)
+    root = math.isqrt(96 * 10**40)  # 9 10^20 sqrt(96/81), rounded down; 96 10^40 is no square
+    below, above = F(root, 9 * 10**20), F(root + 1, 9 * 10**20)
+    assert float(below) == float(above) == bound
+    cfg, fn = SearchConfig(refine_rounds=0), functional_by_name("A4C")
+    certs = [next(ucv.search._certify(F(1), cfg, fn, ("max",), {("A4C", "max"): (v, (1, (0,) * 4))}))
+             for v in (below, above)]
+    assert [(c.status, c.gap) for c in certs] == [("PASS", 0.0), ("FAIL", 0.0)]
 
 
 def test_closed_form_rejections():
