@@ -82,10 +82,11 @@ def _as_unit(p: Union[UnitPolynomial, Sequence[RationalIn]]) -> UnitPolynomial:
 # -- exact helpers: ascending Fraction lists, top coefficient nonzero ----
 
 
-def _eval_at(cs: list[Fraction], x: int) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(cs):
-        acc = acc * x + c
+def _at(poly: list, p: int, q: int):
+    # q^m poly(p / q), m = len(poly) - 1, by homogeneous Horner: exact on ints and on Fractions
+    acc, qk = 0, 1
+    for c in reversed(poly):
+        acc, qk = acc * p + c * qk, qk * q
     return acc
 
 
@@ -142,7 +143,7 @@ def _zeros_on_circle(g: list[Fraction]) -> bool:
     Sturm count.
     """
     for root in (1, -1):
-        while len(g) > 1 and _eval_at(g, root) == 0:
+        while len(g) > 1 and _at(g, root, 1) == 0:
             g = _poly_divmod(g, [Fraction(-root), Fraction(1)])[0]
     m = (len(g) - 1) // 2
     if m == 0:
@@ -163,7 +164,7 @@ def _zeros_on_circle(g: list[Fraction]) -> bool:
     sturm.pop()
 
     def sign_changes(x: int) -> int:
-        signs = [v > 0 for v in (_eval_at(s, x) for s in sturm) if v != 0]
+        signs = [v > 0 for v in (_at(s, x, 1) for s in sturm) if v != 0]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
     return sign_changes(-2) - sign_changes(2) == m - (len(sturm[-1]) - 1)

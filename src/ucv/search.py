@@ -41,7 +41,7 @@ from ucv.model import (
     functional_by_name,
     lambda_in_range,
 )
-from ucv.rootcheck import RationalIn, as_rational, nonvanishing_in_open_disk
+from ucv.rootcheck import RationalIn, _at, as_rational, nonvanishing_in_open_disk
 
 # the grid-sharpness warning threshold: a heuristic, not a claim
 WARN_GAP = 5e-3
@@ -92,26 +92,20 @@ class SearchConfig:
 
 def _tail_units(budget: int, weights: tuple[int, ...]) -> np.ndarray:
     """Every (k_2, ..., k_dims) >= 0 with sum w_j k_j <= budget, as rows in lexicographic order (one empty row with no
-    weights), int16 while budget < 2**15, else int64.  Built column by column: fits[j][u] counts the rows of the
-    weights from j on in a budget u, and each prefix, kept as the budget it leaves, is followed by k = 0..left // w,
-    each k repeated once per row of the later weights that fits in what is left then."""
+    weights), int16 while budget < 2**15, else int64.  Built weight by weight: each row so far, with the budget it
+    leaves, is repeated once per k = 0..left // w, and k fills w's column."""
     dtype = np.int16 if budget < 2**15 else np.int64
-    fits = [np.ones(budget + 1, dtype=np.int64)]
-    for w in reversed(weights):  # fit[u] = sum of the later fit[u - k w], k >= 0: a running sum per residue mod w
-        fit = np.zeros(-(-(budget + 1) // w) * w, dtype=np.int64)
-        fit[:budget + 1] = fits[0]
-        fits.insert(0, fit.reshape(-1, w).cumsum(axis=0).ravel()[:budget + 1])
-    rows = np.empty((int(fits[0][budget]), len(weights)), dtype=dtype)
+    rows = np.zeros((1, len(weights)), dtype=dtype)
     left = np.array([budget], dtype=np.promote_types(dtype, np.int32))  # holds left // w + 1
     for j, w in enumerate(weights):
         kids = left // w + 1
-        k = np.ones(int(kids.sum()), dtype=dtype)  # 0..kids - 1 after each prefix, by one running sum
+        k = np.ones(int(kids.sum()), dtype=dtype)  # 0..kids - 1 after each row, by one running sum
         k[0], k[np.cumsum(kids[:-1])] = 0, 1 - kids[:-1]
         np.cumsum(k, out=k)
-        if j + 1 < len(weights):  # the last column repeats nothing
-            left = np.repeat(left, kids) - w * k
-            k = np.repeat(k, fits[j + 1][left])
+        rows = np.repeat(rows, kids, axis=0)
         rows[:, j] = k
+        if j + 1 < len(weights):  # the last weight leaves no budget to read
+            left = np.repeat(left, kids) - w * k
     return rows
 
 
@@ -378,14 +372,6 @@ def _bernstein(m: int) -> np.ndarray:
     # (1 + u)) / 2); u > 0 covers t in the half (h/2, (h + 1)/2), so there P <= max_k T_k / (2^m C(m, k))
     return np.array([[[sum(math.comb(m - i, k) * math.comb(r, i) * h ** (r - i) for i in range(r + 1)) << (m - r)
                        for r in range(m + 1)] for k in range(m + 1)] for h in (0, 1)], dtype=object)
-
-
-def _at(poly: list[int], p: int, q: int) -> int:
-    # q^m poly(p / q), m = len(poly) - 1, by homogeneous Horner over the ints
-    acc, qk = 0, 1
-    for c in reversed(poly):
-        acc, qk = acc * p + c * qk, qk * q
-    return acc
 
 
 def _roots(poly: list[int]) -> list[tuple[int, int]]:

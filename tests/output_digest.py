@@ -16,9 +16,13 @@ argv, exit code and stdout:
 - report --format json on 300 seeded draws of (lambda, b1..b4) within
   the budget, about one in seven with p(-1) < 0, so rejected;
 - search --format json for every registry row and AN(2..8), both
-  directions, at lambda = 1/3 and 1 (92 calls); and every registry row,
+  directions, at lambda = 1/3 and 1 (92 calls); every registry row,
   both directions, at lambda = 1, --dims 1 --step 1/70000, where one tail
-  holds 70,001 values of b1, at --refine 0 and 1 (64 calls);
+  holds 70,001 values of b1, at --refine 0 and 1 (64 calls), which the
+  whole-tail bound settles, as every row is monotone in b1 there; and
+  A4C, both directions, at lambda = 1/100, --dims 2 --step 1/70000, at
+  --refine 0 and 1 (4 calls), where each run-bound table holds one
+  tail of up to 8,839 ends, more than a table of several tails may;
 - expand --format json for each catalog name at lambda = 1/3 and 1, with
   and without --inverse (24 calls).
 
@@ -63,6 +67,9 @@ def battery() -> list[list[str]]:
     calls += [["search", "--functional", name, "--direction", direction, "--lambda", "1", "--dims", "1",
                "--step", "1/70000", "--refine", str(refine), "--format", "json"]
               for refine in (0, 1) for name in FUNCTIONAL_NAMES for direction in ("max", "min")]
+    calls += [["search", "--functional", "A4C", "--direction", direction, "--lambda", "1/100", "--dims", "2",
+               "--step", "1/70000", "--refine", str(refine), "--format", "json"]
+              for refine in (0, 1) for direction in ("max", "min")]
     calls += [["expand", "--name", name, "--lambda", lam, *inverse, "--format", "json"]
               for name in CATALOG_NAMES for lam in ("1/3", "1") for inverse in ((), ("--inverse",))]
     return calls

@@ -1246,28 +1246,33 @@ def test_no_negative_zero_escapes(lam, cfg):
     assert_no_negative_zero(cert.searched_value, cert.gap)
 
 
+def _lattice(budget, weights):
+    return [list(ks) for ks in itertools.product(*(range(budget // w + 1) for w in weights))
+            if sum(w * k for w, k in zip(weights, ks)) <= budget]
+
+
 @pytest.mark.parametrize("dims", range(1, 6))
 def test_tail_units_lexicographic_lattice(dims):
     weights = tuple(range(1, dims))
     for budget in (0, 1, 5, 12, 50):
-        want = [ks for ks in itertools.product(*(range(budget // w + 1) for w in weights))
-                if sum(w * k for w, k in zip(weights, ks)) <= budget]
+        want = _lattice(budget, weights)
         got = _tail_units(budget, weights)
         assert got.dtype == (np.int16 if budget < 2**15 else np.int64) and got.shape == (len(want), dims - 1)
-        assert got.tolist() == [list(ks) for ks in want]
+        assert got.tolist() == want
 
 
-@pytest.mark.parametrize("budget, dtype", [(2**15 - 1, np.int16), (2**15, np.int64)])
-def test_tail_units_dtype_boundary(budget, dtype):
-    rows = _tail_units(budget, (1,))
-    assert rows.dtype == dtype and rows.shape == (budget + 1, 1)
-    assert rows[:, 0].tolist() == list(range(budget + 1))
+@pytest.mark.parametrize("budget, dtype, weights", [(2**15 - 1, np.int16, (1,)), (2**15, np.int64, (1,)),
+                                                    (2**15, np.int64, (1, 2**14))],
+                         ids=["32767-int16", "32768-int64", "32768-int64-1,16384"])
+def test_tail_units_dtype_boundary(budget, dtype, weights):
+    # the last case, 49,155 rows, takes the int64 path with more than one weight
+    rows = _tail_units(budget, weights)
+    assert rows.dtype == dtype and rows.tolist() == _lattice(budget, weights)
 
 
 def test_tail_units_row_count_at_dims_7():
     # the tail lattice of conjecture --n 8 at step 1/80: 13 MB of int16
-    # rows, built in place with a traced peak of 25.3 MB, where stacking
-    # the rows weight by weight peaked at 48.8 MB
+    # rows, built weight by weight with a traced peak of 25.3 MB
     weights = tuple(range(1, 7))
     tracemalloc.start()
     try:
