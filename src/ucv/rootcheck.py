@@ -14,7 +14,8 @@ their lcm.
 Any other polynomial is decided over Fraction.  g = gcd(p, p*), p* the
 reversed p, takes every zero on the circle and every reciprocal pair
 r, 1/r; the cofactor p/g goes through the strict Schur-Cohn test, and
-g, self-reciprocal, through a Sturm count in x = z + 1/z on (-2, 2).
+g, self-inversive, has all its zeros on the circle iff its reversed
+derivative passes the same decision (Cohn's theorem), one degree lower.
 """
 
 from __future__ import annotations
@@ -82,14 +83,6 @@ def _as_unit(p: Union[UnitPolynomial, Sequence[RationalIn]]) -> UnitPolynomial:
 # -- exact helpers: ascending Fraction lists, top coefficient nonzero ----
 
 
-def _at(poly: list, p: int, q: int):
-    # q^m poly(p / q), m = len(poly) - 1, by homogeneous Horner: exact on ints and on Fractions
-    acc, qk = 0, 1
-    for c in reversed(poly):
-        acc, qk = acc * p + c * qk, qk * q
-    return acc
-
-
 def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     r = list(a)
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
@@ -106,7 +99,8 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], 
 def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     """Monic gcd by Euclid's algorithm."""
     while b != [0]:
-        a, b = b, _poly_divmod(a, b)[1]
+        _, r = over_common_denominator(_poly_divmod(a, b)[1])
+        a, b = b, [Fraction(c // (math.gcd(*r) or 1)) for c in r]  # primitive, so the Fractions stay small
     return [c / a[-1] for c in a]
 
 
@@ -133,51 +127,23 @@ def _schur_stable(q: list[Fraction]) -> bool:
     return True
 
 
-def _zeros_on_circle(g: list[Fraction]) -> bool:
-    """True iff every zero of the self-reciprocal g lies on |z| = 1.
-
-    Dividing out the zeros at +-1 leaves g palindromic of even degree 2m,
-    g(z) = z^m H(z + 1/z), and z lies on the circle iff x = z + 1/z is
-    real in [-2, 2], where x = +-2 are the zeros at z = +-1.  So g passes
-    iff H has all its distinct zeros, m - deg gcd(H, H'), in (-2, 2): a
-    Sturm count.
-    """
-    for root in (1, -1):
-        while len(g) > 1 and _at(g, root, 1) == 0:
-            g = _poly_divmod(g, [Fraction(-root), Fraction(1)])[0]
-    m = (len(g) - 1) // 2
-    if m == 0:
-        return True
-    # z^j + z^-j = D_j(x) with D_0 = 2, D_1 = x, D_{j+1} = x D_j - D_{j-1}
-    h = [g[m]] + [Fraction(0)] * m
-    prev, cur = [Fraction(2)], [Fraction(0), Fraction(1)]
-    for j in range(1, m + 1):
-        for i, c in enumerate(cur):
-            h[i] += g[m + j] * c
-        nxt = [Fraction(0)] + cur
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
-    sturm = [h, [k * c for k, c in enumerate(h) if k]]
-    while sturm[-1] != [0]:
-        sturm.append([-c for c in _poly_divmod(sturm[-2], sturm[-1])[1]])
-    sturm.pop()
-
-    def sign_changes(x: int) -> int:
-        signs = [v > 0 for v in (_at(s, x, 1) for s in sturm) if v != 0]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    return sign_changes(-2) - sign_changes(2) == m - (len(sturm[-1]) - 1)
-
-
 def _no_zero_in_open_disk(p: Union[UnitPolynomial, Sequence[RationalIn]]) -> bool:
-    """The exact decision for any p.  g = gcd(p, p*) holds every zero on
-    the circle with its full multiplicity (p* vanishes at 1/conj z = z
-    there) and every reciprocal pair r, 1/r, so the cofactor p/g has none
-    of either and goes to the strict Schur-Cohn test."""
+    """The exact decision for any p.  A p that passes the strict Schur-Cohn
+    test has no zero in the closed disk.  Else g = gcd(p, p*) takes every
+    zero on the circle, to its full multiplicity (p* vanishes at 1/conj z
+    = z there), and every reciprocal pair r, 1/r, so the cofactor p/g must
+    pass the strict test.  g, its zeros closed under z -> 1/z, is
+    self-inversive, so by A. Cohn's theorem (Math. Z. 14, 1922) they all
+    lie on |z| = 1 iff those of g' lie in |z| <= 1, that is iff the
+    reversed g' has none in the open disk: the same question, a degree lower."""
     cs = list(_as_unit(p).coeffs)
-    g = _poly_gcd(cs, cs[::-1])
-    return _schur_stable(_poly_divmod(cs, g)[0]) and _zeros_on_circle(g)
+    while not _schur_stable(cs):
+        g = _poly_gcd(cs, cs[::-1])
+        if len(g) == 1 or not _schur_stable(_poly_divmod(cs, g)[0]):  # p/1 = p failed the test
+            return False
+        n = len(g) - 1  # g is monic: the reversed g' over n g_n has constant term 1
+        cs = list(_as_unit([k * g[k] / n for k in range(n, 0, -1)]).coeffs)
+    return True
 
 
 def min_root_modulus(p: Union[UnitPolynomial, Sequence[RationalIn]]) -> float:
@@ -195,7 +161,7 @@ def nonvanishing_in_open_disk(p: Union[UnitPolynomial, Sequence[RationalIn]],
     """True when p has no zero in the open unit disk; zeros on the circle
     pass.  Exact on every input, with no float: integer comparisons when
     the tail budget sum_{n>=2} (n-1)|p_n| is <= 1, as on every class
-    denominator, and the gcd / Schur-Cohn / Sturm decision otherwise.  A
+    denominator, and the gcd / Schur-Cohn / Cohn decision otherwise.  A
     caller that holds p as ints passes lifted = (d, N), any d > 0 with
     N = d p, and saves re-reading p; p itself is then read only by the
     exact routine.

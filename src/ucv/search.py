@@ -41,7 +41,7 @@ from ucv.model import (
     functional_by_name,
     lambda_in_range,
 )
-from ucv.rootcheck import RationalIn, _at, as_rational, nonvanishing_in_open_disk
+from ucv.rootcheck import RationalIn, as_rational, nonvanishing_in_open_disk
 
 # the grid-sharpness warning threshold: a heuristic, not a claim
 WARN_GAP = 5e-3
@@ -277,14 +277,14 @@ def _exact_sweep(monomials: Sequence[tuple], absolute: bool, step: Fraction, cap
     """{(f, direction): (score, (k1, row of tails))}: the exact extremum of s P, or s |P| where absolute, P = C_0 +
     ... + C_r k1^r of _expansion, and its least point, over the tails rank[i] (slack order), feasible for k1 in [0,
     last[i]]; caps holds the largest k1 and k_j.  Each chunk of at most _CHUNK cells reads its C_i off its tail
-    monomials (_columns), int64 while _bound < 2**63, and _ends keeps the tails that can still win, which
+    monomials (_columns), int64 while _bound and big^2 < 2**63, and _ends keeps the tails that can still win, which
     _run_tables scores per functional within the chunk: no column outlives its chunk.  seeds[f, direction] = (num,
     den, _), _polytope_best's s num / (L den), starts the best at the least score that ties or beats it, at a
     sentinel point (big, big) that any cell beats."""
     steps, tail_monomials, table = _expansion(monomials, step, tails.shape[1] + 1)
     bound = _bound(table, tail_monomials, [max(c, 1) for c in caps])
-    dtype = np.int64 if bound < 2**63 else object
     floor, big, directions = -bound - 1, caps[0] + len(tails), list(signs.items())  # below any score; past k1, row
+    dtype = np.int64 if max(bound, big * big) < 2**63 else object  # every score and point key k1 big + row
     # per functional and direction, as _raise keeps them; a seed past bound, which no cell passes, fits dtype at bound
     hits = [[(min(-(-s * seeds[f, d][0] * step.denominator**deg // seeds[f, d][1]), bound), -big, -big)
              if (f, d) in seeds else (floor, 0, 0) for d, s in directions] for f, (_, deg, _) in enumerate(monomials)]
@@ -372,6 +372,14 @@ def _bernstein(m: int) -> np.ndarray:
     # (1 + u)) / 2); u > 0 covers t in the half (h/2, (h + 1)/2), so there P <= max_k T_k / (2^m C(m, k))
     return np.array([[[sum(math.comb(m - i, k) * math.comb(r, i) * h ** (r - i) for i in range(r + 1)) << (m - r)
                        for r in range(m + 1)] for k in range(m + 1)] for h in (0, 1)], dtype=object)
+
+
+def _at(poly: list[int], p: int, q: int) -> int:
+    # q^m poly(p / q), m = len(poly) - 1, by homogeneous Horner over the ints
+    acc, qk = 0, 1
+    for c in reversed(poly):
+        acc, qk = acc * p + c * qk, qk * q
+    return acc
 
 
 def _roots(poly: list[int]) -> list[tuple[int, int]]:

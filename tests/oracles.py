@@ -25,7 +25,7 @@ not a tautology:
   random_member             seeded rejection sampler over the feasible set
   enumerate_feasible        every feasible lattice point, one by one, its
                             disk condition decided by the exact gcd /
-                            Schur-Cohn / Sturm routine, not by the p(-1)
+                            Schur-Cohn / Cohn routine, not by the p(-1)
                             sign test the sweep and validate() apply
   an_coefficient_by_recursion   a_n by the reciprocal recursion with its
                             signs unfolded, against the search's

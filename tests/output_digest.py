@@ -26,7 +26,8 @@ argv, exit code and stdout:
 - expand --format json for each catalog name at lambda = 1/3 and 1, with
   and without --inverse (24 calls).
 
-pytest does not collect this file, and it takes no options.
+pytest does not collect this file, and it takes no options;
+tests/test_output_digest.py pins its digests.
 """
 
 from __future__ import annotations

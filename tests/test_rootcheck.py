@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import inside_unit_count, sign_test_by_fractions
@@ -161,8 +161,7 @@ def _divide_out_unit_roots(coeffs):
                  budget_polynomials()))
 def test_gate_agrees_with_schur_cohn(coeffs):
     quotient = _divide_out_unit_roots(coeffs)
-    if not _away_from_circle(quotient):
-        return  # the count oracle needs a circle-free polynomial
+    assume(_away_from_circle(quotient))  # the count oracle needs a circle-free polynomial
     inside = inside_unit_count(quotient)
     assert nonvanishing_in_open_disk(coeffs) == (inside == 0)
 
@@ -267,6 +266,20 @@ CIRCLE_FACTORS = [
 ]
 
 
+def _seeded_pairs(seed, count):
+    """count circle pairs 1 - a z + z^2, a rational in (-2, 2), zeros at
+    cos t = a/2, and count reciprocal pairs 1 - (r + 1/r) z + z^2 with
+    zeros r, 1/r, r rational and |r| != 1, one of them inside."""
+    rng, pairs = random.Random(seed), []
+    for _ in range(count):
+        q = rng.randint(2, 40)
+        pairs.append(([1, -F(rng.randint(1 - 2 * q, 2 * q - 1), q), 1], 0))
+        r = F(rng.randint(1, 40), rng.randint(1, 40)) * rng.choice((1, -1))
+        r = r if abs(r) != 1 else r * F(3, 2)
+        pairs.append(([1, -(r + 1 / r), 1], 1))
+    return pairs
+
+
 def _times(a, b):
     out = [F(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -278,7 +291,9 @@ def _times(a, b):
 @pytest.mark.parametrize("first", range(len(CIRCLE_FACTORS)))
 def test_exact_verdict_on_factor_products(monkeypatch, first):
     """Every product of 1 to 4 factors, repeats allowed, whose first factor
-    is CIRCLE_FACTORS[first], gets the verdict of its known inside count
+    is CIRCLE_FACTORS[first], and 60 seeded products of 2 to 6 factors led
+    by it, the others drawn with repeats from CIRCLE_FACTORS and seeded
+    circle and reciprocal pairs, gets the verdict of its known inside count
     with no float: numpy.roots, min_root_modulus and mpmath all fail."""
     def blocked(*args):
         pytest.fail("float root finder reached")
@@ -286,10 +301,13 @@ def test_exact_verdict_on_factor_products(monkeypatch, first):
     monkeypatch.setattr(np, "roots", blocked)
     monkeypatch.setattr("ucv.rootcheck.min_root_modulus", blocked)
     monkeypatch.setitem(sys.modules, "mpmath", None)
-    for k in range(4):
-        for rest in itertools.combinations_with_replacement(range(first, len(CIRCLE_FACTORS)), k):
-            coeffs, inside = [F(1)], 0
-            for i in (first,) + rest:
-                coeffs = _times(coeffs, CIRCLE_FACTORS[i][0])
-                inside += CIRCLE_FACTORS[i][1]
-            assert nonvanishing_in_open_disk(coeffs) == (inside == 0), coeffs
+    rest = [r for k in range(4) for r in itertools.combinations_with_replacement(range(first, len(CIRCLE_FACTORS)), k)]
+    pool = CIRCLE_FACTORS + _seeded_pairs(first, 6)
+    rng = random.Random(first)
+    rest += [tuple(rng.choices(range(len(pool)), k=k)) for k in range(1, 6) for _ in range(12)]
+    for others in rest:
+        coeffs, inside = [F(1)], 0
+        for i in (first,) + others:
+            coeffs = _times(coeffs, pool[i][0])
+            inside += pool[i][1]
+        assert nonvanishing_in_open_disk(coeffs) == (inside == 0), coeffs

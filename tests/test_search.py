@@ -509,6 +509,17 @@ def test_one_bound_table_holds_a_tail_past_a_block(monkeypatch, rounds):
     assert ends > ucv.search._SWEEP_BLOCK and (ends, 1) in scored["bounds"]
 
 
+@pytest.mark.parametrize("step", [F(1, 1_520_000_000), F(1, 3 * 10**9), F(1, 10**12)], ids=str)
+@pytest.mark.parametrize("rounds", [0, 1])
+@pytest.mark.parametrize("name,direction,value", [("A2C", "min", -1), ("A3C", "max", 1)])
+def test_sweep_keys_past_int64_at_fine_steps(name, direction, value, rounds, step):
+    # dims 1: one tail, k1 up to 2 / step.  The point keys k1 big + row reach big^2 with big = 2 / step + 1, past
+    # 2**63 at every step here; k1 passes 2**31, so the row and k1 arrays are int64
+    fn, lam = functional_by_name(name), F(1)
+    got = _sweep(lam, SearchConfig(dims=1, grid_step=step, refine_rounds=rounds), [fn], (direction,))
+    assert swept(got, fn, direction) == (value, (F(1), F(0), F(0), F(0)))
+
+
 def test_the_pass_runs_the_same_for_any_round_count():
     # --refine N >= 1 runs one pass, whatever N is; 0 prints the lattice's winner
     lam, fns = F(3, 4), [functional_by_name(n) for n in SWEEP_NAMES]
