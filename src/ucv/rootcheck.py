@@ -11,11 +11,11 @@ nonvanishing_in_open_disk).  Every denominator of the class has such a
 budget, so membership compares ints: the coefficients' numerators over
 their lcm.
 
-Any other polynomial is decided over Fraction.  g = gcd(p, p*), p* the
-reversed p, takes every zero on the circle and every reciprocal pair
-r, 1/r; the cofactor p/g goes through the strict Schur-Cohn test, and
-g, self-inversive, has all its zeros on the circle iff its reversed
-derivative passes the same decision (Cohn's theorem), one degree lower.
+Any other polynomial is decided over the ints, on those same numerators.
+g = gcd(p, p*), p* the reversed p, takes every zero on the circle and
+every reciprocal pair r, 1/r; the cofactor p/g goes through the strict
+Schur-Cohn test, and g, self-inversive, has all its zeros on the circle
+iff its reversed derivative passes the same decision (Cohn's theorem).
 """
 
 from __future__ import annotations
@@ -80,69 +80,66 @@ def _as_unit(p: Union[UnitPolynomial, Sequence[RationalIn]]) -> UnitPolynomial:
     return UnitPolynomial.from_coeffs(p)
 
 
-# -- exact helpers: ascending Fraction lists, top coefficient nonzero ----
+# -- the exact disk decision: ascending int lists, constant term nonzero ---
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    r = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    for k in range(len(a) - len(b), -1, -1):
-        c = q[k] = r[k + len(b) - 1] / b[-1]
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with b_m^(deg a - m + 1) a = q b + r and deg r < m = deg b,
+    for deg a >= m: long division that scales by b_m before each step, so
+    it stays in the ints."""
+    m = len(b) - 1
+    q, r = [0] * max(len(a) - m, 1), list(a)
+    for k in range(len(a) - 1 - m, -1, -1):
+        c = r[k + m]
+        q, r = [b[-1] * x for x in q], [b[-1] * x for x in r]
+        q[k] = c
         for j, bj in enumerate(b):
             r[k + j] -= c * bj
-    r = r[:len(b) - 1] or [Fraction(0)]
+    r = r[:m] or [0]
     while len(r) > 1 and r[-1] == 0:
         r.pop()
     return q, r
 
 
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd by Euclid's algorithm."""
-    while b != [0]:
-        _, r = over_common_denominator(_poly_divmod(a, b)[1])
-        a, b = b, [Fraction(c // (math.gcd(*r) or 1)) for c in r]  # primitive, so the Fractions stay small
-    return [c / a[-1] for c in a]
-
-
-# -- the exact disk decision -------------------------------------------
-
-
-def _schur_stable(q: list[Fraction]) -> bool:
+def _schur_stable(q: Sequence[int]) -> bool:
     """True iff q, q(0) != 0, has no zero in the closed unit disk.
 
-    Strict Schur-Cohn: for r = q_n / q_0 with |r| < 1, q has a zero in the
-    closed disk iff T(q) = q - r q* does (q* the reversed q: Rouche, as
-    |q*| = |q| on the circle, where q* also vanishes with q); T(q) has
-    lower degree and T(q)(0) != 0.  If |r| >= 1 the roots' moduli
-    multiply to |1/r| <= 1.
+    Strict Schur-Cohn: for |q_n| < |q_0|, q has a zero in the closed disk
+    iff T(q) = q_0 q - q_n q* does (q* the reversed q: Rouche, as |q*| =
+    |q| on the circle, where q* also vanishes with q); T(q), divided by
+    its content, has lower degree and T(q)(0) = q_0^2 - q_n^2 != 0.  If
+    |q_n| >= |q_0| the roots' moduli multiply to |q_0 / q_n| <= 1.  A zero
+    top coefficient q_n gives T(q) = q_0 q, one degree lower.
     """
     while len(q) > 1:
-        r = q[-1] / q[0]
-        if abs(r) >= 1:
+        if abs(q[-1]) >= abs(q[0]):
             return False
         n = len(q) - 1
-        q = [q[k] - r * q[n - k] for k in range(n)]
-        while len(q) > 1 and q[-1] == 0:
-            q.pop()
+        q = [q[0] * q[k] - q[-1] * q[n - k] for k in range(n)]
+        content = math.gcd(*q)
+        q = [c // content for c in q]
     return True
 
 
-def _no_zero_in_open_disk(p: Union[UnitPolynomial, Sequence[RationalIn]]) -> bool:
-    """The exact decision for any p.  A p that passes the strict Schur-Cohn
-    test has no zero in the closed disk.  Else g = gcd(p, p*) takes every
-    zero on the circle, to its full multiplicity (p* vanishes at 1/conj z
-    = z there), and every reciprocal pair r, 1/r, so the cofactor p/g must
-    pass the strict test.  g, its zeros closed under z -> 1/z, is
+def _no_zero_in_open_disk(cs: Sequence[int]) -> bool:
+    """The exact decision for p given as ints cs = d p, d != 0.  A p that
+    passes the strict Schur-Cohn test has no zero in the closed disk.  Else
+    g = gcd(p, p*), by Euclid on primitive pseudo-remainders (G. E.
+    Collins, J. ACM 14, 1967), takes every zero on the circle, to its full
+    multiplicity (p* vanishes at 1/conj z = z there), and every reciprocal
+    pair r, 1/r, so the cofactor, the pseudo-quotient (a multiple of p/g),
+    must pass the strict test.  g, its zeros closed under z -> 1/z, is
     self-inversive, so by A. Cohn's theorem (Math. Z. 14, 1922) they all
     lie on |z| = 1 iff those of g' lie in |z| <= 1, that is iff the
-    reversed g' has none in the open disk: the same question, a degree lower."""
-    cs = list(_as_unit(p).coeffs)
+    reversed g' (constant term n g_n != 0) has none in the open disk."""
     while not _schur_stable(cs):
-        g = _poly_gcd(cs, cs[::-1])
-        if len(g) == 1 or not _schur_stable(_poly_divmod(cs, g)[0]):  # p/1 = p failed the test
+        g, b = cs, cs[::-1]
+        while b != [0]:
+            r = _pseudo_divmod(g, b)[1]
+            g, b = b, [c // (math.gcd(*r) or 1) for c in r]
+        if len(g) == 1 or not _schur_stable(_pseudo_divmod(cs, g)[0]):  # p/1 = p failed the test
             return False
-        n = len(g) - 1  # g is monic: the reversed g' over n g_n has constant term 1
-        cs = list(_as_unit([k * g[k] / n for k in range(n, 0, -1)]).coeffs)
+        cs = [k * g[k] for k in range(len(g) - 1, 0, -1)]
     return True
 
 
@@ -161,10 +158,9 @@ def nonvanishing_in_open_disk(p: Union[UnitPolynomial, Sequence[RationalIn]],
     """True when p has no zero in the open unit disk; zeros on the circle
     pass.  Exact on every input, with no float: integer comparisons when
     the tail budget sum_{n>=2} (n-1)|p_n| is <= 1, as on every class
-    denominator, and the gcd / Schur-Cohn / Cohn decision otherwise.  A
-    caller that holds p as ints passes lifted = (d, N), any d > 0 with
-    N = d p, and saves re-reading p; p itself is then read only by the
-    exact routine.
+    denominator, and the gcd / Schur-Cohn / Cohn decision over the same
+    ints otherwise.  A caller that holds p as ints passes lifted = (d, N),
+    any d > 0 with N = d p, and p is then not read at all.
 
     Theorem (the argument of L. A. Aksent'ev's univalence criterion,
     1958): with tail budget <= 1, p has no zero in |z| < 1 iff p(-1) >= 0
@@ -188,4 +184,4 @@ def nonvanishing_in_open_disk(p: Union[UnitPolynomial, Sequence[RationalIn]],
         return False
     if sum((n - 1) * abs(c) for n, c in enumerate(ns[2:], start=2)) <= d:
         return True
-    return _no_zero_in_open_disk(p)
+    return _no_zero_in_open_disk(ns)

@@ -24,8 +24,9 @@ not a tautology:
                             against the gate's integer numerators
   random_member             seeded rejection sampler over the feasible set
   enumerate_feasible        every feasible lattice point, one by one, its
-                            disk condition decided by the exact gcd /
-                            Schur-Cohn / Cohn routine, not by the p(-1)
+                            disk condition decided by the exact integer
+                            gcd / Schur-Cohn / Cohn routine on the point's
+                            numerators over their lcm, not by the p(-1)
                             sign test the sweep and validate() apply
   an_coefficient_by_recursion   a_n by the reciprocal recursion with its
                             signs unfolded, against the search's
@@ -54,7 +55,8 @@ that implication wherever it goes.
 All arithmetic is exact rational; nothing here imports the modules whose
 answers it is checking beyond the shared series container, the member
 gate validate() (for random_member), the series route f_series (for
-u_residual), the disk gate's exact routine _no_zero_in_open_disk, and
+u_residual), the disk gate's exact routine _no_zero_in_open_disk with
+the integer lift over_common_denominator it takes its input from, and
 the search's configuration record.
 """
 
@@ -67,7 +69,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from ucv.model import ClassMember, NonMember, f_series, validate
-from ucv.rootcheck import _no_zero_in_open_disk
+from ucv.rootcheck import _no_zero_in_open_disk, over_common_denominator
 from ucv.search import SearchConfig
 from ucv.series import TruncatedSeries, series_from_polynomial
 
@@ -331,7 +333,7 @@ def enumerate_feasible(lam, cfg: SearchConfig | None = None) -> Iterator[tuple[F
                 continue
             if sum((n - 1) * x for n, x in enumerate(b, start=1)) > lam:
                 continue
-            if _no_zero_in_open_disk((Fraction(1),) + b):
+            if _no_zero_in_open_disk(over_common_denominator((Fraction(1),) + b)[1]):
                 yield b
 
 

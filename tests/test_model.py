@@ -436,8 +436,8 @@ def test_gate_verdict_from_the_cached_integer_form():
         coeffs = (F(1),) + b
         verdict = nonvanishing_in_open_disk(coeffs)
         assert nonvanishing_in_open_disk(coeffs, (d, (d, *ns))) == verdict, b
-        # any positive common denominator, not only the lcm
-        assert nonvanishing_in_open_disk(coeffs, (3 * d, (3 * d, *(3 * x for x in ns)))) == verdict, b
+        # any positive common denominator, not only the lcm; p is not read
+        assert nonvanishing_in_open_disk(None, (3 * d, (3 * d, *(3 * x for x in ns)))) == verdict, b
         try:
             validate(lam, b)
         except NonMember as exc:

@@ -15,7 +15,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import inside_unit_count, sign_test_by_fractions
-from ucv.rootcheck import UnitPolynomial, _no_zero_in_open_disk, min_root_modulus, nonvanishing_in_open_disk
+import ucv.rootcheck
+from ucv.rootcheck import (UnitPolynomial, _no_zero_in_open_disk, min_root_modulus, nonvanishing_in_open_disk,
+                           over_common_denominator)
 
 F = Fraction
 
@@ -221,7 +223,7 @@ def sign_test_polynomials(draw):
 def test_integer_gate_matches_fraction_sign_test(coeffs):
     expected = sign_test_by_fractions(coeffs)
     if expected is None:
-        expected = _no_zero_in_open_disk(coeffs)
+        expected = _no_zero_in_open_disk(over_common_denominator(coeffs)[1])
     assert nonvanishing_in_open_disk(coeffs) == expected
 
 
@@ -291,23 +293,46 @@ def _times(a, b):
 @pytest.mark.parametrize("first", range(len(CIRCLE_FACTORS)))
 def test_exact_verdict_on_factor_products(monkeypatch, first):
     """Every product of 1 to 4 factors, repeats allowed, whose first factor
-    is CIRCLE_FACTORS[first], and 60 seeded products of 2 to 6 factors led
-    by it, the others drawn with repeats from CIRCLE_FACTORS and seeded
-    circle and reciprocal pairs, gets the verdict of its known inside count
-    with no float: numpy.roots, min_root_modulus and mpmath all fail."""
+    is CIRCLE_FACTORS[first], 60 seeded products of 2 to 6 factors led by
+    it, the others drawn with repeats from CIRCLE_FACTORS and seeded circle
+    and reciprocal pairs, and 16 seeded products of 7 to 10 factors led by
+    it, the others drawn from those of degree 2 or 3 (half of them from the
+    ones with no zero inside) to reach degree 20 and more, gets the verdict
+    of its known inside count with no float: numpy.roots, min_root_modulus
+    and mpmath all fail, and every polynomial that _schur_stable and
+    _pseudo_divmod receive is a list of ints, so no true division slips a
+    float or a Fraction into the decision."""
     def blocked(*args):
         pytest.fail("float root finder reached")
+
+    def spy(name):
+        real = getattr(ucv.rootcheck, name)
+
+        def checked(*polys):
+            seen.add(name)
+            assert all(type(c) is int for poly in polys for c in poly), (name, polys)
+            return real(*polys)
+        monkeypatch.setattr(ucv.rootcheck, name, checked)
 
     monkeypatch.setattr(np, "roots", blocked)
     monkeypatch.setattr("ucv.rootcheck.min_root_modulus", blocked)
     monkeypatch.setitem(sys.modules, "mpmath", None)
+    seen = set()
+    spy("_schur_stable")
+    spy("_pseudo_divmod")
     rest = [r for k in range(4) for r in itertools.combinations_with_replacement(range(first, len(CIRCLE_FACTORS)), k)]
     pool = CIRCLE_FACTORS + _seeded_pairs(first, 6)
     rng = random.Random(first)
     rest += [tuple(rng.choices(range(len(pool)), k=k)) for k in range(1, 6) for _ in range(12)]
+    wide = [i for i, (cs, _) in enumerate(pool) if len(cs) > 2]
+    outside = [i for i in wide if pool[i][1] == 0]
+    rest += [tuple(rng.choices(others, k=k)) for k in range(6, 10) for others in (wide, outside) for _ in range(2)]
+    degree = 0
     for others in rest:
         coeffs, inside = [F(1)], 0
         for i in (first,) + others:
             coeffs = _times(coeffs, pool[i][0])
             inside += pool[i][1]
         assert nonvanishing_in_open_disk(coeffs) == (inside == 0), coeffs
+        degree = max(degree, len(coeffs) - 1)
+    assert degree >= 20 and seen == {"_schur_stable", "_pseudo_divmod"}
