@@ -130,8 +130,8 @@ def f_series(member: ClassMember, order: int) -> TruncatedSeries:
 def _denominator_powers(member, count: int, order: int) -> list[list]:
     """[P^1, ..., P^count] through at least z^order, P = d u from the integer form (d, N) of a member, or of
     _Coefficients (d = 1, N = b over any ring), so u^n = P^n / d^n with d^n the row's constant term.  Each row is the
-    one before times P, one loop over P's nonzero terms.  The rows are kept on the member, and a call that asks for
-    more rows or a higher order extends them in place: a truncation is exact, so no value depends on the call order."""
+    one before times P, one loop over P's nonzero terms.  The rows are kept on the member, extended for a higher order
+    and appended to for more rows: a truncation is exact, so no value depends on the call order."""
     powers = vars(member).setdefault("_powers", [])  # kept on the member, past a frozen dataclass's fields
     if len(powers) >= count and (not powers or len(powers[0]) > order):
         return powers[:count]
@@ -139,7 +139,7 @@ def _denominator_powers(member, count: int, order: int) -> list[list]:
     top = max(order, len(powers[0]) - 1) if powers else order
     unit = ([d, *ns] + [0] * top)[: top + 1]
     terms = [(j, c) for j, c in enumerate(unit) if c]
-    powers += [[] for _ in range(count - len(powers))]
+    powers += [] if powers else [[]]  # P^1 grows in place, as the rows after it do
     powers[0] += unit[len(powers[0]):]
     for prev, row in zip(powers, powers[1:]):  # the new terms of P^n = P^(n-1) P, P^(n-1) = prev already grown
         start = len(row)
@@ -147,6 +147,12 @@ def _denominator_powers(member, count: int, order: int) -> list[list]:
         for j, c in terms:
             for k in range(j if j > start else start, top + 1):
                 row[k] += c * prev[k - j]
+    while len(powers) < count:  # a new row: the one before times P
+        prev, row = powers[-1], [0] * (top + 1)
+        for j, c in terms:
+            for k in range(j, top + 1):
+                row[k] += c * prev[k - j]
+        powers.append(row)
     return powers[:count]
 
 

@@ -47,7 +47,7 @@ from ucv.rootcheck import RationalIn, as_rational, nonvanishing_in_open_disk
 WARN_GAP = 5e-3
 
 _SWEEP_BLOCK = 2**13  # most run ends x tails in one bound table of the sweep, but for a single tail
-_CHUNK = 2**15  # most cells (tails x functionals x coefficients) in one build of the sweep's exact columns
+_CHUNK_BYTES = 2**18  # most bytes of cells (tails x functionals x coefficients) in one build of the sweep's columns
 _RUN = 8  # k1 per run that the sweep bounds before it scores the run's cells
 _ROOT_BITS = 44  # the pass gives an irrational root by two points at most 2**-43 apart around it
 
@@ -136,19 +136,20 @@ def _certify(lam: Fraction, cfg: SearchConfig, fn: Functional, directions: Seque
         arg, bound, s = tuple(Fraction(c, d) for c in n), bounds[direction], 1 if direction == "max" else -1
         if cfg.refine_rounds and not nonvanishing_in_open_disk((1, *arg), (d, (d, *n))):
             raise RuntimeError(f"argmax {arg} fails the disk gate")
+        searched, closed = float(value), None if bound is None else float(bound)
         if bound is None:
-            yield BoundCertificate(lam, fn.name, direction, float(value), arg, None, None, "NO_CLOSED_FORM", False)
+            yield BoundCertificate(lam, fn.name, direction, searched, arg, None, None, "NO_CLOSED_FORM", False)
             continue
         x, y = (value * abs(value), bound.square) if isinstance(bound, SquareRoot) else (value, bound)
-        gap = float(bound) - float(value)
-        yield BoundCertificate(lam, fn.name, direction, float(value), arg, float(bound), gap,
-                               "FAIL" if s * (x - y) > 0 else "PASS", s * gap > WARN_GAP)
+        yield BoundCertificate(lam, fn.name, direction, searched, arg, closed, closed - searched,
+                               "FAIL" if (x > y if s > 0 else x < y) else "PASS", s * (closed - searched) > WARN_GAP)
 
 
 # -- sweep core ------------------------------------------------------------
 
 
-def _expansion(monomials: Sequence[tuple], step: Fraction, dims: int) -> tuple:
+@functools.cache  # per rows, step and dims, so the lambdas of a grid share one expansion
+def _expansion(monomials: tuple, step: Fraction, dims: int) -> tuple:
     """(steps, monomials, table) of the integer polynomial P = L den^deg f(step k) of each f, step = num/den: f's
     (L, deg, terms) of _integer_monomials at N = num k, d = den, b_j past dims being 0.  table[f][i] lists the
     (c, t) of k1^i's coefficient, sum c monomial_t, up to P's degree in k1, at least 1; monomials holds the tail
@@ -233,7 +234,7 @@ def _run_tables(cols: np.ndarray, m: np.ndarray, ranks: np.ndarray, hits: list, 
             top = _reach(lower, upper, s, absolute)
             ra, t = np.nonzero(live & ((top > score) | (top == score) & (a <= -least)))
             if t.size:
-                k1 = a[ra, 0] + np.arange(_RUN)[:, None]
+                k1 = a[ra, 0] + np.arange(_RUN, dtype=cols.dtype)[:, None]
                 p = _horner(part[:, t], np.minimum(k1, ms[t]))
                 v = np.where(k1 > ms[t], floor, s * (np.abs(p) if absolute else p))
                 best = v.max()
@@ -276,19 +277,21 @@ def _exact_sweep(monomials: Sequence[tuple], absolute: bool, step: Fraction, cap
                  rank: np.ndarray, last: np.ndarray, signs: dict, seeds: dict) -> dict:
     """{(f, direction): (score, (k1, row of tails))}: the exact extremum of s P, or s |P| where absolute, P = C_0 +
     ... + C_r k1^r of _expansion, and its least point, over the tails rank[i] (slack order), feasible for k1 in [0,
-    last[i]]; caps holds the largest k1 and k_j.  Each chunk of at most _CHUNK cells reads its C_i off its tail
-    monomials (_columns), int64 while _bound and big^2 < 2**63, and _ends keeps the tails that can still win, which
-    _run_tables scores per functional within the chunk: no column outlives its chunk.  seeds[f, direction] = (num,
+    last[i]]; caps holds the largest k1 and k_j.  Every score and point key k1 big + row, big past each k1 that a
+    run table forms and each row, is below max(_bound, big^2): the kernel runs in int32 where that is below 2**31,
+    in int64 where below 2**63, and on Python ints past it.  Each chunk of at most _CHUNK_BYTES bytes of cells reads
+    its C_i off its tail monomials (_columns), and _ends keeps the tails that can still win, which _run_tables
+    scores per functional within the chunk: no column outlives its chunk.  seeds[f, direction] = (num,
     den, _), _polytope_best's s num / (L den), starts the best at the least score that ties or beats it, at a
     sentinel point (big, big) that any cell beats."""
-    steps, tail_monomials, table = _expansion(monomials, step, tails.shape[1] + 1)
+    steps, tail_monomials, table = _expansion(tuple(monomials), step, tails.shape[1] + 1)
     bound = _bound(table, tail_monomials, [max(c, 1) for c in caps])
-    floor, big, directions = -bound - 1, caps[0] + len(tails), list(signs.items())  # below any score; past k1, row
-    dtype = np.int64 if max(bound, big * big) < 2**63 else object  # every score and point key k1 big + row
+    floor, big, directions = -bound - 1, caps[0] + _RUN + len(tails), list(signs.items())  # below any score
+    dtype = np.int32 if (limit := max(bound, big * big)) < 2**31 else np.int64 if limit < 2**63 else object
     # per functional and direction, as _raise keeps them; a seed past bound, which no cell passes, fits dtype at bound
     hits = [[(min(-(-s * seeds[f, d][0] * step.denominator**deg // seeds[f, d][1]), bound), -big, -big)
              if (f, d) in seeds else (floor, 0, 0) for d, s in directions] for f, (_, deg, _) in enumerate(monomials)]
-    size = max(_CHUNK // (len(table) * max(map(len, table))), 1)  # tails per chunk
+    size = max(_CHUNK_BYTES // (np.dtype(dtype).itemsize * len(table) * max(map(len, table))), 1)  # tails per chunk
     for lo in range(0, len(last), size):
         ranks, m = rank[lo:lo + size], last[lo:lo + size].astype(dtype)  # k1 in the columns' dtype
         # take gathers rows many times faster than fancy indexing does
@@ -327,9 +330,9 @@ def _edges(dims: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _edge_plan(monomials: tuple, width: int) -> tuple[list, np.ndarray]:
+def _edge_plan(monomials: tuple, width: int, dtype: np.dtype) -> tuple[list, np.ndarray]:
     """(levels, weights) of the rows' _monomial_plan: its products grouped by degree as (monomials, parents,
-    coordinates) index arrays, and weights[f, m], row f's coefficient of monomial m."""
+    coordinates) index arrays, and weights[f, m], row f's coefficient of monomial m, in dtype."""
     steps, terms, _ = _monomial_plan(monomials, width)
     degree = [1] * (width + 1)
     for p, _ in steps:
@@ -339,7 +342,7 @@ def _edge_plan(monomials: tuple, width: int) -> tuple[list, np.ndarray]:
         new = [i for i in range(width + 1, len(degree)) if degree[i] == level]
         levels.append([np.array(x, dtype=np.intp) for x in (new, *zip(*(steps[i - width - 1] for i in new)))])
     return levels, np.array([[dict((m, c) for c, m in row).get(m, 0) for m in range(len(degree))] for row in terms],
-                            dtype=object)
+                            dtype=dtype)
 
 
 def _edge_columns(monomials: Sequence[tuple], dv: int, vertices: list, edges: tuple) -> np.ndarray:
@@ -349,8 +352,8 @@ def _edge_columns(monomials: Sequence[tuple], dv: int, vertices: list, edges: tu
     and the largest coefficients built bound _bernstein's products and the vertex values times 2^m C(m, k) below it."""
     size, k = max(dv, 2 * max(map(max, vertices))), max(2, *(deg + 1 for _, deg, _ in monomials))
     bound = max(sum(abs(c) for c, _ in t) * size**deg for _, deg, t in monomials)
-    dtype = np.int64 if bound < 2**63 else object
-    levels, weights = _edge_plan(tuple(monomials), len(vertices[0]))
+    dtype = np.dtype(np.int64 if bound < 2**63 else object)
+    levels, weights = _edge_plan(tuple(monomials), len(vertices[0]), dtype)
     points = np.array(vertices, dtype=dtype)
     polys = np.zeros((weights.shape[1], k, len(edges[0])), dtype=dtype)
     polys[0, 0] = dv
@@ -359,7 +362,7 @@ def _edge_columns(monomials: Sequence[tuple], dv: int, vertices: list, edges: tu
     for new, parent, v in levels:
         polys[new] = polys[parent] * polys[v, :1]
         polys[new, 1:] += polys[parent, :-1] * polys[v, 1:2]
-    cols = np.tensordot(weights.astype(dtype), polys, axes=(1, 0)).transpose(1, 0, 2)
+    cols = np.tensordot(weights, polys, axes=(1, 0)).transpose(1, 0, 2)
     top = np.abs(cols).max(axis=(1, 2)).tolist()  # per power of t
     vertex = sum(top) * (math.comb(k - 1, (k - 1) // 2) << k - 1)  # |P| at t = 0 or 1, times 2^m C(m, k)
     products = max(sum(c * x for c, x in zip(row, top)) for half in _bernstein(k - 1) for row in half)
@@ -367,11 +370,11 @@ def _edge_columns(monomials: Sequence[tuple], dv: int, vertices: list, edges: tu
 
 
 @functools.cache
-def _bernstein(m: int) -> np.ndarray:
-    # (2, m + 1, m + 1): row k of matrix h maps P's coefficients to T_k, sum T_k u^k = 2^m (1 + u)^m P((h + 1 /
+def _bernstein(m: int, dtype: np.dtype = np.dtype(object)) -> np.ndarray:
+    # (2, m + 1, m + 1) in dtype: row k of matrix h maps P's coefficients to T_k, sum T_k u^k = 2^m (1 + u)^m P((h + 1 /
     # (1 + u)) / 2); u > 0 covers t in the half (h/2, (h + 1)/2), so there P <= max_k T_k / (2^m C(m, k))
     return np.array([[[sum(math.comb(m - i, k) * math.comb(r, i) * h ** (r - i) for i in range(r + 1)) << (m - r)
-                       for r in range(m + 1)] for k in range(m + 1)] for h in (0, 1)], dtype=object)
+                       for r in range(m + 1)] for k in range(m + 1)] for h in (0, 1)], dtype=dtype)
 
 
 def _at(poly: list[int], p: int, q: int) -> int:
@@ -424,27 +427,27 @@ def _polytope_best(monomials: Sequence[tuple], absolute: bool, signs: dict, dv: 
     i, j = _edges(dims)
     cols = _edge_columns(monomials, dv, vertices, (i, j))
     m = cols.shape[0] - 1
-    bernstein = np.tensordot(_bernstein(m).astype(cols.dtype), cols, axes=(2, 0))  # (half, k, f, edge)
+    bernstein = np.tensordot(_bernstein(m, cols.dtype), cols, axes=(2, 0))  # (half, k, f, edge)
     cap = np.array([math.comb(m, k) << m for k in range(m + 1)], dtype=cols.dtype)[:, None, None]
     ends = np.empty((len(monomials), len(vertices)), dtype=cols.dtype)
     ends[:, i], ends[:, j] = cols[0], cols.sum(axis=0)
     best = {}
     for direction, s in signs.items():
         scores = s * (np.abs(ends) if absolute else ends)
-        top = scores.argmax(axis=1)  # the first, least, vertex of a tie
+        top, tops = scores.argmax(axis=1), scores.max(axis=1)  # top: the first, least, vertex of a tie
         reach = s * (np.abs(bernstein) if absolute else bernstein)
-        live = (reach > scores[np.arange(len(monomials)), top][:, None] * cap).any(axis=(0, 1))
-        for f, (_, deg, _) in enumerate(monomials):
-            num, den, point = s * int(scores[f, top[f]]), 1, (dv, vertices[top[f]])
-            for e in np.flatnonzero(live[f]).tolist():
-                poly, v0, v1 = cols[:, f, e].tolist(), vertices[i[e]], vertices[j[e]]
-                for p, q in _roots([k * c for k, c in enumerate(poly)][1:]):
-                    value = _at(poly, p, q)
-                    cand = (abs(value) if absolute else value, q**m,
-                            (dv * q, tuple(x * (q - p) + y * p for x, y in zip(v0, v1))))
-                    if _wins(s, cand, (num, den, point)):
-                        num, den, point = cand
-            best[f, direction] = num, den * dv**deg, point
+        live = (reach > tops[:, None] * cap).any(axis=(0, 1))
+        rows = [(s * v, 1, (dv, vertices[t])) for v, t in zip(tops.tolist(), top.tolist())]
+        for f, e in zip(*np.nonzero(live)):  # by row, then edge
+            poly, v0, v1 = cols[:, f, e].tolist(), vertices[i[e]], vertices[j[e]]
+            for p, q in _roots([k * c for k, c in enumerate(poly)][1:]):
+                value = _at(poly, p, q)
+                cand = (abs(value) if absolute else value, q**m,
+                        (dv * q, tuple(x * (q - p) + y * p for x, y in zip(v0, v1))))
+                if _wins(s, cand, rows[f]):
+                    rows[f] = cand
+        best.update(((f, direction), (num, den * dv**deg, point))
+                    for f, ((num, den, point), (_, deg, _)) in enumerate(zip(rows, monomials)))
     return best
 
 

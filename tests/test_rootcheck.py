@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import sys
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -336,3 +337,26 @@ def test_exact_verdict_on_factor_products(monkeypatch, first):
         assert nonvanishing_in_open_disk(coeffs) == (inside == 0), coeffs
         degree = max(degree, len(coeffs) - 1)
     assert degree >= 20 and seen == {"_schur_stable", "_pseudo_divmod"}
+
+
+def test_schur_stable_divides_each_step_by_its_content(monkeypatch):
+    """A degree-14 product with every zero outside the closed disk runs all
+    14 strict Schur-Cohn steps.  Each step T(q) goes to math.gcd before its
+    content is divided out, and has at most 2 n (B + 5) bits, B the input's,
+    about the length of a 2n x 2n determinant of its coefficients.  Without
+    the division each step doubles the length, to about 2^n B bits here
+    (and (1 + z) times a degree-21 product then takes minutes)."""
+    q = [1]
+    for factor in ([3, 1], [2, -1], [5, 2, 1], [4, -3, 2], [7, 1, -2], [3, 1], [2, -1], [5, 2, 1], [4, -3, 2]):
+        q = [sum(q[i] * factor[k - i] for i in range(len(q)) if 0 <= k - i < len(factor))
+             for k in range(len(q) + len(factor) - 1)]
+    steps = []
+
+    def gcd(*cs):
+        steps.append(max(abs(c) for c in cs).bit_length())
+        return math.gcd(*cs)
+
+    monkeypatch.setattr(ucv.rootcheck, "math", types.SimpleNamespace(gcd=gcd))
+    n, bits = len(q) - 1, max(abs(c) for c in q).bit_length()
+    assert ucv.rootcheck._schur_stable(q)
+    assert n == 14 and len(steps) == n and max(steps) <= 2 * n * (bits + 5)

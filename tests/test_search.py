@@ -160,11 +160,68 @@ def test_sweep_matches_exact_brute_force(lam, cfg):
     assert_sweep_matches_brute_force(lam, cfg)
 
 
+def spy_tiers(monkeypatch):
+    """Record the dtype of the tail columns of each chunk that _columns builds."""
+    columns, tiers = ucv.search._columns, []
+
+    def spy(part, steps, table):
+        tiers.append(part.dtype)
+        return columns(part, steps, table)
+
+    monkeypatch.setattr(ucv.search, "_columns", spy)
+    return tiers
+
+
+# every grid here takes int32 by its own bound; a forced bound of 2**31 puts it on int64, and 2**63 on Python ints
+@pytest.mark.parametrize("lam,cfg", SWEEP_GRIDS, ids=lambda v: str(v))
+def test_sweep_forced_onto_int64_matches_exact_brute_force(monkeypatch, lam, cfg):
+    monkeypatch.setattr(ucv.search, "_bound", lambda table, monomials, caps: 2**31)
+    tiers = spy_tiers(monkeypatch)
+    assert_sweep_matches_brute_force(lam, cfg)
+    assert set(tiers) == {np.dtype(np.int64)}
+
+
 @pytest.mark.parametrize("lam,cfg", SWEEP_GRIDS, ids=lambda v: str(v))
 def test_sweep_forced_onto_python_ints_matches_exact_brute_force(monkeypatch, lam, cfg):
-    # a magnitude bound of 2**63 puts every functional's columns on Python ints
     monkeypatch.setattr(ucv.search, "_bound", lambda table, monomials, caps: 2**63)
+    tiers = spy_tiers(monkeypatch)
     assert_sweep_matches_brute_force(lam, cfg)
+    assert set(tiers) == {np.dtype(object)}
+
+
+@pytest.mark.parametrize("bound,tier", [(2**31 - 1, np.int32), (2**31, np.int64), (2**63 - 1, np.int64),
+                                        (2**63, object)], ids=str)
+def test_sweep_tier_flips_at_the_bound(monkeypatch, bound, tier):
+    # step 1/10 keeps big^2 far below 2**31, so the bound alone picks the tier; at 2**31 - 1 and 2**63 - 1 the floor
+    # below every score, -bound - 1, is the tier's least value
+    monkeypatch.setattr(ucv.search, "_bound", lambda table, monomials, caps: bound)
+    tiers = spy_tiers(monkeypatch)
+    assert_sweep_matches_brute_force(*SWEEP_GRIDS[0])
+    assert set(tiers) == {np.dtype(tier)}
+
+
+@pytest.mark.parametrize("past,tier", [(0, np.int32), (1, np.int64)])
+def test_sweep_tier_flips_at_big_squared(monkeypatch, past, tier):
+    # dims 1 at step 1/30000: one tail, k1 up to 30000 + budget, so big = 30000 + budget + _RUN + 1 is 46340, whose
+    # square is below 2**31, or 46341, whose square is past it; A2 = b1 keeps _bound below 2**16
+    assert 46340**2 < 2**31 < 46341**2
+    budget = 46340 - 30001 - ucv.search._RUN + past
+    lam, cfg, fn = F(budget, 30000), SearchConfig(dims=1, grid_step=F(1, 30000)), functional_by_name("A2")
+    tiers = spy_tiers(monkeypatch)
+    got = _sweep(lam, cfg, [fn])
+    assert set(tiers) == {np.dtype(tier)}
+    assert [swept(got, fn, d) for d in ("max", "min")] == [(1, (F(1),) + (F(0),) * 3), (0, (F(0),) * 4)]
+
+
+def test_default_grid_sweeps_in_int32_and_step_one_hundredth_in_int64(monkeypatch):
+    # on the five-lambda grid _bound is 24 to 28 bits; at step 1/100 it is 32 bits at lambda = 1, 31 at 3/4
+    tiers = spy_tiers(monkeypatch)
+    verify_bounds(GRID5)
+    assert set(tiers) == {np.dtype(np.int32)}
+    for lam, tier in ((F(3, 4), np.int32), (F(1), np.int64)):
+        tiers.clear()
+        verify_bounds([lam], SearchConfig(grid_step=F(1, 100)))
+        assert set(tiers) == {np.dtype(tier)}
 
 
 @settings(deadline=None, max_examples=300)
@@ -195,7 +252,7 @@ def test_sweep_ties_across_block_boundaries(monkeypatch, lam, cfg, block):
     sizes = {"one cell": 1, "7 cells": 7, "40 cells": 40, "150 cells": 150}
     size = sizes.get(block, feasible_count(lam, cfg) // 3 + 1)
     if block == "one tail a chunk":
-        monkeypatch.setattr(ucv.search, "_CHUNK", 1)
+        monkeypatch.setattr(ucv.search, "_CHUNK_BYTES", 1)
         size = ucv.search._SWEEP_BLOCK
     monkeypatch.setattr(ucv.search, "_SWEEP_BLOCK", size)
     scored = spy_scoring(monkeypatch)
@@ -513,8 +570,8 @@ def test_one_bound_table_holds_a_tail_past_a_block(monkeypatch, rounds):
 @pytest.mark.parametrize("rounds", [0, 1])
 @pytest.mark.parametrize("name,direction,value", [("A2C", "min", -1), ("A3C", "max", 1)])
 def test_sweep_keys_past_int64_at_fine_steps(name, direction, value, rounds, step):
-    # dims 1: one tail, k1 up to 2 / step.  The point keys k1 big + row reach big^2 with big = 2 / step + 1, past
-    # 2**63 at every step here; k1 passes 2**31, so the row and k1 arrays are int64
+    # dims 1: one tail, k1 up to 2 / step.  The point keys k1 big + row reach big^2 with big = 2 / step + _RUN + 1,
+    # past 2**63 at every step here; k1 passes 2**31, so the row and k1 arrays are int64
     fn, lam = functional_by_name(name), F(1)
     got = _sweep(lam, SearchConfig(dims=1, grid_step=step, refine_rounds=rounds), [fn], (direction,))
     assert swept(got, fn, direction) == (value, (F(1), F(0), F(0), F(0)))
@@ -638,10 +695,11 @@ AN_TIE = (F(1), SearchConfig(grid_step=F(3, 4), dims=5), 6)
 # that starts at the inner tie is bounded by exactly the best score
 AN_RUN_TIE = (F(1), SearchConfig(grid_step=F(2, 3), dims=3), 4)
 DIRECTIONS = [("max",), ("min",), ("max", "min")]
-# the default chunk, table and run sizes; chunks of 21 cells (one to ten
-# tails) and bound tables of 5 or 40 cells, which cut the kept tails into
-# groups of one or a few; runs of one k1 and of three
-AN_SIZES = {"default sizes": (None, None, None), "small chunks, tables of 5": (21, 5, None),
+# the default chunk, table and run sizes; chunks of 84 bytes (21 int32
+# cells, one to ten tails; 10 int64 cells) and bound tables of 5 or 40
+# cells, which cut the kept tails into groups of one or a few; runs of one
+# k1 and of three
+AN_SIZES = {"default sizes": (None, None, None), "small chunks, tables of 5": (84, 5, None),
             "tables of 40": (None, 40, None), "runs of 1": (None, None, 1), "runs of 3": (None, None, 3)}
 
 
@@ -665,18 +723,18 @@ def assert_an_sweep_is_exact(lam, cfg, n, directions):
 
 
 def set_an_sizes(monkeypatch, sizes):
-    for name, size in zip(("_CHUNK", "_SWEEP_BLOCK", "_RUN"), AN_SIZES[sizes]):
+    for name, size in zip(("_CHUNK_BYTES", "_SWEEP_BLOCK", "_RUN"), AN_SIZES[sizes]):
         if size:
             monkeypatch.setattr(ucv.search, name, size)
 
 
-def spy_an_build(monkeypatch, force_object=False):
+def spy_an_build(monkeypatch, force=None):
     """Record the exact AN build: the expansions that _reciprocal runs
     over polynomials with Python-int coefficients (_integer_monomials and
     the polynomial ring, emptied first, so that neither holds an earlier
     test's build), and the dtypes of the tail columns that _columns
-    multiplies per chunk.  With force_object the magnitude bound reads
-    2**63, which puts any grid on Python ints."""
+    multiplies per chunk.  A force reads as the magnitude bound: 2**31
+    puts any grid here on int64, and 2**63 on Python ints."""
     ucv.model._integer_monomials.cache_clear()
     ucv.model._polynomial_coefficients.cache_clear()
     recursion, columns = ucv.model._reciprocal, ucv.search._columns
@@ -694,8 +752,8 @@ def spy_an_build(monkeypatch, force_object=False):
 
     monkeypatch.setattr(ucv.model, "_reciprocal", spy_recursion)
     monkeypatch.setattr(ucv.search, "_columns", spy_columns)
-    if force_object:
-        monkeypatch.setattr(ucv.search, "_bound", lambda table, monomials, caps: 2**63)
+    if force:
+        monkeypatch.setattr(ucv.search, "_bound", lambda table, monomials, caps: force)
     return build
 
 
@@ -707,6 +765,18 @@ def test_an_sweep_matches_exact_brute_force(monkeypatch, lam, cfg, n, sizes, dir
     build = spy_an_build(monkeypatch)
     assert_an_sweep_is_exact(lam, cfg, n, directions)
     assert build["expansions"] == 1  # by the first of the two sweeps, the lattice alone; the second reads the cache
+    # every grid here takes int32: _bound is at most 28 bits, and big^2 is far below 2**31
+    assert build["dtypes"] == ({np.dtype(np.int32)} if cfg.dims > 1 else set())  # no tail column at dims 1
+
+
+@pytest.mark.parametrize("directions", DIRECTIONS, ids="+".join)
+@pytest.mark.parametrize("sizes", ["default sizes", "small chunks, tables of 5", "runs of 1", "runs of 3"])
+@pytest.mark.parametrize("lam,cfg,n", AN_GRIDS + [AN_TIE, AN_RUN_TIE], ids=str)
+def test_an_sweep_forced_onto_int64(monkeypatch, lam, cfg, n, sizes, directions):
+    set_an_sizes(monkeypatch, sizes)
+    build = spy_an_build(monkeypatch, force=2**31)
+    assert_an_sweep_is_exact(lam, cfg, n, directions)
+    assert build["expansions"] == 1  # by the first of the two sweeps, the lattice alone; the second reads the cache
     assert build["dtypes"] == ({np.dtype(np.int64)} if cfg.dims > 1 else set())  # no tail column at dims 1
 
 
@@ -715,7 +785,7 @@ def test_an_sweep_matches_exact_brute_force(monkeypatch, lam, cfg, n, sizes, dir
 @pytest.mark.parametrize("lam,cfg,n", AN_GRIDS + [AN_TIE, AN_RUN_TIE], ids=str)
 def test_an_sweep_forced_onto_python_ints(monkeypatch, lam, cfg, n, sizes, directions):
     set_an_sizes(monkeypatch, sizes)
-    build = spy_an_build(monkeypatch, force_object=True)
+    build = spy_an_build(monkeypatch, force=2**63)
     assert_an_sweep_is_exact(lam, cfg, n, directions)
     assert build["expansions"] == 1  # by the first of the two sweeps, the lattice alone; the second reads the cache
     assert build["dtypes"] == ({np.dtype(object)} if cfg.dims > 1 else set())  # no tail column at dims 1
@@ -863,7 +933,8 @@ def test_an_sweep_runs_no_recursion_per_point(monkeypatch):
     # _reciprocal runs once per process on polynomials in (b1, b2..b_dims),
     # and never on floats (the polish values the winner) nor on the points'
     # arrays; each chunk of tails (six coefficients each, in at
-    # most _CHUNK cells) reads its columns off the one expansion
+    # most _CHUNK_BYTES bytes of int64 cells, as AN(6)'s bound passes
+    # 2**31 here) reads its columns off the one expansion
     calls = collections.Counter()
 
     def counting(real):
@@ -885,7 +956,8 @@ def test_an_sweep_runs_no_recursion_per_point(monkeypatch):
     monkeypatch.setattr(ucv.search, "_columns", columns)
     lam, cfg = F(1), SearchConfig(dims=5)  # the sweep of conjecture --n 6
     tails = len(_tail_units(50, (1, 2, 3, 4)))  # every tail has a feasible b1 here
-    size = ucv.search._CHUNK // 6
+    size = ucv.search._CHUNK_BYTES // (8 * 6)
+    assert size == 5461
     assert tails > 2 * size
     _sweep(lam, cfg, [an_functional(6)], ("max",))
     assert calls == {"build": 1, "chunk": -(-tails // size)}
